@@ -47,8 +47,8 @@ print(f"  over Q: {xi_q_at(b, w).value}   over Z: {xi_z_at(b, w).value}")
 print()
 
 print("Two independent rational solvers must agree everywhere: the exact")
-print("simplex and an enumeration of the minimal faces of the piecewise")
-print("linear objective.")
+print("L1 solver (one weighted median here, as the kernel has one row) and")
+print("an enumeration of the minimal faces of the piecewise linear objective.")
 face = xi_q_at_face_oracle(a, v)
 print(f"  face-enumeration value: {face.value} with witness {vec(face.witness)}")
 decomposition = minimization_faces(a, v)

@@ -23,7 +23,7 @@ from .complexes import (
     parse_presentation,
     presentation_complex,
 )
-from .errors import ExpansionLabError
+from .errors import ExpansionLabError, FormatError
 from .exactla import format_matrix, format_rational, parse_matrix, parse_vector
 from .expansion import (
     reduce_mod_q,
@@ -161,12 +161,22 @@ def _cmd_build_complex(args) -> int:
 def _parse_primes(text: str) -> tuple:
     if not text.strip():
         return ()
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise FormatError(
+            f"--primes must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _parse_n_range(text: str) -> range:
     lo, _, hi = text.partition(":")
-    return range(int(lo), int(hi))
+    try:
+        return range(int(lo), int(hi))
+    except ValueError:
+        raise FormatError(
+            f"--n-range must be a:b with integers a and b, got {text!r}"
+        ) from None
 
 
 def _cmd_verify(args) -> int:

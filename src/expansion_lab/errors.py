@@ -47,6 +47,11 @@ class EnumerationCapError(ExpansionLabError):
     """An enumeration would exceed its configured size cap."""
 
 
+class UnboundedLPError(ExpansionLabError):
+    """The simplex found the L1 program unbounded below, which a norm
+    objective rules out: the tableau arithmetic has gone wrong."""
+
+
 class AmbientDimensionCapError(EnumerationCapError):
     """Subset enumeration refused: ambient dimension above the cap."""
 

@@ -74,6 +74,15 @@ def primitive_ray(vec: Sequence[int]) -> IntVector:
     return tuple(scaled)
 
 
+def disjoint_supports(rows: Sequence[Sequence]) -> list[list[int]] | None:
+    """The supports (positions of nonzero entries) of ``rows`` when no
+    two rows share a position, else None."""
+    supports = [[i for i, entry in enumerate(row) if entry] for row in rows]
+    if sum(map(len, supports)) != len(set().union(*supports)):
+        return None
+    return supports
+
+
 def integerize(vec: Sequence[Fraction]) -> IntVector:
     """Clear denominators: the primitive integer vector on the same ray."""
     denoms = 1

@@ -8,17 +8,27 @@ of the 1-norm when working modulo a prime ``q``).  The global expansion
 constant is the supremum of the per-target values over all nonzero
 image vectors.
 
-Everything here is exact.  Rational optima come from a simplex solver
-over ``Fraction``, integer optima from branch and bound with rational
-relaxation bounds, and finite-field optima from explicit coset
-enumeration.  A second, independent route to the rational per-target
-value (enumeration of the minimization faces of the objective) is kept
-deliberately separate so the two can be compared in tests.
+Everything here is exact.  Rational optima come from
+``simplex.min_l1_combination``, integer optima from branch and bound
+with rational relaxation bounds, and finite-field optima from a search
+of the solution coset.  A second, independent route to the rational
+per-target value (enumeration of the minimization faces of the
+objective) is kept deliberately separate so the two can be compared in
+tests.
+
+Both minimizations split when the kernel basis rows have pairwise
+disjoint supports, as the component indicators spanning the kernel of a
+graph incidence matrix do: each row is then solved on its own, by a
+weighted median over Q (see ``simplex``) and by the most frequent
+zeroing coefficient over F_q.  Kernels with overlapping rows take the
+general path, the simplex or the full coset enumeration, which also
+serve the tests as oracles for the closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,6 +49,7 @@ from .exactla import (
     IntVector,
     RatVector,
     Rational,
+    disjoint_supports,
     hnf,
     integer_kernel_basis,
     integerize,
@@ -78,10 +89,12 @@ class ExpansionResult:
 
     ``ring`` is ``"Q"``, ``"Z"``, or ``"Zq(q)"`` with the modulus filled
     in.  ``solver`` records which routine produced the witness: ``"lp"``
-    (simplex), ``"face_oracle"`` (face enumeration), ``"bnb"`` (branch
-    and bound), or ``"coset_bruteforce"`` (finite-field search).  The
-    witness always satisfies ``A @ witness == target`` in the stated
-    ring and ``norm(witness) == value * norm(target)``.
+    (the L1 program: weighted medians or simplex), ``"face_oracle"``
+    (face enumeration), ``"bnb"`` (branch and bound), or
+    ``"coset_bruteforce"`` (finite-field coset search: per-row modes or
+    enumeration).  The witness always satisfies ``A @ witness ==
+    target`` in the stated ring and ``norm(witness) == value *
+    norm(target)``.
     """
 
     value: Rational
@@ -948,6 +961,12 @@ def _modq_system(a: ModQMatrix):
     return rref, tuple(pivots), tuple(kernel), trans
 
 
+def modq_rank(a: ModQMatrix) -> int:
+    """Rank of ``a`` over F_q."""
+    _, pivots, _, _ = _modq_system(a)
+    return len(pivots)
+
+
 def _modq_solve(a: ModQMatrix, w: Sequence[int]):
     rref, pivots, _, trans = _modq_system(a)
     q = a.q
@@ -967,9 +986,10 @@ def xi_zq_at(
     """Exact expansion of ``a`` at ``w`` over F_q, using Hamming weight
     as the norm on both sides.
 
-    Enumerates the full solution coset ``u0 + ker`` and keeps the
-    minimum weight; raises ``EnumerationCapError`` when ``q ** dim(ker)``
-    exceeds ``max_coset``.
+    Finds the first minimum-weight vector of the solution coset
+    ``u0 + ker`` in coefficient enumeration order (see
+    ``_min_weight_in_coset``); raises ``EnumerationCapError`` when
+    ``q ** dim(ker)`` exceeds ``max_coset``.
     """
     q = a.q
     if len(w) != a.rows:
@@ -1001,7 +1021,31 @@ def xi_zq_at(
 
 def _min_weight_in_coset(u0, kernel, q):
     """First minimum-weight vector of the coset ``u0 + span(kernel)``
-    in coefficient enumeration order."""
+    in coefficient enumeration order, with its weight.
+
+    When the kernel rows have pairwise disjoint supports the weight
+    splits row by row, and the coefficient of each row is chosen on its
+    own: the one that zeroes the most coordinates of ``u0`` on the
+    row's support, the smallest such on a tie.  Because coefficients
+    are enumerated lexicographically from 0, those per-row choices are
+    exactly the first minimizer of the enumeration.  Other kernels are
+    enumerated.
+    """
+    supports = disjoint_supports(kernel)
+    if supports is None:
+        return _enumerate_coset(u0, kernel, q)
+    best = list(u0)
+    for row, support in zip(kernel, supports):
+        zeroed = Counter(-u0[i] * pow(row[i], q - 2, q) % q for i in support)
+        c = min(zeroed, key=lambda c: (-zeroed[c], c)) if zeroed else 0
+        for i in support:
+            best[i] = (best[i] + c * row[i]) % q
+    return tuple(best), hamming_weight(best)
+
+
+def _enumerate_coset(u0, kernel, q):
+    """``_min_weight_in_coset`` by running over all coefficient vectors
+    in lexicographic order; serves any kernel."""
     best_u = tuple(u0)
     best_wt = hamming_weight(u0)
     if best_wt <= 1 or not kernel:
@@ -1063,8 +1107,7 @@ def xi_zq_global(
     ``max_images`` and ``UndefinedExpansionError`` on a zero image.
     """
     q = a.q
-    _, pivots, kernel, _ = _modq_system(a)
-    r = len(pivots)
+    r = modq_rank(a)
     if r == 0:
         raise UndefinedExpansionError(
             "global expansion is undefined for a zero image"
@@ -1073,6 +1116,7 @@ def xi_zq_global(
         raise EnumerationCapError(
             f"image size q**{r} exceeds enumeration cap {max_images}"
         )
+    _, _, kernel, _ = _modq_system(a)
     if q ** len(kernel) > max_coset:
         raise EnumerationCapError(
             f"coset size q**{len(kernel)} exceeds enumeration cap {max_coset}"

@@ -46,6 +46,7 @@ from .expansion import (
     iter_image_with_preimage,
     lift_section,
     minimization_faces,
+    modq_rank,
     reduce_mod_q,
     xi_q_at,
     xi_q_at_face_oracle,
@@ -462,7 +463,7 @@ def campaign_modq(
 
             witness_instance = dict(instance)
             witness_instance["check"] = "per-witness"
-            images = q ** len(_modq_pivots(reduced))
+            images = q ** modq_rank(reduced)
             if images > witness_image_cap:
                 report.add(
                     witness_instance,
@@ -499,13 +500,6 @@ def campaign_modq(
                     witness_instance, "fail", "per-witness inequality violated", bad
                 )
     return report
-
-
-def _modq_pivots(reduced):
-    from .expansion import _modq_system
-
-    _, pivots, _, _ = _modq_system(reduced)
-    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,18 @@
-"""Exact rational simplex for L1 minimization over an affine subspace.
+"""Exact L1 minimization over an affine subspace.
 
 The one entry point minimizes ``|u + x_1 d_1 + ... + x_k d_k|_1`` over
-rational x. This is the classic least-absolute-deviations program: with
-residual r = u + D x split as r = rp - rm and x = xp - xm,
+rational x, the classic least-absolute-deviations program.
+
+When the directions have pairwise disjoint supports (every coordinate
+is moved by at most one of them, as for the component indicators that
+span the kernel of a graph incidence matrix), the program splits into
+k one-dimensional problems ``min_x sum_i |u_i + x d_i|`` over the
+support of each d.  Each is minimized by a weighted median of the
+breakpoints ``-u_i / d_i`` with weights ``|d_i|`` (Barrodale & Roberts
+1973); the lower weighted median is taken.
+
+Otherwise the general path is a simplex on the LP: with residual
+r = u + D x split as r = rp - rm and x = xp - xm,
 
     minimize  1 . (rp + rm)
     subject   rp - rm - D xp + D xm = u,   rp, rm, xp, xm >= 0.
@@ -10,16 +20,21 @@ residual r = u + D x split as r = rp - rm and x = xp - xm,
 Setting x = 0, rp = max(u, 0), rm = max(-u, 0) is already a basic
 feasible solution, so no phase-1 is needed: rows with negative right
 hand side are negated to put the matching rm variable in the basis.
+The entering rule is largest reduced cost, switching permanently to
+Bland's smallest-index rule when the objective stalls, which rules out
+cycling.  The simplex also serves the tests as the oracle for the
+weighted-median route.
 
-All arithmetic is fractions.Fraction. The entering rule is largest
-reduced cost, switching permanently to Bland's smallest-index rule when
-the objective stalls, which rules out cycling.
+All arithmetic is fractions.Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from .errors import EnumerationCapError, UnboundedLPError
+from .exactla import disjoint_supports
 
 _STALL_LIMIT = 30
 _MAX_PIVOTS = 20000
@@ -32,7 +47,8 @@ def min_l1_combination(
 
     Returns ``(x, w, value)`` with ``w = u + sum x_j d_j`` evaluated
     exactly and ``value = |w|_1``. With no directions this is just
-    ``((), u, |u|_1)``.
+    ``((), u, |u|_1)``.  Directions with pairwise disjoint supports are
+    solved by one weighted median each, any others by the simplex.
     """
     n = len(u)
     k = len(directions)
@@ -44,6 +60,45 @@ def min_l1_combination(
         value = sum(abs(e) for e in u) if n else Fraction(0)
         return (Fraction(0),) * k, u, Fraction(value)
 
+    supports = disjoint_supports(directions)
+    if supports is None:
+        x = _simplex_min_l1(u, directions)
+    else:
+        x = tuple(
+            _weighted_median(u, d, support)
+            for d, support in zip(directions, supports)
+        )
+    w = tuple(
+        u[i] + sum(x[j] * Fraction(directions[j][i]) for j in range(k))
+        for i in range(n)
+    )
+    value = Fraction(sum(abs(e) for e in w))
+    return x, w, value
+
+
+def _weighted_median(u, d, support) -> Fraction:
+    """Lower weighted median of the breakpoints ``-u_i / d_i`` with
+    weights ``|d_i|``, over ``i`` in ``support``: a minimizer of
+    ``sum_i |u_i + x d_i|``.  An empty support gives 0."""
+    points = sorted((-u[i] / d[i], abs(d[i])) for i in support)
+    total = sum(weight for _, weight in points)
+    running = 0
+    for point, weight in points:
+        running += weight
+        if 2 * running >= total:
+            return point
+    return Fraction(0)
+
+
+def _simplex_min_l1(u, directions) -> tuple[Fraction, ...]:
+    """Optimal ``x`` by the tableau simplex, for any directions.
+
+    ``u`` is a tuple of Fractions and there is at least one direction
+    and one coordinate.  Raises ``EnumerationCapError`` past
+    ``_MAX_PIVOTS`` pivots.
+    """
+    n = len(u)
+    k = len(directions)
     zero = Fraction(0)
     one = Fraction(1)
     width = 2 * n + 2 * k + 1  # rp, rm, xp, xm, rhs
@@ -104,7 +159,7 @@ def min_l1_combination(
                     best_ratio = ratio
                     leaving = i
         if leaving is None:
-            raise ArithmeticError("L1 objective cannot be unbounded below")
+            raise UnboundedLPError("L1 objective cannot be unbounded below")
         pivot = rows[leaving][entering]
         rows[leaving] = [e / pivot for e in rows[leaving]]
         for i in range(n):
@@ -117,7 +172,9 @@ def min_l1_combination(
         basis[leaving] = entering
         pivots += 1
         if pivots > _MAX_PIVOTS:
-            raise ArithmeticError("simplex pivot limit exceeded")
+            raise EnumerationCapError(
+                f"simplex pivot limit {_MAX_PIVOTS} exceeded"
+            )
         if obj[-1] == last_objective:
             stall += 1
             if stall > _STALL_LIMIT:
@@ -127,13 +184,7 @@ def min_l1_combination(
             last_objective = obj[-1]
 
     values = {var: rows[i][-1] for i, var in enumerate(basis)}
-    x = tuple(
+    return tuple(
         values.get(2 * n + j, zero) - values.get(2 * n + k + j, zero)
         for j in range(k)
     )
-    w = tuple(
-        u[i] + sum(x[j] * Fraction(directions[j][i]) for j in range(k))
-        for i in range(n)
-    )
-    value = Fraction(sum(abs(e) for e in w))
-    return x, w, value

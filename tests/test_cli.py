@@ -307,6 +307,30 @@ def test_zero_target_is_a_solver_error(files, capsys):
     assert "zero target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "modq", "--count", "1", "--primes", "2,x"],
+        ["verify", "presentations", "--n-range", "3"],
+    ],
+)
+def test_malformed_campaign_flag_is_an_input_error(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+
+
+def test_simplex_pivot_cap_is_a_solver_error(files, capsys, monkeypatch):
+    # the kernel rows of [1 2 3] overlap, so the simplex runs and pivots
+    monkeypatch.setattr("expansion_lab.simplex._MAX_PIVOTS", 0)
+    matrix = files("a.mat", "1 3\n1 2 3\n")
+    target = files("t.vec", "6\n")
+    rc = main(["xi", matrix, "--target", target])
+    assert rc == 2
+    assert "pivot limit" in capsys.readouterr().err
+
+
 def test_non_prime_modulus_is_an_input_error(files, capsys):
     matrix = files("a.mat", "1 2\n1 1\n")
     target = files("t.vec", "1\n")

@@ -5,10 +5,13 @@ simplex route against the face-enumeration oracle and against exhaustive
 box searches, which are independent arithmetic.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expansion_lab.errors import (
     DimensionMismatchError,
@@ -29,10 +32,14 @@ from expansion_lab.exactla import (
 )
 from expansion_lab.expansion import (
     ModQMatrix,
+    _enumerate_coset,
+    _min_weight_in_coset,
+    _modq_system,
     hamming_weight,
     iter_image_with_preimage,
     lift_section,
     minimization_faces,
+    modq_rank,
     reduce_mod_q,
     xi_q_at,
     xi_q_at_face_oracle,
@@ -469,3 +476,68 @@ class TestXiZqGlobal:
                 for i in range(a.rows)
             )
             assert got == w
+
+
+@st.composite
+def disjoint_rref_cosets(draw):
+    """(q, u0, kernel) shaped like ``_modq_system`` output: kernel rows
+    with pairwise disjoint supports, each 1 on its own free column, and
+    a nonzero u0 that vanishes on the free columns (so u0 is not in the
+    kernel span and the coset's target is nonzero)."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 8))
+    owner = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    kernel, free = [], set()
+    for j in range(4):
+        cols = [i for i in range(n) if owner[i] == j]
+        if not cols:
+            continue
+        row = [0] * n
+        row[cols[0]] = 1
+        free.add(cols[0])
+        for i in cols[1:]:
+            row[i] = draw(st.integers(1, q - 1))
+        kernel.append(tuple(row))
+    u0 = tuple(
+        0 if i in free else draw(st.integers(0, q - 1)) for i in range(n)
+    )
+    assume(any(u0))
+    return q, u0, tuple(kernel)
+
+
+class TestMinWeightInCoset:
+    """The per-row mode route against coset enumeration, its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(disjoint_rref_cosets())
+    def test_mode_matches_enumeration(self, case):
+        q, u0, kernel = case
+        assert _min_weight_in_coset(u0, kernel, q) == _enumerate_coset(
+            u0, kernel, q
+        )
+
+    def test_overlapping_kernel_matches_exhaustive_search(self):
+        # both kernel rows are nonzero on columns 0 and 1, so the coset is
+        # enumerated; a per-row choice would not reach the weight-1 optimum
+        a = ModQMatrix.from_rows([[0, 2, 2, 2], [2, 2, 1, 1]], 3)
+        _, _, kernel, _ = _modq_system(a)
+        assert all(row[0] and row[1] for row in kernel)
+        w = (1, 2)
+        res = xi_zq_at(a, w)
+        weights = [
+            hamming_weight(u)
+            for u in itertools.product(range(3), repeat=a.cols)
+            if tuple(
+                sum(a.at(i, j) * u[j] for j in range(a.cols)) % 3
+                for i in range(a.rows)
+            )
+            == w
+        ]
+        assert hamming_weight(res.witness) == min(weights) == 1
+
+
+def test_modq_rank():
+    assert modq_rank(ModQMatrix.from_rows([[1, 1], [1, 1]], 2)) == 1
+    assert modq_rank(ModQMatrix.from_rows([[1, 2], [2, 1]], 3)) == 1
+    assert modq_rank(ModQMatrix.from_rows([[1, 2], [2, 1]], 5)) == 2
+    assert modq_rank(ModQMatrix.from_rows([[0, 0]], 2)) == 0

@@ -1,7 +1,17 @@
 import random
 from fractions import Fraction
 
-from expansion_lab.simplex import min_l1_combination
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expansion_lab import simplex
+from expansion_lab.errors import EnumerationCapError
+from expansion_lab.simplex import (
+    _simplex_min_l1,
+    _weighted_median,
+    min_l1_combination,
+)
 
 F = Fraction
 
@@ -99,3 +109,62 @@ class TestRandomProperties:
         dirs = [(1,) * 8, (2,) * 8]
         x, w, value = min_l1_combination(u, dirs)
         assert value == 0
+
+
+@st.composite
+def disjoint_instances(draw):
+    """An offset u and 1-4 directions with pairwise disjoint supports;
+    some coordinates lie in no support and some directions are zero."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+    entry = st.integers(-3, 3).filter(bool)
+    dirs = [
+        tuple(draw(entry) if owner[i] == j else 0 for i in range(n))
+        for j in range(k)
+    ]
+    u = tuple(
+        F(draw(st.integers(-6, 6)), draw(st.integers(1, 3))) for _ in range(n)
+    )
+    return u, dirs
+
+
+class TestDisjointSupports:
+    """The weighted-median route against the simplex, its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_instances())
+    def test_weighted_median_matches_simplex(self, instance):
+        u, dirs = instance
+        x, w, value = min_l1_combination(u, dirs)
+        assert value == f_value(u, dirs, _simplex_min_l1(u, dirs))
+        assert w == tuple(
+            u[i] + sum(x[j] * d[i] for j, d in enumerate(dirs))
+            for i in range(len(u))
+        )
+        assert value == f_value(u, dirs, x)
+
+    def test_lower_weighted_median(self):
+        # breakpoints 0 (weight 1), 1 (weight 1) and 2 (weight 2): the
+        # minimizers are [1, 2] and the lower end is taken
+        x, w, value = min_l1_combination((0, -1, -4), [(1, 1, 2)])
+        assert x == (1,)
+        assert value == 3
+
+    def test_overlapping_supports_take_the_simplex(self):
+        # coordinate 1 is in both supports; solving each direction on its
+        # own would stop at value 2, the joint optimum is 0
+        u, dirs = (F(-2), F(-1), F(1)), [(1, 1, 0), (0, 1, 1)]
+        medians = tuple(
+            _weighted_median(u, d, [i for i in range(3) if d[i]]) for d in dirs
+        )
+        assert f_value(u, dirs, medians) == 2
+        x, w, value = min_l1_combination(u, dirs)
+        assert x == _simplex_min_l1(u, dirs) == (2, -1)
+        assert value == 0
+
+
+def test_pivot_cap_is_a_typed_cap_error(monkeypatch):
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+    with pytest.raises(EnumerationCapError, match="pivot limit"):
+        min_l1_combination((-2, -1, 1), [(1, 1, 0), (0, 1, 1)])
