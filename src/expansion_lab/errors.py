@@ -52,6 +52,11 @@ class UnboundedLPError(ExpansionLabError):
     objective rules out: the tableau arithmetic has gone wrong."""
 
 
+class WitnessError(ExpansionLabError):
+    """No valid witness could be built for a failed spanning check: a
+    Smith-form invariant the witness construction relies on was broken."""
+
+
 class AmbientDimensionCapError(EnumerationCapError):
     """Subset enumeration refused: ambient dimension above the cap."""
 

@@ -6,6 +6,13 @@ and Smith normal forms with their unimodular transforms, integer and
 rational linear solving, kernel lattices, lattice membership, and the
 plain-text matrix/vector formats used by the command line tools.
 
+Linear solves factor each matrix once: ``_solve_map`` caches an integer
+matrix and a common denominator that turn the target's pivot entries
+into the solution, so each target costs integer products plus the full
+check ``A @ x == v``.  Forward substitution against the HNF
+(``_solve_upper``) is the route the map encodes and serves the tests as
+its oracle.
+
 Conventions:
 
 * Matrices act on column vectors: ``A`` with shape (rows, cols) maps
@@ -21,10 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -147,7 +155,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> IntMatrix:
-        flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
+        flat = tuple(itertools.chain.from_iterable(map(self.column, range(self.cols))))
         return IntMatrix(self.cols, self.rows, flat)
 
     def is_zero(self) -> bool:
@@ -432,46 +440,17 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rational_inverse(m: IntMatrix) -> list[list[Fraction]]:
-    """Exact inverse over Q by Gauss-Jordan; raises if singular."""
-    if m.rows != m.cols:
-        raise DimensionMismatchError("inverse of a non-square matrix")
-    n = m.rows
-    a = [[Fraction(e) for e in m.row(i)] for i in range(n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise NotUnimodularError("matrix is singular over Q")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for i in range(n):
-            if i == col or a[i][col] == 0:
-                continue
-            factor = a[i][col]
-            a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-            inv[i] = [x - factor * y for x, y in zip(inv[i], inv[col])]
-    return inv
-
-
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix."""
-    if m.rows != m.cols:
-        raise NotUnimodularError("not square")
-    d = det(m)
-    if d not in (1, -1):
-        raise NotUnimodularError(f"determinant is {d}, expected +-1")
-    inv = rational_inverse(m)
-    return IntMatrix.from_rows(
-        [[int(x) for x in row] for row in inv], cols=m.cols
-    )
+    """Integer inverse of a unimodular matrix.
+
+    A unimodular matrix has the identity as its Hermite normal form (the
+    positive pivots multiply to 1, and entries above a pivot of 1 reduce
+    to 0), so the transform ``u`` with ``u @ m == I`` is the inverse.
+    """
+    h, u = hnf(m)
+    if h != IntMatrix.identity(m.rows):
+        raise NotUnimodularError("Hermite normal form is not the identity")
+    return u
 
 
 @dataclass(frozen=True)
@@ -530,32 +509,107 @@ def _solve_upper(
     return y
 
 
+class _SolveMap(NamedTuple):
+    """Everything the solvers need of ``a``, independent of the target."""
+
+    pivot_cols: tuple[int, ...]
+    numerators: tuple[IntVector, ...]
+    denominator: int
+    sparse_rows: tuple[tuple[IntVector, IntVector], ...]
+
+
+@lru_cache(maxsize=512)
+def _solve_map(a: IntMatrix) -> _SolveMap:
+    """Factor ``a`` once for every target: ``x = (v_P @ M) / d``.
+
+    ``P`` holds the pivot columns of ``h = hnf(a^T) = u @ a^T``.  Forward
+    substitution (``_solve_upper``) is linear in ``v_P``: it returns
+    ``y = v_P @ T^-1`` for the upper-triangular pivot block ``T`` of
+    ``h``, and the solution is ``x = y @ u``.  With ``d = det T``, the
+    product of the pivots, ``d * T^-1`` is the integer adjugate, so row
+    ``p`` of it comes from one exact substitution against ``d * e_p``;
+    ``M`` is that matrix times the pivot rows of ``u``, reduced by the
+    gcd it shares with ``d``.  ``sparse_rows`` holds the (columns,
+    entries) of each row's nonzeros for the check ``A @ x == v``.
+    """
+    h, u = hnf(a.transpose())
+    pivots = hnf_pivots(h)
+    k = len(pivots)
+    d = math.prod(h.at(r, c) for r, c in pivots)
+    m_rows = []
+    for p in range(k):
+        y = [0] * k
+        y[p] = d // h.at(p, pivots[p][1])
+        for r, c in pivots[p + 1 :]:
+            acc = -sum(y[i] * h.at(i, c) for i in range(p, r) if y[i])
+            y[r] = acc // h.at(r, c)
+        row = [0] * a.cols
+        for i, coeff in enumerate(y):
+            if coeff:
+                row = [x + coeff * e for x, e in zip(row, u.row(i))]
+        m_rows.append(row)
+    g = math.gcd(d, *itertools.chain.from_iterable(m_rows))
+    sparse_rows = []
+    for i in range(a.rows):
+        row = a.row(i)
+        cols = tuple(j for j, e in enumerate(row) if e)
+        sparse_rows.append((cols, tuple(row[j] for j in cols)))
+    return _SolveMap(
+        tuple(c for _, c in pivots),
+        tuple(tuple(e // g for e in row) for row in m_rows),
+        d // g,
+        tuple(sparse_rows),
+    )
+
+
+def _solve_scaled(a: IntMatrix, v: Sequence) -> tuple[list[int], int] | None:
+    """``(x_num, den)`` with ``A @ x_num == den * v`` for the pinned
+    solution ``x = x_num / den``, or None when ``v`` is not in the
+    rational image.  Entries of ``v`` may be ints or Fractions."""
+    if len(v) != a.rows:
+        raise DimensionMismatchError(f"target length {len(v)} != rows {a.rows}")
+    smap = _solve_map(a)
+    scale = math.lcm(1, *(e.denominator for e in v))
+    if scale != 1:
+        v = [e.numerator * (scale // e.denominator) for e in v]
+    x = [0] * a.cols
+    for c, row in zip(smap.pivot_cols, smap.numerators):
+        if v[c]:
+            x = [xi + v[c] * e for xi, e in zip(x, row)]
+    # The pivot columns fix x; every row of A must agree with v as well.
+    d = smap.denominator
+    for (cols, entries), target in zip(smap.sparse_rows, v):
+        lhs = sum(map(operator.mul, entries, map(x.__getitem__, cols)))
+        if lhs != d * target:
+            return None
+    return x, d * scale
+
+
 def solve_integer(a: IntMatrix, v: Sequence[int]) -> IntVector | None:
     """One integer solution of A x = v, or None.
 
     Deterministic: coordinates come from forward substitution against
-    the HNF of the transpose, with free variables pinned to zero.
+    the HNF of the transpose, with free variables pinned to zero, which
+    is the cached solve map of ``a`` applied to ``v``.  ``u`` is
+    unimodular, so ``x`` is integral exactly when every substitution
+    step divides.
     """
-    if len(v) != a.rows:
-        raise DimensionMismatchError(f"target length {len(v)} != rows {a.rows}")
-    at = a.transpose()
-    h, u = hnf(at)
-    y = _solve_upper(h, hnf_pivots(h), tuple(v), integral=True)
-    if y is None:
+    solved = _solve_scaled(a, v)
+    if solved is None:
         return None
-    return vec_mat(y, u)
+    x, den = solved
+    if any(e % den for e in x):
+        return None
+    return tuple(e // den for e in x)
 
 
 def solve_rational(a: IntMatrix, v: Sequence) -> RatVector | None:
     """One rational solution of A x = v, or None; same pinning as above."""
-    if len(v) != a.rows:
-        raise DimensionMismatchError(f"target length {len(v)} != rows {a.rows}")
-    at = a.transpose()
-    h, u = hnf(at)
-    y = _solve_upper(h, hnf_pivots(h), tuple(v), integral=False)
-    if y is None:
+    solved = _solve_scaled(a, v)
+    if solved is None:
         return None
-    return tuple(Fraction(e) for e in vec_mat(y, u))
+    x, den = solved
+    return tuple(Fraction(e, den) for e in x)
 
 
 @lru_cache(maxsize=512)

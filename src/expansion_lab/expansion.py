@@ -678,9 +678,9 @@ def _global_candidates(a: IntMatrix, max_candidates: int):
         if y is None:
             continue
         target = [0] * a.rows
-        for t in range(r):
-            for i in range(a.rows):
-                target[i] += y[t] * basis[t][i]
+        for yt, b in zip(y, basis):
+            if yt:
+                target = [x + yt * e for x, e in zip(target, b)]
         if all(x == 0 for x in target):
             continue
         key = primitive_ray(target)
@@ -703,35 +703,47 @@ def _ncr(n: int, k: int) -> int:
 def _nullspace_line(subset, r):
     """Primitive integer spanning vector of the solution line of the
     homogeneous system given by ``subset``, or ``None`` when the
-    solution space does not have dimension exactly one."""
-    rows = [list(map(Fraction, phi)) for phi in subset]
+    solution space does not have dimension exactly one.
+
+    Fraction-free Gauss-Jordan (Bareiss): a row last updated at the
+    pivot ``s`` holds ``s`` times its reduced row, whose entries times
+    ``s`` are integer minors, so an update divides exactly by ``s``.
+    Rows with a zero in the pivot column are left at their scale, which
+    keeps sparse systems sparse; a row is brought up to the previous
+    pivot only when it becomes the pivot row.
+    """
+    rows = [list(phi) for phi in subset]
+    scales = [1] * len(rows)
     pivots = []
-    rank = 0
+    prev = 1
     for c in range(r):
-        pr = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
+        rank = len(pivots)
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[rank], rows[pr] = rows[pr], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        scales[rank], scales[pr] = scales[pr], scales[rank]
+        if scales[rank] != prev:
+            rows[rank] = [x * prev // scales[rank] for x in rows[rank]]
+        pivot_row = rows[rank]
+        pv = pivot_row[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != rank:
+                s = scales[i]
+                rows[i] = [(pv * x - f * y) // s for x, y in zip(row, pivot_row)]
+                scales[i] = pv
+        scales[rank] = pv
         pivots.append(c)
-        rank += 1
-    if rank != r - 1:
+        prev = pv
+    if len(pivots) != r - 1:
         return None
     free = next(c for c in range(r) if c not in pivots)
-    y = [Fraction(0)] * r
-    y[free] = Fraction(1)
-    for j, c in enumerate(pivots):
-        y[c] = -rows[j][free]
-    return primitive_ray(integerize(y))
+    y = [0] * r
+    y[free] = prev
+    for row, scale, c in zip(rows, scales, pivots):
+        y[c] = -row[free] * prev // scale
+    return primitive_ray(y)
 
 
 def _sampled_targets(a: IntMatrix, limit: int, *, dedupe_rays: bool):

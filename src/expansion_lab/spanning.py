@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AmbientDimensionCapError, DimensionMismatchError
+from .errors import AmbientDimensionCapError, DimensionMismatchError, WitnessError
 from .exactla import (
     IntMatrix,
     IntVector,
@@ -144,7 +144,8 @@ def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVecto
     of m would need y @ inverse(u) @ d = e_r, forcing d_r to divide 1.
     Validation checks membership in the rational row span and
     non-membership in the integer row lattice, so whichever candidate
-    is returned is a genuine witness.
+    is returned is a genuine witness; if none passes, ``WitnessError``
+    is raised.
     """
     r = None
     for idx, f in enumerate(dec.invariant_factors()):
@@ -153,7 +154,7 @@ def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVecto
             break
     if r is None:
         # Rank-deficient saturation failures cannot happen: factors are 1.
-        raise AssertionError("no failing invariant factor")
+        raise WitnessError("no failing invariant factor")
     d_r = dec.d.at(r, r)
     u_inv = unimodular_inverse(dec.u)
     ud_row = tuple(
@@ -176,7 +177,7 @@ def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVecto
         if lattice_member(basis, cand):
             continue
         return cand
-    raise AssertionError("witness validation failed for every candidate")
+    raise WitnessError("witness validation failed for every candidate")
 
 
 def is_integrally_spanned(

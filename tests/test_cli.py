@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from expansion_lab import spanning
 from expansion_lab.cli import main
 from expansion_lab.exactla import IntMatrix, parse_matrix
 from expansion_lab.harness import CampaignReport
@@ -52,6 +53,17 @@ def test_span_check_unspanned_reports_witness(files, capsys):
     assert data["spanned"] is False
     assert data["witness_subset"] == [1]
     assert data["witness_vector"] == [1]
+
+
+def test_span_check_witness_failure_is_a_solver_error(files, capsys, monkeypatch):
+    # every witness candidate then looks like a lattice member
+    monkeypatch.setattr(spanning, "lattice_member", lambda basis, x: True)
+    matrix = files("g.mat", "1 2\n2 1\n")
+    rc = main(["span-check", matrix])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "witness" in err
 
 
 def test_span_check_max_ambient_flag(files, capsys):

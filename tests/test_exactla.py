@@ -19,6 +19,7 @@ from expansion_lab.errors import (
 from expansion_lab.exactla import (
     IntMatrix,
     LatticeBasis,
+    _solve_upper,
     det,
     format_matrix,
     format_rational,
@@ -287,6 +288,82 @@ class TestSolvers:
             gotq = solve_rational(a, v)
             assert gotq is not None
             assert mat_vec(a, gotq) == v
+
+
+def solve_by_substitution(a: IntMatrix, v, integral: bool):
+    """The route the cached solve map replaces, kept as its oracle:
+    forward substitution against hnf(A^T), free variables pinned to
+    zero, then times the transform."""
+    h, u = hnf(a.transpose())
+    y = _solve_upper(h, hnf_pivots(h), tuple(v), integral)
+    if y is None:
+        return None
+    x = vec_mat(y, u)
+    return tuple(x) if integral else tuple(Fraction(e) for e in x)
+
+
+@st.composite
+def solve_cases(draw):
+    """(A, v): A = L @ R for thin random factors, so it is often rank
+    deficient, with 0..4 rows and columns (zero rows and zero columns
+    included), and a target of one of four kinds."""
+    entries = st.integers(-3, 3)
+
+    def vectors(n):
+        return st.lists(entries, min_size=n, max_size=n)
+
+    rows, cols, inner = (draw(st.integers(0, 4)) for _ in range(3))
+    left = draw(st.lists(vectors(inner), min_size=rows, max_size=rows))
+    right = draw(st.lists(vectors(cols), min_size=inner, max_size=inner))
+    product = [vec_mat(lrow, M(right, cols=cols)) for lrow in left]
+    a = M(product, cols=cols)
+    kind = draw(st.sampled_from(("image", "divided", "outside", "fraction")))
+    if kind == "outside":
+        return a, tuple(draw(vectors(rows)))
+    x = draw(vectors(cols))
+    v = mat_vec(a, x)
+    if kind == "divided":
+        # A x / g lies in the rational image; an integer preimage may not exist.
+        g = draw(st.integers(2, 3))
+        v = tuple(e // g for e in v) if all(e % g == 0 for e in v) else v
+    elif kind == "fraction":
+        den = draw(st.integers(2, 4))
+        v = tuple(Fraction(e, den) for e in v)
+    return a, v
+
+
+class TestSolveMap:
+    """solve_integer / solve_rational against forward substitution."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(solve_cases())
+    def test_matches_substitution(self, case):
+        a, v = case
+        got_q = solve_rational(a, v)
+        assert got_q == solve_by_substitution(a, v, integral=False)
+        if got_q is not None:
+            assert mat_vec(a, got_q) == tuple(v)
+        if all(Fraction(e).denominator == 1 for e in v):
+            v = tuple(int(e) for e in v)
+            got_z = solve_integer(a, v)
+            assert got_z == solve_by_substitution(a, v, integral=True)
+            if got_z is not None:
+                assert all(type(e) is int for e in got_z)
+                assert mat_vec(a, got_z) == v
+
+    def test_rational_but_not_integer_preimage(self):
+        # the image of [[2, 4], [0, 6]] has index 12: (2, 0) is reached only by
+        # (1, 0), while (1, 3) needs (-1/2, 1/2)
+        a = M([[2, 4], [0, 6]])
+        assert solve_integer(a, (2, 0)) == (1, 0)
+        assert solve_integer(a, (1, 3)) is None
+        assert solve_rational(a, (1, 3)) == (Fraction(-1, 2), Fraction(1, 2))
+        assert solve_rational(a, (1, 3)) == solve_by_substitution(a, (1, 3), False)
+
+    def test_empty_shapes(self):
+        assert solve_integer(M([], cols=3), ()) == (0, 0, 0)
+        assert solve_rational(IntMatrix(2, 0, ()), (0, 0)) == ()
+        assert solve_rational(IntMatrix(2, 0, ()), (0, 1)) is None
 
 
 class TestKernel:

@@ -6,6 +6,7 @@ box searches, which are independent arithmetic.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -25,8 +26,10 @@ from expansion_lab.errors import (
 from expansion_lab.exactla import (
     IntMatrix,
     integer_kernel_basis,
+    integerize,
     l1_norm,
     mat_vec,
+    primitive_ray,
     solve_integer,
     solve_rational,
 )
@@ -35,6 +38,7 @@ from expansion_lab.expansion import (
     _enumerate_coset,
     _min_weight_in_coset,
     _modq_system,
+    _nullspace_line,
     hamming_weight,
     iter_image_with_preimage,
     lift_section,
@@ -541,3 +545,59 @@ def test_modq_rank():
     assert modq_rank(ModQMatrix.from_rows([[1, 2], [2, 1]], 3)) == 1
     assert modq_rank(ModQMatrix.from_rows([[1, 2], [2, 1]], 5)) == 2
     assert modq_rank(ModQMatrix.from_rows([[0, 0]], 2)) == 0
+
+
+def nullspace_line_by_fractions(subset, r):
+    """Reference for ``_nullspace_line``: Gauss-Jordan over Fraction."""
+    rows = [list(map(Fraction, phi)) for phi in subset]
+    pivots = []
+    for c in range(r):
+        rank = len(pivots)
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        rows[rank] = [x / rows[rank][c] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(c)
+    if len(pivots) != r - 1:
+        return None
+    free = next(c for c in range(r) if c not in pivots)
+    y = [Fraction(0)] * r
+    y[free] = Fraction(1)
+    for row, c in zip(rows, pivots):
+        y[c] = -row[free]
+    return primitive_ray(integerize(y))
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """(subset, r): r - 1 functionals on Q^r, sparse or dense, with some
+    rows combinations of earlier ones so the rank is often short."""
+    r = draw(st.integers(2, 7))
+    entries = st.integers(-5, 5) | st.just(0)
+    subset = []
+    for _ in range(r - 1):
+        if subset and draw(st.booleans()):
+            a, b = draw(st.sampled_from(subset)), draw(st.sampled_from(subset))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            subset.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            subset.append(tuple(draw(st.lists(entries, min_size=r, max_size=r))))
+    return subset, r
+
+
+class TestNullspaceLine:
+    """The fraction-free elimination against the Fraction reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(homogeneous_systems())
+    def test_matches_fraction_elimination(self, case):
+        subset, r = case
+        line = _nullspace_line(subset, r)
+        assert line == nullspace_line_by_fractions(subset, r)
+        if line is not None:
+            assert all(sum(map(operator.mul, phi, line)) == 0 for phi in subset)
