@@ -13,6 +13,13 @@ check ``A @ x == v``.  Forward substitution against the HNF
 (``_solve_upper``) is the route the map encodes and serves the tests as
 its oracle.
 
+Gauss-Jordan elimination over Q and over F_q has one core,
+``_reduced_echelon``: fraction-free (Bareiss, with lazy row scales), it
+returns each reduced row times a scale.  The face oracle's affine
+solves, the candidate lines of the global constants and the finite-field
+systems in ``expansion`` are read off it.  Textbook Gauss-Jordan over
+``Fraction`` and over F_q stays in the tests as its oracle.
+
 Conventions:
 
 * Matrices act on column vectors: ``A`` with shape (rows, cols) maps
@@ -57,20 +64,13 @@ def l1_norm(vec: Sequence) -> Fraction | int:
     return total
 
 
-def vector_gcd(vec: Sequence[int]) -> int:
-    g = 0
-    for entry in vec:
-        g = math.gcd(g, entry)
-    return g
-
-
 def primitive_ray(vec: Sequence[int]) -> IntVector:
     """Canonical representative of the line through ``vec``.
 
     Divides out the gcd and flips signs so the first nonzero entry is
     positive. The zero vector is returned unchanged.
     """
-    g = vector_gcd(vec)
+    g = math.gcd(*vec)
     if g == 0:
         return tuple(vec)
     scaled = [entry // g for entry in vec]
@@ -93,12 +93,8 @@ def disjoint_supports(rows: Sequence[Sequence]) -> list[list[int]] | None:
 
 def integerize(vec: Sequence[Fraction]) -> IntVector:
     """Clear denominators: the primitive integer vector on the same ray."""
-    denoms = 1
-    for entry in vec:
-        denoms = denoms * Fraction(entry).denominator // math.gcd(
-            denoms, Fraction(entry).denominator
-        )
-    return primitive_ray([int(entry * denoms) for entry in vec])
+    denom = math.lcm(*(Fraction(entry).denominator for entry in vec))
+    return primitive_ray([int(entry * denom) for entry in vec])
 
 
 @dataclass(frozen=True)
@@ -438,6 +434,64 @@ def det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _divide(row: list[int], s: int, q: int | None) -> list[int]:
+    """``row / s`` where the elimination runs: exact floor division over
+    Z, multiplication by the inverse of ``s`` over F_q."""
+    if q is None:
+        return row if s == 1 else [x // s for x in row]
+    inv = pow(s, -1, q)
+    return [x * inv % q for x in row]
+
+
+def _reduced_echelon(
+    rows: Sequence[Sequence[int]], ncols: int, q: int | None = None
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer ``rows`` on
+    their first ``ncols`` columns, over Q, or over F_q when the prime
+    ``q`` is given (entries then lie in ``[0, q)``).
+
+    Returns ``(rows, scales, pivots)``: row ``j`` is ``scales[j]`` times
+    row ``j`` of the reduced row echelon form, further columns (right-hand
+    sides, a row transform) carried along, and ``pivots`` lists the pivot
+    columns.  The pivot row is the first one at or below the current rank
+    that is nonzero in the column, so the row order is the one textbook
+    Gauss-Jordan over the field produces.
+
+    Bareiss with lazy scales: a row last updated at the pivot ``s`` holds
+    ``s`` times its reduced row, whose entries times ``s`` are integer
+    minors, so an update divides exactly by ``s``.  Rows with a zero in
+    the pivot column are left at their scale, which keeps sparse systems
+    sparse; a row is brought up to the previous pivot only when it
+    becomes the pivot row.
+    """
+    rows = [list(row) for row in rows]
+    scales = [1] * len(rows)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        rank = len(pivots)
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        scales[rank], scales[pr] = scales[pr], scales[rank]
+        if scales[rank] != prev:
+            rows[rank] = _divide([x * prev for x in rows[rank]], scales[rank], q)
+        pivot_row = rows[rank]
+        pv = pivot_row[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != rank:
+                rows[i] = _divide(
+                    [pv * x - f * y for x, y in zip(row, pivot_row)], scales[i], q
+                )
+                scales[i] = pv
+        scales[rank] = pv
+        pivots.append(c)
+        prev = pv
+    return rows, scales, pivots
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

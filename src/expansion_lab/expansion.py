@@ -28,6 +28,7 @@ serve the tests as oracles for the closed forms.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +50,8 @@ from .exactla import (
     IntVector,
     RatVector,
     Rational,
+    _divide,
+    _reduced_echelon,
     disjoint_supports,
     hnf,
     integer_kernel_basis,
@@ -228,46 +231,28 @@ class FaceDecomposition:
 def _affine_solve(rows, rhs):
     """Solve a rational affine system, returning a particular solution
     and a basis of the homogeneous solution space, or ``None`` if the
-    system is inconsistent.  ``rows`` are coefficient tuples over k
-    unknowns, ``rhs`` the right-hand sides."""
+    system is inconsistent.  ``rows`` are integer coefficient tuples
+    over k unknowns, ``rhs`` the integer right-hand sides."""
     if not rows:
         return None
     k = len(rows[0])
-    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = None
-        for i in range(r, len(aug)):
-            if aug[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][k] != 0:
-            return None
+    aug, scales, pivots = _reduced_echelon(
+        [list(row) + [b] for row, b in zip(rows, rhs)], k
+    )
+    if any(row[k] for row in aug[len(pivots) :]):
+        return None
+    reduced = list(zip(aug, scales, pivots))
     point = [Fraction(0)] * k
-    for j, c in enumerate(pivots):
-        point[c] = aug[j][k]
-    free = [c for c in range(k) if c not in pivots]
+    for row, s, c in reduced:
+        point[c] = Fraction(row[k], s)
     basis = []
-    for f in free:
+    for f in range(k):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * k
         vec[f] = Fraction(1)
-        for j, c in enumerate(pivots):
-            vec[c] = -aug[j][f]
+        for row, s, c in reduced:
+            vec[c] = Fraction(-row[f], s)
         basis.append(tuple(vec))
     return tuple(point), tuple(basis)
 
@@ -538,7 +523,7 @@ def xi_z_at(a: IntMatrix, v: Vector) -> ExpansionResult:
                 ring="Z",
                 solver="bnb",
             )
-    best_u, best_val = _branch_and_bound(u0, kernel, lp_value)
+    best_u, best_val = _branch_and_bound(u0, kernel)
     return ExpansionResult(
         value=Fraction(best_val, norm_v),
         target=tuple(v),
@@ -578,7 +563,7 @@ def _spanned_rounding(u0, kernel, w_star, lp_value):
     return None
 
 
-def _branch_and_bound(u0, kernel, lp_value):
+def _branch_and_bound(u0, kernel):
     """Exact integer minimum of ``l1(u0 + sum c_j kernel_j)`` over
     integer coefficients, by depth-first search on the coefficients with
     rational relaxation bounds for pruning.
@@ -609,7 +594,7 @@ def _branch_and_bound(u0, kernel, lp_value):
                 best_val = val
                 best_u = tuple(base)
             return False
-        center = _floor(x_star[0])
+        center = math.floor(x_star[0])
         c = center
         while True:
             pruned = descend(offset_plus(base, c, j), j + 1, incumbent)
@@ -627,11 +612,6 @@ def _branch_and_bound(u0, kernel, lp_value):
     incumbent = [best_val]
     descend(tuple(u0), 0, incumbent)
     return best_u, best_val
-
-
-def _floor(x) -> int:
-    f = Fraction(x)
-    return f.numerator // f.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +648,7 @@ def _global_candidates(a: IntMatrix, max_candidates: int):
             continue
         functionals.setdefault(primitive_ray(phi), None)
     distinct = list(functionals)
-    total = _ncr(len(distinct), r - 1)
+    total = math.comb(len(distinct), r - 1)
     if total > max_candidates:
         return None, False
     seen = {}
@@ -691,58 +671,25 @@ def _global_candidates(a: IntMatrix, max_candidates: int):
     return out, True
 
 
-def _ncr(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _nullspace_line(subset, r):
     """Primitive integer spanning vector of the solution line of the
     homogeneous system given by ``subset``, or ``None`` when the
     solution space does not have dimension exactly one.
 
-    Fraction-free Gauss-Jordan (Bareiss): a row last updated at the
-    pivot ``s`` holds ``s`` times its reduced row, whose entries times
-    ``s`` are integer minors, so an update divides exactly by ``s``.
-    Rows with a zero in the pivot column are left at their scale, which
-    keeps sparse systems sparse; a row is brought up to the previous
-    pivot only when it becomes the pivot row.
+    With ``s`` the last pivot of the fraction-free elimination, ``s``
+    times each reduced row is integral, so the line is read off in
+    integers: ``y[free] = s`` and ``y[pivot_j] = -row_j[free] * s /
+    scale_j``.
     """
-    rows = [list(phi) for phi in subset]
-    scales = [1] * len(rows)
-    pivots = []
-    prev = 1
-    for c in range(r):
-        rank = len(pivots)
-        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        scales[rank], scales[pr] = scales[pr], scales[rank]
-        if scales[rank] != prev:
-            rows[rank] = [x * prev // scales[rank] for x in rows[rank]]
-        pivot_row = rows[rank]
-        pv = pivot_row[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != rank:
-                s = scales[i]
-                rows[i] = [(pv * x - f * y) // s for x, y in zip(row, pivot_row)]
-                scales[i] = pv
-        scales[rank] = pv
-        pivots.append(c)
-        prev = pv
+    rows, scales, pivots = _reduced_echelon(subset, r)
     if len(pivots) != r - 1:
         return None
     free = next(c for c in range(r) if c not in pivots)
+    last = scales[len(pivots) - 1] if pivots else 1
     y = [0] * r
-    y[free] = prev
+    y[free] = last
     for row, scale, c in zip(rows, scales, pivots):
-        y[c] = -row[free] * prev // scale
+        y[c] = -row[free] * last // scale
     return primitive_ray(y)
 
 
@@ -930,46 +877,21 @@ def hamming_weight(u: Sequence[int]) -> int:
 def _modq_system(a: ModQMatrix):
     """Reduced row echelon data for solving ``a @ u = w`` over F_q:
     (rref rows, pivot columns, kernel basis, row transform)."""
-    q = a.q
-    m, n = a.rows, a.cols
-    work = [list(a.row(i)) for i in range(m)]
-    trans = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        trans[r], trans[pr] = trans[pr], trans[r]
-        inv = pow(work[r][c], q - 2, q)
-        work[r] = [(x * inv) % q for x in work[r]]
-        trans[r] = [(x * inv) % q for x in trans[r]]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
-                trans[i] = [(x - f * y) % q for x, y in zip(trans[i], trans[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    q, m, n = a.q, a.rows, a.cols
+    aug = [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
+    rows, scales, pivots = _reduced_echelon(aug, n, q)
+    work = [_divide(row, s, q) for row, s in zip(rows, scales)]
     kernel = []
-    pivot_set = set(pivots)
     for f in range(n):
-        if f in pivot_set:
+        if f in pivots:
             continue
         vec = [0] * n
         vec[f] = 1
-        for j, c in enumerate(pivots):
-            vec[c] = (-work[j][f]) % q
+        for row, c in zip(work, pivots):
+            vec[c] = -row[f] % q
         kernel.append(tuple(vec))
-    rref = tuple(tuple(row) for row in work)
-    trans = tuple(tuple(row) for row in trans)
+    rref = tuple(tuple(row[:n]) for row in work)
+    trans = tuple(tuple(row[n:]) for row in work)
     return rref, tuple(pivots), tuple(kernel), trans
 
 

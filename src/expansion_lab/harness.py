@@ -207,32 +207,25 @@ def _equality_entry(report, rng, a: IntMatrix, label: str):
     if not spanned:
         report.add(instance, "fail", f"kernel not integrally spanned ({kdetail})", {})
         return
-    targets = sample_image_targets(rng, a)
-    if not targets:
+    ok, compared, _ = _matrix_targets_equal(rng, a)
+    if not compared:
         report.add(instance, "pass", "no nonzero image targets; equality vacuous", {})
-        return
-    compared = []
-    for v in targets:
-        q_val = xi_q_at(a, v).value
-        z_val = xi_z_at(a, v).value
-        compared.append(
-            {"target": format_vector(v).strip(), "xi_q": _fr(q_val), "xi_z": _fr(z_val)}
+    elif not ok:
+        failing = compared[-1]
+        instance["target"] = failing["target"]
+        report.add(
+            instance,
+            "fail",
+            "rational and integer expansion differ on a spanned kernel",
+            {"xi_q": failing["xi_q"], "xi_z": failing["xi_z"]},
         )
-        if q_val != z_val:
-            instance["target"] = format_vector(v).strip()
-            report.add(
-                instance,
-                "fail",
-                "rational and integer expansion differ on a spanned kernel",
-                {"xi_q": _fr(q_val), "xi_z": _fr(z_val)},
-            )
-            return
-    report.add(
-        instance,
-        "pass",
-        f"{kdetail}; equality on {len(targets)} targets",
-        {"targets": compared},
-    )
+    else:
+        report.add(
+            instance,
+            "pass",
+            f"{kdetail}; equality on {len(compared)} targets",
+            {"targets": compared},
+        )
 
 
 def campaign_equality(seed: int, count: int, max_edges: int = 8) -> CampaignReport:

@@ -7,14 +7,14 @@ span. Equivalently: every projected generator matrix has all Smith
 invariant factors equal to 1 (the projected lattice is saturated).
 
 The check enumerates all 2^n - 1 nonempty coordinate subsets, so the
-ambient dimension is capped; the cap can be raised per call or through
-the EXPANSION_LAB_MAX_SUBSETS environment variable.
+ambient dimension is capped at ``DEFAULT_MAX_AMBIENT``; the cap can be
+raised per call with ``max_ambient`` (``span-check --max-ambient`` on
+the command line).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +33,6 @@ from .exactla import (
 )
 
 DEFAULT_MAX_AMBIENT = 22
-ENV_MAX_AMBIENT = "EXPANSION_LAB_MAX_SUBSETS"
 
 
 @dataclass(frozen=True)
@@ -116,20 +115,6 @@ def subsets_in_order(ambient: int):
             yield CoordSubset(ambient, combo)
 
 
-def _resolve_cap(max_ambient: int | None) -> int:
-    if max_ambient is not None:
-        return max_ambient
-    env = os.environ.get(ENV_MAX_AMBIENT)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise AmbientDimensionCapError(
-                f"{ENV_MAX_AMBIENT} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_MAX_AMBIENT
-
-
 def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVector:
     """A vector certifying that the projected lattice is not saturated.
 
@@ -193,11 +178,11 @@ def is_integrally_spanned(
     n = generators.cols
     if generators.is_zero():
         return SpanningVerdict(True, None, 0)
-    cap = _resolve_cap(max_ambient)
+    cap = DEFAULT_MAX_AMBIENT if max_ambient is None else max_ambient
     if n > cap:
         raise AmbientDimensionCapError(
             f"ambient dimension {n} exceeds the subset enumeration cap {cap}; "
-            f"raise max_ambient or {ENV_MAX_AMBIENT} to force"
+            "raise max_ambient (span-check --max-ambient) to force"
         )
     checked = 0
     for subset in subsets_in_order(n):

@@ -1,8 +1,8 @@
 """Shared helpers: small random generators and independent oracles.
 
 The oracles here are deliberately naive (exhaustive enumeration,
-permutation expansion) so library results can be checked against
-independent arithmetic.
+permutation expansion, textbook Gauss-Jordan over Fraction and over
+F_q) so library results can be checked against independent arithmetic.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from expansion_lab.exactla import IntMatrix, mat_vec
 
@@ -90,6 +92,72 @@ def in_lattice_by_box(rows: list[tuple[int, ...]], x, radius: int) -> bool:
         if combo == target:
             return True
     return False
+
+
+def rref_by_fractions(rows, ncols):
+    """Gauss-Jordan over Fraction on the first ``ncols`` columns, later
+    columns carried along: (reduced rows, pivot columns)."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        rank = len(pivots)
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        rows[rank] = [x / rows[rank][c] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def rref_mod_q(rows, ncols, q):
+    """Gauss-Jordan over F_q, normalizing each pivot row by the inverse
+    of its pivot; same shape and result convention as above."""
+    rows = [[x % q for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        rank = len(pivots)
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        inv = pow(rows[rank][c], q - 2, q)
+        rows[rank] = [x * inv % q for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
+        pivots.append(c)
+    return rows, pivots
+
+
+@st.composite
+def elimination_systems(draw, fields=(None, 2, 3, 5, 7), carried=st.integers(0, 3)):
+    """(rows, ncols, q): 0..6 integer rows over ``ncols`` eliminated
+    columns plus ``carried`` further columns, mixing random rows, rows
+    zero on the eliminated columns and combinations of earlier rows.
+    ``q`` is None (over Q) or a prime with entries reduced into [0, q)."""
+    q = draw(st.sampled_from(fields))
+    ncols = draw(st.integers(1, 6))
+    width = ncols + draw(carried)
+    entries = st.integers(-5, 5) | st.just(0)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        if kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            row = draw(st.lists(entries, min_size=width, max_size=width))
+            rows.append([0] * ncols + row[ncols:] if kind == "zero" else row)
+    if q is not None:
+        rows = [[x % q for x in row] for row in rows]
+    return rows, ncols, q
 
 
 def frac(p, q=1) -> Fraction:

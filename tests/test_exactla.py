@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     det_by_permutations,
+    elimination_systems,
     in_lattice_by_box,
     rand_matrix,
     rand_unimodular,
+    rref_by_fractions,
+    rref_mod_q,
 )
 from expansion_lab.errors import (
     DimensionMismatchError,
@@ -19,6 +22,7 @@ from expansion_lab.errors import (
 from expansion_lab.exactla import (
     IntMatrix,
     LatticeBasis,
+    _reduced_echelon,
     _solve_upper,
     det,
     format_matrix,
@@ -220,6 +224,26 @@ class TestSnf:
                     for f in factors[:k]:
                         expected *= f
                 assert g == expected
+
+
+class TestReducedEchelon:
+    """The fraction-free elimination core against textbook Gauss-Jordan
+    over Fraction and over F_q."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(elimination_systems())
+    def test_matches_textbook_elimination(self, case):
+        rows, ncols, q = case
+        got, scales, pivots = _reduced_echelon(rows, ncols, q)
+        assert all(type(x) is int for row in got for x in row)
+        if q is None:
+            reduced = [[Fraction(x, s) for x in row] for row, s in zip(got, scales)]
+            assert (reduced, pivots) == rref_by_fractions(rows, ncols)
+        else:
+            reduced = [
+                [x * pow(s, -1, q) % q for x in row] for row, s in zip(got, scales)
+            ]
+            assert (reduced, pivots) == rref_mod_q(rows, ncols, q)
 
 
 class TestDetInverse:

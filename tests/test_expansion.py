@@ -35,6 +35,7 @@ from expansion_lab.exactla import (
 )
 from expansion_lab.expansion import (
     ModQMatrix,
+    _affine_solve,
     _enumerate_coset,
     _min_weight_in_coset,
     _modq_system,
@@ -55,7 +56,13 @@ from expansion_lab.expansion import (
 )
 from expansion_lab.spanning import is_integrally_spanned
 
-from conftest import min_l1_preimage_by_box, rand_matrix
+from conftest import (
+    elimination_systems,
+    min_l1_preimage_by_box,
+    rand_matrix,
+    rref_by_fractions,
+    rref_mod_q,
+)
 
 
 def mat(rows):
@@ -549,20 +556,7 @@ def test_modq_rank():
 
 def nullspace_line_by_fractions(subset, r):
     """Reference for ``_nullspace_line``: Gauss-Jordan over Fraction."""
-    rows = [list(map(Fraction, phi)) for phi in subset]
-    pivots = []
-    for c in range(r):
-        rank = len(pivots)
-        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        rows[rank] = [x / rows[rank][c] for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(c)
+    rows, pivots = rref_by_fractions(subset, r)
     if len(pivots) != r - 1:
         return None
     free = next(c for c in range(r) if c not in pivots)
@@ -571,6 +565,51 @@ def nullspace_line_by_fractions(subset, r):
     for row, c in zip(rows, pivots):
         y[c] = -row[free]
     return primitive_ray(integerize(y))
+
+
+def affine_solve_by_fractions(rows, rhs):
+    """Reference for ``_affine_solve``: Gauss-Jordan over Fraction."""
+    k = len(rows[0])
+    aug, pivots = rref_by_fractions(
+        [list(row) + [b] for row, b in zip(rows, rhs)], k
+    )
+    if any(row[k] for row in aug[len(pivots) :]):
+        return None
+    point = [Fraction(0)] * k
+    for row, c in zip(aug, pivots):
+        point[c] = row[k]
+    basis = []
+    for f in range(k):
+        if f not in pivots:
+            vec = [Fraction(0)] * k
+            vec[f] = Fraction(1)
+            for row, c in zip(aug, pivots):
+                vec[c] = -row[f]
+            basis.append(tuple(vec))
+    return tuple(point), tuple(basis)
+
+
+def modq_system_by_elimination(a):
+    """Reference for ``_modq_system``: Gauss-Jordan over F_q with the
+    row transform carried as extra columns."""
+    q, m, n = a.q, a.rows, a.cols
+    work, pivots = rref_mod_q(
+        [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)], n, q
+    )
+    kernel = []
+    for f in range(n):
+        if f not in pivots:
+            vec = [0] * n
+            vec[f] = 1
+            for row, c in zip(work, pivots):
+                vec[c] = -row[f] % q
+            kernel.append(tuple(vec))
+    return (
+        tuple(tuple(row[:n]) for row in work),
+        tuple(pivots),
+        tuple(kernel),
+        tuple(tuple(row[n:]) for row in work),
+    )
 
 
 @st.composite
@@ -601,3 +640,29 @@ class TestNullspaceLine:
         assert line == nullspace_line_by_fractions(subset, r)
         if line is not None:
             assert all(sum(map(operator.mul, phi, line)) == 0 for phi in subset)
+
+
+class TestEliminationReadOffs:
+    """``_affine_solve`` and ``_modq_system`` read the fraction-free
+    elimination; the references read textbook Gauss-Jordan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_systems(fields=(None,), carried=st.just(1)))
+    def test_affine_solve_matches_fraction_elimination(self, case):
+        rows, k, _ = case
+        assume(rows)
+        coeffs, rhs = [row[:k] for row in rows], [row[k] for row in rows]
+        solved = _affine_solve(coeffs, rhs)
+        assert solved == affine_solve_by_fractions(coeffs, rhs)
+        if solved is not None:
+            # _interior_step divides with /, so an int here could let a
+            # float into the face oracle
+            point, basis = solved
+            assert all(type(x) is Fraction for x in itertools.chain(point, *basis))
+
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_systems(fields=(2, 3, 5, 7), carried=st.just(0)))
+    def test_modq_system_matches_field_elimination(self, case):
+        rows, n, q = case
+        a = ModQMatrix.from_rows(rows, q, cols=n)
+        assert _modq_system(a) == modq_system_by_elimination(a)

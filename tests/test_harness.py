@@ -171,6 +171,33 @@ def test_equality_unspanned_kernel_is_a_recorded_failure():
     assert not report.ok
 
 
+def test_equality_mismatch_records_the_failing_target(monkeypatch):
+    from dataclasses import replace
+
+    from expansion_lab import harness
+
+    real_xi_z_at = harness.xi_z_at
+    seen = []
+
+    def skewed(a, v):
+        # the integer value is wrong from the second target on
+        seen.append(v)
+        res = real_xi_z_at(a, v)
+        return res if len(seen) < 2 else replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(harness, "xi_z_at", skewed)
+    report = CampaignReport("equality", 0, {})
+    path3 = IntMatrix.from_rows([[1, -1, 0], [0, 1, -1]])
+    harness._equality_entry(report, random.Random(0), path3, "random")
+    entry = report.entries[0]
+    assert entry["verdict"] == "fail"
+    assert len(seen) == 2
+    assert parse_vector(entry["instance"]["target"]) == seen[1]
+    q_val = parse_rational(entry["quantities"]["xi_q"])
+    assert parse_rational(entry["quantities"]["xi_z"]) == q_val + 1
+    assert q_val == xi_q_at(path3, seen[1]).value
+
+
 # ---------------------------------------------------------------------------
 # CW campaign.
 # ---------------------------------------------------------------------------

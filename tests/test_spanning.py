@@ -198,17 +198,3 @@ class TestIsIntegrallySpanned:
         with pytest.raises(AmbientDimensionCapError):
             is_integrally_spanned(gens, max_ambient=3)
         assert is_integrally_spanned(gens, max_ambient=4).spanned
-
-    def test_env_cap(self, monkeypatch):
-        gens = M([[1, 0, 0, 1]])
-        monkeypatch.setenv("EXPANSION_LAB_MAX_SUBSETS", "3")
-        with pytest.raises(AmbientDimensionCapError):
-            is_integrally_spanned(gens)
-        monkeypatch.setenv("EXPANSION_LAB_MAX_SUBSETS", "4")
-        assert is_integrally_spanned(gens).spanned
-        monkeypatch.setenv("EXPANSION_LAB_MAX_SUBSETS", "not-a-number")
-        with pytest.raises(AmbientDimensionCapError):
-            is_integrally_spanned(gens)
-        # the explicit argument wins over the environment
-        monkeypatch.setenv("EXPANSION_LAB_MAX_SUBSETS", "3")
-        assert is_integrally_spanned(gens, max_ambient=4).spanned
