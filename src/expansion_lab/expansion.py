@@ -11,10 +11,15 @@ image vectors.
 Everything here is exact.  Rational optima come from
 ``simplex.min_l1_combination``, integer optima from branch and bound
 with rational relaxation bounds, and finite-field optima from a search
-of the solution coset.  A second, independent route to the rational
-per-target value (enumeration of the minimization faces of the
-objective) is kept deliberately separate so the two can be compared in
-tests.
+of the solution coset.  Branch and bound stops below any node whose
+relaxation already has integer coefficients.  On an integrally spanned
+kernel the HNF basis is totally unimodular, so the root relaxation is
+integral and one LP decides: the paper's equality of the rational and
+integer values, met with no spanning check per target.  Only
+``xi_z_global`` runs that check, to reduce to the rational global
+value.  A second, independent route to the rational per-target value
+(enumeration of the minimization faces of the objective) is kept
+deliberately separate so the two can be compared in tests.
 
 Both minimizations split when the kernel basis rows have pairwise
 disjoint supports, as the component indicators spanning the kernel of a
@@ -48,7 +53,6 @@ from .errors import (
 from .exactla import (
     IntMatrix,
     IntVector,
-    RatVector,
     Rational,
     _divide,
     _reduced_echelon,
@@ -84,6 +88,9 @@ DEFAULT_SAMPLE_TARGETS = 40
 #: distinct affine terms.
 DEFAULT_MAX_FACE_RANK = 8
 DEFAULT_MAX_FACE_TERMS = 14
+
+#: Cap on the relaxations one integer branch and bound may solve.
+_MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,22 +153,9 @@ def _check_target_length(a: IntMatrix, v: Sequence) -> None:
 
 @lru_cache(maxsize=512)
 def _kernel_info(a: IntMatrix):
-    """Kernel basis of ``a`` plus its integral-spanning verdict.
-
-    The verdict is ``True``/``False`` when it could be decided and
-    ``None`` when the kernel's ambient dimension exceeds the subset
-    enumeration cap, in which case callers must fall back to methods
-    that do not rely on it.
-    """
-    lattice = integer_kernel_basis(a)
-    kernel = tuple(lattice.basis_rows())
-    if not kernel:
-        return kernel, True
-    try:
-        verdict = is_integrally_spanned(lattice.hnf).spanned
-    except AmbientDimensionCapError:
-        verdict = None
-    return kernel, verdict
+    """Rows of the HNF basis of the integer kernel of ``a``, cached per
+    matrix and shared by every solver."""
+    return tuple(integer_kernel_basis(a).basis_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +179,7 @@ def xi_q_at(a: IntMatrix, v: Vector) -> ExpansionResult:
         raise TargetNotInImageError(
             "target is not in the rational image of the matrix"
         )
-    kernel, _ = _kernel_info(a)
+    kernel = _kernel_info(a)
     x, w, best = min_l1_combination(u0, kernel)
     witness = tuple(w)
     value = Fraction(best, l1_norm(v))
@@ -285,7 +279,7 @@ def minimization_faces(
         raise TargetNotInImageError(
             "target is not in the rational image of the matrix"
         )
-    kernel, _ = _kernel_info(a)
+    kernel = _kernel_info(a)
     k = len(kernel)
     n = a.cols
     if k > max_kernel_rank:
@@ -447,7 +441,7 @@ def xi_q_at_face_oracle(
         a, v, max_kernel_rank=max_kernel_rank, max_terms=max_terms
     )
     v = _as_int_vector(v, "target")
-    kernel, _ = _kernel_info(a)
+    kernel = _kernel_info(a)
     u0 = solve_rational(a, v)
     best = None
     for face in decomposition.faces:
@@ -475,9 +469,12 @@ def xi_q_at_face_oracle(
 def xi_z_at(a: IntMatrix, v: Vector) -> ExpansionResult:
     """Exact integer expansion constant of ``a`` at target ``v``.
 
-    Minimizes ``l1(u)`` over integer solutions of ``a @ u == v``.
-    Raises ``TargetNotInIntegerImageError`` (carrying the rational
-    value) when ``v`` has rational but no integer preimage.
+    Minimizes ``l1(u)`` over integer solutions of ``a @ u == v`` by
+    branch and bound from one integer preimage (see
+    ``_branch_and_bound``).  Raises ``TargetNotInIntegerImageError``
+    (carrying the rational value) when ``v`` has rational but no integer
+    preimage, and ``EnumerationCapError`` when the search passes
+    ``_MAX_NODES`` relaxations.
     """
     _check_target_length(a, v)
     v = _as_int_vector(v, "target")
@@ -493,124 +490,63 @@ def xi_z_at(a: IntMatrix, v: Vector) -> ExpansionResult:
         raise TargetNotInIntegerImageError(
             "target has rational but no integer preimage", rational
         )
-    kernel, spanned = _kernel_info(a)
-    norm_v = l1_norm(v)
-    if not kernel:
-        return ExpansionResult(
-            value=Fraction(l1_norm(u0), norm_v),
-            target=tuple(v),
-            witness=tuple(u0),
-            ring="Z",
-            solver="bnb",
-        )
-    x0, w0, lp_value = min_l1_combination(u0, kernel)
-    if l1_norm(u0) == lp_value:
-        # The integer start already attains the rational bound.
-        return ExpansionResult(
-            value=Fraction(lp_value, norm_v),
-            target=tuple(v),
-            witness=tuple(u0),
-            ring="Z",
-            solver="bnb",
-        )
-    if spanned:
-        shortcut = _spanned_rounding(u0, kernel, w0, lp_value)
-        if shortcut is not None:
-            return ExpansionResult(
-                value=Fraction(lp_value, norm_v),
-                target=tuple(v),
-                witness=shortcut,
-                ring="Z",
-                solver="bnb",
-            )
-    best_u, best_val = _branch_and_bound(u0, kernel)
+    best_u, best_val = _branch_and_bound(u0, _kernel_info(a))
     return ExpansionResult(
-        value=Fraction(best_val, norm_v),
+        value=Fraction(best_val, l1_norm(v)),
         target=tuple(v),
-        witness=tuple(best_u),
+        witness=best_u,
         ring="Z",
         solver="bnb",
     )
 
 
-def _spanned_rounding(u0, kernel, w_star, lp_value):
-    """Try to convert a rational optimum into an integer one of the same
-    norm, assuming the kernel lattice is integrally spanned.
-
-    At a rational optimum ``w*``, the coordinates where ``w*`` vanishes
-    form an active set ``I``.  If some integer kernel shift of ``u0``
-    also vanishes on ``I``, spanning guarantees its remaining support
-    can achieve the same norm; this is verified rather than trusted, so
-    the routine is sound even if the premise fails.
-    """
-    active = [i for i, val in enumerate(w_star) if val == 0]
-    if not active:
-        return None
-    rows = [tuple(kj[i] for i in active) for kj in kernel]
-    rhs = tuple(-u0[i] for i in active)
-    sub = IntMatrix.from_rows(rows, cols=len(active)) if rows else None
-    if sub is None:
-        return None
-    x = solve_integer(sub.transpose(), rhs)
-    if x is None:
-        return None
-    candidate = list(u0)
-    for j, c in enumerate(x):
-        for i in range(len(candidate)):
-            candidate[i] += c * kernel[j][i]
-    if l1_norm(candidate) == lp_value:
-        return tuple(candidate)
-    return None
-
-
 def _branch_and_bound(u0, kernel):
     """Exact integer minimum of ``l1(u0 + sum c_j kernel_j)`` over
-    integer coefficients, by depth-first search on the coefficients with
-    rational relaxation bounds for pruning.
+    integer coefficients, with a point attaining it.
 
-    At each level the children are scanned outward from the rational
-    optimum's floor in both directions; a direction stops at the first
-    pruned child, which is sound because the relaxation value is convex
-    in the fixed coefficient and the incumbent only improves.
+    Depth-first search that fixes one coefficient per level.  Each node
+    solves the rational relaxation over the coefficients not yet fixed
+    and is pruned when that bound cannot beat the incumbent, which
+    starts at ``u0``.  A node whose relaxation has integer coefficients
+    needs no descent: its optimum is the best integer point below it,
+    and becomes the incumbent.  On an integrally spanned kernel the
+    root relaxation is such a node (the HNF basis is totally
+    unimodular), so one LP decides.
+
+    Elsewhere the children are scanned outward from the floor of the
+    relaxed coefficient in both directions; a direction stops at the
+    first pruned child, which is sound because the relaxation value is
+    convex in the fixed coefficient and the incumbent only improves.
+    Raises ``EnumerationCapError`` past ``_MAX_NODES`` relaxations.
     """
-    k = len(kernel)
-    best_val = l1_norm(u0)
-    best_u = tuple(u0)
+    best_u, best_val = tuple(u0), l1_norm(u0)
+    if not kernel:
+        return best_u, best_val
+    nodes = 0
 
-    def offset_plus(base, coeff, j):
-        return tuple(b + coeff * kernel[j][i] for i, b in enumerate(base))
-
-    def descend(base, j, incumbent):
-        # base = u0 + sum of fixed shifts for levels < j.
-        nonlocal best_val, best_u
-        remaining = kernel[j:]
-        x_star, w_star, bound = min_l1_combination(base, remaining)
-        if bound >= incumbent[0]:
-            return True  # pruned
-        if j == k:
-            val = l1_norm(base)
-            if val < incumbent[0]:
-                incumbent[0] = val
-                best_val = val
-                best_u = tuple(base)
+    def descend(base, j):
+        # base = u0 + the shifts fixed at levels < j; True when pruned.
+        nonlocal best_u, best_val, nodes
+        nodes += 1
+        if nodes > _MAX_NODES:
+            raise EnumerationCapError(
+                f"branch and bound node limit {_MAX_NODES} exceeded"
+            )
+        x, w, bound = min_l1_combination(base, kernel[j:])
+        if bound >= best_val:
+            return True
+        if all(c.denominator == 1 for c in x):
+            best_u, best_val = tuple(int(e) for e in w), int(bound)
             return False
-        center = math.floor(x_star[0])
-        c = center
-        while True:
-            pruned = descend(offset_plus(base, c, j), j + 1, incumbent)
-            if pruned:
-                break
-            c -= 1
-        c = center + 1
-        while True:
-            pruned = descend(offset_plus(base, c, j), j + 1, incumbent)
-            if pruned:
-                break
-            c += 1
+        center = math.floor(x[0])
+        for c, step in ((center, -1), (center + 1, 1)):
+            while not descend(
+                tuple(b + c * e for b, e in zip(base, kernel[j])), j + 1
+            ):
+                c += step
         return False
 
-    incumbent = [best_val]
-    descend(tuple(u0), 0, incumbent)
+    descend(tuple(u0), 0)
     return best_u, best_val
 
 
@@ -754,11 +690,15 @@ def xi_z_global(
 
     When the kernel of ``a`` is integrally spanned the integer and
     rational per-target values agree everywhere, so this is exactly the
-    rational global value.  Otherwise no exact finite reduction is
+    rational global value.  Otherwise, or when the spanning check is
+    above its ambient-dimension cap, no exact finite reduction is
     available and the result is a sampled lower bound with
     ``exact=False``.
     """
-    _, spanned = _kernel_info(a)
+    try:
+        spanned = is_integrally_spanned(integer_kernel_basis(a).hnf).spanned
+    except AmbientDimensionCapError:
+        spanned = False
     if spanned:
         return xi_q_global(a, max_candidates=max_candidates)
     targets = _sampled_targets(a, DEFAULT_SAMPLE_TARGETS, dedupe_rays=False)

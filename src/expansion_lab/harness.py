@@ -502,7 +502,6 @@ def campaign_modq(
 
 def campaign_presentations(
     n_range: Sequence[int] = range(3, 8),
-    targets_per_instance: int = 4,
     zq_work_cap: int = 4096,
 ) -> CampaignReport:
     """Row-shape, kernel-spanning, per-target rational/integer equality,
@@ -513,7 +512,6 @@ def campaign_presentations(
         None,
         {
             "n_range": list(n_range),
-            "targets_per_instance": targets_per_instance,
             "zq_work_cap": zq_work_cap,
         },
     )

@@ -23,9 +23,7 @@ from .exactla import (
     IntMatrix,
     IntVector,
     LatticeBasis,
-    NotUnimodularError,
     SnfDecomposition,
-    det,
     lattice_member,
     snf,
     solve_rational,
@@ -89,23 +87,6 @@ def project_columns(generators: IntMatrix, subset: CoordSubset) -> IntMatrix:
         for i in range(generators.rows)
     ]
     return IntMatrix.from_rows(rows, cols=len(subset.indices))
-
-
-def saturated_for(generators: IntMatrix, subset: CoordSubset) -> bool:
-    """Does the projected lattice equal Z^I intersected with its Q-span?"""
-    projected = project_columns(generators, subset)
-    return all(f == 1 for f in snf(projected).invariant_factors())
-
-
-def respan(generators: IntMatrix, u: IntMatrix) -> IntMatrix:
-    """Replace the generators by u @ generators; u must be unimodular."""
-    if u.rows != u.cols or u.cols != generators.rows:
-        raise NotUnimodularError(
-            f"change of basis must be square of size {generators.rows}"
-        )
-    if det(u) not in (1, -1):
-        raise NotUnimodularError("change of basis must have determinant +-1")
-    return u @ generators
 
 
 def subsets_in_order(ambient: int):

@@ -343,6 +343,15 @@ def test_simplex_pivot_cap_is_a_solver_error(files, capsys, monkeypatch):
     assert "pivot limit" in capsys.readouterr().err
 
 
+def test_branch_and_bound_node_cap_is_a_solver_error(files, capsys, monkeypatch):
+    monkeypatch.setattr("expansion_lab.expansion._MAX_NODES", 0)
+    matrix = files("a.mat", "1 2\n1 2\n")
+    target = files("t.vec", "1\n")
+    rc = main(["xi", matrix, "--ring", "z", "--target", target])
+    assert rc == 2
+    assert "node limit" in capsys.readouterr().err
+
+
 def test_non_prime_modulus_is_an_input_error(files, capsys):
     matrix = files("a.mat", "1 2\n1 1\n")
     target = files("t.vec", "1\n")

@@ -9,11 +9,13 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from expansion_lab import expansion
 from expansion_lab.errors import (
     DimensionMismatchError,
     EnumerationCapError,
@@ -25,6 +27,7 @@ from expansion_lab.errors import (
 )
 from expansion_lab.exactla import (
     IntMatrix,
+    disjoint_supports,
     integer_kernel_basis,
     integerize,
     l1_norm,
@@ -37,6 +40,7 @@ from expansion_lab.expansion import (
     ModQMatrix,
     _affine_solve,
     _enumerate_coset,
+    _kernel_info,
     _min_weight_in_coset,
     _modq_system,
     _nullspace_line,
@@ -84,6 +88,48 @@ def image_target(rng: random.Random, a: IntMatrix):
         if any(x != 0 for x in v):
             return v
     return None
+
+
+def xi_z_at_counting_relaxations(a: IntMatrix, v):
+    """``xi_z_at(a, v)`` and the number of LP relaxations it solved."""
+    with mock.patch.object(
+        expansion, "min_l1_combination", wraps=expansion.min_l1_combination
+    ) as lp:
+        res = xi_z_at(a, v)
+    return res, lp.call_count
+
+
+@st.composite
+def spanned_kernel_targets(draw):
+    """A matrix whose integer kernel is the row lattice of ``[I | N]``,
+    with its columns shuffled, and a nonzero image target.
+
+    Each column of ``N`` is a run of consecutive rows with row and
+    column signs, so ``N`` is an interval matrix up to signs, hence
+    totally unimodular, and the kernel is integrally spanned.  Kernel
+    rows overlap wherever a run covers two rows."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    row_signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    columns = []
+    for _ in range(m):
+        lo = draw(st.integers(0, k - 1))
+        hi = draw(st.integers(lo, k - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        columns.append(
+            [sign * row_signs[j] if lo <= j <= hi else 0 for j in range(k)]
+        )
+    # [-N^T | I] sends (y, z) to zero exactly when z = N^T y.
+    rows = [
+        [-x for x in col] + [int(i == t) for t in range(m)]
+        for i, col in enumerate(columns)
+    ]
+    order = draw(st.permutations(range(k + m)))
+    a = mat([[row[c] for c in order] for row in rows])
+    u = draw(st.lists(st.integers(-2, 2), min_size=k + m, max_size=k + m))
+    v = mat_vec(a, u)
+    assume(any(v))
+    return a, v
 
 
 class TestXiQAt:
@@ -248,27 +294,79 @@ class TestXiZAt:
         assert checked >= 25
 
     def test_box_search_agreement(self):
+        # Random small matrices, plus unspanned kernels whose basis rows
+        # overlap, where the search branches below the root relaxation.
         rng = random.Random(406)
-        checked = 0
+        cases = []
         for _ in range(40):
             a = rand_matrix(rng, max_dim=3, lo=-2, hi=2)
-            v = image_target(rng, a)
+            cases.append((a, image_target(rng, a)))
+        for rows in ([[1, 2, 3]], [[3, 5, 7]], [[1, 1, 2, 3], [0, 2, 1, 1]]):
+            a = mat(rows)
+            assert not kernel_is_spanned(a)
+            assert disjoint_supports(_kernel_info(a)) is None
+            targets = itertools.product(range(-3, 4), repeat=a.rows)
+            cases += [(a, v) for v in targets if any(v)]
+        checked = branched = 0
+        for a, v in cases:
             if v is None:
                 continue
             u0 = solve_integer(a, v)
             if u0 is None:
                 continue
             radius = int(l1_norm(u0))
-            if radius > 4 or a.cols > 3:
+            if radius > 4:
                 continue
             expected = min_l1_preimage_by_box(a, v, radius)
             assert expected is not None
-            res = xi_z_at(a, v)
+            res, relaxations = xi_z_at_counting_relaxations(a, v)
             assert res.value == Fraction(expected[0], int(l1_norm(v)))
             assert mat_vec(a, res.witness) == tuple(v)
             assert l1_norm(res.witness) == res.value * l1_norm(v)
             checked += 1
+            branched += relaxations > 1
         assert checked >= 15
+        assert branched >= 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(spanned_kernel_targets())
+    @example((mat([[-1, -1, 1]]), (-2,)))
+    def test_spanned_kernel_takes_one_relaxation(self, case):
+        # A spanned kernel has a totally unimodular HNF basis, so the
+        # root relaxation is integral and branch and bound stops there,
+        # at the rational value.
+        a, v = case
+        assert kernel_is_spanned(a)
+        res, relaxations = xi_z_at_counting_relaxations(a, v)
+        assert relaxations == 1
+        assert res.value == xi_q_at(a, v).value
+        assert mat_vec(a, res.witness) == tuple(v)
+
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(expansion, "_MAX_NODES", 0)
+        with pytest.raises(EnumerationCapError, match="node limit"):
+            xi_z_at(mat([[1, 2]]), (1,))
+        # an empty kernel leaves nothing to search, so no node is spent
+        assert xi_z_at(IntMatrix.identity(2), (1, 2)).value == 1
+
+
+def test_per_target_solvers_skip_the_spanning_scan(monkeypatch):
+    # The 2^n spanning scan serves only xi_z_global; the per-target
+    # solvers must not reach it.  The face routines run on a 1x6 row,
+    # since face enumeration on the 13-dimensional kernel of the 1x14
+    # row visits 2^14 subsets.
+    def scan(*args, **kwargs):
+        raise AssertionError("spanning scan reached")
+
+    monkeypatch.setattr(expansion, "is_integrally_spanned", scan)
+    _kernel_info.cache_clear()
+    wide, narrow = mat([[1] * 14]), mat([[1] * 6])
+    assert xi_q_at(wide, (3,)).value == 1
+    assert xi_z_at(wide, (3,)).value == 1
+    assert xi_q_at_face_oracle(narrow, (3,)).value == 1
+    assert minimization_faces(narrow, (3,)).minimum == 3
+    with pytest.raises(AssertionError, match="spanning scan reached"):
+        xi_z_global(wide)
 
 
 class TestGlobalRational:

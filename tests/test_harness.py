@@ -14,7 +14,6 @@ from fractions import Fraction
 from expansion_lab.complexes import check_incidence_rows
 from expansion_lab.exactla import (
     IntMatrix,
-    mat_vec,
     parse_matrix,
     parse_rational,
     parse_vector,

@@ -5,18 +5,13 @@ import random
 import pytest
 
 from conftest import det_by_permutations, in_lattice_by_box, rand_matrix, rand_unimodular
-from expansion_lab.errors import (
-    AmbientDimensionCapError,
-    DimensionMismatchError,
-    NotUnimodularError,
-)
-from expansion_lab.exactla import IntMatrix, solve_rational
+from expansion_lab.errors import AmbientDimensionCapError, DimensionMismatchError
+from expansion_lab.exactla import IntMatrix, snf, solve_rational
 from expansion_lab.spanning import (
     CoordSubset,
     is_integrally_spanned,
     project,
-    respan,
-    saturated_for,
+    project_columns,
     subsets_in_order,
 )
 
@@ -97,9 +92,14 @@ class TestCoordSubset:
 class TestSaturatedFor:
     def test_single_even_vector(self):
         gens = M([[2, 1]])
-        assert not saturated_for(gens, CoordSubset(2, (1,)))
-        assert saturated_for(gens, CoordSubset(2, (2,)))
-        assert saturated_for(gens, CoordSubset(2, (1, 2)))
+
+        def saturated(indices):
+            projected = project_columns(gens, CoordSubset(2, indices))
+            return all(f == 1 for f in snf(projected).invariant_factors())
+
+        assert not saturated((1,))
+        assert saturated((2,))
+        assert saturated((1, 2))
 
 
 class TestIsIntegrallySpanned:
@@ -180,15 +180,8 @@ class TestIsIntegrallySpanned:
             gens = rand_matrix(rng, max_dim=3, lo=-3, hi=3)
             u = rand_unimodular(rng, gens.rows)
             a = is_integrally_spanned(gens)
-            b = is_integrally_spanned(respan(gens, u))
+            b = is_integrally_spanned(u @ gens)
             assert a.spanned == b.spanned
-
-    def test_respan_rejects_non_unimodular(self):
-        gens = M([[1, 0], [0, 1]])
-        with pytest.raises(NotUnimodularError):
-            respan(gens, M([[2, 0], [0, 1]]))
-        with pytest.raises(NotUnimodularError):
-            respan(gens, M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
     def test_ambient_cap(self):
         wide = M([[1] * 23])
