@@ -9,9 +9,9 @@ plain-text matrix/vector formats used by the command line tools.
 Linear solves factor each matrix once: ``_solve_map`` caches an integer
 matrix and a common denominator that turn the target's pivot entries
 into the solution, so each target costs integer products plus the full
-check ``A @ x == v``.  Forward substitution against the HNF
-(``_solve_upper``) is the route the map encodes and serves the tests as
-its oracle.
+check ``A @ x == v``.  Lattice membership is an integer solve against
+the transposed HNF basis.  Forward substitution against the HNF, the
+route the map encodes, stays in the tests as its oracle.
 
 Gauss-Jordan elimination over Q and over F_q has one core,
 ``_reduced_echelon``: fraction-free (Bareiss, with lazy row scales), it
@@ -113,6 +113,18 @@ class IntMatrix:
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
 
+    def __hash__(self) -> int:
+        # Every lru_cache lookup hashes its key matrix; hashing the whole
+        # entries tuple costs about a fifth of a solve on a large matrix,
+        # so the hash is computed on first use and kept.  Most matrices
+        # are never hashed, hence not in __post_init__.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", value)
+            return value
+
     @classmethod
     def from_rows(cls, data: Iterable[Iterable[int]], cols: int | None = None) -> IntMatrix:
         row_list = [tuple(int(e) for e in row) for row in data]
@@ -177,16 +189,6 @@ def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
     if len(x) != m.cols:
         raise DimensionMismatchError(f"vector length {len(x)} != cols {m.cols}")
     return tuple(sum(a * b for a, b in zip(m.row(i), x)) for i in range(m.rows))
-
-
-def vec_mat(y: Sequence, m: IntMatrix) -> tuple:
-    """Row vector times matrix."""
-    if len(y) != m.rows:
-        raise DimensionMismatchError(f"vector length {len(y)} != rows {m.rows}")
-    out = []
-    for j in range(m.cols):
-        out.append(sum(y[i] * m.at(i, j) for i in range(m.rows)))
-    return tuple(out)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -533,36 +535,6 @@ class LatticeBasis:
         return [self.hnf.row(i) for i in range(self.hnf.rows)]
 
 
-def _solve_upper(
-    h: IntMatrix, pivots: list[tuple[int, int]], target: Sequence, integral: bool
-):
-    """Solve y . h == target for y supported on the pivot rows.
-
-    Forward substitution down the pivot columns; ``integral`` demands
-    exact integer divisions. Returns the full-length y (zeros on zero
-    rows) or None when no solution exists.
-    """
-    y = [0] * h.rows
-    for r, c in pivots:
-        acc = target[c]
-        for i in range(r):
-            if y[i]:
-                acc -= y[i] * h.at(i, c)
-        pivot = h.at(r, c)
-        if integral:
-            if acc % pivot != 0:
-                return None
-            y[r] = acc // pivot
-        else:
-            y[r] = Fraction(acc, pivot)
-    # Non-pivot columns impose constraints too; verify the whole product.
-    for j in range(h.cols):
-        acc = sum(y[i] * h.at(i, j) for i in range(h.rows) if y[i])
-        if acc != target[j]:
-            return None
-    return y
-
-
 class _SolveMap(NamedTuple):
     """Everything the solvers need of ``a``, independent of the target."""
 
@@ -577,7 +549,7 @@ def _solve_map(a: IntMatrix) -> _SolveMap:
     """Factor ``a`` once for every target: ``x = (v_P @ M) / d``.
 
     ``P`` holds the pivot columns of ``h = hnf(a^T) = u @ a^T``.  Forward
-    substitution (``_solve_upper``) is linear in ``v_P``: it returns
+    substitution down the pivot columns is linear in ``v_P``: it returns
     ``y = v_P @ T^-1`` for the upper-triangular pivot block ``T`` of
     ``h``, and the solution is ``x = y @ u``.  With ``d = det T``, the
     product of the pivots, ``d * T^-1`` is the integer adjugate, so row
@@ -684,25 +656,16 @@ def integer_kernel_basis(a: IntMatrix) -> LatticeBasis:
 
 
 def lattice_member(basis: LatticeBasis, x: Sequence[int]) -> bool:
-    """Is x an integer combination of the lattice generators?"""
+    """Is x an integer combination of the lattice generators?
+
+    The HNF rows are independent, so ``y @ hnf == x`` has at most one
+    solution and the integer solve decides membership.
+    """
     if len(x) != basis.ambient:
         raise DimensionMismatchError(
             f"vector length {len(x)} != ambient {basis.ambient}"
         )
-    return hnf_coordinates(basis, x) is not None
-
-
-def hnf_coordinates(basis: LatticeBasis, x: Sequence[int]) -> IntVector | None:
-    """Coefficients of x against the canonical HNF rows, or None."""
-    if len(x) != basis.ambient:
-        raise DimensionMismatchError(
-            f"vector length {len(x)} != ambient {basis.ambient}"
-        )
-    h = basis.hnf
-    y = _solve_upper(h, hnf_pivots(h), tuple(x), integral=True)
-    if y is None:
-        return None
-    return tuple(y)
+    return solve_integer(basis.hnf.transpose(), x) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -775,13 +738,6 @@ def parse_vector(text: str) -> IntVector:
 
 def format_vector(v: Sequence[int]) -> str:
     return " ".join(str(e) for e in v) + "\n"
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"not a rational: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -28,6 +28,14 @@ weighted median over Q (see ``simplex``) and by the most frequent
 zeroing coefficient over F_q.  Kernels with overlapping rows take the
 general path, the simplex or the full coset enumeration, which also
 serve the tests as oracles for the closed forms.
+
+Every enumeration is capped by a module constant that the function
+reads when it is called: ``_MAX_NODES``, ``_MAX_CANDIDATES``,
+``_MAX_COSET``, ``_MAX_IMAGES``, ``_MAX_FACE_RANK`` and
+``_MAX_FACE_TERMS``.  A cap hit raises ``EnumerationCapError``, except
+past the candidate cap of the global constants, where the value is a
+lower bound over ``_SAMPLE_TARGETS`` sampled targets with
+``exact=False``.
 """
 
 from __future__ import annotations
@@ -71,23 +79,23 @@ from .spanning import is_integrally_spanned
 
 Vector = Sequence[Union[int, Rational]]
 
-#: Default cap on q ** dim(kernel) for finite-field coset enumeration.
-DEFAULT_MAX_COSET = 10**7
+#: Cap on q ** dim(kernel) for finite-field coset enumeration.
+_MAX_COSET = 10**7
 
-#: Default cap on q ** rank for finite-field image enumeration.
-DEFAULT_MAX_IMAGES = 10**6
+#: Cap on q ** rank for finite-field image enumeration.
+_MAX_IMAGES = 10**6
 
-#: Default cap on the number of candidate targets examined by the exact
-#: global rational search.
-DEFAULT_MAX_CANDIDATES = 200_000
+#: Cap on the number of candidate targets examined by the exact global
+#: rational search.
+_MAX_CANDIDATES = 200_000
 
-#: Default number of sampled targets for the inexact global fallbacks.
-DEFAULT_SAMPLE_TARGETS = 40
+#: Number of sampled targets for the inexact global fallbacks.
+_SAMPLE_TARGETS = 40
 
 #: Caps for the face-enumeration oracle: kernel rank and number of
 #: distinct affine terms.
-DEFAULT_MAX_FACE_RANK = 8
-DEFAULT_MAX_FACE_TERMS = 14
+_MAX_FACE_RANK = 8
+_MAX_FACE_TERMS = 14
 
 #: Cap on the relaxations one integer branch and bound may solve.
 _MAX_NODES = 100_000
@@ -251,13 +259,7 @@ def _affine_solve(rows, rhs):
     return tuple(point), tuple(basis)
 
 
-def minimization_faces(
-    a: IntMatrix,
-    v: Vector,
-    *,
-    max_kernel_rank: int = DEFAULT_MAX_FACE_RANK,
-    max_terms: int = DEFAULT_MAX_FACE_TERMS,
-) -> FaceDecomposition:
+def minimization_faces(a: IntMatrix, v: Vector) -> FaceDecomposition:
     """Decompose the rational minimization at ``v`` into minimal faces.
 
     The objective ``g(x) = l1(u0 + K^T x)`` over kernel coordinates
@@ -267,8 +269,9 @@ def minimization_faces(
     intersections that are maximal (no further hyperplane vanishes
     identically on them), and reports one representative point and the
     objective value for each.  Intended as an independent check of the
-    simplex route; caps keep the combinatorics desk-sized and raising
-    ``EnumerationCapError`` when exceeded.
+    simplex route.  Raises ``EnumerationCapError`` when the kernel rank
+    exceeds ``_MAX_FACE_RANK`` or the distinct hyperplanes exceed
+    ``_MAX_FACE_TERMS``, which keeps the combinatorics desk-sized.
     """
     _check_target_length(a, v)
     v = _as_int_vector(v, "target")
@@ -282,9 +285,9 @@ def minimization_faces(
     kernel = _kernel_info(a)
     k = len(kernel)
     n = a.cols
-    if k > max_kernel_rank:
+    if k > _MAX_FACE_RANK:
         raise EnumerationCapError(
-            f"kernel rank {k} exceeds face enumeration cap {max_kernel_rank}"
+            f"kernel rank {k} exceeds face enumeration cap {_MAX_FACE_RANK}"
         )
     # Term i of the objective is |u0[i] + sum_j kernel[j][i] * x[j]|.
     coeffs = [tuple(kernel[j][i] for j in range(k)) for i in range(n)]
@@ -317,9 +320,9 @@ def minimization_faces(
         term_to_hyper[i] = hyper[key]
     hyperplanes = list(hyper)
     h = len(hyperplanes)
-    if h > max_terms:
+    if h > _MAX_FACE_TERMS:
         raise EnumerationCapError(
-            f"{h} distinct hyperplanes exceed face enumeration cap {max_terms}"
+            f"{h} distinct hyperplanes exceed face enumeration cap {_MAX_FACE_TERMS}"
         )
 
     # For each consistent intersection, the closure is the set of
@@ -428,18 +431,11 @@ def _interior_step(point, direction, hyperplanes, closure):
     return limit / 2
 
 
-def xi_q_at_face_oracle(
-    a: IntMatrix,
-    v: Vector,
-    *,
-    max_kernel_rank: int = DEFAULT_MAX_FACE_RANK,
-    max_terms: int = DEFAULT_MAX_FACE_TERMS,
-) -> ExpansionResult:
+def xi_q_at_face_oracle(a: IntMatrix, v: Vector) -> ExpansionResult:
     """Rational expansion at ``v`` via face enumeration instead of
-    simplex.  Same value as ``xi_q_at``, independently derived."""
-    decomposition = minimization_faces(
-        a, v, max_kernel_rank=max_kernel_rank, max_terms=max_terms
-    )
+    simplex.  Same value as ``xi_q_at``, independently derived, under
+    the caps of ``minimization_faces``."""
+    decomposition = minimization_faces(a, v)
     v = _as_int_vector(v, "target")
     kernel = _kernel_info(a)
     u0 = solve_rational(a, v)
@@ -560,7 +556,7 @@ def _image_basis(a: IntMatrix):
     return [h.row(i) for i in range(h.rows) if any(x != 0 for x in h.row(i))]
 
 
-def _global_candidates(a: IntMatrix, max_candidates: int):
+def _global_candidates(a: IntMatrix):
     """Candidate targets covering every extreme point of the unit ball
     of the 1-norm intersected with the rational image.
 
@@ -569,7 +565,9 @@ def _global_candidates(a: IntMatrix, max_candidates: int):
     ``y -> sum_t y_t b_t[i]`` on the parameter space.  An extreme point
     of the polytope has r-1 independent vanishing functionals, so every
     one lies on the line cut out by some (r-1)-subset of the distinct
-    functionals.  Returns one integer representative per candidate ray.
+    functionals.  Returns one integer representative per candidate ray
+    and True, or ``(None, False)`` when the subsets number more than
+    ``_MAX_CANDIDATES``.
     """
     basis = _image_basis(a)
     r = len(basis)
@@ -585,7 +583,7 @@ def _global_candidates(a: IntMatrix, max_candidates: int):
         functionals.setdefault(primitive_ray(phi), None)
     distinct = list(functionals)
     total = math.comb(len(distinct), r - 1)
-    if total > max_candidates:
+    if total > _MAX_CANDIDATES:
         return None, False
     seen = {}
     out = []
@@ -652,27 +650,23 @@ def _sampled_targets(a: IntMatrix, limit: int, *, dedupe_rays: bool):
     return out
 
 
-def xi_q_global(
-    a: IntMatrix, *, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> GlobalExpansion:
+def xi_q_global(a: IntMatrix) -> GlobalExpansion:
     """Global rational expansion constant of ``a``.
 
     Exact by default: the supremum over the image is attained at an
     extreme point of the image's unit 1-norm ball, and those are covered
     by a finite candidate enumeration.  If the candidate count would
-    exceed ``max_candidates`` the result degrades to a sampled lower
-    bound with ``exact=False``.  Raises ``UndefinedExpansionError`` when
+    exceed ``_MAX_CANDIDATES`` the result degrades to a lower bound over
+    ``_SAMPLE_TARGETS`` sampled targets with ``exact=False``.  Raises ``UndefinedExpansionError`` when
     the image is zero.
     """
-    candidates, exact = _global_candidates(a, max_candidates)
+    candidates, exact = _global_candidates(a)
     if exact and not candidates:
         raise UndefinedExpansionError(
             "global expansion is undefined for a zero image"
         )
     if not exact:
-        candidates = _sampled_targets(
-            a, DEFAULT_SAMPLE_TARGETS, dedupe_rays=True
-        )
+        candidates = _sampled_targets(a, _SAMPLE_TARGETS, dedupe_rays=True)
     best = None
     best_target = None
     for v in candidates:
@@ -683,25 +677,24 @@ def xi_q_global(
     return GlobalExpansion(value=best, attaining_target=best_target, exact=exact)
 
 
-def xi_z_global(
-    a: IntMatrix, *, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> GlobalExpansion:
+def xi_z_global(a: IntMatrix) -> GlobalExpansion:
     """Global integer expansion constant of ``a``.
 
     When the kernel of ``a`` is integrally spanned the integer and
     rational per-target values agree everywhere, so this is exactly the
-    rational global value.  Otherwise, or when the spanning check is
-    above its ambient-dimension cap, no exact finite reduction is
-    available and the result is a sampled lower bound with
-    ``exact=False``.
+    rational global value, inexact only where ``xi_q_global`` passes its
+    candidate cap.  Otherwise, or when the spanning check is above its
+    ambient-dimension cap, no exact finite reduction is available and
+    the result is a lower bound over ``_SAMPLE_TARGETS`` sampled targets
+    with ``exact=False``.
     """
     try:
         spanned = is_integrally_spanned(integer_kernel_basis(a).hnf).spanned
     except AmbientDimensionCapError:
         spanned = False
     if spanned:
-        return xi_q_global(a, max_candidates=max_candidates)
-    targets = _sampled_targets(a, DEFAULT_SAMPLE_TARGETS, dedupe_rays=False)
+        return xi_q_global(a)
+    targets = _sampled_targets(a, _SAMPLE_TARGETS, dedupe_rays=False)
     if not targets:
         raise UndefinedExpansionError(
             "global expansion is undefined for a zero image"
@@ -854,16 +847,14 @@ def _modq_solve(a: ModQMatrix, w: Sequence[int]):
     return tuple(u)
 
 
-def xi_zq_at(
-    a: ModQMatrix, w: Sequence[int], *, max_coset: int = DEFAULT_MAX_COSET
-) -> ExpansionResult:
+def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     """Exact expansion of ``a`` at ``w`` over F_q, using Hamming weight
     as the norm on both sides.
 
     Finds the first minimum-weight vector of the solution coset
     ``u0 + ker`` in coefficient enumeration order (see
     ``_min_weight_in_coset``); raises ``EnumerationCapError`` when
-    ``q ** dim(ker)`` exceeds ``max_coset``.
+    ``q ** dim(ker)`` exceeds ``_MAX_COSET``.
     """
     q = a.q
     if len(w) != a.rows:
@@ -878,9 +869,9 @@ def xi_zq_at(
         raise TargetNotInImageError("target is not in the image over F_q")
     _, _, kernel, _ = _modq_system(a)
     kdim = len(kernel)
-    if q**kdim > max_coset:
+    if q**kdim > _MAX_COSET:
         raise EnumerationCapError(
-            f"coset size q**{kdim} exceeds enumeration cap {max_coset}"
+            f"coset size q**{kdim} exceeds enumeration cap {_MAX_COSET}"
         )
     best_u, best_wt = _min_weight_in_coset(u0, kernel, q)
     value = Fraction(best_wt, hamming_weight(w))
@@ -969,16 +960,12 @@ def iter_image_with_preimage(a: ModQMatrix) -> Iterator[tuple]:
         yield tuple(w), tuple(u0)
 
 
-def xi_zq_global(
-    a: ModQMatrix,
-    *,
-    max_images: int = DEFAULT_MAX_IMAGES,
-    max_coset: int = DEFAULT_MAX_COSET,
-) -> GlobalExpansion:
+def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
     """Global expansion of ``a`` over F_q: the maximum of the per-target
     values over all nonzero image vectors.  Exact (the image is finite);
     raises ``EnumerationCapError`` when ``q ** rank`` exceeds
-    ``max_images`` and ``UndefinedExpansionError`` on a zero image.
+    ``_MAX_IMAGES`` or ``q ** dim(ker)`` exceeds ``_MAX_COSET``, and
+    ``UndefinedExpansionError`` on a zero image.
     """
     q = a.q
     r = modq_rank(a)
@@ -986,14 +973,14 @@ def xi_zq_global(
         raise UndefinedExpansionError(
             "global expansion is undefined for a zero image"
         )
-    if q**r > max_images:
+    if q**r > _MAX_IMAGES:
         raise EnumerationCapError(
-            f"image size q**{r} exceeds enumeration cap {max_images}"
+            f"image size q**{r} exceeds enumeration cap {_MAX_IMAGES}"
         )
     _, _, kernel, _ = _modq_system(a)
-    if q ** len(kernel) > max_coset:
+    if q ** len(kernel) > _MAX_COSET:
         raise EnumerationCapError(
-            f"coset size q**{len(kernel)} exceeds enumeration cap {max_coset}"
+            f"coset size q**{len(kernel)} exceeds enumeration cap {_MAX_COSET}"
         )
     best = None
     best_target = None

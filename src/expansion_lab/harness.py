@@ -5,8 +5,15 @@ Each campaign runs a family of checks and returns a
 a failure by hand: serialized matrices, targets, and the exact rational
 quantities compared.  Entries are ``pass``, ``fail``, or ``skipped``;
 an enumeration-cap hit is always a visible ``skipped`` entry, never a
-silent pass.  Reports are deterministic functions of (seed, caps,
+silent pass.  Reports are deterministic functions of (seed, arguments,
 library version).
+
+The campaign sizes are module constants, recorded in each report's
+``params``: ``_GLOBAL_WORK_CAP`` and ``_WITNESS_IMAGE_CAP`` bound the
+finite-field work per instance of the mod-q campaign, ``_ZQ_WORK_CAP``
+the mod-2 chain of the presentation campaign, ``_EQUALITY_MAX_EDGES``
+the random graphs of the equality campaign, and ``_TARGETS_PER_MATRIX``
+the targets sampled per matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .exactla import (
     format_rational,
     format_vector,
     integer_kernel_basis,
+    l1_norm,
     mat_vec,
     primitive_ray,
     solve_rational,
@@ -49,13 +57,28 @@ from .expansion import (
     modq_rank,
     reduce_mod_q,
     xi_q_at,
-    xi_q_at_face_oracle,
     xi_q_global,
     xi_z_at,
     xi_zq_at,
     xi_zq_global,
 )
 from .spanning import is_integrally_spanned
+
+#: Largest ``q ** cols`` for which the mod-q campaign runs the global check.
+_GLOBAL_WORK_CAP = 30000
+
+#: Largest ``q ** rank`` for which the mod-q campaign runs the witness loop.
+_WITNESS_IMAGE_CAP = 256
+
+#: Largest ``2 ** cols`` for which the presentation campaign runs the
+#: mod-2 chain.
+_ZQ_WORK_CAP = 4096
+
+#: Edge bound of the random incidence matrices of the equality campaign.
+_EQUALITY_MAX_EDGES = 8
+
+#: Image targets sampled per matrix for the rational/integer comparison.
+_TARGETS_PER_MATRIX = 8
 
 
 @dataclass
@@ -163,16 +186,14 @@ def random_incidence_matrix(rng: random.Random, max_edges: int = 10) -> IntMatri
     return graph_d0(Graph(v, tuple(edges)))
 
 
-def sample_image_targets(
-    rng: random.Random, a: IntMatrix, limit: int = 8
-) -> list:
-    """Up to ``limit`` nonzero image targets ``A u`` with ``u`` drawn
-    from the box [-2, 2]^n, de-duplicated by ray (one representative
-    per rational direction)."""
+def sample_image_targets(rng: random.Random, a: IntMatrix) -> list:
+    """Up to ``_TARGETS_PER_MATRIX`` nonzero image targets ``A u`` with
+    ``u`` drawn from the box [-2, 2]^n, de-duplicated by ray (one
+    representative per rational direction)."""
     seen = set()
     out = []
     for _ in range(60):
-        if len(out) >= limit:
+        if len(out) >= _TARGETS_PER_MATRIX:
             break
         u = [rng.randint(-2, 2) for _ in range(a.cols)]
         v = mat_vec(a, u)
@@ -187,11 +208,8 @@ def sample_image_targets(
 
 
 def _kernel_spanned(a: IntMatrix):
-    """(spanned, detail) for the kernel of ``a``; rank-0 kernels are
-    spanned outright."""
+    """(spanned, detail) for the kernel of ``a``."""
     kernel = integer_kernel_basis(a)
-    if kernel.rank == 0:
-        return True, "kernel rank 0"
     verdict = is_integrally_spanned(kernel.hnf)
     return verdict.spanned, f"kernel rank {kernel.rank}"
 
@@ -228,14 +246,14 @@ def _equality_entry(report, rng, a: IntMatrix, label: str):
         )
 
 
-def campaign_equality(seed: int, count: int, max_edges: int = 8) -> CampaignReport:
+def campaign_equality(seed: int, count: int) -> CampaignReport:
     """Per-target equality of rational and integer expansion for
     incidence-shaped matrices (whose kernels are integrally spanned),
     plus a negative control with an unspanned kernel where the values
     must differ."""
     rng = random.Random(seed)
     report = CampaignReport(
-        "equality", seed, {"count": count, "max_edges": max_edges}
+        "equality", seed, {"count": count, "max_edges": _EQUALITY_MAX_EDGES}
     )
     _equality_entry(report, rng, IntMatrix.from_rows([[1, -1]]), "fixture")
     _equality_entry(
@@ -266,7 +284,7 @@ def campaign_equality(seed: int, count: int, max_edges: int = 8) -> CampaignRepo
         report.add(instance, "fail", "expected gap not observed", quantities)
 
     for _ in range(count):
-        a = random_incidence_matrix(rng, max_edges=max_edges)
+        a = random_incidence_matrix(rng, max_edges=_EQUALITY_MAX_EDGES)
         _equality_entry(report, rng, a, "random")
     return report
 
@@ -371,19 +389,16 @@ def campaign_cw(complexes: Optional[Sequence] = None) -> CampaignReport:
 
 
 def campaign_modq(
-    seed: int,
-    count: int,
-    primes: Sequence[int] = (2, 3, 5),
-    global_work_cap: int = 30000,
-    witness_image_cap: int = 256,
+    seed: int, count: int, primes: Sequence[int] = (2, 3, 5)
 ) -> CampaignReport:
     """Exact check of ``(q-1) * Xi_Z(A) >= Xi_Zq(A mod q)`` for random
     incidence-shaped matrices, globally and witness by witness.
 
     The integer side is computed through the rational global value,
     which is exact because incidence kernels are integrally spanned.
-    Instances whose finite-field enumeration exceeds the caps are
-    reported skipped.
+    Checks whose finite-field enumeration exceeds ``_GLOBAL_WORK_CAP``
+    (global) or ``_WITNESS_IMAGE_CAP`` (per witness) are reported
+    skipped.
     """
     rng = random.Random(seed)
     report = CampaignReport(
@@ -392,8 +407,8 @@ def campaign_modq(
         {
             "count": count,
             "primes": list(primes),
-            "global_work_cap": global_work_cap,
-            "witness_image_cap": witness_image_cap,
+            "global_work_cap": _GLOBAL_WORK_CAP,
+            "witness_image_cap": _WITNESS_IMAGE_CAP,
         },
     )
     if not primes:
@@ -430,11 +445,11 @@ def campaign_modq(
             instance = {"kind": kind, "matrix": format_matrix(a), "q": q}
             reduced = reduce_mod_q(a, q)
             work = q**a.cols
-            if work > global_work_cap:
+            if work > _GLOBAL_WORK_CAP:
                 report.add(
                     instance,
                     "skipped",
-                    f"global check needs q^{a.cols} = {work} > cap {global_work_cap}",
+                    f"global check needs q^{a.cols} = {work} > cap {_GLOBAL_WORK_CAP}",
                     {},
                 )
             else:
@@ -457,11 +472,11 @@ def campaign_modq(
             witness_instance = dict(instance)
             witness_instance["check"] = "per-witness"
             images = q ** modq_rank(reduced)
-            if images > witness_image_cap:
+            if images > _WITNESS_IMAGE_CAP:
                 report.add(
                     witness_instance,
                     "skipped",
-                    f"witness loop needs q^rank = {images} > cap {witness_image_cap}",
+                    f"witness loop needs q^rank = {images} > cap {_WITNESS_IMAGE_CAP}",
                     {},
                 )
                 continue
@@ -500,19 +515,17 @@ def campaign_modq(
 # ---------------------------------------------------------------------------
 
 
-def campaign_presentations(
-    n_range: Sequence[int] = range(3, 8),
-    zq_work_cap: int = 4096,
-) -> CampaignReport:
+def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignReport:
     """Row-shape, kernel-spanning, per-target rational/integer equality,
     and the global chain ``Xi_Z(d1) >= Xi_Z2(d1 mod 2)`` for the braid
-    and Steinberg presentation matrices."""
+    and Steinberg presentation matrices.  The chain is reported skipped
+    when ``2 ** cols`` exceeds ``_ZQ_WORK_CAP``."""
     report = CampaignReport(
         "presentations",
         None,
         {
             "n_range": list(n_range),
-            "zq_work_cap": zq_work_cap,
+            "zq_work_cap": _ZQ_WORK_CAP,
         },
     )
     rng = random.Random(0)
@@ -550,12 +563,12 @@ def campaign_presentations(
             z_global = xi_q_global(d1)
             quantities["xi_z_global"] = _fr(z_global.value)
             work = 2**d1.cols
-            if work > zq_work_cap:
+            if work > _ZQ_WORK_CAP:
                 report.add(
                     instance,
                     "skipped",
                     f"row shape, spanning ({kdetail}), and equality hold; "
-                    f"mod-2 chain needs 2^{d1.cols} = {work} > cap {zq_work_cap}",
+                    f"mod-2 chain needs 2^{d1.cols} = {work} > cap {_ZQ_WORK_CAP}",
                     quantities,
                 )
                 continue
@@ -597,13 +610,14 @@ def campaign_lemma_oracle(seed: int, count: int) -> CampaignReport:
         }
         lp = xi_q_at(a, v)
         try:
-            fo = xi_q_at_face_oracle(a, v)
             decomposition = minimization_faces(a, v)
         except EnumerationCapError as err:
             report.add(instance, "skipped", str(err), {})
             return
-        quantities = {"lp": _fr(lp.value), "face_oracle": _fr(fo.value)}
-        if lp.value != fo.value:
+        # The face oracle's value, as xi_q_at_face_oracle computes it.
+        fo_value = Fraction(decomposition.minimum, l1_norm(v))
+        quantities = {"lp": _fr(lp.value), "face_oracle": _fr(fo_value)}
+        if lp.value != fo_value:
             report.add(instance, "fail", "solver values differ", quantities)
             return
         kernel = integer_kernel_basis(a).basis_rows()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import AmbientDimensionCapError, DimensionMismatchError, WitnessError
 from .exactla import (
@@ -66,15 +65,6 @@ class SpanningVerdict:
     spanned: bool
     witness: tuple[CoordSubset, IntVector] | None
     subsets_checked: int
-
-
-def project(subset: CoordSubset, x: Sequence) -> tuple:
-    """Keep the coordinates named by the subset (1-based), in order."""
-    if len(x) != subset.ambient:
-        raise DimensionMismatchError(
-            f"vector length {len(x)} != ambient {subset.ambient}"
-        )
-    return tuple(x[i - 1] for i in subset.indices)
 
 
 def project_columns(generators: IntMatrix, subset: CoordSubset) -> IntMatrix:

@@ -1,8 +1,9 @@
 """Shared helpers: small random generators and independent oracles.
 
 The oracles here are deliberately naive (exhaustive enumeration,
-permutation expansion, textbook Gauss-Jordan over Fraction and over
-F_q) so library results can be checked against independent arithmetic.
+permutation expansion, forward substitution against an echelon form,
+textbook Gauss-Jordan over Fraction and over F_q) so library results can
+be checked against independent arithmetic.
 """
 
 from __future__ import annotations
@@ -92,6 +93,38 @@ def in_lattice_by_box(rows: list[tuple[int, ...]], x, radius: int) -> bool:
         if combo == target:
             return True
     return False
+
+
+def vec_mat(y, m: IntMatrix) -> tuple:
+    """Row vector times matrix."""
+    return tuple(sum(y[i] * m.at(i, j) for i in range(m.rows)) for j in range(m.cols))
+
+
+def solve_upper(h: IntMatrix, pivots, target, integral: bool):
+    """Solve y . h == target for y supported on the pivot rows of the
+    echelon matrix ``h``, or None.
+
+    Forward substitution down the pivot columns; ``integral`` demands
+    exact integer divisions.  Returns the full-length y (zeros on zero
+    rows).
+    """
+    y = [0] * h.rows
+    for r, c in pivots:
+        acc = target[c]
+        for i in range(r):
+            if y[i]:
+                acc -= y[i] * h.at(i, c)
+        pivot = h.at(r, c)
+        if integral:
+            if acc % pivot != 0:
+                return None
+            y[r] = acc // pivot
+        else:
+            y[r] = Fraction(acc, pivot)
+    # Non-pivot columns impose constraints too; verify the whole product.
+    if vec_mat(y, h) != tuple(target):
+        return None
+    return y
 
 
 def rref_by_fractions(rows, ncols):

@@ -41,6 +41,7 @@ from expansion_lab.complexes import (
     presentation_text,
     steinberg_presentation,
 )
+from expansion_lab.harness import random_incidence_matrix
 from expansion_lab.spanning import is_integrally_spanned
 
 
@@ -189,6 +190,31 @@ class TestIncidenceKernel:
                 assert lattice_member(ker, row)
             for row in ker.basis_rows():
                 assert lattice_member(inc, row)
+
+    def test_components_match_networkx(self):
+        # One indicator row per connected component of the column graph
+        # (a row with two nonzeros is an edge) that has no self-connected
+        # vertex (a column with the only nonzero of some row).
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(505)
+        for max_edges in (8, 10):
+            for _ in range(60):
+                a = random_incidence_matrix(rng, max_edges=max_edges)
+                g = nx.Graph()
+                g.add_nodes_from(range(a.cols))
+                self_connected = set()
+                for i in range(a.rows):
+                    support = [j for j, x in enumerate(a.row(i)) if x]
+                    if len(support) == 2:
+                        g.add_edge(*support)
+                    else:
+                        self_connected.update(support)
+                expected = [
+                    tuple(int(v in comp) for v in range(a.cols))
+                    for comp in sorted(nx.connected_components(g), key=min)
+                    if not comp & self_connected
+                ]
+                assert incidence_kernel_basis(a).basis_rows() == expected, a
 
     def test_kernel_and_image_integrally_spanned(self):
         rng = random.Random(503)

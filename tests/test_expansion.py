@@ -242,13 +242,15 @@ class TestFaceOracle:
             checked += 1
         assert checked >= 30
 
-    def test_rank_cap(self):
+    def test_rank_cap(self, monkeypatch):
+        monkeypatch.setattr(expansion, "_MAX_FACE_RANK", 0)
         with pytest.raises(EnumerationCapError):
-            minimization_faces(mat([[1, 2]]), (1,), max_kernel_rank=0)
+            minimization_faces(mat([[1, 2]]), (1,))
 
-    def test_term_cap(self):
+    def test_term_cap(self, monkeypatch):
+        monkeypatch.setattr(expansion, "_MAX_FACE_TERMS", 1)
         with pytest.raises(EnumerationCapError):
-            minimization_faces(mat([[1, 2]]), (1,), max_terms=1)
+            minimization_faces(mat([[1, 2]]), (1,))
 
 
 class TestXiZAt:
@@ -413,14 +415,16 @@ class TestGlobalRational:
                     continue
                 assert xi_q_at(a, v).value <= res.value
 
-    def test_candidate_cap_falls_back_to_sample(self):
-        res = xi_q_global(IntMatrix.identity(2), max_candidates=0)
+    def test_candidate_cap_falls_back_to_sample(self, monkeypatch):
+        monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
+        res = xi_q_global(IntMatrix.identity(2))
         assert not res.exact
         assert res.value >= Fraction(1, 2)
 
-    def test_rank_one_image_needs_no_enumeration(self):
+    def test_rank_one_image_needs_no_enumeration(self, monkeypatch):
         # A line image has a single candidate ray, so the cap is moot.
-        res = xi_q_global(mat([[1, -1]]), max_candidates=0)
+        monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
+        res = xi_q_global(mat([[1, -1]]))
         assert res.exact
         assert res.value == 1
 
@@ -431,6 +435,14 @@ class TestGlobalInteger:
         res = xi_z_global(a)
         assert res.exact
         assert res.value == xi_q_global(a).value == 1
+
+    def test_spanned_kernel_past_candidate_cap_is_inexact(self, monkeypatch):
+        # The kernel of the identity is zero, hence spanned, but its image
+        # has two candidate rays.
+        monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
+        res = xi_z_global(IntMatrix.identity(2))
+        assert not res.exact
+        assert res.value == 1
 
     def test_unspanned_gives_lower_bound(self):
         res = xi_z_global(mat([[1, 2]]))
@@ -508,10 +520,11 @@ class TestXiZqAt:
         with pytest.raises(TargetNotInImageError):
             xi_zq_at(a, (1, 0))
 
-    def test_coset_cap(self):
+    def test_coset_cap(self, monkeypatch):
+        monkeypatch.setattr(expansion, "_MAX_COSET", 3)
         a = ModQMatrix.from_rows([[1, 0, 0]], 2)
         with pytest.raises(EnumerationCapError):
-            xi_zq_at(a, (1,), max_coset=3)
+            xi_zq_at(a, (1,))
 
     def test_witness_feasibility_random(self):
         rng = random.Random(410)
@@ -569,10 +582,18 @@ class TestXiZqGlobal:
         with pytest.raises(UndefinedExpansionError):
             xi_zq_global(ModQMatrix.from_rows([[0, 0]], 2))
 
-    def test_image_cap(self):
+    def test_image_cap(self, monkeypatch):
+        monkeypatch.setattr(expansion, "_MAX_IMAGES", 10)
         a = ModQMatrix.from_rows([[1, 0], [0, 1]], 5)
         with pytest.raises(EnumerationCapError):
-            xi_zq_global(a, max_images=10)
+            xi_zq_global(a)
+
+    def test_coset_cap(self, monkeypatch):
+        # image 2 ** 1, coset 2 ** 2
+        monkeypatch.setattr(expansion, "_MAX_COSET", 3)
+        a = ModQMatrix.from_rows([[1, 0, 0]], 2)
+        with pytest.raises(EnumerationCapError, match="coset size"):
+            xi_zq_global(a)
 
     def test_image_enumeration_is_complete_and_disjoint(self):
         a = ModQMatrix.from_rows([[1, 1, 0], [0, 1, 1]], 2)

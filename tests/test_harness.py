@@ -11,11 +11,11 @@ import json
 import random
 from fractions import Fraction
 
+from expansion_lab import harness
 from expansion_lab.complexes import check_incidence_rows
 from expansion_lab.exactla import (
     IntMatrix,
     parse_matrix,
-    parse_rational,
     parse_vector,
     primitive_ray,
 )
@@ -152,8 +152,8 @@ def test_equality_entries_are_replayable_from_the_report():
     a = parse_matrix(entry["instance"]["matrix"])
     for row in entry["quantities"]["targets"]:
         v = parse_vector(row["target"])
-        assert xi_q_at(a, v).value == parse_rational(row["xi_q"])
-        assert xi_z_at(a, v).value == parse_rational(row["xi_z"])
+        assert xi_q_at(a, v).value == Fraction(row["xi_q"])
+        assert xi_z_at(a, v).value == Fraction(row["xi_z"])
 
 
 def test_equality_unspanned_kernel_is_a_recorded_failure():
@@ -173,8 +173,6 @@ def test_equality_unspanned_kernel_is_a_recorded_failure():
 def test_equality_mismatch_records_the_failing_target(monkeypatch):
     from dataclasses import replace
 
-    from expansion_lab import harness
-
     real_xi_z_at = harness.xi_z_at
     seen = []
 
@@ -192,8 +190,8 @@ def test_equality_mismatch_records_the_failing_target(monkeypatch):
     assert entry["verdict"] == "fail"
     assert len(seen) == 2
     assert parse_vector(entry["instance"]["target"]) == seen[1]
-    q_val = parse_rational(entry["quantities"]["xi_q"])
-    assert parse_rational(entry["quantities"]["xi_z"]) == q_val + 1
+    q_val = Fraction(entry["quantities"]["xi_q"])
+    assert Fraction(entry["quantities"]["xi_z"]) == q_val + 1
     assert q_val == xi_q_at(path3, seen[1]).value
 
 
@@ -268,12 +266,16 @@ def test_modq_runs_global_and_witness_parts_per_prime():
     assert report.ok
 
 
-def test_modq_cap_hits_are_recorded_as_skips():
-    report = campaign_modq(0, 0, primes=(5,), global_work_cap=1, witness_image_cap=1)
+def test_modq_cap_hits_are_recorded_as_skips(monkeypatch):
+    monkeypatch.setattr(harness, "_GLOBAL_WORK_CAP", 1)
+    monkeypatch.setattr(harness, "_WITNESS_IMAGE_CAP", 1)
+    report = campaign_modq(0, 0, primes=(5,))
     verdicts = {e["verdict"] for e in report.entries}
     assert verdicts == {"skipped"}
     for entry in report.entries:
-        assert "cap" in entry["detail"]
+        assert "cap 1" in entry["detail"]
+    assert report.params["global_work_cap"] == 1
+    assert report.params["witness_image_cap"] == 1
     assert report.ok  # skips are honest, not failures
 
 
@@ -308,13 +310,24 @@ def test_presentations_large_steinberg_is_skipped_not_passed():
     assert "xi_z_global" in entry["quantities"]
 
 
+def test_presentations_chain_cap_is_recorded_as_skip(monkeypatch):
+    monkeypatch.setattr(harness, "_ZQ_WORK_CAP", 1)
+    report = campaign_presentations(range(3, 4))
+    assert report.params["zq_work_cap"] == 1
+    assert [e["verdict"] for e in report.entries] == ["skipped", "skipped"]
+    for entry in report.entries:
+        assert "mod-2 chain needs" in entry["detail"]
+        assert "xi_z2_global" not in entry["quantities"]
+    assert report.ok
+
+
 def test_presentations_record_global_values():
     report = campaign_presentations(range(4, 5))
     entry = next(
         e for e in report.entries if e["instance"]["kind"] == "steinberg n=4"
     )
     assert entry["quantities"]["xi_z_global"] == "1/2"
-    assert parse_rational(entry["quantities"]["xi_z2_global"]) <= Fraction(1, 2)
+    assert Fraction(entry["quantities"]["xi_z2_global"]) <= Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +351,7 @@ def test_lemma_oracle_randoms_pass_and_replay():
     entry = randoms[0]
     a = parse_matrix(entry["instance"]["matrix"])
     v = parse_vector(entry["instance"]["target"])
-    assert xi_q_at(a, v).value == parse_rational(entry["quantities"]["lp"])
+    assert xi_q_at(a, v).value == Fraction(entry["quantities"]["lp"])
 
 
 def test_lemma_oracle_random_targets_are_in_image():

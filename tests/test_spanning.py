@@ -10,7 +10,6 @@ from expansion_lab.exactla import IntMatrix, snf, solve_rational
 from expansion_lab.spanning import (
     CoordSubset,
     is_integrally_spanned,
-    project,
     project_columns,
     subsets_in_order,
 )
@@ -69,12 +68,6 @@ class TestCoordSubset:
             CoordSubset(3, (0, 1))
         with pytest.raises(DimensionMismatchError):
             CoordSubset(3, (1, 4))
-
-    def test_project(self):
-        s = CoordSubset(4, (2, 4))
-        assert project(s, (10, 20, 30, 40)) == (20, 40)
-        with pytest.raises(DimensionMismatchError):
-            project(s, (1, 2, 3))
 
     def test_enumeration_order(self):
         got = [s.indices for s in subsets_in_order(3)]
