@@ -36,9 +36,9 @@ workloads = load_workloads()
 def test_campaign_matches_reference(workload, tmp_path):
     (call,) = workloads.plan(workload, 0, tmp_path)
     assert cli.main(call["argv"]) == 0
+    ref = BENCH / "refs" / f"{workload}.json"
     got = json.loads(Path(call["out"]).read_text(encoding="utf-8"))["entries"]
-    want = json.loads((BENCH / "refs" / f"{workload}.json").read_text(encoding="utf-8"))
-    want = want["entries"]
+    want = json.loads(ref.read_text(encoding="utf-8"))["entries"]
     assert len(got) == len(want)
     for index, (entry, reference) in enumerate(zip(got, want)):
         assert entry == reference, f"{workload} entry {index}"
