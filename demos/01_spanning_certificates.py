@@ -2,10 +2,10 @@
 
 A family of integer vectors is integrally spanned when, for every
 subset of coordinates, the projections of the generators Z-span every
-integer point of their Q-span.  The checker enumerates coordinate
-subsets, diagnoses each projection through its Smith invariant
-factors, and returns a concrete witness vector whenever the answer is
-no.
+integer point of their Q-span.  The checker diagnoses projections
+through their Smith invariant factors: a spanned lattice of rank k is
+certified on its k-coordinate projections alone, and otherwise the
+subsets are scanned to return a concrete witness vector.
 """
 
 from expansion_lab import IntMatrix, is_integrally_spanned

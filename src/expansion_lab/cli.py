@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-ambient",
         type=int,
         default=None,
-        help="override the ambient-dimension cap on subset enumeration",
+        help="override the ambient-dimension cap of the spanning check "
+        "(C(n, rank) projections to certify, the subset scan to find a witness)",
     )
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_span_check)

@@ -6,10 +6,14 @@ projections p_I(v_j) equals the intersection of Z^I with their rational
 span. Equivalently: every projected generator matrix has all Smith
 invariant factors equal to 1 (the projected lattice is saturated).
 
-The check enumerates all 2^n - 1 nonempty coordinate subsets, so the
-ambient dimension is capped at ``DEFAULT_MAX_AMBIENT``; the cap can be
-raised per call with ``max_ambient`` (``span-check --max-ambient`` on
-the command line).
+The condition ranges over all 2^n - 1 nonempty subsets, but it is
+decided on C(n, k) of them, k the rank: a lattice is spanned exactly
+when each rank-sized projection of its HNF basis is saturated (see
+``is_integrally_spanned``). The size-then-lex subset scan runs only
+when that certificate fails, to find the first failing subset and a
+witness vector. The ambient dimension is capped at
+``DEFAULT_MAX_AMBIENT``; the cap can be raised per call with
+``max_ambient`` (``span-check --max-ambient`` on the command line).
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ class SpanningVerdict:
     ``witness`` is None when spanned; otherwise a pair (subset, vector)
     where the vector lies in the rational span of the projected
     generators and in Z^subset but not in their integer span.
+
+    ``subsets_checked`` is 2^n - 1 when spanned (the certificate covers
+    every nonempty subset), 0 for a family with no nonzero generator,
+    and otherwise the number of subsets the size-then-lex scan visited,
+    up to and including the failing one.
     """
 
     spanned: bool
@@ -136,15 +145,56 @@ def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVecto
     raise WitnessError("witness validation failed for every candidate")
 
 
+def _rank_sized_certificate(generators: IntMatrix) -> bool:
+    """True when every rank-sized projection of the HNF basis is saturated.
+
+    A spanned HNF basis has every entry in {0, +-1}: its minor on the
+    pivot columns is the product of the positive pivots, so each pivot
+    is 1, the entries above it are reduced to 0, and any other entry is
+    up to sign the minor that swaps it in for its row's pivot column.
+    That test rules most unspanned lattices out before any Smith form.
+    """
+    basis = LatticeBasis.from_generators(generators).hnf
+    if any(e not in (-1, 0, 1) for e in basis.entries):
+        return False
+    for combo in itertools.combinations(range(1, basis.cols + 1), basis.rows):
+        projected = project_columns(basis, CoordSubset(basis.cols, combo))
+        if any(f != 1 for f in snf(projected).invariant_factors()):
+            return False
+    return True
+
+
 def is_integrally_spanned(
     generators: IntMatrix, *, max_ambient: int | None = None
 ) -> SpanningVerdict:
-    """Check the spanning condition over every coordinate subset.
+    """Decide the spanning condition, certifying it on rank-sized subsets.
 
-    Subsets are visited by size then lexicographically and the scan
-    stops at the first failure, returning a validated witness pair.
+    Theorem: let B be the HNF basis of the lattice, of rank k. The
+    lattice is spanned exactly when every k x k minor of B is in
+    {0, +-1}, hence exactly when every k-subset projection of B is
+    saturated (a k x k projection of full rank is saturated exactly when
+    its determinant is +-1).
+
+    Proof sketch. If spanned, every projection is saturated, the
+    k-subset ones included. Conversely, B has rank k, so some columns J
+    have det B_J != 0, hence det B_J = +-1. Then inverse(B_J) @ B is
+    [I | M] up to a column order, with the same row lattice, and every
+    square submatrix of M is, up to sign, a k x k minor of B divided by
+    det B_J, so M is totally unimodular. Any column subset of [I | M]
+    is then totally unimodular of some rank r, with an r x r minor +-1,
+    so its Smith invariant factors are all 1: every projection is
+    saturated.
+
     A family with no nonzero generators is spanned outright (every
-    projection is the zero lattice), with no subsets enumerated.
+    projection is the zero lattice), with no subsets enumerated. Past
+    the ambient cap, ``AmbientDimensionCapError`` is raised. Otherwise,
+    when the certificate holds, the verdict is spanned with
+    ``subsets_checked`` = 2^n - 1. When it fails, subsets are scanned by
+    size then lexicographically over the generators as given, stopping
+    at the first unsaturated projection with a validated witness pair;
+    by the theorem that subset has at most k coordinates. A scan that
+    finds no failure contradicts the certificate and raises
+    ``WitnessError``.
     """
     n = generators.cols
     if generators.is_zero():
@@ -155,6 +205,8 @@ def is_integrally_spanned(
             f"ambient dimension {n} exceeds the subset enumeration cap {cap}; "
             "raise max_ambient (span-check --max-ambient) to force"
         )
+    if _rank_sized_certificate(generators):
+        return SpanningVerdict(True, None, 2**n - 1)
     checked = 0
     for subset in subsets_in_order(n):
         checked += 1
@@ -164,4 +216,7 @@ def is_integrally_spanned(
             continue
         witness = _saturation_witness(projected, dec)
         return SpanningVerdict(False, (subset, witness), checked)
-    return SpanningVerdict(True, None, checked)
+    raise WitnessError(
+        "a rank-sized projection is unsaturated, yet the subset scan found "
+        "every projection saturated"
+    )

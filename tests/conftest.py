@@ -2,8 +2,9 @@
 
 The oracles here are deliberately naive (exhaustive enumeration,
 permutation expansion, forward substitution against an echelon form,
-textbook Gauss-Jordan over Fraction and over F_q) so library results can
-be checked against independent arithmetic.
+textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
+subset scan of the spanning condition) so library results can be
+checked against independent arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from expansion_lab.exactla import IntMatrix, mat_vec
+from expansion_lab.exactla import IntMatrix, mat_vec, snf
+from expansion_lab.spanning import (
+    SpanningVerdict,
+    _saturation_witness,
+    project_columns,
+    subsets_in_order,
+)
 
 
 def rand_matrix(rng: random.Random, max_dim: int = 4, lo: int = -5, hi: int = 5) -> IntMatrix:
@@ -125,6 +132,24 @@ def solve_upper(h: IntMatrix, pivots, target, integral: bool):
     if vec_mat(y, h) != tuple(target):
         return None
     return y
+
+
+def spanning_by_full_scan(generators: IntMatrix) -> SpanningVerdict:
+    """The spanning condition checked on every nonempty coordinate
+    subset, by size then lexicographically, stopping at the first
+    unsaturated projection; ``subsets_checked`` counts the subsets
+    visited (2^n - 1 when spanned, 0 with no nonzero generator)."""
+    if generators.is_zero():
+        return SpanningVerdict(True, None, 0)
+    checked = 0
+    for subset in subsets_in_order(generators.cols):
+        checked += 1
+        projected = project_columns(generators, subset)
+        dec = snf(projected)
+        if any(f != 1 for f in dec.invariant_factors()):
+            witness = _saturation_witness(projected, dec)
+            return SpanningVerdict(False, (subset, witness), checked)
+    return SpanningVerdict(True, None, checked)
 
 
 def rref_by_fractions(rows, ncols):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -59,6 +59,21 @@ def small_matrices():
             ).map(M)
         )
     )
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Matrices up to 4x5, shapes with no rows or columns included, with
+    a drawn set of rows and of columns set to zero."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    zero_rows = draw(st.sets(st.integers(0, 3)))
+    zero_cols = draw(st.sets(st.integers(0, 4)))
+    data = [
+        [0 if i in zero_rows or j in zero_cols else draw(st.integers(-6, 6))
+         for j in range(cols)]
+        for i in range(rows)
+    ]
+    return M(data, cols=cols)
 
 
 def assert_hnf_shape(h: IntMatrix):
@@ -163,6 +178,33 @@ class TestHnf:
         assert det(u) in (1, -1)
         assert_hnf_shape(h)
 
+    @settings(deadline=None)
+    @given(matrices_with_zero_lines())
+    @example(M([[2, 4, 6], [1, 3, 5], [0, 0, 0]]))
+    def test_row_lattice_matches_sympy(self, m):
+        # sympy's HNF is column-style with another normalization: for the
+        # example it gives rows [4 2 0], [1 1 1] against [1 1 1], [0 2 4].
+        # So compare lattices: the sympy rows lie in ours, the ranks agree
+        # and so do the Gram determinants, which forces equal lattices.
+        sympy = pytest.importorskip("sympy")
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        theirs = normalforms.hermite_normal_form(
+            sympy.Matrix(m.rows, m.cols, list(m.entries)).T
+        ).T.tolist()
+        ours = LatticeBasis.from_generators(m)
+        assert len(theirs) == ours.rank
+        pivots = hnf_pivots(ours.hnf)
+        for row in theirs:
+            assert solve_upper(ours.hnf, pivots, [int(x) for x in row], True) is not None
+
+        def gram_det(rows):
+            return det_by_permutations(M(
+                [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows],
+                cols=len(rows),
+            ))
+
+        assert gram_det(theirs) == gram_det(ours.basis_rows())
+
     def test_canonical_for_lattice(self):
         # Same row lattice, different generators: identical trimmed HNF.
         rng = random.Random(7)
@@ -172,21 +214,6 @@ class TestHnf:
             a = LatticeBasis.from_generators(m)
             b = LatticeBasis.from_generators(w @ m)
             assert a.hnf == b.hnf
-
-
-@st.composite
-def matrices_with_zero_lines(draw):
-    """Matrices up to 4x5, shapes with no rows or columns included, with
-    a drawn set of rows and of columns set to zero."""
-    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
-    zero_rows = draw(st.sets(st.integers(0, 3)))
-    zero_cols = draw(st.sets(st.integers(0, 4)))
-    data = [
-        [0 if i in zero_rows or j in zero_cols else draw(st.integers(-6, 6))
-         for j in range(cols)]
-        for i in range(rows)
-    ]
-    return M(data, cols=cols)
 
 
 class TestSnf:

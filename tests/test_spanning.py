@@ -3,10 +3,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import det_by_permutations, in_lattice_by_box, rand_matrix, rand_unimodular
-from expansion_lab.errors import AmbientDimensionCapError, DimensionMismatchError
-from expansion_lab.exactla import IntMatrix, snf, solve_rational
+from conftest import (
+    det_by_permutations,
+    in_lattice_by_box,
+    rand_matrix,
+    rand_unimodular,
+    spanning_by_full_scan,
+)
+from expansion_lab import spanning
+from expansion_lab.errors import (
+    AmbientDimensionCapError,
+    DimensionMismatchError,
+    WitnessError,
+)
+from expansion_lab.exactla import IntMatrix, rank, snf, solve_rational
 from expansion_lab.spanning import (
     CoordSubset,
     is_integrally_spanned,
@@ -53,6 +66,30 @@ def spanned_by_minor_oracle(gens: IntMatrix) -> bool:
             if not minor_gcd_saturated(rows):
                 return False
     return True
+
+
+@st.composite
+def generator_families(draw):
+    """Up to five generators in Z^1..Z^6 with entries in -2..2: rows drawn
+    from -1..1 or -2..2, zero rows, and dependent rows (a signed sum of
+    two earlier rows, or a signed copy of one when the sum leaves -2..2)."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("unit", "wide", "zero", "dependent")))
+        if kind == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.sampled_from((-1, 1))), draw(st.sampled_from((-1, 1)))
+            row = [s * x + t * y for x, y in zip(a, b)]
+            if any(abs(x) > 2 for x in row):
+                row = [s * x for x in a]
+        elif kind == "zero":
+            row = [0] * n
+        else:
+            bound = 1 if kind == "unit" else 2
+            row = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+        rows.append(row)
+    return M(rows, cols=n)
 
 
 class TestCoordSubset:
@@ -184,3 +221,48 @@ class TestIsIntegrallySpanned:
         with pytest.raises(AmbientDimensionCapError):
             is_integrally_spanned(gens, max_ambient=3)
         assert is_integrally_spanned(gens, max_ambient=4).spanned
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_families())
+    def test_matches_full_scan(self, gens):
+        verdict = is_integrally_spanned(gens)
+        assert verdict == spanning_by_full_scan(gens)
+        if not verdict.spanned:
+            subset, _ = verdict.witness
+            assert len(subset) <= rank(gens)
+
+    @pytest.mark.parametrize(
+        "rows, max_ambient, calls, spanned",
+        [
+            # K5 image lattice: rank 4 at ambient 10, C(10, 4) projections
+            (
+                [[1 if e[0] == v else -1 if e[1] == v else 0
+                  for e in itertools.combinations(range(5), 2)]
+                 for v in range(4)],
+                None,
+                math.comb(10, 4),
+                True,
+            ),
+            ([[1] * 30], 30, 30, True),
+            # HNF [[1, 1], [0, 2]] fails the filter: only the scan runs
+            ([[1, 1], [1, 3]], None, 3, False),
+        ],
+    )
+    def test_smith_forms_computed(self, monkeypatch, rows, max_ambient, calls, spanned):
+        counted = []
+
+        def counting_snf(m):
+            counted.append(m)
+            return snf(m)
+
+        monkeypatch.setattr(spanning, "snf", counting_snf)
+        gens = M(rows)
+        verdict = is_integrally_spanned(gens, max_ambient=max_ambient)
+        assert verdict.spanned == spanned
+        assert len(counted) == calls
+        assert verdict.subsets_checked == (2**gens.cols - 1 if spanned else calls)
+
+    def test_certificate_contradicted_by_scan_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(spanning, "_rank_sized_certificate", lambda gens: False)
+        with pytest.raises(WitnessError):
+            is_integrally_spanned(M([[1, 0, 1], [0, 1, -1]]))
