@@ -27,7 +27,9 @@ graph incidence matrix do: each row is then solved on its own, by a
 weighted median over Q (see ``simplex``) and by the most frequent
 zeroing coefficient over F_q.  Kernels with overlapping rows take the
 general path, the simplex or the full coset enumeration, which also
-serve the tests as oracles for the closed forms.
+serve the tests as oracles for the closed forms.  The global F_q value
+walks the image once, one pivot column per step, and keeps the per-row
+closed form up to date along the walk (see ``_image_walk``).
 
 Every enumeration is capped by a module constant that the function
 reads when it is called: ``_MAX_NODES``, ``_MAX_CANDIDATES``,
@@ -867,13 +869,13 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     u0 = _modq_solve(a, w)
     if u0 is None:
         raise TargetNotInImageError("target is not in the image over F_q")
-    _, _, kernel, _ = _modq_system(a)
+    kernel, supports = _modq_kernel(a)
     kdim = len(kernel)
     if q**kdim > _MAX_COSET:
         raise EnumerationCapError(
             f"coset size q**{kdim} exceeds enumeration cap {_MAX_COSET}"
         )
-    best_u, best_wt = _min_weight_in_coset(u0, kernel, q)
+    best_u, best_wt = _min_weight_in_coset(u0, kernel, q, supports)
     value = Fraction(best_wt, hamming_weight(w))
     return ExpansionResult(
         value=value,
@@ -884,19 +886,28 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     )
 
 
-def _min_weight_in_coset(u0, kernel, q):
+@lru_cache(maxsize=256)
+def _modq_kernel(a: ModQMatrix):
+    """The kernel basis of ``a`` over F_q and the supports of its rows
+    when no two rows share a position (else None), decided once per
+    matrix."""
+    _, _, kernel, _ = _modq_system(a)
+    supports = disjoint_supports(kernel)
+    return kernel, None if supports is None else tuple(map(tuple, supports))
+
+
+def _min_weight_in_coset(u0, kernel, q, supports):
     """First minimum-weight vector of the coset ``u0 + span(kernel)``
     in coefficient enumeration order, with its weight.
 
-    When the kernel rows have pairwise disjoint supports the weight
-    splits row by row, and the coefficient of each row is chosen on its
-    own: the one that zeroes the most coordinates of ``u0`` on the
-    row's support, the smallest such on a tie.  Because coefficients
-    are enumerated lexicographically from 0, those per-row choices are
-    exactly the first minimizer of the enumeration.  Other kernels are
-    enumerated.
+    When ``supports`` holds the pairwise disjoint supports of the kernel
+    rows the weight splits row by row, and the coefficient of each row
+    is chosen on its own: the one that zeroes the most coordinates of
+    ``u0`` on the row's support, the smallest such on a tie.  Because
+    coefficients are enumerated lexicographically from 0, those per-row
+    choices are exactly the first minimizer of the enumeration.  Other
+    kernels (``supports`` None) are enumerated.
     """
-    supports = disjoint_supports(kernel)
     if supports is None:
         return _enumerate_coset(u0, kernel, q)
     best = list(u0)
@@ -938,25 +949,110 @@ def _enumerate_coset(u0, kernel, q):
     return best_u, best_wt
 
 
+def _image_walk(a: ModQMatrix, kernel=(), supports=None):
+    """Every nonzero image vector ``w`` of ``a`` over F_q with the
+    preimage ``u0`` that carries the pivot-column coefficients, by an
+    odometer over those coefficients.
+
+    The coefficient vectors come in ``itertools.product(range(q),
+    repeat=rank)`` order, last pivot fastest, the zero vector skipped.
+    A step raises the last digit and carries; every digit that changes,
+    one that wraps from q - 1 to 0 included, adds its pivot column to
+    ``w`` once (q copies of a column add nothing), so a step costs about
+    q / (q - 1) sparse columns and one entry of ``u0`` per changed digit.
+
+    Yields ``(w, hw, u0, wt)`` with ``w`` and ``u0`` lists updated in
+    place (copy them to keep them) and ``hw`` the Hamming weight of
+    ``w``.  When ``supports`` holds the pairwise disjoint supports of
+    the ``kernel`` rows, ``wt`` is the minimum weight of the coset ``u0
+    + span(kernel)``, the weight ``_min_weight_in_coset`` returns: each
+    row counts, per coefficient, the coordinates of its support that
+    the coefficient zeroes, and costs ``|S|`` minus the largest count.
+    A changed digit moves one coordinate from one count to the next.
+    Otherwise ``wt`` is None.
+    """
+    _, pivots, _, _ = _modq_system(a)
+    q, r = a.q, len(pivots)
+    columns = [
+        [(i, a.at(i, p)) for i in range(a.rows) if a.at(i, p)] for p in pivots
+    ]
+    w = [0] * a.rows
+    u0 = [0] * a.cols
+    hw = 0
+    track = supports is not None
+    wt = 0 if track else None
+    if track:
+        # Pivot j sits on the support of kernel row owner[j] (-1: on
+        # none); raising its digit by one moves its zeroing coefficient
+        # by shift[j] = -1 / kernel[owner[j]][pivot].
+        row_of = {i: k for k, support in enumerate(supports) for i in support}
+        owner = [row_of.get(p, -1) for p in pivots]
+        shift = [
+            -pow(kernel[k][p], q - 2, q) % q if k >= 0 else 0
+            for k, p in zip(owner, pivots)
+        ]
+        # At u0 = 0 every coordinate is zeroed by coefficient 0.
+        # counts[k][c]: coordinates of row k's support that c zeroes;
+        # hists[k][m]: coefficients with exactly m of them; tops[k]: the
+        # largest count.
+        counts = [Counter({0: len(s)}) for s in supports]
+        hists = [[q - 1] + [0] * (len(s) - 1) + [1] for s in supports]
+        tops = [len(s) for s in supports]
+    for _ in range(q**r - 1):
+        j = r - 1
+        while True:
+            for i, x in columns[j]:
+                old = w[i]
+                new = old + x
+                if new >= q:
+                    new -= q
+                if not old:
+                    hw += 1
+                elif not new:
+                    hw -= 1
+                w[i] = new
+            p = pivots[j]
+            old = u0[p]
+            new = old + 1 if old + 1 < q else 0
+            u0[p] = new
+            if track:
+                k = owner[j]
+                if k < 0:
+                    wt += (new != 0) - (old != 0)
+                else:
+                    count, hist = counts[k], hists[k]
+                    c = old * shift[j] % q
+                    m = count[c]
+                    count[c] = m - 1
+                    hist[m] -= 1
+                    hist[m - 1] += 1
+                    if m == tops[k] and not hist[m]:
+                        tops[k] = m - 1
+                        wt += 1
+                    c = (c + shift[j]) % q
+                    m = count[c] + 1
+                    count[c] = m
+                    hist[m - 1] -= 1
+                    hist[m] += 1
+                    if m > tops[k]:
+                        tops[k] = m
+                        wt -= 1
+            if new:
+                break
+            j -= 1
+        yield w, hw, u0, wt
+
+
 def iter_image_with_preimage(a: ModQMatrix) -> Iterator[tuple]:
     """Yields every nonzero image vector of ``a`` over F_q exactly once,
-    paired with one preimage, by running over coefficient combinations
-    of the pivot columns.  Deterministic order."""
-    _, pivots, _, _ = _modq_system(a)
-    q = a.q
-    r = len(pivots)
-    cols = [tuple(a.at(i, c) for i in range(a.rows)) for c in pivots]
-    for coeffs in itertools.product(range(q), repeat=r):
-        if all(c == 0 for c in coeffs):
-            continue
-        w = [0] * a.rows
-        for c, col in zip(coeffs, cols):
-            if c:
-                for i in range(a.rows):
-                    w[i] = (w[i] + c * col[i]) % q
-        u0 = [0] * a.cols
-        for c, p in zip(coeffs, pivots):
-            u0[p] = c
+    paired with one preimage, as tuples.
+
+    The preimage carries the coefficients of the pivot columns, which run
+    in ``itertools.product(range(q), repeat=rank)`` order (last pivot
+    fastest, zero skipped); each vector is stepped from the one before
+    by the odometer of ``_image_walk``, the same walk ``xi_zq_global``
+    runs."""
+    for w, _, u0, _ in _image_walk(a):
         yield tuple(w), tuple(u0)
 
 
@@ -966,6 +1062,14 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
     raises ``EnumerationCapError`` when ``q ** rank`` exceeds
     ``_MAX_IMAGES`` or ``q ** dim(ker)`` exceeds ``_MAX_COSET``, and
     ``UndefinedExpansionError`` on a zero image.
+
+    The image is walked once by ``_image_walk``: an odometer over the
+    pivot-column coefficients in ``itertools.product`` order, adding one
+    pivot column per changed digit.  When the kernel rows have disjoint
+    supports the walk keeps each coset's minimum weight up to date as it
+    goes; otherwise each coset is enumerated by ``_enumerate_coset``.
+    ``attaining_target`` is the first maximizer in that order: a later
+    image vector replaces it only with a strictly larger value.
     """
     q = a.q
     r = modq_rank(a)
@@ -977,17 +1081,19 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
         raise EnumerationCapError(
             f"image size q**{r} exceeds enumeration cap {_MAX_IMAGES}"
         )
-    _, _, kernel, _ = _modq_system(a)
+    kernel, supports = _modq_kernel(a)
     if q ** len(kernel) > _MAX_COSET:
         raise EnumerationCapError(
             f"coset size q**{len(kernel)} exceeds enumeration cap {_MAX_COSET}"
         )
-    best = None
-    best_target = None
-    for w, u0 in iter_image_with_preimage(a):
-        _, wt = _min_weight_in_coset(u0, kernel, q)
-        value = Fraction(wt, hamming_weight(w))
-        if best is None or value > best:
-            best = value
-            best_target = w
-    return GlobalExpansion(value=best, attaining_target=best_target, exact=True)
+    # The value wt / hw is compared by cross-multiplying; the start
+    # -1 / 1 loses to any image vector.
+    best_wt, best_hw, best_target = -1, 1, None
+    for w, hw, u0, wt in _image_walk(a, kernel, supports):
+        if wt is None:
+            wt = _enumerate_coset(u0, kernel, q)[1]
+        if wt * best_hw > best_wt * hw:
+            best_wt, best_hw, best_target = wt, hw, tuple(w)
+    return GlobalExpansion(
+        value=Fraction(best_wt, best_hw), attaining_target=best_target, exact=True
+    )

@@ -3,8 +3,9 @@
 The oracles here are deliberately naive (exhaustive enumeration,
 permutation expansion, forward substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
-subset scan of the spanning condition) so library results can be
-checked against independent arithmetic.
+subset scan of the spanning condition, the finite-field image rebuilt
+vector by vector) so library results can be checked against
+independent arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from expansion_lab.exactla import IntMatrix, mat_vec, snf
+from expansion_lab.exactla import IntMatrix, disjoint_supports, mat_vec, snf
+from expansion_lab.expansion import (
+    GlobalExpansion,
+    _min_weight_in_coset,
+    _modq_system,
+    hamming_weight,
+)
 from expansion_lab.spanning import (
     SpanningVerdict,
     _saturation_witness,
@@ -150,6 +157,36 @@ def spanning_by_full_scan(generators: IntMatrix) -> SpanningVerdict:
             witness = _saturation_witness(projected, dec)
             return SpanningVerdict(False, (subset, witness), checked)
     return SpanningVerdict(True, None, checked)
+
+
+def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
+    """``xi_zq_global`` one image vector at a time: each nonzero
+    pivot-coefficient vector, in ``itertools.product`` order, builds its
+    image from scratch, ``_min_weight_in_coset`` weighs its coset, and a
+    strictly larger ``Fraction`` replaces the best.  None on a zero
+    image; no caps."""
+    _, pivots, kernel, _ = _modq_system(a)
+    q = a.q
+    supports = disjoint_supports(kernel)
+    cols = [tuple(a.at(i, c) for i in range(a.rows)) for c in pivots]
+    best = best_target = None
+    for coeffs in itertools.product(range(q), repeat=len(pivots)):
+        if not any(coeffs):
+            continue
+        w = [0] * a.rows
+        for c, col in zip(coeffs, cols):
+            for i in range(a.rows):
+                w[i] = (w[i] + c * col[i]) % q
+        u0 = [0] * a.cols
+        for c, p in zip(coeffs, pivots):
+            u0[p] = c
+        _, wt = _min_weight_in_coset(tuple(u0), kernel, q, supports)
+        value = Fraction(wt, hamming_weight(w))
+        if best is None or value > best:
+            best, best_target = value, tuple(w)
+    if best is None:
+        return None
+    return GlobalExpansion(value=best, attaining_target=best_target, exact=True)
 
 
 def rref_by_fractions(rows, ncols):

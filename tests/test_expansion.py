@@ -16,6 +16,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expansion_lab import expansion
+from expansion_lab.complexes import (
+    check_incidence_rows,
+    presentation_d1,
+    steinberg_presentation,
+)
 from expansion_lab.errors import (
     DimensionMismatchError,
     EnumerationCapError,
@@ -42,6 +47,7 @@ from expansion_lab.expansion import (
     _enumerate_coset,
     _kernel_info,
     _min_weight_in_coset,
+    _modq_kernel,
     _modq_system,
     _nullspace_line,
     hamming_weight,
@@ -66,6 +72,7 @@ from conftest import (
     rand_matrix,
     rref_by_fractions,
     rref_mod_q,
+    zq_global_by_product_enumeration,
 )
 
 
@@ -642,7 +649,8 @@ class TestMinWeightInCoset:
     @given(disjoint_rref_cosets())
     def test_mode_matches_enumeration(self, case):
         q, u0, kernel = case
-        assert _min_weight_in_coset(u0, kernel, q) == _enumerate_coset(
+        supports = disjoint_supports(kernel)
+        assert _min_weight_in_coset(u0, kernel, q, supports) == _enumerate_coset(
             u0, kernel, q
         )
 
@@ -664,6 +672,171 @@ class TestMinWeightInCoset:
             == w
         ]
         assert hamming_weight(res.witness) == min(weights) == 1
+
+
+@st.composite
+def modq_matrices_by_kernel(draw):
+    """(kind, a): a matrix over F_q, q in {2, 3, 5, 7}, whose kernel
+    basis is zero, has rows with pairwise disjoint supports, or has two
+    rows sharing a position (``kind``).  It starts from a reduced
+    echelon form, pivots first: a kernel row sits on its free column and
+    on the pivots whose rows touch that column, so rows overlap exactly
+    when one pivot row touches two free columns.  Zero columns (free
+    columns nobody touches) go anywhere, then the rows are mixed by
+    invertible row operations, zero rows are inserted and entries are
+    lifted off [0, q).  ``q ** cols`` stays below 3,000, which bounds
+    the image walk times the coset enumeration."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    kind = draw(st.sampled_from(("zero", "disjoint", "overlapping")))
+    most = 1
+    while q ** (most + 1) < 3000:
+        most += 1
+    least_free = {"zero": 0, "disjoint": 1, "overlapping": 2}[kind]
+    r = draw(st.integers(1, min(4, most - least_free)))
+    f = 0 if kind == "zero" else draw(st.integers(least_free, min(3, most - r)))
+    nonzero = st.integers(1, q - 1)
+    rows = [[int(i == j) for j in range(r)] + [0] * f for i in range(r)]
+    if kind == "disjoint":
+        for row in rows:
+            t = draw(st.integers(-1, f - 1))
+            if t >= 0:
+                row[r + t] = draw(nonzero)
+    elif kind == "overlapping":
+        for row in rows:
+            for t in range(f):
+                if draw(st.booleans()):
+                    row[r + t] = draw(nonzero)
+        j = draw(st.integers(0, r - 1))
+        t1, t2 = draw(st.lists(st.integers(0, f - 1), min_size=2, max_size=2, unique=True))
+        rows[j][r + t1], rows[j][r + t2] = draw(nonzero), draw(nonzero)
+    # Only free columns that no row touches may move before a pivot.
+    zero_cols = [t for t in range(f) if not any(row[r + t] for row in rows)]
+    order = list(range(r + f))
+    for t in zero_cols:
+        order.remove(r + t)
+        order.insert(draw(st.integers(0, len(order))), r + t)
+    rows = [[row[c] for c in order] for row in rows]
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2))
+        if i == j:
+            rows.reverse()
+        else:
+            c = draw(nonzero)
+            rows[i] = [(x + c * y) % q for x, y in zip(rows[i], rows[j])]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * (r + f))
+    lifted = [[x + q * draw(st.integers(-1, 1)) for x in row] for row in rows]
+    return kind, ModQMatrix.from_rows(lifted, q)
+
+
+@st.composite
+def incidence_shaped(draw):
+    """Small integer matrices that ``check_incidence_rows`` accepts: each
+    row has at most one +1 and at most one -1, and some row is nonzero."""
+    cols = draw(st.integers(1, 5))
+    slot = st.none() | st.integers(0, cols - 1)
+    data = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [0] * cols
+        plus, minus = draw(slot), draw(slot)
+        if plus is not None:
+            row[plus] = 1
+        if minus is not None and minus != plus:
+            row[minus] = -1
+        data.append(row)
+    a = mat(data)
+    check_incidence_rows(a)
+    assume(not a.is_zero())
+    return a
+
+
+class TestImageWalk:
+    """The odometer walk of the F_q image against the per-image loop it
+    replaced, ``conftest.zq_global_by_product_enumeration``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(modq_matrices_by_kernel())
+    def test_global_matches_product_enumeration(self, case):
+        kind, a = case
+        kernel, supports = _modq_kernel(a)
+        assert (not kernel, supports is None) == (
+            kind == "zero",
+            kind == "overlapping",
+        )
+        res = xi_zq_global(a)
+        oracle = zq_global_by_product_enumeration(a)
+        assert (res.value, res.attaining_target) == (
+            oracle.value,
+            oracle.attaining_target,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(modq_matrices_by_kernel())
+    def test_images_come_in_product_order(self, case):
+        _, a = case
+        _, pivots, _, _ = _modq_system(a)
+        pairs = list(iter_image_with_preimage(a))
+        coeffs = [tuple(u[p] for p in pivots) for _, u in pairs]
+        assert coeffs == [
+            c for c in itertools.product(range(a.q), repeat=len(pivots)) if any(c)
+        ]
+        for w, u in pairs:
+            assert all(u[c] == 0 for c in range(a.cols) if c not in pivots)
+            assert w == tuple(
+                sum(a.at(i, j) * u[j] for j in range(a.cols)) % a.q
+                for i in range(a.rows)
+            )
+
+    def test_steinberg_4_mod_2_matches_product_enumeration(self):
+        a = reduce_mod_q(presentation_d1(steinberg_presentation(4)), 2)
+        assert modq_rank(a) == 12 and not _modq_kernel(a)[0]
+        res = xi_zq_global(a)
+        oracle = zq_global_by_product_enumeration(a)
+        assert (res.value, res.attaining_target) == (
+            oracle.value,
+            oracle.attaining_target,
+        )
+
+    def test_disjoint_kernel_needs_no_coset_search(self, monkeypatch):
+        # two components: the kernel is spanned by their indicators
+        a = reduce_mod_q(mat([[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1]]), 3)
+        kernel, supports = _modq_kernel(a)
+        assert len(kernel) == 2 and supports is not None
+        oracle = zq_global_by_product_enumeration(a)
+
+        def forbidden(*args):
+            raise AssertionError("coset search on a disjoint kernel")
+
+        monkeypatch.setattr(expansion, "_enumerate_coset", forbidden)
+        monkeypatch.setattr(expansion, "_min_weight_in_coset", forbidden)
+        res = xi_zq_global(a)
+        assert (res.value, res.attaining_target) == (
+            oracle.value,
+            oracle.attaining_target,
+        )
+
+    def test_overlapping_kernel_enumerates_each_coset(self):
+        a = ModQMatrix.from_rows([[0, 2, 2, 2], [2, 2, 1, 1]], 3)
+        assert _modq_kernel(a)[1] is None
+        with mock.patch.object(
+            expansion, "_enumerate_coset", wraps=expansion._enumerate_coset
+        ) as spy:
+            res = xi_zq_global(a)
+        assert spy.call_count == 3 ** modq_rank(a) - 1
+        oracle = zq_global_by_product_enumeration(a)
+        assert (res.value, res.attaining_target) == (
+            oracle.value,
+            oracle.attaining_target,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(incidence_shaped(), st.sampled_from((2, 3, 5)))
+    def test_q_minus_one_bound_on_incidence_rows(self, a, q):
+        # the paper's bound (q - 1) Xi_Z >= Xi_Zq, with Xi_Z = Xi_Q on
+        # these spanned kernels
+        assert kernel_is_spanned(a)
+        left = (q - 1) * xi_q_global(a).value
+        assert left >= xi_zq_global(reduce_mod_q(a, q)).value
 
 
 def test_modq_rank():
