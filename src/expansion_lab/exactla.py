@@ -20,6 +20,12 @@ solves, the candidate lines of the global constants and the finite-field
 systems in ``expansion`` are read off it.  Textbook Gauss-Jordan over
 ``Fraction`` and over F_q stays in the tests as its oracle.
 
+The lattice side has one clearing step too: ``_clear_column`` zeroes a
+column below its pivot by exact division or an extended-gcd 2x2 block.
+The Hermite form runs it below each pivot, and the Smith form runs it
+down the pivot's column and, on the transposes, along its row.  The
+former inline loops stay in the tests as its oracle.
+
 Conventions:
 
 * Matrices act on column vectors: ``A`` with shape (rows, cols) maps
@@ -127,7 +133,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, data: Iterable[Iterable[int]], cols: int | None = None) -> IntMatrix:
-        row_list = [tuple(int(e) for e in row) for row in data]
+        row_list = [tuple(map(int, row)) for row in data]
         if row_list:
             width = len(row_list[0])
             if cols is not None and cols != width:
@@ -221,6 +227,28 @@ def _row_addmul(mat: list[list[int]], i: int, j: int, q: int):
     mat[i] = [x - q * y for x, y in zip(mat[i], rj)]
 
 
+def _clear_column(mat: list[list[int]], aux: list[list[int]], r: int, c: int):
+    """Zero ``mat[i][c]`` for every row ``i`` below ``r`` against the
+    pivot ``mat[r][c]``: by exact division when the pivot divides the
+    entry, else by the unimodular extended-gcd 2x2 block, which leaves
+    the gcd in the pivot.  ``aux`` receives the same row operations."""
+    for i in range(r + 1, len(mat)):
+        entry = mat[i][c]
+        if entry == 0:
+            continue
+        pivot = mat[r][c]
+        if entry % pivot == 0:
+            q = entry // pivot
+            _row_addmul(mat, i, r, q)
+            _row_addmul(aux, i, r, q)
+        else:
+            g, x, y = _xgcd(pivot, entry)
+            # 2x2 unimodular block: determinant x*(a/g) + y*(b/g) = 1.
+            p, q = -(entry // g), pivot // g
+            _row_combine(mat, r, i, x, y, p, q)
+            _row_combine(aux, r, i, x, y, p, q)
+
+
 def _hnf_rows(a: list[list[int]], nrows: int, ncols: int):
     """In-place style HNF; returns (h, u, pivots) as lists."""
     h = [list(row) for row in a]
@@ -240,19 +268,7 @@ def _hnf_rows(a: list[list[int]], nrows: int, ncols: int):
         if pivot_row != r:
             h[r], h[pivot_row] = h[pivot_row], h[r]
             u[r], u[pivot_row] = u[pivot_row], u[r]
-        for i in range(r + 1, nrows):
-            if h[i][c] == 0:
-                continue
-            if h[i][c] % h[r][c] == 0:
-                q = h[i][c] // h[r][c]
-                _row_addmul(h, i, r, q)
-                _row_addmul(u, i, r, q)
-            else:
-                g, x, y = _xgcd(h[r][c], h[i][c])
-                # 2x2 unimodular block: determinant x*(a/g) + y*(b/g) = 1.
-                p, q = -(h[i][c] // g), h[r][c] // g
-                _row_combine(h, r, i, x, y, p, q)
-                _row_combine(u, r, i, x, y, p, q)
+        _clear_column(h, u, r, c)
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
             u[r] = [-x for x in u[r]]
@@ -317,29 +333,16 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form with both unimodular transforms.
 
     Pivoting picks the smallest-magnitude nonzero entry of the working
-    submatrix (row-major tie break), clears its row and column with
-    exact-division steps where possible and extended-gcd 2x2 blocks
-    otherwise, then repairs divisibility before moving on.
+    submatrix (row-major tie break).  Its column is cleared by the
+    Hermite step ``_clear_column`` on the rows, and its row by the same
+    step on the transposes, which is why ``v`` is kept transposed; the
+    two alternate until both are clear, then divisibility is repaired
+    before moving on.
     """
     b = m.to_rows()
     nrows, ncols = m.rows, m.cols
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_combine(j0, j1, a, bb, c, d):
-        for mat, height in ((b, nrows), (v, ncols)):
-            for i in range(height):
-                x, y = mat[i][j0], mat[i][j1]
-                mat[i][j0] = a * x + bb * y
-                mat[i][j1] = c * x + d * y
-
-    def col_addmul(j0, j1, q):
-        if q == 0:
-            return
-        for mat, height in ((b, nrows), (v, ncols)):
-            for i in range(height):
-                mat[i][j0] -= q * mat[i][j1]
-
+    vt = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     t = 0
     while t < min(nrows, ncols):
         pivot = None
@@ -356,35 +359,18 @@ def snf(m: IntMatrix) -> SnfDecomposition:
             b[t], b[pi] = b[pi], b[t]
             u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for mat, height in ((b, nrows), (v, ncols)):
-                for i in range(height):
-                    mat[i][t], mat[i][pj] = mat[i][pj], mat[i][t]
+            for row in b:
+                row[t], row[pj] = row[pj], row[t]
+            vt[t], vt[pj] = vt[pj], vt[t]
         while True:
-            for i in range(t + 1, nrows):
-                if b[i][t] == 0:
+            _clear_column(b, u, t, t)
+            if any(b[t][t + 1 :]):
+                bt = list(map(list, zip(*b)))
+                _clear_column(bt, vt, t, t)
+                b = list(map(list, zip(*bt)))
+                # Clearing row t can refill column t below the pivot.
+                if any(bt[t][t + 1 :]):
                     continue
-                if b[i][t] % b[t][t] == 0:
-                    q = b[i][t] // b[t][t]
-                    _row_addmul(b, i, t, q)
-                    _row_addmul(u, i, t, q)
-                else:
-                    g, x, y = _xgcd(b[t][t], b[i][t])
-                    p, q = -(b[i][t] // g), b[t][t] // g
-                    _row_combine(b, t, i, x, y, p, q)
-                    _row_combine(u, t, i, x, y, p, q)
-            for j in range(t + 1, ncols):
-                if b[t][j] == 0:
-                    continue
-                if b[t][j] % b[t][t] == 0:
-                    col_addmul(j, t, b[t][j] // b[t][t])
-                else:
-                    g, x, y = _xgcd(b[t][t], b[t][j])
-                    p, q = -(b[t][j] // g), b[t][t] // g
-                    col_combine(t, j, x, y, p, q)
-            if any(b[i][t] != 0 for i in range(t + 1, nrows)):
-                continue
-            if any(b[t][j] != 0 for j in range(t + 1, ncols)):
-                continue
             # Divisibility repair: fold a bad entry's row into row t.
             bad = None
             for i in range(t + 1, nrows):
@@ -405,7 +391,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(
         IntMatrix.from_rows(b, cols=ncols),
         IntMatrix.from_rows(u, cols=nrows),
-        IntMatrix.from_rows(v, cols=ncols),
+        IntMatrix.from_rows(vt, cols=ncols).transpose(),
     )
 
 
@@ -648,11 +634,8 @@ def integer_kernel_basis(a: IntMatrix) -> LatticeBasis:
     """
     h, u = hnf(a.transpose())
     raw = [list(u.row(i)) for i in range(h.rows) if not any(h.row(i))]
-    raw_matrix = IntMatrix.from_rows(raw, cols=a.cols)
-    canon, _ = hnf(raw_matrix)
-    rows = [list(canon.row(i)) for i in range(canon.rows) if any(canon.row(i))]
-    basis = IntMatrix.from_rows(rows, cols=a.cols)
-    return LatticeBasis(basis, basis, len(rows))
+    canon = LatticeBasis.from_generators(IntMatrix.from_rows(raw, cols=a.cols))
+    return LatticeBasis(canon.hnf, canon.hnf, canon.rank)
 
 
 def lattice_member(basis: LatticeBasis, x: Sequence[int]) -> bool:

@@ -33,11 +33,13 @@ closed form up to date along the walk (see ``_image_walk``).
 
 Every enumeration is capped by a module constant that the function
 reads when it is called: ``_MAX_NODES``, ``_MAX_CANDIDATES``,
-``_MAX_COSET``, ``_MAX_IMAGES``, ``_MAX_FACE_RANK`` and
+``_MAX_COSET`` (checked only where a coset is enumerated, in
+``_enumerate_coset``), ``_MAX_IMAGES``, ``_MAX_FACE_RANK`` and
 ``_MAX_FACE_TERMS``.  A cap hit raises ``EnumerationCapError``, except
 past the candidate cap of the global constants, where the value is a
 lower bound over ``_SAMPLE_TARGETS`` sampled targets with
-``exact=False``.
+``exact=False``; those targets are the images of the first
+``_SAMPLE_BOX_POINTS`` points of the box [-2, 2]^n.
 """
 
 from __future__ import annotations
@@ -63,11 +65,11 @@ from .errors import (
 from .exactla import (
     IntMatrix,
     IntVector,
+    LatticeBasis,
     Rational,
     _divide,
     _reduced_echelon,
     disjoint_supports,
-    hnf,
     integer_kernel_basis,
     integerize,
     l1_norm,
@@ -93,6 +95,9 @@ _MAX_CANDIDATES = 200_000
 
 #: Number of sampled targets for the inexact global fallbacks.
 _SAMPLE_TARGETS = 40
+
+#: Cap on the box points [-2, 2]^n whose images are sampled for them.
+_SAMPLE_BOX_POINTS = 20_000
 
 #: Caps for the face-enumeration oracle: kernel rank and number of
 #: distinct affine terms.
@@ -554,8 +559,7 @@ def _branch_and_bound(u0, kernel):
 
 
 def _image_basis(a: IntMatrix):
-    h, _ = hnf(a.transpose())
-    return [h.row(i) for i in range(h.rows) if any(x != 0 for x in h.row(i))]
+    return LatticeBasis.from_generators(a.transpose()).basis_rows()
 
 
 def _global_candidates(a: IntMatrix):
@@ -632,14 +636,14 @@ def _nullspace_line(subset, r):
 def _sampled_targets(a: IntMatrix, limit: int, *, dedupe_rays: bool):
     """Deterministic finite sample of nonzero image targets: images of
     the integer box [-2, 2]^n in lexicographic order, de-duplicated
-    (by ray or exactly), capped at ``limit`` targets."""
+    (by ray or exactly), capped at ``limit`` targets and at the first
+    ``_SAMPLE_BOX_POINTS`` box points."""
     seen = {}
     out = []
-    raw_cap = 20000
     for count, u in enumerate(
         itertools.product(range(-2, 3), repeat=a.cols)
     ):
-        if count >= raw_cap or len(out) >= limit:
+        if count >= _SAMPLE_BOX_POINTS or len(out) >= limit:
             break
         v = mat_vec(a, u)
         if all(x == 0 for x in v):
@@ -855,8 +859,8 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
 
     Finds the first minimum-weight vector of the solution coset
     ``u0 + ker`` in coefficient enumeration order (see
-    ``_min_weight_in_coset``); raises ``EnumerationCapError`` when
-    ``q ** dim(ker)`` exceeds ``_MAX_COSET``.
+    ``_min_weight_in_coset``); raises ``EnumerationCapError`` when the
+    coset is enumerated and ``q ** dim(ker)`` exceeds ``_MAX_COSET``.
     """
     q = a.q
     if len(w) != a.rows:
@@ -870,11 +874,6 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     if u0 is None:
         raise TargetNotInImageError("target is not in the image over F_q")
     kernel, supports = _modq_kernel(a)
-    kdim = len(kernel)
-    if q**kdim > _MAX_COSET:
-        raise EnumerationCapError(
-            f"coset size q**{kdim} exceeds enumeration cap {_MAX_COSET}"
-        )
     best_u, best_wt = _min_weight_in_coset(u0, kernel, q, supports)
     value = Fraction(best_wt, hamming_weight(w))
     return ExpansionResult(
@@ -921,12 +920,18 @@ def _min_weight_in_coset(u0, kernel, q, supports):
 
 def _enumerate_coset(u0, kernel, q):
     """``_min_weight_in_coset`` by running over all coefficient vectors
-    in lexicographic order; serves any kernel."""
+    in lexicographic order; serves any kernel.  The one enumeration of a
+    coset, so the one place that checks ``_MAX_COSET``: raises
+    ``EnumerationCapError`` when ``q ** dim(ker)`` exceeds it."""
+    kdim = len(kernel)
+    if q**kdim > _MAX_COSET:
+        raise EnumerationCapError(
+            f"coset size q**{kdim} exceeds enumeration cap {_MAX_COSET}"
+        )
     best_u = tuple(u0)
     best_wt = hamming_weight(u0)
     if best_wt <= 1 or not kernel:
         return best_u, best_wt
-    kdim = len(kernel)
 
     def rec(j, acc):
         nonlocal best_u, best_wt
@@ -1060,7 +1065,8 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
     """Global expansion of ``a`` over F_q: the maximum of the per-target
     values over all nonzero image vectors.  Exact (the image is finite);
     raises ``EnumerationCapError`` when ``q ** rank`` exceeds
-    ``_MAX_IMAGES`` or ``q ** dim(ker)`` exceeds ``_MAX_COSET``, and
+    ``_MAX_IMAGES`` or, on a kernel whose cosets are enumerated,
+    ``q ** dim(ker)`` exceeds ``_MAX_COSET``, and
     ``UndefinedExpansionError`` on a zero image.
 
     The image is walked once by ``_image_walk``: an odometer over the
@@ -1082,10 +1088,6 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
             f"image size q**{r} exceeds enumeration cap {_MAX_IMAGES}"
         )
     kernel, supports = _modq_kernel(a)
-    if q ** len(kernel) > _MAX_COSET:
-        raise EnumerationCapError(
-            f"coset size q**{len(kernel)} exceeds enumeration cap {_MAX_COSET}"
-        )
     # The value wt / hw is compared by cross-multiplying; the start
     # -1 / 1 loses to any image vector.
     best_wt, best_hw, best_target = -1, 1, None

@@ -4,7 +4,8 @@ The oracles here are deliberately naive (exhaustive enumeration,
 permutation expansion, forward substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition, the finite-field image rebuilt
-vector by vector) so library results can be checked against
+vector by vector, the Hermite and Smith forms with their clearing loops
+written out inline) so library results can be checked against
 independent arithmetic.
 """
 
@@ -16,7 +17,16 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from expansion_lab.exactla import IntMatrix, disjoint_supports, mat_vec, snf
+from expansion_lab.exactla import (
+    IntMatrix,
+    SnfDecomposition,
+    _row_addmul,
+    _row_combine,
+    _xgcd,
+    disjoint_supports,
+    mat_vec,
+    snf,
+)
 from expansion_lab.expansion import (
     GlobalExpansion,
     _min_weight_in_coset,
@@ -187,6 +197,134 @@ def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
     if best is None:
         return None
     return GlobalExpansion(value=best, attaining_target=best_target, exact=True)
+
+
+def hnf_by_inline_clearing(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """``hnf`` with the extended-gcd clearing below each pivot written
+    out in the loop: same pivot choice, same row operations, so the same
+    ``(h, u)`` entry for entry."""
+    nrows, ncols = m.rows, m.cols
+    h = m.to_rows()
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if h[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        h[r], h[pivot_row] = h[pivot_row], h[r]
+        u[r], u[pivot_row] = u[pivot_row], u[r]
+        for i in range(r + 1, nrows):
+            if h[i][c] == 0:
+                continue
+            if h[i][c] % h[r][c] == 0:
+                q = h[i][c] // h[r][c]
+                _row_addmul(h, i, r, q)
+                _row_addmul(u, i, r, q)
+            else:
+                g, x, y = _xgcd(h[r][c], h[i][c])
+                p, q = -(h[i][c] // g), h[r][c] // g
+                _row_combine(h, r, i, x, y, p, q)
+                _row_combine(u, r, i, x, y, p, q)
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        pivots.append((r, c))
+        r += 1
+    for r, c in pivots:
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            _row_addmul(h, i, r, q)
+            _row_addmul(u, i, r, q)
+    return IntMatrix.from_rows(h, cols=ncols), IntMatrix.from_rows(u, cols=nrows)
+
+
+def snf_by_row_and_column_operations(m: IntMatrix) -> SnfDecomposition:
+    """``snf`` with its row phase done as column operations on ``b`` and
+    ``v`` in place rather than as a Hermite step on the transposes: same
+    pivots, same operations, so the same ``(d, u, v)`` entry for entry."""
+    b = m.to_rows()
+    nrows, ncols = m.rows, m.cols
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def col_combine(j0, j1, a, bb, c, d):
+        for mat in (b, v):
+            for row in mat:
+                x, y = row[j0], row[j1]
+                row[j0] = a * x + bb * y
+                row[j1] = c * x + d * y
+
+    def col_addmul(j0, j1, q):
+        for mat in (b, v):
+            for row in mat:
+                row[j0] -= q * row[j1]
+
+    for t in range(min(nrows, ncols)):
+        entries = [
+            (abs(b[i][j]), i, j)
+            for i in range(t, nrows)
+            for j in range(t, ncols)
+            if b[i][j] != 0
+        ]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        b[t], b[pi] = b[pi], b[t]
+        u[t], u[pi] = u[pi], u[t]
+        for mat in (b, v):
+            for row in mat:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            for i in range(t + 1, nrows):
+                if b[i][t] == 0:
+                    continue
+                if b[i][t] % b[t][t] == 0:
+                    q = b[i][t] // b[t][t]
+                    _row_addmul(b, i, t, q)
+                    _row_addmul(u, i, t, q)
+                else:
+                    g, x, y = _xgcd(b[t][t], b[i][t])
+                    p, q = -(b[i][t] // g), b[t][t] // g
+                    _row_combine(b, t, i, x, y, p, q)
+                    _row_combine(u, t, i, x, y, p, q)
+            for j in range(t + 1, ncols):
+                if b[t][j] == 0:
+                    continue
+                if b[t][j] % b[t][t] == 0:
+                    col_addmul(j, t, b[t][j] // b[t][t])
+                else:
+                    g, x, y = _xgcd(b[t][t], b[t][j])
+                    p, q = -(b[t][j] // g), b[t][t] // g
+                    col_combine(t, j, x, y, p, q)
+            if any(b[i][t] != 0 for i in range(t + 1, nrows)):
+                continue
+            if any(b[t][j] != 0 for j in range(t + 1, ncols)):
+                continue
+            # Divisibility repair: fold a bad entry's row into row t.
+            bad = next(
+                (
+                    i
+                    for i in range(t + 1, nrows)
+                    for j in range(t + 1, ncols)
+                    if b[i][j] % b[t][t] != 0
+                ),
+                None,
+            )
+            if bad is None:
+                break
+            _row_addmul(b, t, bad, -1)
+            _row_addmul(u, t, bad, -1)
+        if b[t][t] < 0:
+            b[t] = [-x for x in b[t]]
+            u[t] = [-x for x in u[t]]
+    return SnfDecomposition(
+        IntMatrix.from_rows(b, cols=ncols),
+        IntMatrix.from_rows(u, cols=nrows),
+        IntMatrix.from_rows(v, cols=ncols),
+    )
 
 
 def rref_by_fractions(rows, ncols):

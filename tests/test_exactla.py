@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from conftest import (
     det_by_permutations,
     elimination_systems,
+    hnf_by_inline_clearing,
     in_lattice_by_box,
     rand_matrix,
     rand_unimodular,
     rref_by_fractions,
     rref_mod_q,
+    snf_by_row_and_column_operations,
     solve_upper,
     vec_mat,
 )
@@ -288,6 +290,21 @@ class TestSnf:
                     for f in factors[:k]:
                         expected *= f
                 assert g == expected
+
+
+class TestClearColumn:
+    """Both normal forms run one clearing step, ``_clear_column``; the
+    inline loops it replaced are their oracles, entry for entry."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(matrices_with_zero_lines())
+    @example(IntMatrix.zeros(0, 3))
+    @example(IntMatrix.zeros(3, 0))
+    @example(IntMatrix.zeros(3, 4))
+    @example(M([[4, 6, 10], [6, 9, 15], [10, 15, 7]]))
+    def test_forms_match_inline_oracles(self, m):
+        assert hnf(m) == hnf_by_inline_clearing(m)
+        assert snf(m) == snf_by_row_and_column_operations(m)
 
 
 class TestReducedEchelon:

@@ -528,10 +528,21 @@ class TestXiZqAt:
             xi_zq_at(a, (1, 0))
 
     def test_coset_cap(self, monkeypatch):
+        # kernel rows (1, 1, 0) and (1, 0, 1) overlap, so the coset of
+        # size 2 ** 2 is enumerated
         monkeypatch.setattr(expansion, "_MAX_COSET", 3)
-        a = ModQMatrix.from_rows([[1, 0, 0]], 2)
-        with pytest.raises(EnumerationCapError):
+        a = ModQMatrix.from_rows([[1, 1, 1]], 2)
+        assert _modq_kernel(a)[1] is None
+        with pytest.raises(EnumerationCapError, match="coset size"):
             xi_zq_at(a, (1,))
+
+    def test_disjoint_kernel_past_coset_cap_is_not_enumerated(self):
+        # 25 kernel rows with disjoint supports: a 2 ** 25 coset, far
+        # past _MAX_COSET, weighed row by row
+        a = ModQMatrix.from_rows([[1] + [0] * 25], 2)
+        assert 2 ** len(_modq_kernel(a)[0]) > expansion._MAX_COSET
+        assert xi_zq_at(a, (1,)).value == 1
+        assert xi_zq_global(a).value == 1
 
     def test_witness_feasibility_random(self):
         rng = random.Random(410)
@@ -596,9 +607,9 @@ class TestXiZqGlobal:
             xi_zq_global(a)
 
     def test_coset_cap(self, monkeypatch):
-        # image 2 ** 1, coset 2 ** 2
+        # image 2 ** 1, overlapping kernel rows, coset 2 ** 2
         monkeypatch.setattr(expansion, "_MAX_COSET", 3)
-        a = ModQMatrix.from_rows([[1, 0, 0]], 2)
+        a = ModQMatrix.from_rows([[1, 1, 1]], 2)
         with pytest.raises(EnumerationCapError, match="coset size"):
             xi_zq_global(a)
 
