@@ -692,7 +692,8 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
     candidate cap.  Otherwise, or when the spanning check is above its
     ambient-dimension cap, no exact finite reduction is available and
     the result is a lower bound over ``_SAMPLE_TARGETS`` sampled targets
-    with ``exact=False``.
+    with ``exact=False``.  Each sampled target is the image of an integer
+    box point, so ``xi_z_at`` always finds an integer preimage.
     """
     try:
         spanned = is_integrally_spanned(integer_kernel_basis(a).hnf).spanned
@@ -708,17 +709,10 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
     best = None
     best_target = None
     for v in targets:
-        u0 = solve_integer(a, v)
-        if u0 is None:
-            continue
         res = xi_z_at(a, v)
         if best is None or res.value > best:
             best = res.value
             best_target = v
-    if best is None:
-        raise UndefinedExpansionError(
-            "no sampled target had an integer preimage"
-        )
     return GlobalExpansion(value=best, attaining_target=best_target, exact=False)
 
 

@@ -398,7 +398,8 @@ def campaign_modq(
     which is exact because incidence kernels are integrally spanned.
     Checks whose finite-field enumeration exceeds ``_GLOBAL_WORK_CAP``
     (global) or ``_WITNESS_IMAGE_CAP`` (per witness) are reported
-    skipped.
+    skipped.  The witness loop solves each distinct lifted target over
+    Z once per matrix, whichever primes reach it.
     """
     rng = random.Random(seed)
     report = CampaignReport(
@@ -441,6 +442,7 @@ def campaign_modq(
             )
             continue
         z_global = xi_q_global(a)
+        z_at = {}
         for q in primes:
             instance = {"kind": kind, "matrix": format_matrix(a), "q": q}
             reduced = reduce_mod_q(a, q)
@@ -486,7 +488,9 @@ def campaign_modq(
                 res = xi_zq_at(reduced, w)
                 lifted = lift_section(res.witness, q)
                 t = mat_vec(a, lifted)
-                z_val = xi_z_at(a, t).value
+                z_val = z_at.get(t)
+                if z_val is None:
+                    z_val = z_at[t] = xi_z_at(a, t).value
                 checked += 1
                 if (q - 1) * z_val < res.value:
                     bad = {

@@ -9,7 +9,12 @@ span the kernel of a graph incidence matrix), the program splits into
 k one-dimensional problems ``min_x sum_i |u_i + x d_i|`` over the
 support of each d.  Each is minimized by a weighted median of the
 breakpoints ``-u_i / d_i`` with weights ``|d_i|`` (Barrodale & Roberts
-1973); the lower weighted median is taken.
+1973); the lower weighted median is taken.  This route works in
+integers: the denominators of u are cleared once, to ``U = L u``, so a
+unit entry ``d_i = +-1`` has the integer breakpoint ``-U_i d_i`` (in
+units of 1/L) and only entries with ``|d_i| > 1`` need a Fraction.  The
+residual ``L w`` is updated on each support alone, and the results are
+divided by L once, at the end.
 
 Otherwise the general path is a simplex on the LP: with residual
 r = u + D x split as r = rp - rm and x = xp - xm,
@@ -22,15 +27,15 @@ feasible solution, so no phase-1 is needed: rows with negative right
 hand side are negated to put the matching rm variable in the basis.
 The entering rule is largest reduced cost, switching permanently to
 Bland's smallest-index rule when the objective stalls, which rules out
-cycling.  The simplex also serves the tests as the oracle for the
-weighted-median route.
-
-All arithmetic is fractions.Fraction.
+cycling.  The simplex works in fractions.Fraction and also serves the
+tests as an oracle for the weighted-median route.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import EnumerationCapError, UnboundedLPError
@@ -52,22 +57,19 @@ def min_l1_combination(
     """
     n = len(u)
     k = len(directions)
-    u = tuple(Fraction(e) for e in u)
     for d in directions:
         if len(d) != n:
             raise ValueError(f"direction length {len(d)} != {n}")
     if k == 0 or n == 0:
+        u = tuple(Fraction(e) for e in u)
         value = sum(abs(e) for e in u) if n else Fraction(0)
         return (Fraction(0),) * k, u, Fraction(value)
 
     supports = disjoint_supports(directions)
-    if supports is None:
-        x = _simplex_min_l1(u, directions)
-    else:
-        x = tuple(
-            _weighted_median(u, d, support)
-            for d, support in zip(directions, supports)
-        )
+    if supports is not None:
+        return _median_combination(u, directions, supports)
+    u = tuple(Fraction(e) for e in u)
+    x = _simplex_min_l1(u, directions)
     w = tuple(
         u[i] + sum(x[j] * Fraction(directions[j][i]) for j in range(k))
         for i in range(n)
@@ -76,18 +78,39 @@ def min_l1_combination(
     return x, w, value
 
 
-def _weighted_median(u, d, support) -> Fraction:
-    """Lower weighted median of the breakpoints ``-u_i / d_i`` with
-    weights ``|d_i|``, over ``i`` in ``support``: a minimizer of
-    ``sum_i |u_i + x d_i|``.  An empty support gives 0."""
-    points = sorted((-u[i] / d[i], abs(d[i])) for i in support)
-    total = sum(weight for _, weight in points)
-    running = 0
-    for point, weight in points:
-        running += weight
-        if 2 * running >= total:
-            return point
-    return Fraction(0)
+def _median_combination(u, directions, supports):
+    """``min_l1_combination`` for directions with pairwise disjoint
+    ``supports``: one lower weighted median per direction, in integers
+    scaled by the common denominator of ``u`` (integers or Fractions).
+    An empty support gives the coefficient 0."""
+    scale = math.lcm(*(e.denominator for e in u))
+    scaled = [e.numerator * (scale // e.denominator) for e in u]
+    x = []
+    for d, support in zip(directions, supports):
+        points = []
+        total = 0
+        for i in support:
+            di = d[i]
+            if di == 1 or di == -1:
+                points.append((-scaled[i] * di, 1))
+            else:
+                points.append((Fraction(-scaled[i], di), abs(di)))
+            total += abs(di)
+        points.sort(key=itemgetter(0))
+        median = 0
+        running = 0
+        for point, weight in points:
+            running += weight
+            if 2 * running >= total:
+                median = point
+                break
+        if median:
+            for i in support:
+                scaled[i] += median * d[i]
+        x.append(Fraction(median, scale))
+    w = tuple(Fraction(e, scale) for e in scaled)
+    value = Fraction(sum(map(abs, scaled)), scale)
+    return tuple(x), w, value
 
 
 def _simplex_min_l1(u, directions) -> tuple[Fraction, ...]:

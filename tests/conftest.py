@@ -4,9 +4,9 @@ The oracles here are deliberately naive (exhaustive enumeration,
 permutation expansion, forward substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition, the finite-field image rebuilt
-vector by vector, the Hermite and Smith forms with their clearing loops
-written out inline) so library results can be checked against
-independent arithmetic.
+vector by vector, weighted medians sorted and summed in Fractions, the
+Hermite and Smith forms with their clearing loops written out inline)
+so library results can be checked against independent arithmetic.
 """
 
 from __future__ import annotations
@@ -325,6 +325,39 @@ def snf_by_row_and_column_operations(m: IntMatrix) -> SnfDecomposition:
         IntMatrix.from_rows(u, cols=nrows),
         IntMatrix.from_rows(v, cols=ncols),
     )
+
+
+def weighted_median_by_fractions(u, d, support) -> Fraction:
+    """Lower weighted median of the breakpoints ``-u_i / d_i`` with
+    weights ``|d_i|``, over ``i`` in ``support``, with ``u`` a tuple of
+    Fractions: a minimizer of ``sum_i |u_i + x d_i|``.  An empty support
+    gives 0."""
+    points = sorted((-u[i] / d[i], abs(d[i])) for i in support)
+    total = sum(weight for _, weight in points)
+    running = 0
+    for point, weight in points:
+        running += weight
+        if 2 * running >= total:
+            return point
+    return Fraction(0)
+
+
+def median_combination_by_fractions(u, directions):
+    """``min_l1_combination`` for directions with pairwise disjoint
+    supports, in Fractions throughout: one ``weighted_median_by_fractions``
+    per direction, then ``w = u + sum_j x_j d_j`` over every coordinate
+    and every direction, and ``value = |w|_1``."""
+    u = tuple(Fraction(e) for e in u)
+    supports = disjoint_supports(directions)
+    x = tuple(
+        weighted_median_by_fractions(u, d, support)
+        for d, support in zip(directions, supports)
+    )
+    w = tuple(
+        u[i] + sum(x[j] * Fraction(d[i]) for j, d in enumerate(directions))
+        for i in range(len(u))
+    )
+    return x, w, Fraction(sum(abs(e) for e in w))
 
 
 def rref_by_fractions(rows, ncols):

@@ -42,6 +42,7 @@ from expansion_lab.exactla import (
     solve_rational,
 )
 from expansion_lab.expansion import (
+    GlobalExpansion,
     ModQMatrix,
     _affine_solve,
     _enumerate_coset,
@@ -455,6 +456,13 @@ class TestGlobalInteger:
         res = xi_z_global(mat([[1, 2]]))
         assert not res.exact
         assert res.value >= 1
+
+    def test_unspanned_sample_is_pinned(self):
+        # The first maximizer over the sampled box images [-2, 2]^2.
+        res = xi_z_global(mat([[1, 2]]))
+        assert res == GlobalExpansion(
+            value=Fraction(1), attaining_target=(-1,), exact=False
+        )
 
     def test_lower_bound_is_attained_value(self):
         res = xi_z_global(mat([[1, 2]]))

@@ -15,6 +15,7 @@ from expansion_lab import harness
 from expansion_lab.complexes import check_incidence_rows
 from expansion_lab.exactla import (
     IntMatrix,
+    mat_vec,
     parse_matrix,
     parse_vector,
     primitive_ray,
@@ -285,6 +286,33 @@ def test_modq_witness_entries_count_images():
         e for e in report.entries if e["instance"].get("check") == "per-witness"
     )
     assert witness["quantities"]["images_checked"] >= 1
+
+
+def test_modq_solves_each_lifted_target_once_per_matrix(monkeypatch):
+    # Every lifted target goes through harness.mat_vec, every integer
+    # solve through harness.xi_z_at; targets recur across the primes.
+    plain = campaign_modq(5, 3, primes=(2, 3, 5)).to_json()
+    lifted, solved = [], []
+
+    def lift_target(a, u):
+        t = mat_vec(a, u)
+        lifted.append((a, t))
+        return t
+
+    def solve(a, v):
+        solved.append((a, tuple(v)))
+        return xi_z_at(a, v)
+
+    monkeypatch.setattr(harness, "mat_vec", lift_target)
+    monkeypatch.setattr(harness, "xi_z_at", solve)
+    report = campaign_modq(5, 3, primes=(2, 3, 5))
+    assert report.to_json() == plain
+    checked = sum(
+        e["quantities"].get("images_checked", 0) for e in report.entries
+    )
+    assert len(lifted) == checked
+    assert len(solved) == len(set(solved)) < len(lifted)
+    assert set(solved) == set(lifted)
 
 
 # ---------------------------------------------------------------------------

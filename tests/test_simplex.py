@@ -2,16 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expansion_lab import simplex
 from expansion_lab.errors import EnumerationCapError
-from expansion_lab.simplex import (
-    _simplex_min_l1,
-    _weighted_median,
-    min_l1_combination,
-)
+from expansion_lab.simplex import _simplex_min_l1, min_l1_combination
+
+from conftest import median_combination_by_fractions, weighted_median_by_fractions
 
 F = Fraction
 
@@ -114,7 +112,9 @@ class TestRandomProperties:
 @st.composite
 def disjoint_instances(draw):
     """An offset u and 1-4 directions with pairwise disjoint supports;
-    some coordinates lie in no support and some directions are zero."""
+    some coordinates lie in no support and some directions are zero.
+    u is either integers (as branch and bound passes it) or Fractions
+    (as ``xi_q_at`` passes a rational particular solution)."""
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, 4))
     owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
@@ -123,21 +123,38 @@ def disjoint_instances(draw):
         tuple(draw(entry) if owner[i] == j else 0 for i in range(n))
         for j in range(k)
     ]
-    u = tuple(
-        F(draw(st.integers(-6, 6)), draw(st.integers(1, 3))) for _ in range(n)
-    )
+    if draw(st.booleans()):
+        u = tuple(draw(st.integers(-6, 6)) for _ in range(n))
+    else:
+        u = tuple(
+            F(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+            for _ in range(n)
+        )
     return u, dirs
 
 
 class TestDisjointSupports:
-    """The weighted-median route against the simplex, its oracle."""
+    """The integer weighted-median route against its oracles: the same
+    medians in Fractions, and the simplex."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(disjoint_instances())
+    # A tie at the median: breakpoints 0, 0, 1, 1 with unit weights.
+    @example(((0, 0, -1, -1), [(1, 1, 1, 1)]))
+    # Weight 2 against two unit weights, rational offsets, a zero
+    # direction and a coordinate outside every support.
+    @example(
+        (
+            (F(1, 2), F(-3, 2), F(5, 3), 4),
+            [(2, 0, -1, 0), (0, 0, 0, 0), (0, 1, 0, 0)],
+        )
+    )
     def test_weighted_median_matches_simplex(self, instance):
         u, dirs = instance
         x, w, value = min_l1_combination(u, dirs)
-        assert value == f_value(u, dirs, _simplex_min_l1(u, dirs))
+        assert (x, w, value) == median_combination_by_fractions(u, dirs)
+        assert all(type(e) is F for e in x + w + (value,))
+        assert value == f_value(u, dirs, _simplex_min_l1(tuple(map(F, u)), dirs))
         assert w == tuple(
             u[i] + sum(x[j] * d[i] for j, d in enumerate(dirs))
             for i in range(len(u))
@@ -156,7 +173,8 @@ class TestDisjointSupports:
         # own would stop at value 2, the joint optimum is 0
         u, dirs = (F(-2), F(-1), F(1)), [(1, 1, 0), (0, 1, 1)]
         medians = tuple(
-            _weighted_median(u, d, [i for i in range(3) if d[i]]) for d in dirs
+            weighted_median_by_fractions(u, d, [i for i in range(3) if d[i]])
+            for d in dirs
         )
         assert f_value(u, dirs, medians) == 2
         x, w, value = min_l1_combination(u, dirs)
