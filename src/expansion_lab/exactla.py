@@ -227,6 +227,14 @@ def _row_addmul(mat: list[list[int]], i: int, j: int, q: int):
     mat[i] = [x - q * y for x, y in zip(mat[i], rj)]
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    """The n x n identity as mutable rows."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 def _clear_column(mat: list[list[int]], aux: list[list[int]], r: int, c: int):
     """Zero ``mat[i][c]`` for every row ``i`` below ``r`` against the
     pivot ``mat[r][c]``: by exact division when the pivot divides the
@@ -237,22 +245,25 @@ def _clear_column(mat: list[list[int]], aux: list[list[int]], r: int, c: int):
         if entry == 0:
             continue
         pivot = mat[r][c]
-        if entry % pivot == 0:
+        if pivot == 1 or pivot == -1:
+            q = entry * pivot  # entry // pivot, with no division
+        elif entry % pivot == 0:
             q = entry // pivot
-            _row_addmul(mat, i, r, q)
-            _row_addmul(aux, i, r, q)
         else:
             g, x, y = _xgcd(pivot, entry)
             # 2x2 unimodular block: determinant x*(a/g) + y*(b/g) = 1.
             p, q = -(entry // g), pivot // g
             _row_combine(mat, r, i, x, y, p, q)
             _row_combine(aux, r, i, x, y, p, q)
+            continue
+        _row_addmul(mat, i, r, q)
+        _row_addmul(aux, i, r, q)
 
 
 def _hnf_rows(a: list[list[int]], nrows: int, ncols: int):
     """In-place style HNF; returns (h, u, pivots) as lists."""
     h = [list(row) for row in a]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    u = _identity_rows(nrows)
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(ncols):
@@ -319,13 +330,30 @@ class SnfDecomposition:
     v: IntMatrix
 
     def invariant_factors(self) -> IntVector:
-        out = []
-        for t in range(min(self.d.rows, self.d.cols)):
-            entry = self.d.at(t, t)
-            if entry == 0:
-                break
-            out.append(entry)
-        return tuple(out)
+        d = self.d
+        diagonal = d.entries[: min(d.rows, d.cols) * (d.cols + 1) : d.cols + 1]
+        return tuple(itertools.takewhile(bool, diagonal))
+
+
+def _smith_pivot(b: list[list[int]], t: int) -> tuple[int, int] | None:
+    """Position of the first smallest-magnitude nonzero entry of the
+    working submatrix ``b[t:][t:]`` in row-major order, or None when it
+    is zero.  The scan stops at the first entry of magnitude 1: nothing
+    later can be strictly smaller."""
+    best = 0
+    pos = None
+    for i in range(t, len(b)):
+        row = b[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x:
+                if x < 0:
+                    x = -x
+                if x < best or not best:
+                    if x == 1:
+                        return i, j
+                    best, pos = x, (i, j)
+    return pos
 
 
 @lru_cache(maxsize=4096)
@@ -333,25 +361,20 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form with both unimodular transforms.
 
     Pivoting picks the smallest-magnitude nonzero entry of the working
-    submatrix (row-major tie break).  Its column is cleared by the
-    Hermite step ``_clear_column`` on the rows, and its row by the same
-    step on the transposes, which is why ``v`` is kept transposed; the
-    two alternate until both are clear, then divisibility is repaired
-    before moving on.
+    submatrix (row-major tie break); the search stops at the first entry
+    of magnitude 1, which is the one the full scan would keep.  Its
+    column is cleared by the Hermite step ``_clear_column`` on the rows,
+    and its row by the same step on the transposed working block, which
+    is why ``v`` is kept transposed; the two alternate until both are
+    clear, then divisibility is repaired before moving on.  A unit pivot
+    divides every entry, so it skips the repair scan.
     """
-    b = m.to_rows()
     nrows, ncols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    vt = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if b[i][j] != 0 and (best is None or abs(b[i][j]) < best):
-                    best = abs(b[i][j])
-                    pivot = (i, j)
+    b = m.to_rows()
+    u = _identity_rows(nrows)
+    vt = _identity_rows(ncols)
+    for t in range(min(nrows, ncols)):
+        pivot = _smith_pivot(b, t)
         if pivot is None:
             break
         pi, pj = pivot
@@ -364,18 +387,33 @@ def snf(m: IntMatrix) -> SnfDecomposition:
             vt[t], vt[pj] = vt[pj], vt[t]
         while True:
             _clear_column(b, u, t, t)
+            p = b[t][t]
+            unit = p == 1 or p == -1
             if any(b[t][t + 1 :]):
-                bt = list(map(list, zip(*b)))
-                _clear_column(bt, vt, t, t)
-                b = list(map(list, zip(*bt)))
+                # The row phase runs on the transposed working block,
+                # ``bt[t + k]`` holding column ``t + k`` from row ``t``
+                # down (``_clear_column`` reads no row of ``bt`` above
+                # ``t``).  Column t is zero below the pivot here, so under
+                # a unit pivot (every step an exact division) it changes
+                # only row t, and row t alone is transposed.
+                block = b[t : t + 1] if unit else b[t:]
+                bt = [None] * t
+                bt += map(list, zip(*(row[t:] for row in block)))
+                _clear_column(bt, vt, t, 0)
+                for i, row in enumerate(zip(*bt[t:]), t):
+                    b[i][t:] = row
                 # Clearing row t can refill column t below the pivot.
-                if any(bt[t][t + 1 :]):
+                if any(bt[t][1:]):
                     continue
+                p = b[t][t]
+                unit = p == 1 or p == -1
+            if unit:
+                break
             # Divisibility repair: fold a bad entry's row into row t.
             bad = None
             for i in range(t + 1, nrows):
                 for j in range(t + 1, ncols):
-                    if b[i][j] % b[t][t] != 0:
+                    if b[i][j] % p != 0:
                         bad = i
                         break
                 if bad is not None:
@@ -387,11 +425,11 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         if b[t][t] < 0:
             b[t] = [-x for x in b[t]]
             u[t] = [-x for x in u[t]]
-        t += 1
+    flat = itertools.chain.from_iterable
     return SnfDecomposition(
-        IntMatrix.from_rows(b, cols=ncols),
-        IntMatrix.from_rows(u, cols=nrows),
-        IntMatrix.from_rows(vt, cols=ncols).transpose(),
+        IntMatrix(nrows, ncols, tuple(flat(b))),
+        IntMatrix(nrows, nrows, tuple(flat(u))),
+        IntMatrix(ncols, ncols, tuple(flat(zip(*vt)))),
     )
 
 

@@ -76,16 +76,19 @@ class SpanningVerdict:
     subsets_checked: int
 
 
+def _project(rows: list[IntVector], cols: tuple[int, ...]) -> IntMatrix:
+    """The matrix of ``rows`` restricted to the 0-based columns ``cols``."""
+    flat = tuple([row[j] for row in rows for j in cols])
+    return IntMatrix(len(rows), len(cols), flat)
+
+
 def project_columns(generators: IntMatrix, subset: CoordSubset) -> IntMatrix:
     if generators.cols != subset.ambient:
         raise DimensionMismatchError(
             f"generator width {generators.cols} != ambient {subset.ambient}"
         )
-    rows = [
-        [generators.at(i, j - 1) for j in subset.indices]
-        for i in range(generators.rows)
-    ]
-    return IntMatrix.from_rows(rows, cols=len(subset.indices))
+    rows = list(map(generators.row, range(generators.rows)))
+    return _project(rows, tuple(j - 1 for j in subset.indices))
 
 
 def subsets_in_order(ambient: int):
@@ -154,12 +157,12 @@ def _rank_sized_certificate(generators: IntMatrix) -> bool:
     up to sign the minor that swaps it in for its row's pivot column.
     That test rules most unspanned lattices out before any Smith form.
     """
-    basis = LatticeBasis.from_generators(generators).hnf
-    if any(e not in (-1, 0, 1) for e in basis.entries):
+    basis = LatticeBasis.from_generators(generators)
+    if any(e not in (-1, 0, 1) for e in basis.hnf.entries):
         return False
-    for combo in itertools.combinations(range(1, basis.cols + 1), basis.rows):
-        projected = project_columns(basis, CoordSubset(basis.cols, combo))
-        if any(f != 1 for f in snf(projected).invariant_factors()):
+    rows = basis.basis_rows()
+    for combo in itertools.combinations(range(basis.ambient), basis.rank):
+        if any(f != 1 for f in snf(_project(rows, combo)).invariant_factors()):
             return False
     return True
 

@@ -78,6 +78,16 @@ def matrices_with_zero_lines(draw):
     return M(data, cols=cols)
 
 
+@st.composite
+def unit_entry_matrices(draw):
+    """{0, +-1} matrices up to 7x7, shapes with no rows or columns
+    included: the spanning certificate's 5x5 projections and the subset
+    scan's 7x1..7x3 ones are of this kind."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entries = st.lists(st.integers(-1, 1), min_size=cols, max_size=cols)
+    return M(draw(st.lists(entries, min_size=rows, max_size=rows)), cols=cols)
+
+
 def assert_hnf_shape(h: IntMatrix):
     pivots = hnf_pivots(h)
     cols_seen = [c for _, c in pivots]
@@ -296,12 +306,18 @@ class TestClearColumn:
     """Both normal forms run one clearing step, ``_clear_column``; the
     inline loops it replaced are their oracles, entry for entry."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(matrices_with_zero_lines())
+    @settings(max_examples=800, deadline=None)
+    @given(st.one_of(matrices_with_zero_lines(), unit_entry_matrices()))
     @example(IntMatrix.zeros(0, 3))
     @example(IntMatrix.zeros(3, 0))
     @example(IntMatrix.zeros(3, 4))
     @example(M([[4, 6, 10], [6, 9, 15], [10, 15, 7]]))
+    # The first unit in row-major order comes after a larger entry.
+    @example(M([[2, 1], [1, 3]]))
+    # A unit pivot whose row is not clear after its column is.
+    @example(M([[1, 2], [3, 4]]))
+    # A non-unit pivot that needs the divisibility repair.
+    @example(M([[2, 0], [0, 3]]))
     def test_forms_match_inline_oracles(self, m):
         assert hnf(m) == hnf_by_inline_clearing(m)
         assert snf(m) == snf_by_row_and_column_operations(m)

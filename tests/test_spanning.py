@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -90,6 +90,39 @@ def generator_families(draw):
             row = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
         rows.append(row)
     return M(rows, cols=n)
+
+
+@st.composite
+def projection_cases(draw):
+    """A generator matrix up to 5x7, drawn rows set to zero and shapes
+    with no rows included, and a coordinate subset of its columns."""
+    n = draw(st.integers(1, 7))
+    zero_rows = draw(st.sets(st.integers(0, 4)))
+    data = [
+        [0] * n if i in zero_rows
+        else draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    indices = draw(st.sets(st.integers(1, n), min_size=1))
+    return M(data, cols=n), CoordSubset(n, tuple(sorted(indices)))
+
+
+class TestProjectColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(projection_cases())
+    def test_matches_entrywise_oracle(self, case):
+        gens, subset = case
+        expected = M(
+            [[gens.at(i, j - 1) for j in subset.indices] for i in range(gens.rows)],
+            cols=len(subset),
+        )
+        assert project_columns(gens, subset) == expected
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            project_columns(M([[1, 0, 1]]), CoordSubset(4, (1, 2)))
+        with pytest.raises(DimensionMismatchError):
+            project_columns(M([], cols=3), CoordSubset(2, (1,)))
 
 
 class TestCoordSubset:
@@ -224,6 +257,14 @@ class TestIsIntegrallySpanned:
 
     @settings(max_examples=300, deadline=None)
     @given(generator_families())
+    # The span-scan benchmark's shape: a rank-5 graph lattice in Z^11.
+    @example(M([
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1],
+        [-1, 0, 1, 0, 0, 1, -1, 0, 0, -1, 0],
+        [0, 0, 0, -1, -1, 0, 1, 0, -1, 0, 1],
+        [0, -1, 0, 0, 1, -1, 0, -1, 0, 0, 0],
+        [0, 1, -1, 0, 0, 0, 0, 0, 1, 0, 0],
+    ]))
     def test_matches_full_scan(self, gens):
         verdict = is_integrally_spanned(gens)
         assert verdict == spanning_by_full_scan(gens)
