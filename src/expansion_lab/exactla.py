@@ -9,9 +9,10 @@ plain-text matrix/vector formats used by the command line tools.
 Linear solves factor each matrix once: ``_solve_map`` caches an integer
 matrix and a common denominator that turn the target's pivot entries
 into the solution, so each target costs integer products plus the full
-check ``A @ x == v``.  Lattice membership is an integer solve against
-the transposed HNF basis.  Forward substitution against the HNF, the
-route the map encodes, stays in the tests as its oracle.
+check ``A @ x == v``.  That check and ``mat_vec`` read one cached sparse
+view of the rows, ``_sparse_rows``.  Lattice membership is an integer
+solve against the transposed HNF basis.  Forward substitution against
+the HNF, the route the map encodes, stays in the tests as its oracle.
 
 Gauss-Jordan elimination over Q and over F_q has one core,
 ``_reduced_echelon``: fraction-free (Bareiss, with lazy row scales), it
@@ -190,11 +191,35 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(flat))
 
 
+@lru_cache(maxsize=512)
+def _sparse_rows(m: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
+    """The (columns, entries) of each row's nonzeros, cached per matrix
+    for ``mat_vec`` and, through ``_solve_map``, the solvers' check
+    ``A @ x == v``."""
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        cols = tuple(j for j, e in enumerate(row) if e)
+        out.append((cols, tuple(row[j] for j in cols)))
+    return tuple(out)
+
+
 def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
-    """Matrix times column vector; works for int and Fraction entries."""
+    """Matrix times column vector; works for int and Fraction entries.
+
+    Runs over the nonzeros of each row only, and returns what the dense
+    product would: a dense row adds ``0 * x_j`` for every zero entry, so
+    any ``Fraction`` in ``x`` makes every entry a ``Fraction``, a zero
+    row's included."""
     if len(x) != m.cols:
         raise DimensionMismatchError(f"vector length {len(x)} != cols {m.cols}")
-    return tuple(sum(a * b for a, b in zip(m.row(i), x)) for i in range(m.rows))
+    # One term 0 * x_j per type in x gives the dense sum's type.
+    zero = sum(0 * b for b in {type(b): b for b in x}.values())
+    get = x.__getitem__
+    return tuple(
+        zero + sum(map(operator.mul, entries, map(get, cols)))
+        for cols, entries in _sparse_rows(m)
+    )
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -579,8 +604,8 @@ def _solve_map(a: IntMatrix) -> _SolveMap:
     product of the pivots, ``d * T^-1`` is the integer adjugate, so row
     ``p`` of it comes from one exact substitution against ``d * e_p``;
     ``M`` is that matrix times the pivot rows of ``u``, reduced by the
-    gcd it shares with ``d``.  ``sparse_rows`` holds the (columns,
-    entries) of each row's nonzeros for the check ``A @ x == v``.
+    gcd it shares with ``d``.  ``sparse_rows`` is ``_sparse_rows(a)``,
+    the one cached sparse view, for the check ``A @ x == v``.
     """
     h, u = hnf(a.transpose())
     pivots = hnf_pivots(h)
@@ -599,16 +624,11 @@ def _solve_map(a: IntMatrix) -> _SolveMap:
                 row = [x + coeff * e for x, e in zip(row, u.row(i))]
         m_rows.append(row)
     g = math.gcd(d, *itertools.chain.from_iterable(m_rows))
-    sparse_rows = []
-    for i in range(a.rows):
-        row = a.row(i)
-        cols = tuple(j for j, e in enumerate(row) if e)
-        sparse_rows.append((cols, tuple(row[j] for j in cols)))
     return _SolveMap(
         tuple(c for _, c in pivots),
         tuple(tuple(e // g for e in row) for row in m_rows),
         d // g,
-        tuple(sparse_rows),
+        _sparse_rows(a),
     )
 
 

@@ -31,15 +31,29 @@ serve the tests as oracles for the closed forms.  The global F_q value
 walks the image once, one pivot column per step, and keeps the per-row
 closed form up to date along the walk (see ``_image_walk``).
 
+The global values over Q and F_q split over the blocks of the matrix:
+the connected components of its row-support graph (``_blocks``; over
+F_q, of the reduced entries).  Both norms add over blocks, so by the
+mediant inequality the global value is the largest block value, and
+each block runs the whole-matrix route on its own submatrix, under that
+route's caps.  ``xi_q_global`` reports the target of the first block,
+in order of smallest column, that reaches the value; ``xi_zq_global``
+reports the target the whole walk would, the first maximizer in product
+order (see its docstring).  A matrix with one block takes the route as
+given.  ``xi_z_global`` splits only where it reduces to ``xi_q_global``.
+
 Every enumeration is capped by a module constant that the function
 reads when it is called: ``_MAX_NODES``, ``_MAX_CANDIDATES``,
 ``_MAX_COSET`` (checked only where a coset is enumerated, in
 ``_enumerate_coset``), ``_MAX_IMAGES``, ``_MAX_FACE_RANK`` and
-``_MAX_FACE_TERMS``.  A cap hit raises ``EnumerationCapError``, except
-past the candidate cap of the global constants, where the value is a
-lower bound over ``_SAMPLE_TARGETS`` sampled targets with
-``exact=False``; those targets are the images of the first
-``_SAMPLE_BOX_POINTS`` points of the box [-2, 2]^n.
+``_MAX_FACE_TERMS``.  The global values check them per block.  A cap
+hit raises ``EnumerationCapError``, except past the candidate cap of the
+global constants, where the value is a lower bound over
+``_SAMPLE_TARGETS`` sampled targets with ``exact=False``; those targets
+are the images of the first ``_SAMPLE_BOX_POINTS`` points of the box
+[-2, 2]^n.  The campaign caps in ``harness`` still price the whole
+matrix (``q^cols`` and ``2^cols``), so they skip checks that the split
+would now finish.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
@@ -558,6 +572,58 @@ def _branch_and_bound(u0, kernel):
 # ---------------------------------------------------------------------------
 
 
+def _blocks(a):
+    """The blocks of ``a``, an ``IntMatrix`` or a ``ModQMatrix``: the
+    connected components of its row-support graph, where each row joins
+    the columns it is nonzero on (union-find).  Returns ``(rows, cols)``
+    pairs of increasing index tuples, in order of smallest column.  Zero
+    rows and zero columns belong to no block.  A ``ModQMatrix`` stores
+    reduced entries, so there an entry divisible by q joins nothing.
+    """
+    n = a.cols
+    parent = list(range(n))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    supports = []
+    for i in range(a.rows):
+        row = a.entries[i * n : (i + 1) * n]
+        cols = [j for j, e in enumerate(row) if e]
+        supports.append(cols)
+        for j in cols[1:]:
+            parent[find(j)] = find(cols[0])
+    # Keyed by root, inserted in order of smallest column.
+    blocks = {}
+    for j in sorted(set().union(*supports)):
+        blocks.setdefault(find(j), ([], []))[1].append(j)
+    for i, cols in enumerate(supports):
+        if cols:
+            blocks[find(cols[0])][0].append(i)
+    return [(tuple(rows), tuple(cols)) for rows, cols in blocks.values()]
+
+
+def _submatrix(a, rows, cols):
+    """The rows ``rows`` and columns ``cols`` of ``a``, same type."""
+    n = a.cols
+    entries = tuple(a.entries[i * n + j] for i in rows for j in cols)
+    return replace(a, rows=len(rows), cols=len(cols), entries=entries)
+
+
+def _embedded(res: GlobalExpansion, rows, m: int, exact: bool) -> GlobalExpansion:
+    """``res`` of the block on ``rows``, with its target padded by zeros
+    to the ``m`` rows of the whole matrix."""
+    target = [0] * m
+    for i, x in zip(rows, res.attaining_target):
+        target[i] = x
+    return GlobalExpansion(
+        value=res.value, attaining_target=tuple(target), exact=exact
+    )
+
+
 def _image_basis(a: IntMatrix):
     return LatticeBasis.from_generators(a.transpose()).basis_rows()
 
@@ -663,9 +729,31 @@ def xi_q_global(a: IntMatrix) -> GlobalExpansion:
     extreme point of the image's unit 1-norm ball, and those are covered
     by a finite candidate enumeration.  If the candidate count would
     exceed ``_MAX_CANDIDATES`` the result degrades to a lower bound over
-    ``_SAMPLE_TARGETS`` sampled targets with ``exact=False``.  Raises ``UndefinedExpansionError`` when
-    the image is zero.
+    ``_SAMPLE_TARGETS`` sampled targets with ``exact=False``.  Raises
+    ``UndefinedExpansionError`` when the image is zero.
+
+    A matrix with two or more blocks (see ``_blocks``) is solved block
+    by block, each block under the caps on its own: the value is the
+    largest block value, exact when every block's is, and the target is
+    that of the first block reaching it, in order of smallest column,
+    padded with zeros.  A matrix with one block is solved as given.
     """
+    blocks = _blocks(a)
+    if len(blocks) < 2:
+        return _rational_global(a)
+    best = best_rows = None
+    exact = True
+    for rows, cols in blocks:
+        res = _rational_global(_submatrix(a, rows, cols))
+        exact = exact and res.exact
+        if best is None or res.value > best.value:
+            best, best_rows = res, rows
+    return _embedded(best, best_rows, a.rows, exact)
+
+
+def _rational_global(a: IntMatrix) -> GlobalExpansion:
+    """``xi_q_global`` on the whole of ``a``: the candidate enumeration,
+    or the sample past ``_MAX_CANDIDATES``."""
     candidates, exact = _global_candidates(a)
     if exact and not candidates:
         raise UndefinedExpansionError(
@@ -688,12 +776,13 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
 
     When the kernel of ``a`` is integrally spanned the integer and
     rational per-target values agree everywhere, so this is exactly the
-    rational global value, inexact only where ``xi_q_global`` passes its
-    candidate cap.  Otherwise, or when the spanning check is above its
-    ambient-dimension cap, no exact finite reduction is available and
-    the result is a lower bound over ``_SAMPLE_TARGETS`` sampled targets
-    with ``exact=False``.  Each sampled target is the image of an integer
-    box point, so ``xi_z_at`` always finds an integer preimage.
+    rational global value, split over the blocks of ``a`` and inexact
+    only where a block passes the candidate cap.  Otherwise, or when the
+    spanning check is above its ambient-dimension cap, no exact finite
+    reduction is available and the result is a lower bound over
+    ``_SAMPLE_TARGETS`` sampled targets of the whole matrix with
+    ``exact=False``.  Each sampled target is the image of an integer box
+    point, so ``xi_z_at`` always finds an integer preimage.
     """
     try:
         spanned = is_integrally_spanned(integer_kernel_basis(a).hnf).spanned
@@ -1070,7 +1159,32 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
     goes; otherwise each coset is enumerated by ``_enumerate_coset``.
     ``attaining_target`` is the first maximizer in that order: a later
     image vector replaces it only with a strictly larger value.
+
+    A matrix with two or more blocks (see ``_blocks``) is walked block
+    by block, each block under the caps on its own, and gives the same
+    value and target as the whole walk.  The first maximizer of the
+    whole walk is the lexicographically least maximizing coefficient
+    vector; zeroing all but one block of a maximizer leaves a maximizer
+    (the mediant equality), so it lies on one block, and among the
+    blocks' own first maximizers it is the one whose first nonzero
+    coefficient sits at the highest pivot column.  A matrix with one
+    block is walked as given.
     """
+    blocks = _blocks(a)
+    if len(blocks) < 2:
+        return _image_maximum(a)[0]
+    best = best_key = best_rows = None
+    for rows, cols in blocks:
+        res, lead = _image_maximum(_submatrix(a, rows, cols))
+        key = (res.value, cols[lead])
+        if best is None or key > best_key:
+            best, best_key, best_rows = res, key, rows
+    return _embedded(best, best_rows, a.rows, True)
+
+
+def _image_maximum(a: ModQMatrix):
+    """``xi_zq_global`` by one walk over the whole of ``a``, and the
+    column of the first nonzero pivot coefficient of the maximizer."""
     q = a.q
     r = modq_rank(a)
     if r == 0:
@@ -1084,12 +1198,12 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
     kernel, supports = _modq_kernel(a)
     # The value wt / hw is compared by cross-multiplying; the start
     # -1 / 1 loses to any image vector.
-    best_wt, best_hw, best_target = -1, 1, None
+    best_wt, best_hw, best_target, lead = -1, 1, None, None
     for w, hw, u0, wt in _image_walk(a, kernel, supports):
         if wt is None:
             wt = _enumerate_coset(u0, kernel, q)[1]
         if wt * best_hw > best_wt * hw:
             best_wt, best_hw, best_target = wt, hw, tuple(w)
-    return GlobalExpansion(
-        value=Fraction(best_wt, best_hw), attaining_target=best_target, exact=True
-    )
+            lead = next(j for j, x in enumerate(u0) if x)
+    best = Fraction(best_wt, best_hw)
+    return GlobalExpansion(value=best, attaining_target=best_target, exact=True), lead

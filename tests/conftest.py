@@ -1,7 +1,8 @@
 """Shared helpers: small random generators and independent oracles.
 
 The oracles here are deliberately naive (exhaustive enumeration,
-permutation expansion, forward substitution against an echelon form,
+permutation expansion, the dense matrix-vector product, forward
+substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition, the finite-field image rebuilt
 vector by vector, weighted medians sorted and summed in Fractions, the
@@ -117,6 +118,12 @@ def in_lattice_by_box(rows: list[tuple[int, ...]], x, radius: int) -> bool:
         if combo == target:
             return True
     return False
+
+
+def mat_vec_dense(m: IntMatrix, x) -> tuple:
+    """Matrix times column vector over every entry of every row, zeros
+    included."""
+    return tuple(sum(a * b for a, b in zip(m.row(i), x)) for i in range(m.rows))
 
 
 def vec_mat(y, m: IntMatrix) -> tuple:

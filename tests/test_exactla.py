@@ -10,6 +10,7 @@ from conftest import (
     elimination_systems,
     hnf_by_inline_clearing,
     in_lattice_by_box,
+    mat_vec_dense,
     rand_matrix,
     rand_unimodular,
     rref_by_fractions,
@@ -49,6 +50,22 @@ from expansion_lab.exactla import (
 )
 
 M = IntMatrix.from_rows
+
+
+@st.composite
+def matrix_vector_pairs(draw):
+    """(m, x): a matrix of 0..5 rows and 0..5 columns, some rows zero,
+    and a vector of ints, of Fractions (integral ones included) or of
+    both, as a tuple or a list."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.integers(-4, 4) | st.just(0)
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    data = [[0] * cols if draw(st.booleans()) else draw(row) for _ in range(rows)]
+    ints = st.integers(-5, 5)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    kind = draw(st.sampled_from((ints, fractions, ints | fractions)))
+    x = draw(st.lists(kind, min_size=cols, max_size=cols))
+    return M(data, cols=cols), draw(st.sampled_from((tuple, list)))(x)
 
 
 def small_matrices():
@@ -131,6 +148,18 @@ class TestIntMatrix:
         assert mat_vec(a, (1, 1)) == (3, 7)
         with pytest.raises(DimensionMismatchError):
             mat_vec(a, (1, 1, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_vector_pairs())
+    @example((M([[0, 0], [1, 0]]), (1, Fraction(1, 2))))
+    @example((IntMatrix.zeros(2, 0), ()))
+    def test_mat_vec_matches_dense_product(self, case):
+        # values and types: a Fraction anywhere in x makes every entry a
+        # Fraction, as 0 * x_j does in the dense sum
+        m, x = case
+        got, want = mat_vec(m, x), mat_vec_dense(m, x)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
 
     def test_hash_is_cached_and_matches_equality(self):
         a = M([[1, 2, 0], [3, 4, 5]])

@@ -45,12 +45,15 @@ from expansion_lab.expansion import (
     GlobalExpansion,
     ModQMatrix,
     _affine_solve,
+    _blocks,
     _enumerate_coset,
     _kernel_info,
     _min_weight_in_coset,
     _modq_kernel,
     _modq_system,
     _nullspace_line,
+    _rational_global,
+    _submatrix,
     hamming_weight,
     iter_image_with_preimage,
     lift_section,
@@ -424,10 +427,19 @@ class TestGlobalRational:
                 assert xi_q_at(a, v).value <= res.value
 
     def test_candidate_cap_falls_back_to_sample(self, monkeypatch):
+        # one block whose image has two candidate rays
         monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
-        res = xi_q_global(IntMatrix.identity(2))
+        res = xi_q_global(mat([[1, 0], [1, 1]]))
         assert not res.exact
         assert res.value >= Fraction(1, 2)
+
+    def test_candidate_cap_is_priced_per_block(self, monkeypatch):
+        # the identity splits into rank-1 blocks, one candidate each
+        monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
+        res = xi_q_global(IntMatrix.identity(2))
+        assert res == GlobalExpansion(
+            value=Fraction(1), attaining_target=(1, 0), exact=True
+        )
 
     def test_rank_one_image_needs_no_enumeration(self, monkeypatch):
         # A line image has a single candidate ray, so the cap is moot.
@@ -445,11 +457,17 @@ class TestGlobalInteger:
         assert res.value == xi_q_global(a).value == 1
 
     def test_spanned_kernel_past_candidate_cap_is_inexact(self, monkeypatch):
-        # The kernel of the identity is zero, hence spanned, but its image
-        # has two candidate rays.
+        # The kernel is zero, hence spanned, but the image of this one
+        # block has three candidate rays.
+        monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
+        res = xi_z_global(mat([[1, 0], [0, 1], [1, 1]]))
+        assert not res.exact
+        assert res.value == 1
+
+    def test_spanned_kernel_splits_over_blocks(self, monkeypatch):
         monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
         res = xi_z_global(IntMatrix.identity(2))
-        assert not res.exact
+        assert res.exact
         assert res.value == 1
 
     def test_unspanned_gives_lower_bound(self):
@@ -609,10 +627,17 @@ class TestXiZqGlobal:
             xi_zq_global(ModQMatrix.from_rows([[0, 0]], 2))
 
     def test_image_cap(self, monkeypatch):
+        # one block of rank 2: 5 ** 2 images
         monkeypatch.setattr(expansion, "_MAX_IMAGES", 10)
-        a = ModQMatrix.from_rows([[1, 0], [0, 1]], 5)
+        a = ModQMatrix.from_rows([[1, 1], [0, 1]], 5)
         with pytest.raises(EnumerationCapError):
             xi_zq_global(a)
+
+    def test_image_cap_is_priced_per_block(self, monkeypatch):
+        # the identity splits into two blocks of 5 images each
+        monkeypatch.setattr(expansion, "_MAX_IMAGES", 10)
+        a = ModQMatrix.from_rows([[1, 0], [0, 1]], 5)
+        assert xi_zq_global(a).value == 1
 
     def test_coset_cap(self, monkeypatch):
         # image 2 ** 1, overlapping kernel rows, coset 2 ** 2
@@ -856,6 +881,109 @@ class TestImageWalk:
         assert kernel_is_spanned(a)
         left = (q - 1) * xi_q_global(a).value
         assert left >= xi_zq_global(reduce_mod_q(a, q)).value
+
+
+@st.composite
+def permuted_block_diagonals(draw, field=st.none()):
+    """A block-diagonal matrix of two or three random blocks of at most
+    3 x 3, each with an entry that is nonzero (mod q over F_q), with up
+    to two zero rows and zero columns put in and its rows and columns
+    shuffled.  An ``IntMatrix`` when ``field`` draws None, else a
+    ``ModQMatrix`` over the drawn prime q with entries lifted off [0, q)
+    and ``q ** cols`` below 3,000, which bounds the product enumeration
+    times the coset enumeration."""
+    q = draw(field)
+    most = 8 if q is None else max(c for c in range(1, 12) if q**c < 3000)
+    count = draw(st.integers(2, min(3, most)))
+    widths = []
+    for b in range(count):
+        room = most - sum(widths) - (count - b - 1)
+        widths.append(draw(st.integers(1, min(3, room))))
+    zero_cols = draw(st.integers(0, min(2, most - sum(widths))))
+    entry = st.integers(-2, 2) if q is None else st.integers(0, q - 1)
+    blocks = []
+    for width in widths:
+        line = st.lists(entry, min_size=width, max_size=width)
+        block = [draw(line) for _ in range(draw(st.integers(1, 3)))]
+        assume(any(any(row) for row in block))
+        blocks.append(block)
+    cols = sum(widths) + zero_cols
+    rows = []
+    left = 0
+    for block, width in zip(blocks, widths):
+        for row in block:
+            rows.append([0] * left + row + [0] * (cols - left - width))
+        left += width
+    rows += [[0] * cols for _ in range(draw(st.integers(0, 2)))]
+    row_order = draw(st.permutations(range(len(rows))))
+    col_order = draw(st.permutations(range(cols)))
+    data = [[rows[i][j] for j in col_order] for i in row_order]
+    if q is None:
+        return mat(data)
+    lifted = [[x + q * draw(st.integers(-1, 1)) for x in row] for row in data]
+    return ModQMatrix.from_rows(lifted, q)
+
+
+class TestBlockSplit:
+    """The global values split over the blocks of A, against the whole
+    matrix: the product enumeration over F_q, the whole route over Q."""
+
+    def test_blocks_in_order_of_smallest_column(self):
+        a = mat([[0, 2, 0, 0], [0, 0, 0, 0], [1, 0, 0, 3], [0, 0, 0, 1]])
+        assert _blocks(a) == [((2, 3), (0, 3)), ((0,), (1,))]
+        assert _blocks(IntMatrix.zeros(2, 3)) == []
+
+    def test_blocks_over_f_q_use_reduced_entries(self):
+        assert _blocks(mat([[1, 3], [0, 1]])) == [((0, 1), (0, 1))]
+        a = ModQMatrix.from_rows([[1, 3], [0, 1]], 3)
+        assert _blocks(a) == [((0,), (0,)), ((1,), (1,))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(permuted_block_diagonals(st.sampled_from((2, 3, 5))))
+    def test_zq_global_matches_product_enumeration(self, a):
+        assert len(_blocks(a)) >= 2
+        res = xi_zq_global(a)
+        oracle = zq_global_by_product_enumeration(a)
+        assert (res.value, res.attaining_target) == (
+            oracle.value,
+            oracle.attaining_target,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(permuted_block_diagonals())
+    @example(mat([[1, 1, 0], [0, 0, 0], [0, 0, 1]]))
+    def test_q_global_matches_whole_route(self, a):
+        blocks = _blocks(a)
+        assert len(blocks) >= 2
+        res = xi_q_global(a)
+        whole = _rational_global(a)
+        assert (res.value, res.exact) == (whole.value, whole.exact)
+        assert xi_q_at(a, res.attaining_target).value == res.value
+        # The tie rule: the target lies on the first block, in order of
+        # smallest column, that reaches the value.  In the example both
+        # blocks reach 1 and the whole route's target is (0, 0, 1).
+        values = [_rational_global(_submatrix(a, *b)).value for b in blocks]
+        rows, _ = blocks[values.index(res.value)]
+        assert not any(x for i, x in enumerate(res.attaining_target) if i not in rows)
+
+    def test_q_global_tie_goes_to_smallest_column(self):
+        a = IntMatrix.identity(2)
+        assert _rational_global(a).attaining_target == (0, 1)
+        assert xi_q_global(a) == GlobalExpansion(
+            value=Fraction(1), attaining_target=(1, 0), exact=True
+        )
+
+    @pytest.mark.parametrize(
+        "n, value", [(5, Fraction(1, 3)), (6, Fraction(1, 4)), (7, Fraction(1, 5))]
+    )
+    def test_steinberg_d1_mod_2_bound(self, n, value):
+        # The paper's degree-1 Z/2Z bound Xi_Z2(d1) <= Xi_Q(d1) = Xi_Z(d1)
+        # past the 2^cols cap of the presentations campaign: d1 splits
+        # into one-column blocks.
+        d1 = presentation_d1(steinberg_presentation(n))
+        zq = xi_zq_global(reduce_mod_q(d1, 2))
+        assert zq.value == value
+        assert zq.value <= xi_q_global(d1).value
 
 
 def test_modq_rank():
