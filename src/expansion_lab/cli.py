@@ -67,7 +67,7 @@ def _emit(data, out: str | None):
 
 def _cmd_span_check(args) -> int:
     generators = parse_matrix(_read(args.matrix))
-    verdict = is_integrally_spanned(generators, max_ambient=args.max_ambient)
+    verdict = is_integrally_spanned(generators)
     data = {
         "spanned": verdict.spanned,
         "witness_subset": None,
@@ -218,13 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decide whether the rows of a matrix integrally span",
     )
     p.add_argument("matrix", help="matrix file ('rows cols' header, then rows)")
-    p.add_argument(
-        "--max-ambient",
-        type=int,
-        default=None,
-        help="override the ambient-dimension cap of the spanning check "
-        "(C(n, rank) projections to certify, the subset scan to find a witness)",
-    )
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_span_check)
 

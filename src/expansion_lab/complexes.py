@@ -28,7 +28,7 @@ from .errors import (
     PresentationSyntaxError,
     RowShapeError,
 )
-from .exactla import IntMatrix, LatticeBasis, _content_lines, rank
+from .exactla import IntMatrix, LatticeBasis, _blocks, _content_lines, rank
 
 #: Sentinel edge producing an all-zero codifferential row.
 NULL_EDGE = (0, 0)
@@ -195,47 +195,31 @@ def graph_of_incidence(a: IntMatrix) -> Graph:
 def incidence_kernel_basis(a: IntMatrix) -> LatticeBasis:
     """Kernel of an incidence-shaped matrix by component counting.
 
-    Builds the associated graph on the columns, finds its connected
-    components with union-find, and returns the 0/1 indicator vectors of
-    the components containing no self-connected vertex, ordered by their
-    smallest vertex.  Generates the same lattice as
-    ``integer_kernel_basis`` (the indicator vectors are a basis of the
-    kernel), without any matrix elimination.
+    The components of the associated graph on the columns are the
+    blocks of ``a`` (``exactla._blocks``) plus one isolated vertex per
+    zero column.  Returns the 0/1 indicator vectors of the components
+    containing no self-connected vertex (a block with no single-nonzero
+    row, or an isolated vertex), ordered by their smallest vertex.
+    Generates the same lattice as ``integer_kernel_basis`` (the
+    indicator vectors are a basis of the kernel), without any matrix
+    elimination.
     """
-    g = graph_of_incidence(a)
+    check_incidence_rows(a)
     n = a.cols
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    self_connected = [False] * n
-    for tail, head in g.edges:
-        if (tail, head) == NULL_EDGE:
-            continue
-        if tail == head:
-            self_connected[tail - 1] = True
-        else:
-            union(tail - 1, head - 1)
-    components = {}
-    for v in range(n):
-        components.setdefault(find(v), []).append(v)
+    blocks = _blocks(a)
+    covered = {j for _, cols in blocks for j in cols}
+    components = [
+        cols
+        for rows, cols in blocks
+        if all(sum(map(bool, a.row(i))) != 1 for i in rows)
+    ]
+    components += [(j,) for j in range(n) if j not in covered]
     rows = []
-    for root in sorted(components, key=lambda r: min(components[r])):
-        members = components[root]
-        if any(self_connected[v] for v in members):
-            continue
+    # Disjoint increasing tuples sort by their smallest vertex.
+    for cols in sorted(components):
         row = [0] * n
-        for v in members:
-            row[v] = 1
+        for j in cols:
+            row[j] = 1
         rows.append(row)
     basis = IntMatrix.from_rows(rows, cols=n)
     return LatticeBasis(basis, basis, len(rows))

@@ -58,7 +58,7 @@ class WitnessError(ExpansionLabError):
 
 
 class AmbientDimensionCapError(EnumerationCapError):
-    """Subset enumeration refused: ambient dimension above the cap."""
+    """Spanning check refused: subset work above ``_MAX_SUBSETS``."""
 
 
 class RowShapeError(ExpansionLabError):

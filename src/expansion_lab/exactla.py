@@ -222,6 +222,41 @@ def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
     )
 
 
+def _blocks(a):
+    """The blocks of ``a``, an ``IntMatrix`` or an ``expansion.ModQMatrix``:
+    the connected components of its row-support graph, where each row
+    joins the columns it is nonzero on (union-find).  Returns
+    ``(rows, cols)`` pairs of increasing index tuples, in order of
+    smallest column.  Zero rows and zero columns belong to no block.  A
+    ``ModQMatrix`` stores reduced entries, so there an entry divisible
+    by q joins nothing.
+    """
+    n = a.cols
+    parent = list(range(n))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    supports = []
+    for i in range(a.rows):
+        row = a.entries[i * n : (i + 1) * n]
+        cols = [j for j, e in enumerate(row) if e]
+        supports.append(cols)
+        for j in cols[1:]:
+            parent[find(j)] = find(cols[0])
+    # Keyed by root, inserted in order of smallest column.
+    blocks = {}
+    for j in sorted(set().union(*supports)):
+        blocks.setdefault(find(j), ([], []))[1].append(j)
+    for i, cols in enumerate(supports):
+        if cols:
+            blocks[find(cols[0])][0].append(i)
+    return [(tuple(rows), tuple(cols)) for rows, cols in blocks.values()]
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
     old_r, r = a, b

@@ -32,8 +32,8 @@ walks the image once, one pivot column per step, and keeps the per-row
 closed form up to date along the walk (see ``_image_walk``).
 
 The global values over Q and F_q split over the blocks of the matrix:
-the connected components of its row-support graph (``_blocks``; over
-F_q, of the reduced entries).  Both norms add over blocks, so by the
+the connected components of its row-support graph (``exactla._blocks``;
+over F_q, of the reduced entries).  Both norms add over blocks, so by the
 mediant inequality the global value is the largest block value, and
 each block runs the whole-matrix route on its own submatrix, under that
 route's caps.  ``xi_q_global`` reports the target of the first block,
@@ -81,6 +81,7 @@ from .exactla import (
     IntVector,
     LatticeBasis,
     Rational,
+    _blocks,
     _divide,
     _reduced_echelon,
     disjoint_supports,
@@ -572,40 +573,6 @@ def _branch_and_bound(u0, kernel):
 # ---------------------------------------------------------------------------
 
 
-def _blocks(a):
-    """The blocks of ``a``, an ``IntMatrix`` or a ``ModQMatrix``: the
-    connected components of its row-support graph, where each row joins
-    the columns it is nonzero on (union-find).  Returns ``(rows, cols)``
-    pairs of increasing index tuples, in order of smallest column.  Zero
-    rows and zero columns belong to no block.  A ``ModQMatrix`` stores
-    reduced entries, so there an entry divisible by q joins nothing.
-    """
-    n = a.cols
-    parent = list(range(n))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    supports = []
-    for i in range(a.rows):
-        row = a.entries[i * n : (i + 1) * n]
-        cols = [j for j, e in enumerate(row) if e]
-        supports.append(cols)
-        for j in cols[1:]:
-            parent[find(j)] = find(cols[0])
-    # Keyed by root, inserted in order of smallest column.
-    blocks = {}
-    for j in sorted(set().union(*supports)):
-        blocks.setdefault(find(j), ([], []))[1].append(j)
-    for i, cols in enumerate(supports):
-        if cols:
-            blocks[find(cols[0])][0].append(i)
-    return [(tuple(rows), tuple(cols)) for rows, cols in blocks.values()]
-
-
 def _submatrix(a, rows, cols):
     """The rows ``rows`` and columns ``cols`` of ``a``, same type."""
     n = a.cols
@@ -778,8 +745,8 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
     rational per-target values agree everywhere, so this is exactly the
     rational global value, split over the blocks of ``a`` and inexact
     only where a block passes the candidate cap.  Otherwise, or when the
-    spanning check is above its ambient-dimension cap, no exact finite
-    reduction is available and the result is a lower bound over
+    spanning check passes its subset cap ``spanning._MAX_SUBSETS``, no
+    exact finite reduction is available and the result is a lower bound over
     ``_SAMPLE_TARGETS`` sampled targets of the whole matrix with
     ``exact=False``.  Each sampled target is the image of an integer box
     point, so ``xi_z_at`` always finds an integer preimage.
@@ -950,7 +917,7 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
         raise DimensionMismatchError(
             f"target has length {len(w)}, matrix has {a.rows} rows"
         )
-    w = tuple(int(x) % q for x in w)
+    w = tuple(x % q for x in _as_int_vector(w, "target"))
     if all(x == 0 for x in w):
         raise ZeroTargetError("expansion at the zero target is undefined")
     u0 = _modq_solve(a, w)

@@ -11,14 +11,15 @@ decided on C(n, k) of them, k the rank: a lattice is spanned exactly
 when each rank-sized projection of its HNF basis is saturated (see
 ``is_integrally_spanned``). The size-then-lex subset scan runs only
 when that certificate fails, to find the first failing subset and a
-witness vector. The ambient dimension is capped at
-``DEFAULT_MAX_AMBIENT``; the cap can be raised per call with
-``max_ambient`` (``span-check --max-ambient`` on the command line).
+witness vector. Both are capped at ``_MAX_SUBSETS`` subsets: the
+certificate's C(n, k) is priced before any Smith form, and the scan
+stops as soon as it would pass the cap.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import AmbientDimensionCapError, DimensionMismatchError, WitnessError
@@ -33,7 +34,9 @@ from .exactla import (
     unimodular_inverse,
 )
 
-DEFAULT_MAX_AMBIENT = 22
+# The most coordinate subsets one call may project: 2^22 - 1 is a full
+# scan at ambient 22.
+_MAX_SUBSETS = 2**22 - 1
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,18 @@ def _rank_sized_certificate(generators: IntMatrix) -> bool:
     is 1, the entries above it are reduced to 0, and any other entry is
     up to sign the minor that swaps it in for its row's pivot column.
     That test rules most unspanned lattices out before any Smith form.
+    Raises ``AmbientDimensionCapError`` when C(n, k) passes
+    ``_MAX_SUBSETS``, before the first Smith form.
     """
     basis = LatticeBasis.from_generators(generators)
     if any(e not in (-1, 0, 1) for e in basis.hnf.entries):
         return False
+    price = math.comb(basis.ambient, basis.rank)
+    if price > _MAX_SUBSETS:
+        raise AmbientDimensionCapError(
+            f"certifying takes C({basis.ambient}, {basis.rank}) = {price} Smith "
+            f"forms, above the subset cap _MAX_SUBSETS = {_MAX_SUBSETS}"
+        )
     rows = basis.basis_rows()
     for combo in itertools.combinations(range(basis.ambient), basis.rank):
         if any(f != 1 for f in snf(_project(rows, combo)).invariant_factors()):
@@ -167,9 +178,7 @@ def _rank_sized_certificate(generators: IntMatrix) -> bool:
     return True
 
 
-def is_integrally_spanned(
-    generators: IntMatrix, *, max_ambient: int | None = None
-) -> SpanningVerdict:
+def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     """Decide the spanning condition, certifying it on rank-sized subsets.
 
     Theorem: let B be the HNF basis of the lattice, of rank k. The
@@ -189,30 +198,33 @@ def is_integrally_spanned(
     saturated.
 
     A family with no nonzero generators is spanned outright (every
-    projection is the zero lattice), with no subsets enumerated. Past
-    the ambient cap, ``AmbientDimensionCapError`` is raised. Otherwise,
-    when the certificate holds, the verdict is spanned with
+    projection is the zero lattice), with no subsets enumerated. When
+    the certificate holds, the verdict is spanned with
     ``subsets_checked`` = 2^n - 1. When it fails, subsets are scanned by
     size then lexicographically over the generators as given, stopping
     at the first unsaturated projection with a validated witness pair;
     by the theorem that subset has at most k coordinates. A scan that
     finds no failure contradicts the certificate and raises
     ``WitnessError``.
+
+    ``AmbientDimensionCapError`` is raised when the certificate needs
+    more than ``_MAX_SUBSETS`` Smith forms, or the scan would visit
+    more than ``_MAX_SUBSETS`` subsets. At ambient n <= 22 neither
+    happens: C(n, k) and the scan are both at most 2^n - 1.
     """
     n = generators.cols
     if generators.is_zero():
         return SpanningVerdict(True, None, 0)
-    cap = DEFAULT_MAX_AMBIENT if max_ambient is None else max_ambient
-    if n > cap:
-        raise AmbientDimensionCapError(
-            f"ambient dimension {n} exceeds the subset enumeration cap {cap}; "
-            "raise max_ambient (span-check --max-ambient) to force"
-        )
     if _rank_sized_certificate(generators):
         return SpanningVerdict(True, None, 2**n - 1)
     checked = 0
     for subset in subsets_in_order(n):
         checked += 1
+        if checked > _MAX_SUBSETS:
+            raise AmbientDimensionCapError(
+                f"the witness scan of ambient {n} passed the subset cap "
+                f"_MAX_SUBSETS = {_MAX_SUBSETS}"
+            )
         projected = project_columns(generators, subset)
         dec = snf(projected)
         if all(f == 1 for f in dec.invariant_factors()):

@@ -66,12 +66,15 @@ def test_span_check_witness_failure_is_a_solver_error(files, capsys, monkeypatch
     assert "witness" in err
 
 
-def test_span_check_max_ambient_flag(files, capsys):
+def test_span_check_subset_cap_is_a_solver_error(files, capsys, monkeypatch):
+    # the witness scan fails at subset {1}, past a cap of 0 subsets
+    monkeypatch.setattr(spanning, "_MAX_SUBSETS", 0)
     matrix = files("g.mat", "1 2\n2 1\n")
-    rc = main(["span-check", matrix, "--max-ambient", "1"])
+    rc = main(["span-check", matrix])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "cap" in err or "ambient" in err
+    assert err.startswith("error:")
+    assert "cap" in err
 
 
 # ---------------------------------------------------------------------------

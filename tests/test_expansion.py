@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from expansion_lab import expansion
 from expansion_lab.complexes import (
+    Graph,
     check_incidence_rows,
+    graph_d0,
     presentation_d1,
     steinberg_presentation,
 )
@@ -32,6 +34,7 @@ from expansion_lab.errors import (
 )
 from expansion_lab.exactla import (
     IntMatrix,
+    _blocks,
     disjoint_supports,
     integer_kernel_basis,
     integerize,
@@ -45,7 +48,6 @@ from expansion_lab.expansion import (
     GlobalExpansion,
     ModQMatrix,
     _affine_solve,
-    _blocks,
     _enumerate_coset,
     _kernel_info,
     _min_weight_in_coset,
@@ -490,6 +492,49 @@ class TestGlobalInteger:
         with pytest.raises(UndefinedExpansionError):
             xi_z_global(IntMatrix.zeros(1, 3))
 
+    def test_spanned_kernel_past_ambient_22_is_exact(self):
+        # The kernel of the path on 24 vertices is the all-ones line:
+        # C(24, 1) = 24 Smith forms certify it.
+        a = graph_d0(Graph(24, tuple((i, i + 1) for i in range(1, 24))))
+        res = xi_z_global(a)
+        assert res == xi_q_global(a)
+        assert res.exact
+        assert res.value == 12
+
+
+@st.composite
+def image_targets(draw):
+    """A small matrix and a nonzero target ``A x``, x an integer box point."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    a = mat(draw(st.lists(
+        st.lists(entries, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )))
+    x = draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols))
+    v = mat_vec(a, x)
+    assume(any(v))
+    return a, v
+
+
+class TestPerTargetSolvers:
+    """One property over ``xi_q_at`` and ``xi_z_at`` at the same target."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(image_targets())
+    def test_witnesses_and_order(self, case):
+        a, v = case
+        q_res = xi_q_at(a, v)
+        z_res = xi_z_at(a, v)
+        for res in (q_res, z_res):
+            assert mat_vec(a, res.witness) == v
+            assert l1_norm(res.witness) == res.value * l1_norm(v)
+        assert q_res.value <= z_res.value
+        if is_integrally_spanned(integer_kernel_basis(a).hnf).spanned:
+            assert q_res.value == z_res.value
+
 
 class TestModQMatrix:
     def test_entries_reduced(self):
@@ -541,6 +586,13 @@ class TestXiZqAt:
         res = xi_zq_at(a, (3,))
         assert res.target == (1,)
         assert res.value == 1
+
+    @pytest.mark.parametrize("entry", [1.7, Fraction(1, 2), True])
+    def test_non_integer_target_rejected(self, entry):
+        # As over Q and Z: the entry is refused, not truncated.
+        a = reduce_mod_q(IntMatrix.identity(2), 3)
+        with pytest.raises(DimensionMismatchError):
+            xi_zq_at(a, (entry, 0))
 
     def test_zero_target_rejected(self):
         with pytest.raises(ZeroTargetError):

@@ -246,14 +246,31 @@ class TestIsIntegrallySpanned:
             b = is_integrally_spanned(u @ gens)
             assert a.spanned == b.spanned
 
-    def test_ambient_cap(self):
-        wide = M([[1] * 23])
-        with pytest.raises(AmbientDimensionCapError):
-            is_integrally_spanned(wide)
+    def test_ambient_cap(self, monkeypatch):
+        def no_snf(m):
+            raise AssertionError("a Smith form ran past the cap")
+
+        monkeypatch.setattr(spanning, "snf", no_snf)
+        # [I | I] in Z^26 passes the HNF filter, but certifying it takes
+        # C(26, 13) = 10,400,600 Smith forms: refused before the first.
+        identity = [[int(i == j) for j in range(13)] for i in range(13)]
+        with pytest.raises(AmbientDimensionCapError, match="_MAX_SUBSETS"):
+            is_integrally_spanned(M([row + row for row in identity]))
+        # The certificate of [[1, 0, 1, 0]] takes C(4, 1) = 4 Smith forms.
         gens = M([[1, 0, 1, 0]])
+        monkeypatch.setattr(spanning, "_MAX_SUBSETS", 3)
         with pytest.raises(AmbientDimensionCapError):
-            is_integrally_spanned(gens, max_ambient=3)
-        assert is_integrally_spanned(gens, max_ambient=4).spanned
+            is_integrally_spanned(gens)
+        monkeypatch.setattr(spanning, "snf", snf)
+        monkeypatch.setattr(spanning, "_MAX_SUBSETS", 4)
+        assert is_integrally_spanned(gens).spanned
+        # The witness scan of [[1, 1], [1, 3]] fails at its third subset.
+        gens = M([[1, 1], [1, 3]])
+        monkeypatch.setattr(spanning, "_MAX_SUBSETS", 2)
+        with pytest.raises(AmbientDimensionCapError, match="_MAX_SUBSETS"):
+            is_integrally_spanned(gens)
+        monkeypatch.setattr(spanning, "_MAX_SUBSETS", 3)
+        assert is_integrally_spanned(gens).subsets_checked == 3
 
     @settings(max_examples=300, deadline=None)
     @given(generator_families())
@@ -273,23 +290,23 @@ class TestIsIntegrallySpanned:
             assert len(subset) <= rank(gens)
 
     @pytest.mark.parametrize(
-        "rows, max_ambient, calls, spanned",
+        "rows, calls, spanned",
         [
             # K5 image lattice: rank 4 at ambient 10, C(10, 4) projections
             (
                 [[1 if e[0] == v else -1 if e[1] == v else 0
                   for e in itertools.combinations(range(5), 2)]
                  for v in range(4)],
-                None,
                 math.comb(10, 4),
                 True,
             ),
-            ([[1] * 30], 30, 30, True),
+            # ambient 30, past a full scan's reach: C(30, 1) projections
+            ([[1] * 30], 30, True),
             # HNF [[1, 1], [0, 2]] fails the filter: only the scan runs
-            ([[1, 1], [1, 3]], None, 3, False),
+            ([[1, 1], [1, 3]], 3, False),
         ],
     )
-    def test_smith_forms_computed(self, monkeypatch, rows, max_ambient, calls, spanned):
+    def test_smith_forms_computed(self, monkeypatch, rows, calls, spanned):
         counted = []
 
         def counting_snf(m):
@@ -298,7 +315,7 @@ class TestIsIntegrallySpanned:
 
         monkeypatch.setattr(spanning, "snf", counting_snf)
         gens = M(rows)
-        verdict = is_integrally_spanned(gens, max_ambient=max_ambient)
+        verdict = is_integrally_spanned(gens)
         assert verdict.spanned == spanned
         assert len(counted) == calls
         assert verdict.subsets_checked == (2**gens.cols - 1 if spanned else calls)
