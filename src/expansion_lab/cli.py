@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .complexes import (
@@ -28,7 +27,6 @@ from .exactla import format_matrix, format_rational, parse_matrix, parse_vector
 from .expansion import (
     reduce_mod_q,
     xi_q_at,
-    xi_q_at_face_oracle,
     xi_q_global,
     xi_z_at,
     xi_z_global,
@@ -49,12 +47,8 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _fr(x) -> str:
-    return format_rational(Fraction(x))
-
-
 def _vec(values) -> list:
-    return [_fr(x) for x in values]
+    return [format_rational(x) for x in values]
 
 
 def _emit(data, out: str | None):
@@ -86,8 +80,7 @@ def _cmd_xi(args) -> int:
     a = parse_matrix(_read(args.matrix))
     v = parse_vector(_read(args.target))
     if args.ring == "q":
-        solver = xi_q_at_face_oracle if args.solver == "face-oracle" else xi_q_at
-        result = solver(a, v)
+        result = xi_q_at(a, v)
     elif args.ring == "z":
         result = xi_z_at(a, v)
     else:
@@ -95,7 +88,7 @@ def _cmd_xi(args) -> int:
             raise ExpansionLabError("--ring zq requires --modulus")
         result = xi_zq_at(reduce_mod_q(a, args.modulus), v)
     data = {
-        "value": _fr(result.value),
+        "value": format_rational(result.value),
         "target": _vec(result.target),
         "witness": _vec(result.witness),
         "ring": result.ring,
@@ -115,7 +108,7 @@ def _cmd_xi_global(args) -> int:
         result = xi_z_global(a)
         ring = "Z"
     data = {
-        "value": _fr(result.value),
+        "value": format_rational(result.value),
         "attaining_target": _vec(result.attaining_target),
         "ring": ring,
         "exact": result.exact,
@@ -128,7 +121,7 @@ def _cmd_xi_zq(args) -> int:
     a = parse_matrix(_read(args.matrix))
     result = xi_zq_global(reduce_mod_q(a, args.modulus))
     data = {
-        "value": _fr(result.value),
+        "value": format_rational(result.value),
         "attaining_target": _vec(result.attaining_target),
         "ring": f"Zq({args.modulus})",
         "exact": result.exact,
@@ -226,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", choices=("q", "z", "zq"), default="q")
     p.add_argument("--modulus", type=int, default=None, help="prime q for --ring zq")
     p.add_argument("--target", required=True, help="vector file (one line)")
-    p.add_argument(
-        "--solver",
-        choices=("lp", "face-oracle"),
-        default="lp",
-        help="rational-ring solver choice",
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_xi)
 
@@ -283,10 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExpansionLabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ExpansionLabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -264,34 +264,18 @@ class GroupPresentation:
                     )
 
 
+_TOKENS = re.compile(r";|[^\s;]+").finditer
+
+
 def _tokenize(text: str):
-    """Tokens with 1-based line/column positions; ';' is its own token."""
-    out = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == ";":
-            out.append((";", line, col))
-            col += 1
-            i += 1
-            continue
-        j = i
-        start = col
-        while j < len(text) and not text[j].isspace() and text[j] != ";":
-            j += 1
-        out.append((text[i:j], line, start))
-        col += j - i
-        i = j
-    return out
+    """Tokens with 1-based line/column positions; ';' is its own token.
+    Only a newline ends a line; any other whitespace character, a
+    carriage return included, separates tokens and takes one column."""
+    return [
+        (m.group(), line, m.start() + 1)
+        for line, row in enumerate(text.split("\n"), start=1)
+        for m in _TOKENS(row)
+    ]
 
 
 def parse_presentation(text: str) -> GroupPresentation:

@@ -134,7 +134,18 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, data: Iterable[Iterable[int]], cols: int | None = None) -> IntMatrix:
-        row_list = [tuple(map(int, row)) for row in data]
+        """The matrix with rows ``data``; ``cols`` is required when there
+        are none.  Entries must convert to int unchanged: ``True``, an
+        integral ``Fraction`` or any other integer type is taken at its
+        value, while ``2.5``, ``"3"`` or ``Fraction(3, 2)`` raise
+        ``DimensionMismatchError`` rather than be truncated."""
+        given = [tuple(row) for row in data]
+        row_list = [tuple(map(int, row)) for row in given]
+        if row_list != given:
+            bad = next(x for row in given for x in row if int(x) != x)
+            raise DimensionMismatchError(
+                f"matrix entries must be integers, got {bad!r}"
+            )
         if row_list:
             width = len(row_list[0])
             if cols is not None and cols != width:

@@ -8,6 +8,11 @@ of the 1-norm when working modulo a prime ``q``).  The global expansion
 constant is the supremum of the per-target values over all nonzero
 image vectors.
 
+Each per-target solver checks its target in one place, ``_target``:
+one entry per row, integer entries (``True`` and non-integral values
+are refused, never truncated), reduced mod ``q`` over F_q, and nonzero.
+The rational image check is ``_rational_preimage``.
+
 Everything here is exact.  Rational optima come from
 ``simplex.min_l1_combination``, integer optima from branch and bound
 with rational relaxation bounds, and finite-field optima from a search
@@ -158,27 +163,42 @@ class GlobalExpansion:
     exact: bool
 
 
-def _as_int_vector(v: Vector, what: str = "vector") -> IntVector:
+def _target(a, v: Vector, q: Optional[int] = None) -> IntVector:
+    """The target ``v`` of a per-target solver on ``a``, checked: one
+    entry per row of ``a``, integer entries (an ``int`` other than
+    ``True``/``False``, or an integral ``Fraction``), reduced mod ``q``
+    when given, and not zero (``ZeroTargetError``)."""
+    if len(v) != a.rows:
+        raise DimensionMismatchError(
+            f"target has length {len(v)}, matrix has {a.rows} rows"
+        )
     out = []
     for x in v:
         if isinstance(x, bool):
-            raise DimensionMismatchError(f"{what} entries must be integers")
+            raise DimensionMismatchError("target entries must be integers")
         if isinstance(x, int):
             out.append(x)
         elif isinstance(x, Fraction) and x.denominator == 1:
             out.append(int(x))
         else:
             raise DimensionMismatchError(
-                f"{what} entries must be integers, got {x!r}"
+                f"target entries must be integers, got {x!r}"
             )
-    return tuple(out)
+    v = tuple(out) if q is None else tuple(x % q for x in out)
+    if not any(v):
+        raise ZeroTargetError("expansion at the zero target is undefined")
+    return v
 
 
-def _check_target_length(a: IntMatrix, v: Sequence) -> None:
-    if len(v) != a.rows:
-        raise DimensionMismatchError(
-            f"target has length {len(v)}, matrix has {a.rows} rows"
+def _rational_preimage(a: IntMatrix, v: IntVector):
+    """``solve_rational(a, v)``, or ``TargetNotInImageError`` when ``v``
+    has no rational preimage."""
+    u0 = solve_rational(a, v)
+    if u0 is None:
+        raise TargetNotInImageError(
+            "target is not in the rational image of the matrix"
         )
+    return u0
 
 
 @lru_cache(maxsize=512)
@@ -200,15 +220,8 @@ def xi_q_at(a: IntMatrix, v: Vector) -> ExpansionResult:
     and divides by ``l1(v)``.  Raises ``ZeroTargetError`` for ``v == 0``
     and ``TargetNotInImageError`` when ``v`` has no rational preimage.
     """
-    _check_target_length(a, v)
-    v = _as_int_vector(v, "target")
-    if all(x == 0 for x in v):
-        raise ZeroTargetError("expansion at the zero target is undefined")
-    u0 = solve_rational(a, v)
-    if u0 is None:
-        raise TargetNotInImageError(
-            "target is not in the rational image of the matrix"
-        )
+    v = _target(a, v)
+    u0 = _rational_preimage(a, v)
     kernel = _kernel_info(a)
     x, w, best = min_l1_combination(u0, kernel)
     witness = tuple(w)
@@ -295,15 +308,8 @@ def minimization_faces(a: IntMatrix, v: Vector) -> FaceDecomposition:
     exceeds ``_MAX_FACE_RANK`` or the distinct hyperplanes exceed
     ``_MAX_FACE_TERMS``, which keeps the combinatorics desk-sized.
     """
-    _check_target_length(a, v)
-    v = _as_int_vector(v, "target")
-    if all(x == 0 for x in v):
-        raise ZeroTargetError("expansion at the zero target is undefined")
-    u0 = solve_rational(a, v)
-    if u0 is None:
-        raise TargetNotInImageError(
-            "target is not in the rational image of the matrix"
-        )
+    v = _target(a, v)
+    u0 = _rational_preimage(a, v)
     kernel = _kernel_info(a)
     k = len(kernel)
     n = a.cols
@@ -457,10 +463,10 @@ def xi_q_at_face_oracle(a: IntMatrix, v: Vector) -> ExpansionResult:
     """Rational expansion at ``v`` via face enumeration instead of
     simplex.  Same value as ``xi_q_at``, independently derived, under
     the caps of ``minimization_faces``."""
+    v = _target(a, v)
     decomposition = minimization_faces(a, v)
-    v = _as_int_vector(v, "target")
     kernel = _kernel_info(a)
-    u0 = solve_rational(a, v)
+    u0 = _rational_preimage(a, v)
     best = None
     for face in decomposition.faces:
         if best is None or face.value < best.value:
@@ -494,16 +500,11 @@ def xi_z_at(a: IntMatrix, v: Vector) -> ExpansionResult:
     preimage, and ``EnumerationCapError`` when the search passes
     ``_MAX_NODES`` relaxations.
     """
-    _check_target_length(a, v)
-    v = _as_int_vector(v, "target")
-    if all(x == 0 for x in v):
-        raise ZeroTargetError("expansion at the zero target is undefined")
+    v = _target(a, v)
     u0 = solve_integer(a, v)
     if u0 is None:
-        if solve_rational(a, v) is None:
-            raise TargetNotInImageError(
-                "target is not in the rational image of the matrix"
-            )
+        # xi_q_at raises TargetNotInImageError when v has no rational
+        # preimage either.
         rational = xi_q_at(a, v).value
         raise TargetNotInIntegerImageError(
             "target has rational but no integer preimage", rational
@@ -728,13 +729,18 @@ def _rational_global(a: IntMatrix) -> GlobalExpansion:
         )
     if not exact:
         candidates = _sampled_targets(a, _SAMPLE_TARGETS, dedupe_rays=True)
-    best = None
-    best_target = None
-    for v in candidates:
-        res = xi_q_at(a, v)
-        if best is None or res.value > best:
-            best = res.value
-            best_target = v
+    return _largest_at(a, candidates, xi_q_at, exact)
+
+
+def _largest_at(a, targets, solve, exact: bool) -> GlobalExpansion:
+    """The largest ``solve(a, v).value`` over ``targets``, attained at
+    the first target that reaches it (a later one replaces it only with
+    a strictly larger value)."""
+    best = best_target = None
+    for v in targets:
+        value = solve(a, v).value
+        if best is None or value > best:
+            best, best_target = value, v
     return GlobalExpansion(value=best, attaining_target=best_target, exact=exact)
 
 
@@ -762,14 +768,7 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
         raise UndefinedExpansionError(
             "global expansion is undefined for a zero image"
         )
-    best = None
-    best_target = None
-    for v in targets:
-        res = xi_z_at(a, v)
-        if best is None or res.value > best:
-            best = res.value
-            best_target = v
-    return GlobalExpansion(value=best, attaining_target=best_target, exact=False)
+    return _largest_at(a, targets, xi_z_at, False)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +792,8 @@ class ModQMatrix:
     """Matrix over the prime field with ``q`` elements.
 
     Entries are stored reduced into ``[0, q)``.  Construction rejects a
-    composite or unit modulus with ``NotPrimeError``.
+    composite or unit modulus with ``NotPrimeError``, and checks the rows
+    by ``IntMatrix.from_rows``.
     """
 
     rows: int
@@ -805,25 +805,10 @@ class ModQMatrix:
     def from_rows(data: Sequence[Sequence[int]], q: int, cols: Optional[int] = None) -> "ModQMatrix":
         if not _is_prime(q):
             raise NotPrimeError(f"modulus {q} is not prime")
-        rows = len(data)
-        if rows == 0:
-            if cols is None:
-                raise DimensionMismatchError(
-                    "cannot infer column count of an empty matrix"
-                )
-            width = cols
-        else:
-            width = len(data[0])
-            if cols is not None and cols != width:
-                raise DimensionMismatchError(
-                    f"explicit cols={cols} but rows have length {width}"
-                )
-        flat = []
-        for r in data:
-            if len(r) != width:
-                raise DimensionMismatchError("ragged rows in matrix data")
-            flat.extend(int(x) % q for x in r)
-        return ModQMatrix(rows=rows, cols=width, q=q, entries=tuple(flat))
+        m = IntMatrix.from_rows(data, cols)
+        return ModQMatrix(
+            rows=m.rows, cols=m.cols, q=q, entries=tuple(x % q for x in m.entries)
+        )
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -913,13 +898,7 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     coset is enumerated and ``q ** dim(ker)`` exceeds ``_MAX_COSET``.
     """
     q = a.q
-    if len(w) != a.rows:
-        raise DimensionMismatchError(
-            f"target has length {len(w)}, matrix has {a.rows} rows"
-        )
-    w = tuple(x % q for x in _as_int_vector(w, "target"))
-    if all(x == 0 for x in w):
-        raise ZeroTargetError("expansion at the zero target is undefined")
+    w = _target(a, w, q)
     u0 = _modq_solve(a, w)
     if u0 is None:
         raise TargetNotInImageError("target is not in the image over F_q")

@@ -151,10 +151,6 @@ class CampaignReport:
         return buf.getvalue()
 
 
-def _fr(x) -> str:
-    return format_rational(Fraction(x))
-
-
 # ---------------------------------------------------------------------------
 # Instance generation.
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def campaign_equality(seed: int, count: int) -> CampaignReport:
         "matrix": format_matrix(control),
         "target": format_vector(v).strip(),
     }
-    quantities = {"xi_q": _fr(q_val), "xi_z": _fr(z_val)}
+    quantities = {"xi_q": format_rational(q_val), "xi_z": format_rational(z_val)}
     if q_val == Fraction(1, 2) and z_val == 1:
         report.add(
             instance,
@@ -324,7 +320,11 @@ def _matrix_targets_equal(rng, a: IntMatrix):
         q_val = xi_q_at(a, v).value
         z_val = xi_z_at(a, v).value
         compared.append(
-            {"target": format_vector(v).strip(), "xi_q": _fr(q_val), "xi_z": _fr(z_val)}
+            {
+                "target": format_vector(v).strip(),
+                "xi_q": format_rational(q_val),
+                "xi_z": format_rational(z_val),
+            }
         )
         if q_val != z_val:
             return False, compared, v
@@ -458,9 +458,9 @@ def campaign_modq(
                 zq_global = xi_zq_global(reduced)
                 left = (q - 1) * z_global.value
                 quantities = {
-                    "xi_z_global": _fr(z_global.value),
-                    "(q-1)*xi_z_global": _fr(left),
-                    "xi_zq_global": _fr(zq_global.value),
+                    "xi_z_global": format_rational(z_global.value),
+                    "(q-1)*xi_z_global": format_rational(left),
+                    "xi_zq_global": format_rational(zq_global.value),
                 }
                 if left >= zq_global.value:
                     report.add(
@@ -496,8 +496,8 @@ def campaign_modq(
                     bad = {
                         "w": format_vector(w).strip(),
                         "lifted_target": format_vector(t).strip(),
-                        "xi_z_at": _fr(z_val),
-                        "xi_zq_at": _fr(res.value),
+                        "xi_z_at": format_rational(z_val),
+                        "xi_zq_at": format_rational(res.value),
                     }
                     break
             if bad is None:
@@ -565,7 +565,7 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
                 continue
             quantities = {"targets": compared}
             z_global = xi_q_global(d1)
-            quantities["xi_z_global"] = _fr(z_global.value)
+            quantities["xi_z_global"] = format_rational(z_global.value)
             work = 2**d1.cols
             if work > _ZQ_WORK_CAP:
                 report.add(
@@ -577,7 +577,7 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
                 )
                 continue
             zq_global = xi_zq_global(reduce_mod_q(d1, 2))
-            quantities["xi_z2_global"] = _fr(zq_global.value)
+            quantities["xi_z2_global"] = format_rational(zq_global.value)
             if z_global.value >= zq_global.value:
                 report.add(
                     instance,
@@ -620,7 +620,10 @@ def campaign_lemma_oracle(seed: int, count: int) -> CampaignReport:
             return
         # The face oracle's value, as xi_q_at_face_oracle computes it.
         fo_value = Fraction(decomposition.minimum, l1_norm(v))
-        quantities = {"lp": _fr(lp.value), "face_oracle": _fr(fo_value)}
+        quantities = {
+            "lp": format_rational(lp.value),
+            "face_oracle": format_rational(fo_value),
+        }
         if lp.value != fo_value:
             report.add(instance, "fail", "solver values differ", quantities)
             return
@@ -638,8 +641,8 @@ def campaign_lemma_oracle(seed: int, count: int) -> CampaignReport:
                         w[i] += x * kernel[j][i]
                 value = sum(abs(t) for t in w)
                 if value != face.value:
-                    quantities["face_value"] = _fr(face.value)
-                    quantities["sampled_value"] = _fr(value)
+                    quantities["face_value"] = format_rational(face.value)
+                    quantities["sampled_value"] = format_rational(value)
                     report.add(
                         instance,
                         "fail",

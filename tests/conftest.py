@@ -6,8 +6,9 @@ substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition, the finite-field image rebuilt
 vector by vector, weighted medians sorted and summed in Fractions, the
-Hermite and Smith forms with their clearing loops written out inline)
-so library results can be checked against independent arithmetic.
+Hermite and Smith forms with their clearing loops written out inline,
+the presentation tokenizer as a character-by-character scan) so library
+results can be checked against independent arithmetic.
 """
 
 from __future__ import annotations
@@ -435,3 +436,36 @@ def elimination_systems(draw, fields=(None, 2, 3, 5, 7), carried=st.integers(0, 
 
 def frac(p, q=1) -> Fraction:
     return Fraction(p, q)
+
+
+def tokenize_by_scan(text: str):
+    """Presentation tokens ``(token, line, col)``, 1-based, by one scan
+    over the characters: a newline starts the next line, any other
+    whitespace character advances the column, ``;`` is its own token and
+    a token is otherwise a maximal run of other characters."""
+    out = []
+    line, col, i = 1, 1, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == ";":
+            out.append((";", line, col))
+            col += 1
+            i += 1
+            continue
+        j = i
+        start = col
+        while j < len(text) and not text[j].isspace() and text[j] != ";":
+            j += 1
+        out.append((text[i:j], line, start))
+        col += j - i
+        i = j
+    return out

@@ -97,16 +97,14 @@ def test_xi_rational(files, capsys):
     }
 
 
-def test_xi_face_oracle_solver_flag(files, capsys):
+def test_xi_solver_flag_removed(files, capsys):
+    # The face-enumeration route is a test oracle, not a CLI choice.
     matrix = files("a.mat", "1 2\n1 2\n")
     target = files("t.vec", "1\n")
-    rc, data = run_json(
-        capsys,
-        ["xi", matrix, "--ring", "q", "--solver", "face-oracle", "--target", target],
-    )
-    assert rc == 0
-    assert data["value"] == "1/2"
-    assert data["solver"] == "face_oracle"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["xi", matrix, "--solver", "face-oracle", "--target", target])
+    assert excinfo.value.code == 2
+    assert "--solver" in capsys.readouterr().err
 
 
 def test_xi_integer(files, capsys):

@@ -2,9 +2,12 @@
 cochain-complex container."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expansion_lab.errors import (
     CochainConditionError,
@@ -26,6 +29,7 @@ from expansion_lab.complexes import (
     CochainComplex,
     Graph,
     NULL_EDGE,
+    _tokenize,
     braid_presentation,
     check_incidence_rows,
     format_graph,
@@ -43,6 +47,15 @@ from expansion_lab.complexes import (
 )
 from expansion_lab.harness import random_incidence_matrix
 from expansion_lab.spanning import is_integrally_spanned
+
+from conftest import tokenize_by_scan
+
+#: Every character ``str.isspace`` accepts (29 of them), the separator,
+#: word pieces and a non-ASCII letter: the presentation tokenizer's
+#: alphabet.
+TOKEN_ALPHABET = [
+    chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()
+] + [";", "^-1", "a", "b", "Z", "_", "1", "é", "gens:", "rel:"]
 
 
 def rand_graph(rng: random.Random, max_v: int = 6, max_e: int = 8) -> Graph:
@@ -289,6 +302,11 @@ class TestPresentationParsing:
     def test_empty_text(self):
         with pytest.raises(PresentationSyntaxError):
             parse_presentation("   \n ")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=40).map("".join))
+    def test_tokenizer_matches_character_scan(self, text):
+        assert _tokenize(text) == tokenize_by_scan(text)
 
     def test_printer_roundtrip(self):
         texts = [

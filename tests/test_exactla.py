@@ -131,6 +131,17 @@ class TestIntMatrix:
         with pytest.raises(DimensionMismatchError):
             M([], cols=None)
 
+    @pytest.mark.parametrize("entry", [2.5, "3", Fraction(3, 2)])
+    def test_non_integer_entry_rejected(self, entry):
+        # Refused, not truncated by int().
+        with pytest.raises(DimensionMismatchError):
+            M([[1, entry]])
+
+    def test_integral_entries_taken_at_their_value(self):
+        m = M([[Fraction(2), True, -4]])
+        assert m.entries == (2, 1, -4)
+        assert all(type(x) is int for x in m.entries)
+
     def test_empty_shapes(self):
         zero_rows = M([], cols=3)
         assert zero_rows.rows == 0 and zero_rows.cols == 3

@@ -6,6 +6,7 @@ box searches, which are independent arithmetic.
 """
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -535,6 +536,58 @@ class TestPerTargetSolvers:
         if is_integrally_spanned(integer_kernel_basis(a).hnf).spanned:
             assert q_res.value == z_res.value
 
+    @settings(max_examples=100, deadline=None)
+    @given(image_targets())
+    def test_global_values_attained(self, case):
+        # Each global value is the per-target value at its attaining
+        # target.  The Q and Z targets are points of the rational image;
+        # the Z one is scaled into the integer image, where xi_z_at is
+        # defined and, on a spanned kernel, equals xi_q_at.
+        a, _ = case
+        q_global = xi_q_global(a)
+        assert q_global.exact
+        assert xi_q_at(a, q_global.attaining_target).value == q_global.value
+        z_global = xi_z_global(a)
+        assert z_global.exact == kernel_is_spanned(a)
+        t = z_global.attaining_target
+        scale = math.lcm(*(x.denominator for x in solve_rational(a, t)))
+        scaled = tuple(scale * x for x in t)
+        assert xi_z_at(a, scaled).value == z_global.value
+
+
+@st.composite
+def modq_image_targets(draw):
+    """A small matrix over F_q, q in {2, 3, 5}, with a nonzero image
+    target drawn from ``iter_image_with_preimage``."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 4))
+    a = ModQMatrix.from_rows(draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )), q)
+    images = [w for w, _ in iter_image_with_preimage(a)]
+    assume(images)
+    return a, draw(st.sampled_from(images))
+
+
+class TestZqWitnesses:
+    """The F_q counterpart of ``TestPerTargetSolvers``, Hamming weight
+    for the 1-norm."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(modq_image_targets())
+    def test_witness_and_global_target(self, case):
+        a, w = case
+        res = xi_zq_at(a, w)
+        image = mat_vec(IntMatrix.from_rows(a.to_rows()), res.witness)
+        assert tuple(x % a.q for x in image) == w
+        assert hamming_weight(res.witness) == res.value * hamming_weight(w)
+        g = xi_zq_global(a)
+        assert g.value >= res.value
+        assert xi_zq_at(a, g.attaining_target).value == g.value
+
 
 class TestModQMatrix:
     def test_entries_reduced(self):
@@ -550,6 +603,14 @@ class TestModQMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(DimensionMismatchError):
             ModQMatrix.from_rows([[1, 0], [1]], 2)
+
+    @pytest.mark.parametrize("entry", [2.5, "3", Fraction(3, 2)])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(DimensionMismatchError):
+            ModQMatrix.from_rows([[1, entry]], 3)
+
+    def test_integral_fraction_accepted(self):
+        assert ModQMatrix.from_rows([[Fraction(2), 4]], 3).to_rows() == [[2, 1]]
 
     def test_lift_section_roundtrip(self):
         rng = random.Random(409)
