@@ -138,9 +138,15 @@ class IntMatrix:
         are none.  Entries must convert to int unchanged: ``True``, an
         integral ``Fraction`` or any other integer type is taken at its
         value, while ``2.5``, ``"3"`` or ``Fraction(3, 2)`` raise
-        ``DimensionMismatchError`` rather than be truncated."""
+        ``DimensionMismatchError`` rather than be truncated, as do entries
+        ``int`` cannot convert at all (``"x"``, ``None``, ``nan``, ``inf``)."""
         given = [tuple(row) for row in data]
-        row_list = [tuple(map(int, row)) for row in given]
+        try:
+            row_list = [tuple(map(int, row)) for row in given]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionMismatchError(
+                f"matrix entries must be integers: {exc}"
+            ) from exc
         if row_list != given:
             bad = next(x for row in given for x in row if int(x) != x)
             raise DimensionMismatchError(

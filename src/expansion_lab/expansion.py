@@ -750,7 +750,12 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
     When the kernel of ``a`` is integrally spanned the integer and
     rational per-target values agree everywhere, so this is exactly the
     rational global value, split over the blocks of ``a`` and inexact
-    only where a block passes the candidate cap.  Otherwise, or when the
+    only where a block passes the candidate cap.  Its target is
+    ``xi_q_global``'s, a point of the rational image, times the smallest
+    positive integer that puts it in the integer image, where ``xi_z_at``
+    is defined: the lcm of the denominators of its coordinates in the
+    HNF basis of the image lattice.  The per-target value is unchanged
+    by scaling.  Otherwise, or when the
     spanning check passes its subset cap ``spanning._MAX_SUBSETS``, no
     exact finite reduction is available and the result is a lower bound over
     ``_SAMPLE_TARGETS`` sampled targets of the whole matrix with
@@ -762,7 +767,12 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
     except AmbientDimensionCapError:
         spanned = False
     if spanned:
-        return xi_q_global(a)
+        res = xi_q_global(a)
+        t = res.attaining_target
+        image = LatticeBasis.from_generators(a.transpose()).hnf
+        coords = solve_rational(image.transpose(), t)
+        scale = math.lcm(*(y.denominator for y in coords))
+        return replace(res, attaining_target=tuple(scale * x for x in t))
     targets = _sampled_targets(a, _SAMPLE_TARGETS, dedupe_rays=False)
     if not targets:
         raise UndefinedExpansionError(

@@ -11,9 +11,13 @@ decided on C(n, k) of them, k the rank: a lattice is spanned exactly
 when each rank-sized projection of its HNF basis is saturated (see
 ``is_integrally_spanned``). The size-then-lex subset scan runs only
 when that certificate fails, to find the first failing subset and a
-witness vector. Both are capped at ``_MAX_SUBSETS`` subsets: the
-certificate's C(n, k) is priced before any Smith form, and the scan
-stops as soon as it would pass the cap.
+witness vector. It skips the Smith form of every projection that passes
+the Heller-Tompkins 2-colouring test (``_signed_edges``,
+``_two_colourable``): such a projection is totally unimodular, hence
+saturated, so only Smith forms that could not have failed are skipped.
+Both are capped at ``_MAX_SUBSETS`` subsets: the certificate's C(n, k)
+is priced before any Smith form, and the scan stops as soon as it would
+pass the cap.
 """
 
 from __future__ import annotations
@@ -151,6 +155,52 @@ def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVecto
     raise WitnessError("witness validation failed for every candidate")
 
 
+def _signed_edges(rows: list[IntVector], ncols: int) -> list:
+    """The Heller-Tompkins data of each column of ``rows``.
+
+    ``None`` for a column outside the test (an entry not in {0, +-1},
+    or more than two nonzeros), ``()`` for a zero column or a single
+    +-1, and ``(a, b, parity)`` for +-1 entries in exactly rows a and b,
+    with parity 1 when they have the same sign (rows a and b must then
+    lie in different classes) and 0 when opposite (the same class).
+    """
+    out = []
+    for j in range(ncols):
+        nonzero = [(i, row[j]) for i, row in enumerate(rows) if row[j]]
+        if len(nonzero) > 2 or any(x not in (-1, 1) for _, x in nonzero):
+            out.append(None)
+        elif len(nonzero) == 2:
+            (a, x), (b, y) = nonzero
+            out.append((a, b, int(x == y)))
+        else:
+            out.append(())
+    return out
+
+
+def _two_colourable(edges) -> bool:
+    """True when the rows split into two classes meeting every edge's
+    parity: a union-find over rows, each row holding its parent and its
+    class parity against it."""
+    parent = {}
+
+    def find(v):
+        parity = 0
+        while v in parent:
+            v, p = parent[v]
+            parity ^= p
+        return v, parity
+
+    for a, b, parity in edges:
+        ra, pa = find(a)
+        rb, pb = find(b)
+        if ra == rb:
+            if pa ^ pb != parity:
+                return False
+        else:
+            parent[ra] = (rb, pa ^ pb ^ parity)
+    return True
+
+
 def _rank_sized_certificate(generators: IntMatrix) -> bool:
     """True when every rank-sized projection of the HNF basis is saturated.
 
@@ -207,6 +257,21 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     finds no failure contradicts the certificate and raises
     ``WitnessError``.
 
+    The scan takes no Smith form of a projection that passes the
+    Heller-Tompkins test (Heller & Tompkins 1956; Schrijver, *Theory of
+    Linear and Integer Programming*, Thm 19.3): every column has at most
+    two nonzeros, each +-1, and the rows split into two classes with
+    each same-sign pair of a column in different classes and each
+    opposite-sign pair in the same class. Such a matrix is totally
+    unimodular, so each nonzero maximal minor is +-1, all its invariant
+    factors are 1 and the projection is saturated. The test is read off
+    the generator rows once (``_signed_edges``); a projection keeps the
+    columns it selects and the classes that split them, so each subset
+    is decided by a parity union-find over its own columns
+    (``_two_colourable``). Only saturated projections are skipped, so
+    the failing subset, its witness and ``subsets_checked`` are those of
+    the scan with a Smith form on every subset.
+
     ``AmbientDimensionCapError`` is raised when the certificate needs
     more than ``_MAX_SUBSETS`` Smith forms, or the scan would visit
     more than ``_MAX_SUBSETS`` subsets. At ambient n <= 22 neither
@@ -217,18 +282,25 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
         return SpanningVerdict(True, None, 0)
     if _rank_sized_certificate(generators):
         return SpanningVerdict(True, None, 2**n - 1)
-    checked = 0
-    for subset in subsets_in_order(n):
-        checked += 1
+    rows = list(map(generators.row, range(generators.rows)))
+    edges = _signed_edges(rows, n)
+    order = itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(1, n + 1)
+    )
+    for checked, combo in enumerate(order, 1):
         if checked > _MAX_SUBSETS:
             raise AmbientDimensionCapError(
                 f"the witness scan of ambient {n} passed the subset cap "
                 f"_MAX_SUBSETS = {_MAX_SUBSETS}"
             )
-        projected = project_columns(generators, subset)
+        chosen = [edges[j] for j in combo]
+        if None not in chosen and _two_colourable(filter(None, chosen)):
+            continue
+        projected = _project(rows, combo)
         dec = snf(projected)
         if all(f == 1 for f in dec.invariant_factors()):
             continue
+        subset = CoordSubset(n, tuple(j + 1 for j in combo))
         witness = _saturation_witness(projected, dec)
         return SpanningVerdict(False, (subset, witness), checked)
     raise WitnessError(

@@ -137,6 +137,14 @@ class TestIntMatrix:
         with pytest.raises(DimensionMismatchError):
             M([[1, entry]])
 
+    @pytest.mark.parametrize(
+        "entry", ["x", float("nan"), None, float("inf"), float("-inf")]
+    )
+    def test_unconvertible_entry_rejected(self, entry):
+        # int() itself raises ValueError, TypeError or OverflowError here.
+        with pytest.raises(DimensionMismatchError, match="must be integers"):
+            M([[1, entry]])
+
     def test_integral_entries_taken_at_their_value(self):
         m = M([[Fraction(2), True, -4]])
         assert m.entries == (2, 1, -4)

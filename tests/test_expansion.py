@@ -473,6 +473,18 @@ class TestGlobalInteger:
         assert res.exact
         assert res.value == 1
 
+    @pytest.mark.parametrize(
+        "rows, target", [([[2]], (2,)), ([[2, 2]], (2,)), ([[1, 2], [1, -1]], (0, 3))]
+    )
+    def test_spanned_target_in_integer_image(self, rows, target):
+        # xi_q_global attains the value at the primitive ray (1,), resp.
+        # (0, 1), which is not in the integer image.
+        res = xi_z_global(mat(rows))
+        assert res.exact
+        assert res.attaining_target == target
+        assert res.value == xi_q_global(mat(rows)).value
+        assert xi_z_at(mat(rows), target).value == res.value
+
     def test_unspanned_gives_lower_bound(self):
         res = xi_z_global(mat([[1, 2]]))
         assert not res.exact
@@ -540,9 +552,8 @@ class TestPerTargetSolvers:
     @given(image_targets())
     def test_global_values_attained(self, case):
         # Each global value is the per-target value at its attaining
-        # target.  The Q and Z targets are points of the rational image;
-        # the Z one is scaled into the integer image, where xi_z_at is
-        # defined and, on a spanned kernel, equals xi_q_at.
+        # target.  The Z target lies in the integer image, and on a
+        # spanned kernel no proper divisor of it does.
         a, _ = case
         q_global = xi_q_global(a)
         assert q_global.exact
@@ -550,9 +561,14 @@ class TestPerTargetSolvers:
         z_global = xi_z_global(a)
         assert z_global.exact == kernel_is_spanned(a)
         t = z_global.attaining_target
-        scale = math.lcm(*(x.denominator for x in solve_rational(a, t)))
-        scaled = tuple(scale * x for x in t)
-        assert xi_z_at(a, scaled).value == z_global.value
+        assert xi_z_at(a, t).value == z_global.value
+        if z_global.exact:
+            g = math.gcd(*t)
+            assert all(
+                solve_integer(a, [x // d for x in t]) is None
+                for d in range(2, g + 1)
+                if g % d == 0
+            )
 
 
 @st.composite

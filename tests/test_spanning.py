@@ -93,6 +93,38 @@ def generator_families(draw):
 
 
 @st.composite
+def signed_graph_families(draw):
+    """Up to five generators in Z^1..Z^7 whose columns are mostly signed
+    edges: a zero column, one +-1, or two +-1 entries of either sign;
+    sometimes a same-sign triangle (an odd cycle, which no 2-colouring
+    splits) and sometimes a non-unit column (a +-2 entry, or three +-1
+    entries), which the 2-colouring test does not cover."""
+    r = draw(st.integers(1, 5))
+    sign = st.sampled_from((-1, 1))
+    columns = []
+    if r >= 3 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(r)))[:3]
+        s = draw(sign)
+        for i, j in ((a, b), (b, c), (c, a)):
+            columns.append({i: s, j: s})
+    for _ in range(draw(st.integers(1 if not columns else 0, 7 - len(columns)))):
+        kind = draw(st.sampled_from(("zero", "single", "edge", "edge", "wide")))
+        if kind == "edge" and r >= 2:
+            i, j = draw(st.permutations(range(r)))[:2]
+            columns.append({i: draw(sign), j: draw(sign)})
+        elif kind == "wide" and r >= 3 and draw(st.booleans()):
+            columns.append({i: draw(sign) for i in range(3)})
+        elif kind == "wide":
+            columns.append({draw(st.integers(0, r - 1)): 2 * draw(sign)})
+        elif kind != "zero":
+            columns.append({draw(st.integers(0, r - 1)): draw(sign)})
+        else:
+            columns.append({})
+    columns = draw(st.permutations(columns))
+    return M([[col.get(i, 0) for col in columns] for i in range(r)], cols=len(columns))
+
+
+@st.composite
 def projection_cases(draw):
     """A generator matrix up to 5x7, drawn rows set to zero and shapes
     with no rows included, and a coordinate subset of its columns."""
@@ -165,6 +197,29 @@ class TestSaturatedFor:
         assert saturated((1, 2))
 
 
+class TestTwoColouring:
+    @settings(max_examples=200, deadline=None)
+    @given(signed_graph_families())
+    @example(M([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    @example(M([[1, 0, -1], [-1, 1, 0], [0, -1, 1]]))
+    def test_passing_matrix_is_totally_unimodular(self, gens):
+        rows = [gens.row(i) for i in range(gens.rows)]
+        edges = spanning._signed_edges(rows, gens.cols)
+        passes = None not in edges and spanning._two_colourable(filter(None, edges))
+        minors = {
+            det_by_permutations(M([[gens.at(i, j) for j in cj] for i in ri]))
+            for k in range(1, min(gens.rows, gens.cols) + 1)
+            for ri in itertools.combinations(range(gens.rows), k)
+            for cj in itertools.combinations(range(gens.cols), k)
+        }
+        if passes:
+            assert minors <= {-1, 0, 1}
+        elif None not in edges:
+            # With at most two +-1 entries per column the test is exact:
+            # a failed 2-colouring leaves a minor outside {0, +-1}.
+            assert not minors <= {-1, 0, 1}
+
+
 class TestIsIntegrallySpanned:
     def test_flagship_failure(self):
         verdict = is_integrally_spanned(M([[1, 1], [1, 3]]))
@@ -173,6 +228,15 @@ class TestIsIntegrallySpanned:
         assert subset.indices == (1, 2)
         assert witness == (1, 2)
         assert verdict.subsets_checked == 3
+
+    def test_planted_triple_failure(self):
+        # index 2 in Z^3, while every pair projection is all of Z^2
+        verdict = is_integrally_spanned(M([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+        assert not verdict.spanned
+        subset, witness = verdict.witness
+        assert subset.indices == (1, 2, 3)
+        assert witness == (0, 0, 1)
+        assert verdict.subsets_checked == 7
 
     def test_single_vector_projection_failure(self):
         verdict = is_integrally_spanned(M([[2, 1]]))
@@ -273,7 +337,7 @@ class TestIsIntegrallySpanned:
         assert is_integrally_spanned(gens).subsets_checked == 3
 
     @settings(max_examples=300, deadline=None)
-    @given(generator_families())
+    @given(generator_families() | signed_graph_families())
     # The span-scan benchmark's shape: a rank-5 graph lattice in Z^11.
     @example(M([
         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1],
@@ -290,7 +354,7 @@ class TestIsIntegrallySpanned:
             assert len(subset) <= rank(gens)
 
     @pytest.mark.parametrize(
-        "rows, calls, spanned",
+        "rows, calls, spanned, checked",
         [
             # K5 image lattice: rank 4 at ambient 10, C(10, 4) projections
             (
@@ -299,14 +363,19 @@ class TestIsIntegrallySpanned:
                  for v in range(4)],
                 math.comb(10, 4),
                 True,
+                2**10 - 1,
             ),
             # ambient 30, past a full scan's reach: C(30, 1) projections
-            ([[1] * 30], 30, True),
-            # HNF [[1, 1], [0, 2]] fails the filter: only the scan runs
-            ([[1, 1], [1, 3]], 3, False),
+            ([[1] * 30], 30, True, 2**30 - 1),
+            # HNF [[1, 1], [0, 2]] fails the filter: only the scan runs,
+            # and the 2-colouring test skips the singleton (1,)
+            ([[1, 1], [1, 3]], 2, False, 3),
+            # the planted triple: every proper subset is 2-colourable, so
+            # the one Smith form is on (1, 2, 3)
+            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1, False, 7),
         ],
     )
-    def test_smith_forms_computed(self, monkeypatch, rows, calls, spanned):
+    def test_smith_forms_computed(self, monkeypatch, rows, calls, spanned, checked):
         counted = []
 
         def counting_snf(m):
@@ -318,7 +387,7 @@ class TestIsIntegrallySpanned:
         verdict = is_integrally_spanned(gens)
         assert verdict.spanned == spanned
         assert len(counted) == calls
-        assert verdict.subsets_checked == (2**gens.cols - 1 if spanned else calls)
+        assert verdict.subsets_checked == checked
 
     def test_certificate_contradicted_by_scan_is_an_error(self, monkeypatch):
         monkeypatch.setattr(spanning, "_rank_sized_certificate", lambda gens: False)
