@@ -380,7 +380,7 @@ def braid_presentation(n: int) -> GroupPresentation:
     s_{i+1}^-1 s_i^-1 s_{i+1}^-1`` for ``i = 1..n-2``.
     """
     if n < 2:
-        raise ValueError("braid presentation needs n >= 2")
+        raise DimensionMismatchError("braid presentation needs n >= 2")
     names = tuple(f"s{i}" for i in range(1, n))
     relators = []
     for i, j in itertools.combinations(range(n - 1), 2):
@@ -402,7 +402,7 @@ def steinberg_presentation(n: int) -> GroupPresentation:
     ordered triples of distinct ``i, j, k``.
     """
     if n < 2:
-        raise ValueError("Steinberg presentation needs n >= 2")
+        raise DimensionMismatchError("Steinberg presentation needs n >= 2")
     pairs = [
         (i, j)
         for i in range(1, n + 1)

@@ -74,9 +74,12 @@ class NotPrimeError(ExpansionLabError):
 
 
 class PresentationSyntaxError(ExpansionLabError):
-    """Parse error in the presentation DSL, with source position."""
+    """Parse error in the presentation DSL, with its source position, or
+    an invalid presentation built directly (``line`` and ``col`` None)."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        if line is not None:
+            message = f"{message} (line {line}, column {col})"
+        super().__init__(message)
         self.line = line
         self.col = col

@@ -139,9 +139,10 @@ class IntMatrix:
         integral ``Fraction`` or any other integer type is taken at its
         value, while ``2.5``, ``"3"`` or ``Fraction(3, 2)`` raise
         ``DimensionMismatchError`` rather than be truncated, as do entries
-        ``int`` cannot convert at all (``"x"``, ``None``, ``nan``, ``inf``)."""
-        given = [tuple(row) for row in data]
+        ``int`` cannot convert at all (``"x"``, ``None``, ``nan``, ``inf``)
+        and rows, or data, that are not iterable (``[5]``, ``7``)."""
         try:
+            given = [tuple(row) for row in data]
             row_list = [tuple(map(int, row)) for row in given]
         except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatchError(

@@ -23,8 +23,9 @@ integral and one LP decides: the paper's equality of the rational and
 integer values, met with no spanning check per target.  Only
 ``xi_z_global`` runs that check, to reduce to the rational global
 value.  A second, independent route to the rational per-target value
-(enumeration of the minimization faces of the objective) is kept
-deliberately separate so the two can be compared in tests.
+(enumeration of the minimal faces of the objective, the minimal flats
+of its hyperplane arrangement) is kept deliberately separate so the two
+can be compared in tests.
 
 Both minimizations split when the kernel basis rows have pairwise
 disjoint supports, as the component indicators spanning the kernel of a
@@ -265,14 +266,12 @@ class FaceDecomposition:
     minimum: Rational
 
 
-def _affine_solve(rows, rhs):
-    """Solve a rational affine system, returning a particular solution
-    and a basis of the homogeneous solution space, or ``None`` if the
-    system is inconsistent.  ``rows`` are integer coefficient tuples
-    over k unknowns, ``rhs`` the integer right-hand sides."""
-    if not rows:
-        return None
-    k = len(rows[0])
+def _affine_solve(rows, rhs, k):
+    """Solve a rational affine system in ``k`` unknowns, returning a
+    particular solution and a basis of the homogeneous solution space,
+    or ``None`` if the system is inconsistent.  ``rows`` are integer
+    coefficient tuples of length ``k``, ``rhs`` the integer right-hand
+    sides; with no rows the solution space is all of Q^k."""
     aug, scales, pivots = _reduced_echelon(
         [list(row) + [b] for row, b in zip(rows, rhs)], k
     )
@@ -299,11 +298,17 @@ def minimization_faces(a: IntMatrix, v: Vector) -> FaceDecomposition:
 
     The objective ``g(x) = l1(u0 + K^T x)`` over kernel coordinates
     ``x`` is piecewise linear; its domains of linearity are cut out by
-    the hyperplanes on which individual terms vanish.  This enumerates
-    subsets of the distinct nontrivial hyperplanes, keeps consistent
-    intersections that are maximal (no further hyperplane vanishes
-    identically on them), and reports one representative point and the
-    objective value for each.  Intended as an independent check of the
+    the hyperplanes on which individual terms vanish, and its minimal
+    faces are the minimal flats of that arrangement.  Each minimal flat
+    is a translate of the directions common to all the hyperplanes, so
+    with ``rho`` the rank of their normals it is cut out by ``rho``
+    hyperplanes with independent normals, and every hyperplane either
+    contains it or misses it.  This solves each ``rho``-subset of the
+    distinct nontrivial hyperplanes, keeps the consistent ones whose
+    solution space has dimension ``k - rho``, and reports for each flat
+    (in order of the hyperplanes through it) the terms vanishing on it,
+    one point of it, its directions and the objective value there, which
+    is constant on the flat.  Intended as an independent check of the
     simplex route.  Raises ``EnumerationCapError`` when the kernel rank
     exceeds ``_MAX_FACE_RANK`` or the distinct hyperplanes exceed
     ``_MAX_FACE_TERMS``, which keeps the combinatorics desk-sized.
@@ -319,144 +324,53 @@ def minimization_faces(a: IntMatrix, v: Vector) -> FaceDecomposition:
         )
     # Term i of the objective is |u0[i] + sum_j kernel[j][i] * x[j]|.
     coeffs = [tuple(kernel[j][i] for j in range(k)) for i in range(n)]
-    offsets = list(u0)
-    if k == 0:
-        val = Fraction(sum(abs(Fraction(t)) for t in offsets))
-        vanishing = tuple(i for i in range(n) if offsets[i] == 0)
-        face = MinimizationFace(
-            vanishing=vanishing, point=(), directions=(), value=val
-        )
-        return FaceDecomposition(faces=(face,), minimum=val)
-
-    def eval_terms(point):
-        return [
-            offsets[i] + sum(c * x for c, x in zip(coeffs[i], point))
-            for i in range(n)
-        ]
-
     # Distinct nontrivial hyperplanes {phi . x = -offset}, canonicalized
     # by the signed primitive ray of (phi, offset).
-    hyper = {}
-    term_to_hyper = {}
-    for i in range(n):
-        if all(c == 0 for c in coeffs[i]):
-            continue
-        off = Fraction(offsets[i])
-        key = primitive_ray(integerize(list(coeffs[i]) + [off]))
-        if key not in hyper:
-            hyper[key] = len(hyper)
-        term_to_hyper[i] = hyper[key]
-    hyperplanes = list(hyper)
+    hyperplanes = list(
+        dict.fromkeys(
+            primitive_ray(integerize(list(coeffs[i]) + [Fraction(u0[i])]))
+            for i in range(n)
+            if any(coeffs[i])
+        )
+    )
     h = len(hyperplanes)
     if h > _MAX_FACE_TERMS:
         raise EnumerationCapError(
             f"{h} distinct hyperplanes exceed face enumeration cap {_MAX_FACE_TERMS}"
         )
-
-    # For each consistent intersection, the closure is the set of
-    # hyperplane indices vanishing identically on it.  Minimal faces of
-    # the objective correspond exactly to maximal closures.
-    closures = {}
-    for size in range(min(h, k), -1, -1):
-        for subset in itertools.combinations(range(h), size):
-            rows = [hyperplanes[s][:-1] for s in subset]
-            rhs = [-hyperplanes[s][-1] for s in subset]
-            if not subset:
-                point = tuple(Fraction(0) for _ in range(k))
-                basis = tuple(
-                    tuple(
-                        Fraction(1) if t == j else Fraction(0) for t in range(k)
-                    )
-                    for j in range(k)
-                )
-                solved = (point, basis)
-            else:
-                solved = _affine_solve(rows, rhs)
-            if solved is None:
-                continue
-            point, basis = solved
-            closure = []
-            for idx in range(h):
-                phi = hyperplanes[idx][:-1]
-                off = hyperplanes[idx][-1]
-                on_point = sum(c * x for c, x in zip(phi, point)) + off == 0
-                on_basis = all(
-                    sum(c * x for c, x in zip(phi, b)) == 0 for b in basis
-                )
-                if on_point and on_basis:
-                    closure.append(idx)
-            closures[tuple(closure)] = (point, basis)
-    maximal = []
-    for cl in closures:
-        cs = set(cl)
-        if any(cs < set(other) for other in closures if other != cl):
-            continue
-        maximal.append(cl)
-
-    faces = []
-    for cl in sorted(maximal):
-        # Re-solve the full closure system: its solution space is the
-        # face's affine hull (a generating subset may cut out something
-        # smaller than the closure does).
-        if cl:
-            point, basis = _affine_solve(
-                [hyperplanes[s][:-1] for s in cl],
-                [-hyperplanes[s][-1] for s in cl],
-            )
-        else:
-            point, basis = closures[cl]
-        # Nudge the representative into the relative interior: move
-        # along basis directions away from any non-closure hyperplane
-        # it happens to sit on, so term signs are generic for the face.
-        point = list(point)
-        for idx in range(h):
-            if idx in cl:
-                continue
-            phi = hyperplanes[idx][:-1]
-            off = hyperplanes[idx][-1]
-            if sum(c * x for c, x in zip(phi, point)) + off != 0:
-                continue
-            for b in basis:
-                step = sum(c * x for c, x in zip(phi, b))
-                if step != 0:
-                    eps = _interior_step(point, b, hyperplanes, cl)
-                    point = [x + eps * y for x, y in zip(point, b)]
-                    break
-        terms = eval_terms(point)
-        vanishing = tuple(
-            i
-            for i in range(n)
-            if (i in term_to_hyper and term_to_hyper[i] in cl)
-            or (i not in term_to_hyper and offsets[i] == 0)
+    normals = [hp[:-1] for hp in hyperplanes]
+    rhs = [-hp[-1] for hp in hyperplanes]
+    rho = len(_reduced_echelon(normals, k)[2])
+    # Each minimal flat, keyed by the hyperplanes through it.
+    flats = {}
+    for subset in itertools.combinations(range(h), rho):
+        solved = _affine_solve(
+            [normals[s] for s in subset], [rhs[s] for s in subset], k
         )
-        value = Fraction(sum(abs(t) for t in terms))
+        if solved is None or len(solved[1]) != k - rho:
+            continue
+        point = solved[0]
+        closure = tuple(
+            idx
+            for idx in range(h)
+            if sum(c * x for c, x in zip(normals[idx], point)) == rhs[idx]
+        )
+        flats[closure] = solved
+    faces = []
+    for point, basis in (flats[cl] for cl in sorted(flats)):
+        terms = [
+            u0[i] + sum(c * x for c, x in zip(coeffs[i], point)) for i in range(n)
+        ]
         faces.append(
             MinimizationFace(
-                vanishing=vanishing,
-                point=tuple(point),
-                directions=tuple(basis),
-                value=value,
+                vanishing=tuple(i for i, t in enumerate(terms) if t == 0),
+                point=point,
+                directions=basis,
+                value=Fraction(sum(abs(t) for t in terms)),
             )
         )
     minimum = min(f.value for f in faces)
     return FaceDecomposition(faces=tuple(faces), minimum=minimum)
-
-
-def _interior_step(point, direction, hyperplanes, closure):
-    """A step size along ``direction`` small enough not to cross any
-    hyperplane that ``point`` is strictly off of."""
-    limit = None
-    for idx, hp in enumerate(hyperplanes):
-        phi, off = hp[:-1], hp[-1]
-        val = sum(c * x for c, x in zip(phi, point)) + off
-        step = sum(c * x for c, x in zip(phi, direction))
-        if val != 0 and step != 0:
-            bound = abs(val) / abs(step)
-            if limit is None or bound < limit:
-                limit = bound
-    if limit is None:
-        return Fraction(1)
-    return limit / 2
 
 
 def xi_q_at_face_oracle(a: IntMatrix, v: Vector) -> ExpansionResult:
@@ -787,7 +701,7 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
+    if type(q) is not int or q < 2:
         return False
     d = 2
     while d * d <= q:
@@ -802,8 +716,9 @@ class ModQMatrix:
     """Matrix over the prime field with ``q`` elements.
 
     Entries are stored reduced into ``[0, q)``.  Construction rejects a
-    composite or unit modulus with ``NotPrimeError``, and checks the rows
-    by ``IntMatrix.from_rows``.
+    composite or unit modulus, and one that is not an ``int`` (``3.0``,
+    ``True``), with ``NotPrimeError``, and checks the rows by
+    ``IntMatrix.from_rows``.
     """
 
     rows: int

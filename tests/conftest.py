@@ -4,7 +4,8 @@ The oracles here are deliberately naive (exhaustive enumeration,
 permutation expansion, the dense matrix-vector product, forward
 substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
-subset scan of the spanning condition, the finite-field image rebuilt
+subset scan of the spanning condition, the minimization faces as the
+maximal closures of every hyperplane subset, the finite-field image rebuilt
 vector by vector, weighted medians sorted and summed in Fractions, the
 Hermite and Smith forms with their clearing loops written out inline,
 the presentation tokenizer as a character-by-character scan) so library
@@ -26,11 +27,18 @@ from expansion_lab.exactla import (
     _row_combine,
     _xgcd,
     disjoint_supports,
+    integer_kernel_basis,
+    integerize,
     mat_vec,
+    primitive_ray,
     snf,
+    solve_rational,
 )
 from expansion_lab.expansion import (
+    FaceDecomposition,
     GlobalExpansion,
+    MinimizationFace,
+    _affine_solve,
     _min_weight_in_coset,
     _modq_system,
     hamming_weight,
@@ -205,6 +213,141 @@ def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
     if best is None:
         return None
     return GlobalExpansion(value=best, attaining_target=best_target, exact=True)
+
+
+def minimization_faces_by_closures(a: IntMatrix, v) -> FaceDecomposition:
+    """``minimization_faces`` the long way, for an image target ``v``:
+    solve every subset of at most ``min(h, k)`` of the ``h`` distinct
+    hyperplanes, take each solution set's closure (the hyperplanes
+    through its point and along every basis direction), keep the
+    maximal closures, re-solve each closure's own system, and nudge its
+    point off any hyperplane outside the closure.  No caps."""
+    u0 = solve_rational(a, v)
+    kernel = integer_kernel_basis(a).basis_rows()
+    k = len(kernel)
+    n = a.cols
+    coeffs = [tuple(kernel[j][i] for j in range(k)) for i in range(n)]
+    offsets = list(u0)
+    if k == 0:
+        val = Fraction(sum(abs(Fraction(t)) for t in offsets))
+        vanishing = tuple(i for i in range(n) if offsets[i] == 0)
+        face = MinimizationFace(
+            vanishing=vanishing, point=(), directions=(), value=val
+        )
+        return FaceDecomposition(faces=(face,), minimum=val)
+
+    def eval_terms(point):
+        return [
+            offsets[i] + sum(c * x for c, x in zip(coeffs[i], point))
+            for i in range(n)
+        ]
+
+    hyper = {}
+    term_to_hyper = {}
+    for i in range(n):
+        if all(c == 0 for c in coeffs[i]):
+            continue
+        off = Fraction(offsets[i])
+        key = primitive_ray(integerize(list(coeffs[i]) + [off]))
+        if key not in hyper:
+            hyper[key] = len(hyper)
+        term_to_hyper[i] = hyper[key]
+    hyperplanes = list(hyper)
+    h = len(hyperplanes)
+
+    def interior_step(point, direction):
+        limit = None
+        for hp in hyperplanes:
+            phi, off = hp[:-1], hp[-1]
+            val = sum(c * x for c, x in zip(phi, point)) + off
+            step = sum(c * x for c, x in zip(phi, direction))
+            if val != 0 and step != 0:
+                bound = abs(val) / abs(step)
+                if limit is None or bound < limit:
+                    limit = bound
+        if limit is None:
+            return Fraction(1)
+        return limit / 2
+
+    closures = {}
+    for size in range(min(h, k), -1, -1):
+        for subset in itertools.combinations(range(h), size):
+            rows = [hyperplanes[s][:-1] for s in subset]
+            rhs = [-hyperplanes[s][-1] for s in subset]
+            if not subset:
+                point = tuple(Fraction(0) for _ in range(k))
+                basis = tuple(
+                    tuple(
+                        Fraction(1) if t == j else Fraction(0) for t in range(k)
+                    )
+                    for j in range(k)
+                )
+                solved = (point, basis)
+            else:
+                solved = _affine_solve(rows, rhs, k)
+            if solved is None:
+                continue
+            point, basis = solved
+            closure = []
+            for idx in range(h):
+                phi = hyperplanes[idx][:-1]
+                off = hyperplanes[idx][-1]
+                on_point = sum(c * x for c, x in zip(phi, point)) + off == 0
+                on_basis = all(
+                    sum(c * x for c, x in zip(phi, b)) == 0 for b in basis
+                )
+                if on_point and on_basis:
+                    closure.append(idx)
+            closures[tuple(closure)] = (point, basis)
+    maximal = []
+    for cl in closures:
+        cs = set(cl)
+        if any(cs < set(other) for other in closures if other != cl):
+            continue
+        maximal.append(cl)
+
+    faces = []
+    for cl in sorted(maximal):
+        if cl:
+            point, basis = _affine_solve(
+                [hyperplanes[s][:-1] for s in cl],
+                [-hyperplanes[s][-1] for s in cl],
+                k,
+            )
+        else:
+            point, basis = closures[cl]
+        point = list(point)
+        for idx in range(h):
+            if idx in cl:
+                continue
+            phi = hyperplanes[idx][:-1]
+            off = hyperplanes[idx][-1]
+            if sum(c * x for c, x in zip(phi, point)) + off != 0:
+                continue
+            for b in basis:
+                step = sum(c * x for c, x in zip(phi, b))
+                if step != 0:
+                    eps = interior_step(point, b)
+                    point = [x + eps * y for x, y in zip(point, b)]
+                    break
+        terms = eval_terms(point)
+        vanishing = tuple(
+            i
+            for i in range(n)
+            if (i in term_to_hyper and term_to_hyper[i] in cl)
+            or (i not in term_to_hyper and offsets[i] == 0)
+        )
+        value = Fraction(sum(abs(t) for t in terms))
+        faces.append(
+            MinimizationFace(
+                vanishing=vanishing,
+                point=tuple(point),
+                directions=tuple(basis),
+                value=value,
+            )
+        )
+    minimum = min(f.value for f in faces)
+    return FaceDecomposition(faces=tuple(faces), minimum=minimum)
 
 
 def hnf_by_inline_clearing(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

@@ -253,6 +253,12 @@ def test_verify_presentations_n_range_flag(capsys):
     assert kinds == {"braid n=3", "steinberg n=3"}
 
 
+def test_verify_presentations_below_two_strands_is_an_input_error(capsys):
+    rc = main(["verify", "presentations", "--n-range", "1:3"])
+    assert rc == 2
+    assert "needs n >= 2" in capsys.readouterr().err
+
+
 def test_verify_lemma_oracle_runs(capsys):
     rc = main(["verify", "lemma-oracle", "--count", "3"])
     assert rc == 0

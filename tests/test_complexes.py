@@ -2,6 +2,7 @@
 cochain-complex container."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from expansion_lab.expansion import xi_q_at, xi_q_global
 from expansion_lab.complexes import (
     CochainComplex,
     Graph,
+    GroupPresentation,
     NULL_EDGE,
     _tokenize,
     braid_presentation,
@@ -303,6 +305,22 @@ class TestPresentationParsing:
         with pytest.raises(PresentationSyntaxError):
             parse_presentation("   \n ")
 
+    @pytest.mark.parametrize(
+        "generators, relators, message",
+        [
+            (("1a",), (), "invalid generator name"),
+            (("a", "a"), (), "duplicate generator"),
+            (("a", "b"), (((2, 1),),), "index 2 out of range"),
+            (("a",), (((0, 2),),), "sign must be +1 or -1, got 2"),
+        ],
+        ids=["name", "duplicate", "index", "sign"],
+    )
+    def test_direct_construction_rejected(self, generators, relators, message):
+        with pytest.raises(PresentationSyntaxError, match=re.escape(message)) as err:
+            GroupPresentation(generators, relators)
+        assert err.value.line is None and err.value.col is None
+        assert "line" not in str(err.value)
+
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=40).map("".join))
     def test_tokenizer_matches_character_scan(self, text):
@@ -344,7 +362,7 @@ class TestPresentationMatrices:
 
 class TestBraidFamily:
     def test_minimum_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             braid_presentation(1)
         p = braid_presentation(2)
         assert p.generators == ("s1",)
@@ -385,7 +403,7 @@ class TestBraidFamily:
 
 class TestSteinbergFamily:
     def test_minimum_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             steinberg_presentation(1)
         p = steinberg_presentation(2)
         assert p.generators == ("x1_2", "x2_1")

@@ -138,12 +138,22 @@ class TestIntMatrix:
             M([[1, entry]])
 
     @pytest.mark.parametrize(
-        "entry", ["x", float("nan"), None, float("inf"), float("-inf")]
+        "data",
+        [
+            pytest.param([[1, entry]], id=str(entry))
+            for entry in ["x", float("nan"), None, float("inf"), float("-inf")]
+        ]
+        + [
+            pytest.param([5], id="row-not-iterable"),
+            pytest.param([[1, 2], 3], id="second-row-not-iterable"),
+            pytest.param(7, id="data-not-iterable"),
+        ],
     )
-    def test_unconvertible_entry_rejected(self, entry):
-        # int() itself raises ValueError, TypeError or OverflowError here.
+    def test_unconvertible_entry_rejected(self, data):
+        # int() or tuple() itself raises ValueError, TypeError or
+        # OverflowError here.
         with pytest.raises(DimensionMismatchError, match="must be integers"):
-            M([[1, entry]])
+            M(data)
 
     def test_integral_entries_taken_at_their_value(self):
         m = M([[Fraction(2), True, -4]])

@@ -76,6 +76,7 @@ from expansion_lab.spanning import is_integrally_spanned
 from conftest import (
     elimination_systems,
     min_l1_preimage_by_box,
+    minimization_faces_by_closures,
     rand_matrix,
     rref_by_fractions,
     rref_mod_q,
@@ -200,7 +201,57 @@ class TestXiQAt:
                 assert xi_q_at(a, scaled).value == base
 
 
+@st.composite
+def face_targets(draw):
+    """A matrix of 1-3 rows and 1-7 columns, some columns copies of
+    others up to sign so that terms share or parallel a hyperplane, and
+    a nonzero target ``A x``, x an integer box point."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 7))
+    entries = st.integers(-3, 3)
+    columns = []
+    for _ in range(cols):
+        if columns and draw(st.booleans()):
+            sign = draw(st.sampled_from((1, -1)))
+            columns.append([sign * x for x in draw(st.sampled_from(columns))])
+        else:
+            columns.append(draw(st.lists(entries, min_size=rows, max_size=rows)))
+    a = mat([list(row) for row in zip(*columns)])
+    x = draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols))
+    v = mat_vec(a, x)
+    assume(any(v))
+    return a, v
+
+
 class TestFaceOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(face_targets())
+    def test_matches_closure_enumeration(self, case):
+        a, v = case
+        dec = minimization_faces(a, v)
+        ref = minimization_faces_by_closures(a, v)
+        assert len(dec.faces) == len(ref.faces)
+        for face, expected in zip(dec.faces, ref.faces):
+            assert face.vanishing == expected.vanishing
+            assert face.point == expected.point
+            assert face.directions == expected.directions
+            assert face.value == expected.value
+        assert dec.minimum == ref.minimum == xi_q_at(a, v).value * l1_norm(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(face_targets())
+    def test_vanishing_terms_are_exactly_the_listed_ones(self, case):
+        a, v = case
+        kernel = integer_kernel_basis(a).basis_rows()
+        u0 = solve_rational(a, v)
+        for face in minimization_faces(a, v).faces:
+            w = [
+                u0[i] + sum(x * row[i] for x, row in zip(face.point, kernel))
+                for i in range(a.cols)
+            ]
+            assert tuple(i for i, t in enumerate(w) if t == 0) == face.vanishing
+            assert l1_norm(w) == face.value
+
     def test_known_decomposition(self):
         dec = minimization_faces(mat([[1, 2]]), (1,))
         assert dec.minimum == Fraction(1, 2)
@@ -369,8 +420,8 @@ class TestXiZAt:
 def test_per_target_solvers_skip_the_spanning_scan(monkeypatch):
     # The 2^n spanning scan serves only xi_z_global; the per-target
     # solvers must not reach it.  The face routines run on a 1x6 row,
-    # since face enumeration on the 13-dimensional kernel of the 1x14
-    # row visits 2^14 subsets.
+    # since the 13-dimensional kernel of the 1x14 row is past their
+    # kernel rank cap.
     def scan(*args, **kwargs):
         raise AssertionError("spanning scan reached")
 
@@ -619,6 +670,17 @@ class TestModQMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(DimensionMismatchError):
             ModQMatrix.from_rows([[1, 0], [1]], 2)
+
+    @pytest.mark.parametrize(
+        "q", [3.0, 5.0, Fraction(3), True], ids=["3.0", "5.0", "Fraction(3)", "True"]
+    )
+    def test_non_int_modulus_rejected(self, q):
+        with pytest.raises(NotPrimeError):
+            ModQMatrix.from_rows([[1, 3], [2, 5]], q)
+        with pytest.raises(NotPrimeError):
+            reduce_mod_q(mat([[1, 3]]), q)
+        with pytest.raises(NotPrimeError):
+            lift_section((1, 0), q)
 
     @pytest.mark.parametrize("entry", [2.5, "3", Fraction(3, 2)])
     def test_non_integer_entry_rejected(self, entry):
@@ -1135,9 +1197,8 @@ def nullspace_line_by_fractions(subset, r):
     return primitive_ray(integerize(y))
 
 
-def affine_solve_by_fractions(rows, rhs):
+def affine_solve_by_fractions(rows, rhs, k):
     """Reference for ``_affine_solve``: Gauss-Jordan over Fraction."""
-    k = len(rows[0])
     aug, pivots = rref_by_fractions(
         [list(row) + [b] for row, b in zip(rows, rhs)], k
     )
@@ -1218,13 +1279,11 @@ class TestEliminationReadOffs:
     @given(elimination_systems(fields=(None,), carried=st.just(1)))
     def test_affine_solve_matches_fraction_elimination(self, case):
         rows, k, _ = case
-        assume(rows)
         coeffs, rhs = [row[:k] for row in rows], [row[k] for row in rows]
-        solved = _affine_solve(coeffs, rhs)
-        assert solved == affine_solve_by_fractions(coeffs, rhs)
+        solved = _affine_solve(coeffs, rhs, k)
+        assert solved == affine_solve_by_fractions(coeffs, rhs, k)
         if solved is not None:
-            # _interior_step divides with /, so an int here could let a
-            # float into the face oracle
+            # the face oracle reports these as its points and directions
             point, basis = solved
             assert all(type(x) is Fraction for x in itertools.chain(point, *basis))
 
