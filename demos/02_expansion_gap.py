@@ -54,8 +54,8 @@ print(f"  face-enumeration value: {face.value} with witness {vec(face.witness)}"
 decomposition = minimization_faces(a, v)
 for f in decomposition.faces:
     print(
-        f"  face with vanishing terms {f.vanishing}: value {f.value}, "
-        f"dimension {len(f.directions)}"
+        f"  vertex {vec(f.point)} with vanishing terms {f.vanishing}: "
+        f"value {f.value}"
     )
 print()
 

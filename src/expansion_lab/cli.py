@@ -173,6 +173,8 @@ def _parse_n_range(text: str) -> range:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 0:
+        raise FormatError(f"--count must be at least 0, got {args.count}")
     if args.campaign == "equality":
         report = campaign_equality(args.seed, args.count)
     elif args.campaign == "cw":

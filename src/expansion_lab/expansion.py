@@ -23,9 +23,9 @@ integral and one LP decides: the paper's equality of the rational and
 integer values, met with no spanning check per target.  Only
 ``xi_z_global`` runs that check, to reduce to the rational global
 value.  A second, independent route to the rational per-target value
-(enumeration of the minimal faces of the objective, the minimal flats
-of its hyperplane arrangement) is kept deliberately separate so the two
-can be compared in tests.
+(enumeration of the minimal faces of the objective, the vertices of its
+hyperplane arrangement, each read off ``_nullspace_line``) is kept
+deliberately separate so the two can be compared in tests.
 
 Both minimizations split when the kernel basis rows have pairwise
 disjoint supports, as the component indicators spanning the kernel of a
@@ -239,18 +239,16 @@ def xi_q_at(a: IntMatrix, v: Vector) -> ExpansionResult:
 
 @dataclass(frozen=True)
 class MinimizationFace:
-    """One minimal face of the piecewise-linear objective.
+    """One minimal face of the piecewise-linear objective, a vertex.
 
     ``vanishing`` lists the indices (into the matrix columns, 0-based)
-    of the affine terms that vanish identically on the face.  ``point``
-    is one relatively interior representative of the face in kernel
-    coordinates, ``directions`` spans the face's affine hull around it,
-    and ``value`` is the objective value, which is constant on the face.
+    of the affine terms that vanish at the vertex, ``point`` is the
+    vertex in kernel coordinates, and ``value`` is the objective value
+    there.
     """
 
     vanishing: tuple
     point: tuple
-    directions: tuple
     value: Rational
 
 
@@ -266,31 +264,58 @@ class FaceDecomposition:
     minimum: Rational
 
 
-def _affine_solve(rows, rhs, k):
-    """Solve a rational affine system in ``k`` unknowns, returning a
-    particular solution and a basis of the homogeneous solution space,
-    or ``None`` if the system is inconsistent.  ``rows`` are integer
-    coefficient tuples of length ``k``, ``rhs`` the integer right-hand
-    sides; with no rows the solution space is all of Q^k."""
-    aug, scales, pivots = _reduced_echelon(
-        [list(row) + [b] for row, b in zip(rows, rhs)], k
+def _vertices(a: IntMatrix, v: Vector):
+    """The checked target ``v`` and, for each vertex of the objective's
+    arrangement in order of the hyperplanes through it, its point and
+    the terms ``u0 + K^T x`` there, as Fractions.  Serves
+    ``minimization_faces`` and ``xi_q_at_face_oracle``."""
+    v = _target(a, v)
+    u0 = _rational_preimage(a, v)
+    kernel = _kernel_info(a)
+    k = len(kernel)
+    if k > _MAX_FACE_RANK:
+        raise EnumerationCapError(
+            f"kernel rank {k} exceeds face enumeration cap {_MAX_FACE_RANK}"
+        )
+    # Term i of the objective is |u0[i] + sum_j kernel[j][i] * x[j]|, zero
+    # on the hyperplane hp . (x, 1) == 0 with hp the signed primitive ray
+    # of (kernel[.][i], u0[i]); the distinct nontrivial ones are kept.
+    coeffs = [tuple(row[i] for row in kernel) for i in range(a.cols)]
+    hyperplanes = list(
+        dict.fromkeys(
+            primitive_ray(integerize(list(c) + [t]))
+            for c, t in zip(coeffs, u0)
+            if any(c)
+        )
     )
-    if any(row[k] for row in aug[len(pivots) :]):
-        return None
-    reduced = list(zip(aug, scales, pivots))
-    point = [Fraction(0)] * k
-    for row, s, c in reduced:
-        point[c] = Fraction(row[k], s)
-    basis = []
-    for f in range(k):
-        if f in pivots:
+    h = len(hyperplanes)
+    if h > _MAX_FACE_TERMS:
+        raise EnumerationCapError(
+            f"{h} distinct hyperplanes exceed face enumeration cap {_MAX_FACE_TERMS}"
+        )
+    # The kernel rows are independent, so the normals span Q^k and every
+    # minimal flat is a vertex: a k-subset whose homogeneous line y has
+    # y[k] != 0, at the point y[:k] / y[k].
+    vertices = {}
+    for subset in itertools.combinations(hyperplanes, k):
+        y = _nullspace_line(subset, k + 1)
+        if y is None or not y[k]:
             continue
-        vec = [Fraction(0)] * k
-        vec[f] = Fraction(1)
-        for row, s, c in reduced:
-            vec[c] = Fraction(-row[f], s)
-        basis.append(tuple(vec))
-    return tuple(point), tuple(basis)
+        through = tuple(
+            idx
+            for idx, hp in enumerate(hyperplanes)
+            if not sum(c * x for c, x in zip(hp, y))
+        )
+        vertices[through] = tuple(Fraction(c, y[k]) for c in y[:k])
+    out = []
+    for key in sorted(vertices):
+        point = vertices[key]
+        terms = tuple(
+            t + sum(c * x for c, x in zip(col, point))
+            for col, t in zip(coeffs, u0)
+        )
+        out.append((point, terms))
+    return v, out
 
 
 def minimization_faces(a: IntMatrix, v: Vector) -> FaceDecomposition:
@@ -299,101 +324,41 @@ def minimization_faces(a: IntMatrix, v: Vector) -> FaceDecomposition:
     The objective ``g(x) = l1(u0 + K^T x)`` over kernel coordinates
     ``x`` is piecewise linear; its domains of linearity are cut out by
     the hyperplanes on which individual terms vanish, and its minimal
-    faces are the minimal flats of that arrangement.  Each minimal flat
-    is a translate of the directions common to all the hyperplanes, so
-    with ``rho`` the rank of their normals it is cut out by ``rho``
-    hyperplanes with independent normals, and every hyperplane either
-    contains it or misses it.  This solves each ``rho``-subset of the
-    distinct nontrivial hyperplanes, keeps the consistent ones whose
-    solution space has dimension ``k - rho``, and reports for each flat
-    (in order of the hyperplanes through it) the terms vanishing on it,
-    one point of it, its directions and the objective value there, which
-    is constant on the flat.  Intended as an independent check of the
-    simplex route.  Raises ``EnumerationCapError`` when the kernel rank
-    exceeds ``_MAX_FACE_RANK`` or the distinct hyperplanes exceed
+    faces are the minimal flats of that arrangement.  The rows of the
+    kernel basis ``K`` are independent, so the hyperplane normals span
+    Q^k and every minimal flat is a vertex.  Each vertex is read off
+    ``_nullspace_line`` on a k-subset of the distinct nontrivial
+    hyperplanes, homogenized as ``(phi, offset)``.  The faces are
+    reported in order of the hyperplanes through them, each with the
+    terms vanishing there, its point and the objective value.  Intended
+    as an independent check of the simplex route.  Raises
+    ``EnumerationCapError`` when the kernel rank exceeds
+    ``_MAX_FACE_RANK`` or the distinct hyperplanes exceed
     ``_MAX_FACE_TERMS``, which keeps the combinatorics desk-sized.
     """
-    v = _target(a, v)
-    u0 = _rational_preimage(a, v)
-    kernel = _kernel_info(a)
-    k = len(kernel)
-    n = a.cols
-    if k > _MAX_FACE_RANK:
-        raise EnumerationCapError(
-            f"kernel rank {k} exceeds face enumeration cap {_MAX_FACE_RANK}"
+    _, vertices = _vertices(a, v)
+    faces = tuple(
+        MinimizationFace(
+            vanishing=tuple(i for i, t in enumerate(terms) if t == 0),
+            point=point,
+            value=Fraction(sum(map(abs, terms))),
         )
-    # Term i of the objective is |u0[i] + sum_j kernel[j][i] * x[j]|.
-    coeffs = [tuple(kernel[j][i] for j in range(k)) for i in range(n)]
-    # Distinct nontrivial hyperplanes {phi . x = -offset}, canonicalized
-    # by the signed primitive ray of (phi, offset).
-    hyperplanes = list(
-        dict.fromkeys(
-            primitive_ray(integerize(list(coeffs[i]) + [Fraction(u0[i])]))
-            for i in range(n)
-            if any(coeffs[i])
-        )
+        for point, terms in vertices
     )
-    h = len(hyperplanes)
-    if h > _MAX_FACE_TERMS:
-        raise EnumerationCapError(
-            f"{h} distinct hyperplanes exceed face enumeration cap {_MAX_FACE_TERMS}"
-        )
-    normals = [hp[:-1] for hp in hyperplanes]
-    rhs = [-hp[-1] for hp in hyperplanes]
-    rho = len(_reduced_echelon(normals, k)[2])
-    # Each minimal flat, keyed by the hyperplanes through it.
-    flats = {}
-    for subset in itertools.combinations(range(h), rho):
-        solved = _affine_solve(
-            [normals[s] for s in subset], [rhs[s] for s in subset], k
-        )
-        if solved is None or len(solved[1]) != k - rho:
-            continue
-        point = solved[0]
-        closure = tuple(
-            idx
-            for idx in range(h)
-            if sum(c * x for c, x in zip(normals[idx], point)) == rhs[idx]
-        )
-        flats[closure] = solved
-    faces = []
-    for point, basis in (flats[cl] for cl in sorted(flats)):
-        terms = [
-            u0[i] + sum(c * x for c, x in zip(coeffs[i], point)) for i in range(n)
-        ]
-        faces.append(
-            MinimizationFace(
-                vanishing=tuple(i for i, t in enumerate(terms) if t == 0),
-                point=point,
-                directions=basis,
-                value=Fraction(sum(abs(t) for t in terms)),
-            )
-        )
-    minimum = min(f.value for f in faces)
-    return FaceDecomposition(faces=tuple(faces), minimum=minimum)
+    return FaceDecomposition(faces=faces, minimum=min(f.value for f in faces))
 
 
 def xi_q_at_face_oracle(a: IntMatrix, v: Vector) -> ExpansionResult:
     """Rational expansion at ``v`` via face enumeration instead of
     simplex.  Same value as ``xi_q_at``, independently derived, under
-    the caps of ``minimization_faces``."""
-    v = _target(a, v)
-    decomposition = minimization_faces(a, v)
-    kernel = _kernel_info(a)
-    u0 = _rational_preimage(a, v)
-    best = None
-    for face in decomposition.faces:
-        if best is None or face.value < best.value:
-            best = face
-    witness = list(Fraction(t) for t in u0)
-    for j, x in enumerate(best.point):
-        for i in range(a.cols):
-            witness[i] += x * kernel[j][i]
-    value = Fraction(decomposition.minimum, l1_norm(v))
+    the caps of ``minimization_faces``.  The witness is the terms
+    vector at the first vertex, in face order, of least value."""
+    v, vertices = _vertices(a, v)
+    witness = min((terms for _, terms in vertices), key=l1_norm)
     return ExpansionResult(
-        value=value,
-        target=tuple(v),
-        witness=tuple(witness),
+        value=Fraction(l1_norm(witness), l1_norm(v)),
+        target=v,
+        witness=witness,
         ring="Q",
         solver="face_oracle",
     )
@@ -528,6 +493,7 @@ def _global_candidates(a: IntMatrix):
     if r == 0:
         return [], True
     if r == 1:
+        # one candidate ray, exact whatever _MAX_CANDIDATES is
         return [tuple(primitive_ray(basis[0]))], True
     functionals = {}
     for i in range(a.rows):
@@ -747,7 +713,7 @@ class ModQMatrix:
 
 def reduce_mod_q(a: IntMatrix, q: int) -> ModQMatrix:
     """Entrywise reduction of an integer matrix modulo a prime."""
-    return ModQMatrix.from_rows(a.to_rows(), q)
+    return ModQMatrix.from_rows(a.to_rows(), q, cols=a.cols)
 
 
 def lift_section(u: Sequence[int], q: int) -> IntVector:

@@ -48,7 +48,6 @@ from .exactla import (
     l1_norm,
     mat_vec,
     primitive_ray,
-    solve_rational,
 )
 from .expansion import (
     iter_image_with_preimage,
@@ -600,9 +599,9 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
 
 def campaign_lemma_oracle(seed: int, count: int) -> CampaignReport:
     """Cross-checks the simplex and face-enumeration routes on random
-    small instances, and verifies that the objective is constant on
-    every reported minimal face by evaluating it at random rational
-    points of the face."""
+    small instances: the simplex value must equal the least objective
+    value over the minimal faces.  Every minimal face is a vertex of
+    the arrangement, on which the objective is trivially constant."""
     rng = random.Random(seed)
     report = CampaignReport("lemma-oracle", seed, {"count": count})
 
@@ -627,29 +626,6 @@ def campaign_lemma_oracle(seed: int, count: int) -> CampaignReport:
         if lp.value != fo_value:
             report.add(instance, "fail", "solver values differ", quantities)
             return
-        kernel = integer_kernel_basis(a).basis_rows()
-        u0 = solve_rational(a, v)
-        for face in decomposition.faces:
-            for _ in range(3):
-                point = list(face.point)
-                for direction in face.directions:
-                    c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                    point = [x + c * y for x, y in zip(point, direction)]
-                w = list(u0)
-                for j, x in enumerate(point):
-                    for i in range(a.cols):
-                        w[i] += x * kernel[j][i]
-                value = sum(abs(t) for t in w)
-                if value != face.value:
-                    quantities["face_value"] = format_rational(face.value)
-                    quantities["sampled_value"] = format_rational(value)
-                    report.add(
-                        instance,
-                        "fail",
-                        "objective not constant on a reported face",
-                        quantities,
-                    )
-                    return
         report.add(
             instance,
             "pass",

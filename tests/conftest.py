@@ -5,11 +5,12 @@ permutation expansion, the dense matrix-vector product, forward
 substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition, the minimization faces as the
-maximal closures of every hyperplane subset, the finite-field image rebuilt
-vector by vector, weighted medians sorted and summed in Fractions, the
-Hermite and Smith forms with their clearing loops written out inline,
-the presentation tokenizer as a character-by-character scan) so library
-results can be checked against independent arithmetic.
+maximal closures of every hyperplane subset solved over Fraction, the
+finite-field image rebuilt vector by vector, weighted medians sorted
+and summed in Fractions, the Hermite and Smith forms with their
+clearing loops written out inline, the presentation tokenizer as a
+character-by-character scan) so library results can be checked against
+independent arithmetic.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from expansion_lab.expansion import (
     FaceDecomposition,
     GlobalExpansion,
     MinimizationFace,
-    _affine_solve,
     _min_weight_in_coset,
     _modq_system,
     hamming_weight,
@@ -215,13 +215,15 @@ def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
     return GlobalExpansion(value=best, attaining_target=best_target, exact=True)
 
 
-def minimization_faces_by_closures(a: IntMatrix, v) -> FaceDecomposition:
+def minimization_faces_by_closures(a: IntMatrix, v):
     """``minimization_faces`` the long way, for an image target ``v``:
     solve every subset of at most ``min(h, k)`` of the ``h`` distinct
-    hyperplanes, take each solution set's closure (the hyperplanes
-    through its point and along every basis direction), keep the
-    maximal closures, re-solve each closure's own system, and nudge its
-    point off any hyperplane outside the closure.  No caps."""
+    hyperplanes by Gauss-Jordan over Fraction, take each solution set's
+    closure (the hyperplanes through its point and along every basis
+    direction), keep the maximal closures, re-solve each closure's own
+    system, and nudge its point off any hyperplane outside the closure.
+    No caps.  Returns the ``FaceDecomposition`` and, per face, the basis
+    of the directions along it."""
     u0 = solve_rational(a, v)
     kernel = integer_kernel_basis(a).basis_rows()
     k = len(kernel)
@@ -231,10 +233,8 @@ def minimization_faces_by_closures(a: IntMatrix, v) -> FaceDecomposition:
     if k == 0:
         val = Fraction(sum(abs(Fraction(t)) for t in offsets))
         vanishing = tuple(i for i in range(n) if offsets[i] == 0)
-        face = MinimizationFace(
-            vanishing=vanishing, point=(), directions=(), value=val
-        )
-        return FaceDecomposition(faces=(face,), minimum=val)
+        face = MinimizationFace(vanishing=vanishing, point=(), value=val)
+        return FaceDecomposition(faces=(face,), minimum=val), ((),)
 
     def eval_terms(point):
         return [
@@ -284,7 +284,7 @@ def minimization_faces_by_closures(a: IntMatrix, v) -> FaceDecomposition:
                 )
                 solved = (point, basis)
             else:
-                solved = _affine_solve(rows, rhs, k)
+                solved = affine_solve_by_fractions(rows, rhs, k)
             if solved is None:
                 continue
             point, basis = solved
@@ -307,9 +307,10 @@ def minimization_faces_by_closures(a: IntMatrix, v) -> FaceDecomposition:
         maximal.append(cl)
 
     faces = []
+    directions = []
     for cl in sorted(maximal):
         if cl:
-            point, basis = _affine_solve(
+            point, basis = affine_solve_by_fractions(
                 [hyperplanes[s][:-1] for s in cl],
                 [-hyperplanes[s][-1] for s in cl],
                 k,
@@ -339,15 +340,11 @@ def minimization_faces_by_closures(a: IntMatrix, v) -> FaceDecomposition:
         )
         value = Fraction(sum(abs(t) for t in terms))
         faces.append(
-            MinimizationFace(
-                vanishing=vanishing,
-                point=tuple(point),
-                directions=tuple(basis),
-                value=value,
-            )
+            MinimizationFace(vanishing=vanishing, point=tuple(point), value=value)
         )
+        directions.append(tuple(basis))
     minimum = min(f.value for f in faces)
-    return FaceDecomposition(faces=tuple(faces), minimum=minimum)
+    return FaceDecomposition(faces=tuple(faces), minimum=minimum), tuple(directions)
 
 
 def hnf_by_inline_clearing(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -529,6 +526,29 @@ def rref_by_fractions(rows, ncols):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         pivots.append(c)
     return rows, pivots
+
+
+def affine_solve_by_fractions(rows, rhs, k):
+    """A rational affine system in ``k`` unknowns by Gauss-Jordan over
+    Fraction: a particular solution and a basis of the homogeneous
+    solution space, or None when the system is inconsistent."""
+    aug, pivots = rref_by_fractions(
+        [list(row) + [b] for row, b in zip(rows, rhs)], k
+    )
+    if any(row[k] for row in aug[len(pivots) :]):
+        return None
+    point = [Fraction(0)] * k
+    for row, c in zip(aug, pivots):
+        point[c] = row[k]
+    basis = []
+    for f in range(k):
+        if f not in pivots:
+            vec = [Fraction(0)] * k
+            vec[f] = Fraction(1)
+            for row, c in zip(aug, pivots):
+                vec[c] = -row[f]
+            basis.append(tuple(vec))
+    return tuple(point), tuple(basis)
 
 
 def rref_mod_q(rows, ncols, q):

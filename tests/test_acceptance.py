@@ -119,8 +119,8 @@ def test_criterion_3_minimization_lemma_oracle_100_instances():
         "criterion 3",
         started,
         120.0,
-        "simplex value = face-enumeration value, objective constant on "
-        "every minimal face (3-point check), 100 random instances",
+        "simplex value = least objective value over the minimal faces "
+        "(vertices of the arrangement), 100 random instances",
     )
 
 

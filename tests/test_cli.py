@@ -259,6 +259,15 @@ def test_verify_presentations_below_two_strands_is_an_input_error(capsys):
     assert "needs n >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("campaign", ["modq", "lemma-oracle"])
+def test_verify_negative_count_is_an_input_error(campaign, capsys):
+    rc = main(["verify", campaign, "--count", "-3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--count must be at least 0, got -3" in captured.err
+
+
 def test_verify_lemma_oracle_runs(capsys):
     rc = main(["verify", "lemma-oracle", "--count", "3"])
     assert rc == 0

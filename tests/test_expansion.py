@@ -48,7 +48,6 @@ from expansion_lab.exactla import (
 from expansion_lab.expansion import (
     GlobalExpansion,
     ModQMatrix,
-    _affine_solve,
     _enumerate_coset,
     _kernel_info,
     _min_weight_in_coset,
@@ -229,14 +228,13 @@ class TestFaceOracle:
     def test_matches_closure_enumeration(self, case):
         a, v = case
         dec = minimization_faces(a, v)
-        ref = minimization_faces_by_closures(a, v)
-        assert len(dec.faces) == len(ref.faces)
-        for face, expected in zip(dec.faces, ref.faces):
-            assert face.vanishing == expected.vanishing
-            assert face.point == expected.point
-            assert face.directions == expected.directions
-            assert face.value == expected.value
-        assert dec.minimum == ref.minimum == xi_q_at(a, v).value * l1_norm(v)
+        ref, directions = minimization_faces_by_closures(a, v)
+        assert dec == ref
+        assert dec.minimum == xi_q_at(a, v).value * l1_norm(v)
+        # the kernel rows are independent, so every minimal face is a vertex
+        assert all(d == () for d in directions)
+        for face in dec.faces:
+            assert all(type(x) is Fraction for x in (*face.point, face.value))
 
     @settings(max_examples=300, deadline=None)
     @given(face_targets())
@@ -272,24 +270,24 @@ class TestFaceOracle:
         assert dec.minimum == 1
 
     def test_face_values_match_direct_evaluation(self):
-        a = mat([[1, 1, 0], [0, 1, 1]])
-        dec = minimization_faces(a, (1, 1))
-        kernel = integer_kernel_basis(a).basis_rows()
-        u0 = solve_rational(a, (1, 1))
-        for face in dec.faces:
-            w = list(u0)
-            for j, x in enumerate(face.point):
-                for i in range(a.cols):
-                    w[i] += x * kernel[j][i]
-            assert sum(abs(t) for t in w) == face.value
-            for i in face.vanishing:
-                assert w[i] == 0
-            for direction in face.directions:
-                shifted = list(w)
-                for j, x in enumerate(direction):
+        # kernel ranks 1 and 2
+        for a in (mat([[1, 1, 0], [0, 1, 1]]), mat([[1, 1, 0, 2], [0, 1, 1, -1]])):
+            dec = minimization_faces(a, (1, 1))
+            kernel = integer_kernel_basis(a).basis_rows()
+            u0 = solve_rational(a, (1, 1))
+            assert len(dec.faces) > 1
+            for face in dec.faces:
+                w = list(u0)
+                for j, x in enumerate(face.point):
                     for i in range(a.cols):
-                        shifted[i] += Fraction(1, 7) * x * kernel[j][i]
-                assert sum(abs(t) for t in shifted) == face.value
+                        w[i] += x * kernel[j][i]
+                assert sum(abs(t) for t in w) == face.value
+                for i in face.vanishing:
+                    assert w[i] == 0
+                # the vanishing terms cut out a single point: their
+                # kernel columns have rank k
+                columns = [[row[i] for row in kernel] for i in face.vanishing]
+                assert len(rref_by_fractions(columns, len(kernel))[1]) == len(kernel)
 
     def test_agrees_with_simplex_random(self):
         rng = random.Random(404)
@@ -661,6 +659,13 @@ class TestModQMatrix:
         m = reduce_mod_q(mat([[-1, 3]]), 2)
         assert m.to_rows() == [[1, 1]]
         assert reduce_mod_q(mat([[-1, 3]]), 3).to_rows() == [[2, 0]]
+
+    def test_zero_row_matrix_keeps_its_width(self):
+        # the d1 of a graph with no faces has no rows
+        m = reduce_mod_q(IntMatrix.zeros(0, 3), 2)
+        assert (m.rows, m.cols) == (0, 3)
+        with pytest.raises(UndefinedExpansionError, match="zero image"):
+            xi_zq_global(m)
 
     def test_composite_modulus_rejected(self):
         for q in (1, 4, 6, 9):
@@ -1197,27 +1202,6 @@ def nullspace_line_by_fractions(subset, r):
     return primitive_ray(integerize(y))
 
 
-def affine_solve_by_fractions(rows, rhs, k):
-    """Reference for ``_affine_solve``: Gauss-Jordan over Fraction."""
-    aug, pivots = rref_by_fractions(
-        [list(row) + [b] for row, b in zip(rows, rhs)], k
-    )
-    if any(row[k] for row in aug[len(pivots) :]):
-        return None
-    point = [Fraction(0)] * k
-    for row, c in zip(aug, pivots):
-        point[c] = row[k]
-    basis = []
-    for f in range(k):
-        if f not in pivots:
-            vec = [Fraction(0)] * k
-            vec[f] = Fraction(1)
-            for row, c in zip(aug, pivots):
-                vec[c] = -row[f]
-            basis.append(tuple(vec))
-    return tuple(point), tuple(basis)
-
-
 def modq_system_by_elimination(a):
     """Reference for ``_modq_system``: Gauss-Jordan over F_q with the
     row transform carried as extra columns."""
@@ -1272,20 +1256,8 @@ class TestNullspaceLine:
 
 
 class TestEliminationReadOffs:
-    """``_affine_solve`` and ``_modq_system`` read the fraction-free
-    elimination; the references read textbook Gauss-Jordan."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(elimination_systems(fields=(None,), carried=st.just(1)))
-    def test_affine_solve_matches_fraction_elimination(self, case):
-        rows, k, _ = case
-        coeffs, rhs = [row[:k] for row in rows], [row[k] for row in rows]
-        solved = _affine_solve(coeffs, rhs, k)
-        assert solved == affine_solve_by_fractions(coeffs, rhs, k)
-        if solved is not None:
-            # the face oracle reports these as its points and directions
-            point, basis = solved
-            assert all(type(x) is Fraction for x in itertools.chain(point, *basis))
+    """``_modq_system`` reads the fraction-free elimination; the
+    reference reads textbook Gauss-Jordan over F_q."""
 
     @settings(max_examples=300, deadline=None)
     @given(elimination_systems(fields=(2, 3, 5, 7), carried=st.just(0)))
