@@ -77,6 +77,8 @@ def _cmd_span_check(args) -> int:
 
 
 def _cmd_xi(args) -> int:
+    if args.modulus is not None and args.ring != "zq":
+        raise FormatError("--modulus applies only to --ring zq")
     a = parse_matrix(_read(args.matrix))
     v = parse_vector(_read(args.target))
     if args.ring == "q":
@@ -152,8 +154,6 @@ def _cmd_build_complex(args) -> int:
 
 
 def _parse_primes(text: str) -> tuple:
-    if not text.strip():
-        return ()
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -165,11 +165,14 @@ def _parse_primes(text: str) -> tuple:
 def _parse_n_range(text: str) -> range:
     lo, _, hi = text.partition(":")
     try:
-        return range(int(lo), int(hi))
+        n_range = range(int(lo), int(hi))
     except ValueError:
         raise FormatError(
             f"--n-range must be a:b with integers a and b, got {text!r}"
         ) from None
+    if not n_range:
+        raise FormatError(f"--n-range must have a < b, got {text!r}")
+    return n_range
 
 
 def _cmd_verify(args) -> int:

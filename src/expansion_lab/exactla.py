@@ -89,10 +89,12 @@ def primitive_ray(vec: Sequence[int]) -> IntVector:
     return tuple(scaled)
 
 
-def disjoint_supports(rows: Sequence[Sequence]) -> list[list[int]] | None:
+def disjoint_supports(rows: Sequence[Sequence]) -> tuple[IntVector, ...] | None:
     """The supports (positions of nonzero entries) of ``rows`` when no
     two rows share a position, else None."""
-    supports = [[i for i, entry in enumerate(row) if entry] for row in rows]
+    supports = tuple(
+        tuple(i for i, entry in enumerate(row) if entry) for row in rows
+    )
     if sum(map(len, supports)) != len(set().union(*supports)):
         return None
     return supports
@@ -212,8 +214,8 @@ class IntMatrix:
 @lru_cache(maxsize=512)
 def _sparse_rows(m: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
     """The (columns, entries) of each row's nonzeros, cached per matrix
-    for ``mat_vec`` and, through ``_solve_map``, the solvers' check
-    ``A @ x == v``."""
+    for ``mat_vec``, ``_blocks`` and, through ``_solve_map``, the
+    solvers' check ``A @ x == v``."""
     out = []
     for i in range(m.rows):
         row = m.row(i)
@@ -240,17 +242,15 @@ def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
     )
 
 
-def _blocks(a):
-    """The blocks of ``a``, an ``IntMatrix`` or an ``expansion.ModQMatrix``:
-    the connected components of its row-support graph, where each row
-    joins the columns it is nonzero on (union-find).  Returns
-    ``(rows, cols)`` pairs of increasing index tuples, in order of
-    smallest column.  Zero rows and zero columns belong to no block.  A
-    ``ModQMatrix`` stores reduced entries, so there an entry divisible
-    by q joins nothing.
+def _blocks(a: IntMatrix):
+    """The blocks of ``a``: the connected components of its row-support
+    graph, where each row joins the columns it is nonzero on
+    (union-find).  Returns ``(rows, cols)`` pairs of increasing index
+    tuples, in order of smallest column.  Zero rows and zero columns
+    belong to no block.  A ``ModQMatrix`` stores reduced entries, so
+    there an entry divisible by q joins nothing.
     """
-    n = a.cols
-    parent = list(range(n))
+    parent = list(range(a.cols))
 
     def find(j):
         while parent[j] != j:
@@ -258,11 +258,8 @@ def _blocks(a):
             j = parent[j]
         return j
 
-    supports = []
-    for i in range(a.rows):
-        row = a.entries[i * n : (i + 1) * n]
-        cols = [j for j, e in enumerate(row) if e]
-        supports.append(cols)
+    supports = [cols for cols, _ in _sparse_rows(a)]
+    for cols in supports:
         for j in cols[1:]:
             parent[find(j)] = find(cols[0])
     # Keyed by root, inserted in order of smallest column.

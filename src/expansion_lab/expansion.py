@@ -515,8 +515,6 @@ def _global_candidates(a: IntMatrix):
         for yt, b in zip(y, basis):
             if yt:
                 target = [x + yt * e for x, e in zip(target, b)]
-        if all(x == 0 for x in target):
-            continue
         key = primitive_ray(target)
         if key in seen:
             continue
@@ -678,42 +676,43 @@ def _is_prime(q: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ModQMatrix:
-    """Matrix over the prime field with ``q`` elements.
+class ModQMatrix(IntMatrix):
+    """Matrix over the prime field with ``q`` elements: an ``IntMatrix``
+    whose entries are stored reduced into ``[0, q)``.
 
-    Entries are stored reduced into ``[0, q)``.  Construction rejects a
-    composite or unit modulus, and one that is not an ``int`` (``3.0``,
-    ``True``), with ``NotPrimeError``, and checks the rows by
-    ``IntMatrix.from_rows``.
+    Every construction, ``from_rows``, ``reduce_mod_q`` and
+    ``dataclasses.replace`` included, first rejects a composite or unit
+    modulus, and one that is not an ``int`` (``3.0``, ``True``), with
+    ``NotPrimeError``, then runs ``IntMatrix``'s dimension checks, then
+    reduces the entries.  The integer operations (``@``, ``transpose``,
+    ``mat_vec``) act on the stored residues and return plain
+    ``IntMatrix`` values or integers.  A ``ModQMatrix`` never equals an
+    ``IntMatrix``.
     """
 
-    rows: int
-    cols: int
     q: int
-    entries: tuple
 
-    @staticmethod
-    def from_rows(data: Sequence[Sequence[int]], q: int, cols: Optional[int] = None) -> "ModQMatrix":
-        if not _is_prime(q):
-            raise NotPrimeError(f"modulus {q} is not prime")
-        m = IntMatrix.from_rows(data, cols)
-        return ModQMatrix(
-            rows=m.rows, cols=m.cols, q=q, entries=tuple(x % q for x in m.entries)
+    def __post_init__(self):
+        if not _is_prime(self.q):
+            raise NotPrimeError(f"modulus {self.q} is not prime")
+        super().__post_init__()
+        object.__setattr__(
+            self, "entries", tuple(x % self.q for x in self.entries)
         )
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+    # The dataclass would generate an uncached hash; keep IntMatrix's.
+    __hash__ = IntMatrix.__hash__
 
-    def row(self, i: int) -> IntVector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+    @classmethod
+    def from_rows(cls, data: Sequence[Sequence[int]], q: int, cols: Optional[int] = None) -> "ModQMatrix":
+        """The rows ``data``, checked by ``IntMatrix.from_rows``, mod ``q``."""
+        m = IntMatrix.from_rows(data, cols)
+        return cls(m.rows, m.cols, m.entries, q)
 
 
 def reduce_mod_q(a: IntMatrix, q: int) -> ModQMatrix:
     """Entrywise reduction of an integer matrix modulo a prime."""
-    return ModQMatrix.from_rows(a.to_rows(), q, cols=a.cols)
+    return ModQMatrix(a.rows, a.cols, a.entries, q)
 
 
 def lift_section(u: Sequence[int], q: int) -> IntVector:
@@ -740,8 +739,11 @@ def hamming_weight(u: Sequence[int]) -> int:
 
 @lru_cache(maxsize=256)
 def _modq_system(a: ModQMatrix):
-    """Reduced row echelon data for solving ``a @ u = w`` over F_q:
-    (rref rows, pivot columns, kernel basis, row transform)."""
+    """Reduced row echelon data for solving ``a @ u = w`` over F_q,
+    decided once per matrix: (kernel supports, pivot columns, kernel
+    basis, row transform).  The supports are those of the kernel rows
+    when no two rows share a position (``disjoint_supports``), else
+    None."""
     q, m, n = a.q, a.rows, a.cols
     aug = [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
     rows, scales, pivots = _reduced_echelon(aug, n, q)
@@ -755,9 +757,9 @@ def _modq_system(a: ModQMatrix):
         for row, c in zip(work, pivots):
             vec[c] = -row[f] % q
         kernel.append(tuple(vec))
-    rref = tuple(tuple(row[:n]) for row in work)
+    supports = disjoint_supports(kernel)
     trans = tuple(tuple(row[n:]) for row in work)
-    return rref, tuple(pivots), tuple(kernel), trans
+    return supports, tuple(pivots), tuple(kernel), trans
 
 
 def modq_rank(a: ModQMatrix) -> int:
@@ -766,8 +768,9 @@ def modq_rank(a: ModQMatrix) -> int:
     return len(pivots)
 
 
-def _modq_solve(a: ModQMatrix, w: Sequence[int]):
-    rref, pivots, _, trans = _modq_system(a)
+def _modq_solve(a: ModQMatrix, w: Sequence[int], pivots, trans):
+    """A solution of ``a @ u = w`` over F_q from the pivots and row
+    transform of ``_modq_system(a)``, or None."""
     q = a.q
     t = [sum(trans[i][j] * w[j] for j in range(a.rows)) % q for i in range(a.rows)]
     for i in range(len(pivots), a.rows):
@@ -790,10 +793,10 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     """
     q = a.q
     w = _target(a, w, q)
-    u0 = _modq_solve(a, w)
+    supports, pivots, kernel, trans = _modq_system(a)
+    u0 = _modq_solve(a, w, pivots, trans)
     if u0 is None:
         raise TargetNotInImageError("target is not in the image over F_q")
-    kernel, supports = _modq_kernel(a)
     best_u, best_wt = _min_weight_in_coset(u0, kernel, q, supports)
     value = Fraction(best_wt, hamming_weight(w))
     return ExpansionResult(
@@ -803,16 +806,6 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
         ring=f"Zq({q})",
         solver="coset_bruteforce",
     )
-
-
-@lru_cache(maxsize=256)
-def _modq_kernel(a: ModQMatrix):
-    """The kernel basis of ``a`` over F_q and the supports of its rows
-    when no two rows share a position (else None), decided once per
-    matrix."""
-    _, _, kernel, _ = _modq_system(a)
-    supports = disjoint_supports(kernel)
-    return kernel, None if supports is None else tuple(map(tuple, supports))
 
 
 def _min_weight_in_coset(u0, kernel, q, supports):
@@ -898,9 +891,7 @@ def _image_walk(a: ModQMatrix, kernel=(), supports=None):
     """
     _, pivots, _, _ = _modq_system(a)
     q, r = a.q, len(pivots)
-    columns = [
-        [(i, a.at(i, p)) for i in range(a.rows) if a.at(i, p)] for p in pivots
-    ]
+    columns = [[(i, x) for i, x in enumerate(a.column(p)) if x] for p in pivots]
     w = [0] * a.rows
     u0 = [0] * a.cols
     hw = 0
@@ -1032,7 +1023,7 @@ def _image_maximum(a: ModQMatrix):
         raise EnumerationCapError(
             f"image size q**{r} exceeds enumeration cap {_MAX_IMAGES}"
         )
-    kernel, supports = _modq_kernel(a)
+    supports, _, kernel, _ = _modq_system(a)
     # The value wt / hw is compared by cross-multiplying; the start
     # -1 / 1 loses to any image vector.
     best_wt, best_hw, best_target, lead = -1, 1, None, None

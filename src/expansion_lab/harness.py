@@ -629,7 +629,7 @@ def campaign_lemma_oracle(seed: int, count: int) -> CampaignReport:
         report.add(
             instance,
             "pass",
-            f"solvers agree; {len(decomposition.faces)} faces constant",
+            f"solvers agree; {len(decomposition.faces)} vertices",
             quantities,
         )
 

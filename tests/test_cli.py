@@ -137,6 +137,17 @@ def test_xi_zq_without_modulus_is_an_input_error(files, capsys):
     assert "modulus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring", ["q", "z"])
+def test_xi_modulus_without_ring_zq_is_an_input_error(files, capsys, ring):
+    matrix = files("a.mat", "1 2\n1 1\n")
+    target = files("t.vec", "1\n")
+    rc = main(["xi", matrix, "--ring", ring, "--modulus", "3", "--target", target])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--modulus applies only to --ring zq" in captured.err
+
+
 def test_xi_global_rational(files, capsys):
     matrix = files("a.mat", "1 2\n1 -1\n")
     rc, data = run_json(capsys, ["xi-global", matrix, "--ring", "q"])
@@ -257,6 +268,23 @@ def test_verify_presentations_below_two_strands_is_an_input_error(capsys):
     rc = main(["verify", "presentations", "--n-range", "1:3"])
     assert rc == 2
     assert "needs n >= 2" in capsys.readouterr().err
+
+
+def test_verify_presentations_empty_n_range_is_an_input_error(capsys):
+    rc = main(["verify", "presentations", "--n-range", "5:3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--n-range must have a < b, got '5:3'" in captured.err
+
+
+@pytest.mark.parametrize("primes", ["", " "])
+def test_verify_modq_blank_primes_is_an_input_error(primes, capsys):
+    rc = main(["verify", "modq", "--count", "1", "--primes", primes])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--primes must be comma-separated integers" in captured.err
 
 
 @pytest.mark.parametrize("campaign", ["modq", "lemma-oracle"])

@@ -9,6 +9,7 @@ import itertools
 import math
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -51,7 +52,6 @@ from expansion_lab.expansion import (
     _enumerate_coset,
     _kernel_info,
     _min_weight_in_coset,
-    _modq_kernel,
     _modq_system,
     _nullspace_line,
     _rational_global,
@@ -646,7 +646,7 @@ class TestZqWitnesses:
     def test_witness_and_global_target(self, case):
         a, w = case
         res = xi_zq_at(a, w)
-        image = mat_vec(IntMatrix.from_rows(a.to_rows()), res.witness)
+        image = mat_vec(a, res.witness)
         assert tuple(x % a.q for x in image) == w
         assert hamming_weight(res.witness) == res.value * hamming_weight(w)
         g = xi_zq_global(a)
@@ -671,6 +671,39 @@ class TestModQMatrix:
         for q in (1, 4, 6, 9):
             with pytest.raises(NotPrimeError):
                 ModQMatrix.from_rows([[1]], q)
+
+    def test_constructor_checks_modulus_and_shape(self):
+        with pytest.raises(NotPrimeError):
+            ModQMatrix(rows=1, cols=2, q=4, entries=(1, 1))
+        with pytest.raises(DimensionMismatchError):
+            ModQMatrix(rows=1, cols=2, q=3, entries=(1,))
+        # the modulus is checked first
+        with pytest.raises(NotPrimeError):
+            ModQMatrix(rows=1, cols=2, q=4, entries=(1,))
+
+    def test_constructor_reduces_entries(self):
+        m = ModQMatrix(rows=1, cols=2, q=3, entries=(1, 7))
+        assert m.entries == (1, 1)
+        assert m == ModQMatrix.from_rows([[1, 1]], 3)
+        assert hash(m) == hash(ModQMatrix.from_rows([[1, 1]], 3))
+        assert xi_zq_global(m).value == 1
+
+    def test_submatrix_is_a_checked_modq_matrix(self):
+        a = ModQMatrix.from_rows([[1, 0, 2], [0, 4, 0]], 5)
+        block = _submatrix(a, (0,), (0, 2))
+        assert type(block) is ModQMatrix
+        assert (block.rows, block.cols, block.q, block.entries) == (1, 2, 5, (1, 2))
+        with pytest.raises(DimensionMismatchError):
+            replace(block, cols=3)
+        with pytest.raises(NotPrimeError):
+            replace(block, q=4)
+
+    def test_never_equals_an_int_matrix(self):
+        m = ModQMatrix.from_rows([[1, 0], [0, 1]], 2)
+        assert isinstance(m, IntMatrix)
+        assert m != IntMatrix.identity(2) and IntMatrix.identity(2) != m
+        assert m.entries == IntMatrix.identity(2).entries
+        assert m != ModQMatrix.from_rows([[1, 0], [0, 1]], 3)
 
     def test_ragged_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -754,7 +787,7 @@ class TestXiZqAt:
         # size 2 ** 2 is enumerated
         monkeypatch.setattr(expansion, "_MAX_COSET", 3)
         a = ModQMatrix.from_rows([[1, 1, 1]], 2)
-        assert _modq_kernel(a)[1] is None
+        assert _modq_system(a)[0] is None
         with pytest.raises(EnumerationCapError, match="coset size"):
             xi_zq_at(a, (1,))
 
@@ -762,7 +795,7 @@ class TestXiZqAt:
         # 25 kernel rows with disjoint supports: a 2 ** 25 coset, far
         # past _MAX_COSET, weighed row by row
         a = ModQMatrix.from_rows([[1] + [0] * 25], 2)
-        assert 2 ** len(_modq_kernel(a)[0]) > expansion._MAX_COSET
+        assert 2 ** len(_modq_system(a)[2]) > expansion._MAX_COSET
         assert xi_zq_at(a, (1,)).value == 1
         assert xi_zq_global(a).value == 1
 
@@ -998,7 +1031,7 @@ class TestImageWalk:
     @given(modq_matrices_by_kernel())
     def test_global_matches_product_enumeration(self, case):
         kind, a = case
-        kernel, supports = _modq_kernel(a)
+        supports, _, kernel, _ = _modq_system(a)
         assert (not kernel, supports is None) == (
             kind == "zero",
             kind == "overlapping",
@@ -1029,7 +1062,7 @@ class TestImageWalk:
 
     def test_steinberg_4_mod_2_matches_product_enumeration(self):
         a = reduce_mod_q(presentation_d1(steinberg_presentation(4)), 2)
-        assert modq_rank(a) == 12 and not _modq_kernel(a)[0]
+        assert modq_rank(a) == 12 and not _modq_system(a)[2]
         res = xi_zq_global(a)
         oracle = zq_global_by_product_enumeration(a)
         assert (res.value, res.attaining_target) == (
@@ -1040,7 +1073,7 @@ class TestImageWalk:
     def test_disjoint_kernel_needs_no_coset_search(self, monkeypatch):
         # two components: the kernel is spanned by their indicators
         a = reduce_mod_q(mat([[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1]]), 3)
-        kernel, supports = _modq_kernel(a)
+        supports, _, kernel, _ = _modq_system(a)
         assert len(kernel) == 2 and supports is not None
         oracle = zq_global_by_product_enumeration(a)
 
@@ -1057,7 +1090,7 @@ class TestImageWalk:
 
     def test_overlapping_kernel_enumerates_each_coset(self):
         a = ModQMatrix.from_rows([[0, 2, 2, 2], [2, 2, 1, 1]], 3)
-        assert _modq_kernel(a)[1] is None
+        assert _modq_system(a)[0] is None
         with mock.patch.object(
             expansion, "_enumerate_coset", wraps=expansion._enumerate_coset
         ) as spy:
@@ -1203,8 +1236,9 @@ def nullspace_line_by_fractions(subset, r):
 
 
 def modq_system_by_elimination(a):
-    """Reference for ``_modq_system``: Gauss-Jordan over F_q with the
-    row transform carried as extra columns."""
+    """Reference for ``_modq_system``: (pivot columns, kernel basis, row
+    transform) by Gauss-Jordan over F_q with the row transform carried
+    as extra columns."""
     q, m, n = a.q, a.rows, a.cols
     work, pivots = rref_mod_q(
         [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)], n, q
@@ -1217,12 +1251,7 @@ def modq_system_by_elimination(a):
             for row, c in zip(work, pivots):
                 vec[c] = -row[f] % q
             kernel.append(tuple(vec))
-    return (
-        tuple(tuple(row[:n]) for row in work),
-        tuple(pivots),
-        tuple(kernel),
-        tuple(tuple(row[n:]) for row in work),
-    )
+    return tuple(pivots), tuple(kernel), tuple(tuple(row[n:]) for row in work)
 
 
 @st.composite
@@ -1264,4 +1293,6 @@ class TestEliminationReadOffs:
     def test_modq_system_matches_field_elimination(self, case):
         rows, n, q = case
         a = ModQMatrix.from_rows(rows, q, cols=n)
-        assert _modq_system(a) == modq_system_by_elimination(a)
+        supports, pivots, kernel, trans = _modq_system(a)
+        assert (pivots, kernel, trans) == modq_system_by_elimination(a)
+        assert supports == disjoint_supports(kernel)
