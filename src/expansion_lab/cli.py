@@ -101,35 +101,30 @@ def _cmd_xi(args) -> int:
     return 0
 
 
-def _cmd_xi_global(args) -> int:
-    a = parse_matrix(_read(args.matrix))
-    if args.ring == "q":
-        result = xi_q_global(a)
-        ring = "Q"
-    else:
-        result = xi_z_global(a)
-        ring = "Z"
+def _emit_global(result, ring: str, out) -> int:
+    """The JSON of a ``GlobalExpansion`` over ``ring``, for ``xi-global``
+    and ``xi-zq``."""
     data = {
         "value": format_rational(result.value),
         "attaining_target": _vec(result.attaining_target),
         "ring": ring,
         "exact": result.exact,
     }
-    _emit(data, args.out)
+    _emit(data, out)
     return 0
+
+
+def _cmd_xi_global(args) -> int:
+    a = parse_matrix(_read(args.matrix))
+    if args.ring == "q":
+        return _emit_global(xi_q_global(a), "Q", args.out)
+    return _emit_global(xi_z_global(a), "Z", args.out)
 
 
 def _cmd_xi_zq(args) -> int:
     a = parse_matrix(_read(args.matrix))
     result = xi_zq_global(reduce_mod_q(a, args.modulus))
-    data = {
-        "value": format_rational(result.value),
-        "attaining_target": _vec(result.attaining_target),
-        "ring": f"Zq({args.modulus})",
-        "exact": result.exact,
-    }
-    _emit(data, args.out)
-    return 0
+    return _emit_global(result, f"Zq({args.modulus})", args.out)
 
 
 def _cmd_build_complex(args) -> int:

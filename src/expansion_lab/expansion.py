@@ -34,8 +34,9 @@ weighted median over Q (see ``simplex``) and by the most frequent
 zeroing coefficient over F_q.  Kernels with overlapping rows take the
 general path, the simplex or the full coset enumeration, which also
 serve the tests as oracles for the closed forms.  The global F_q value
-walks the image once, one pivot column per step, and keeps the per-row
-closed form up to date along the walk (see ``_image_walk``).
+walks the image once, one pivot column per step (see ``_image_walk``),
+and weighs each coset by the same rule as ``xi_zq_at``,
+``_min_weight_in_coset``.
 
 The global values over Q and F_q split over the blocks of the matrix:
 the connected components of its row-support graph (``exactla._blocks``;
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -168,10 +168,17 @@ def _target(a, v: Vector, q: Optional[int] = None) -> IntVector:
     """The target ``v`` of a per-target solver on ``a``, checked: one
     entry per row of ``a``, integer entries (an ``int`` other than
     ``True``/``False``, or an integral ``Fraction``), reduced mod ``q``
-    when given, and not zero (``ZeroTargetError``)."""
-    if len(v) != a.rows:
+    when given, and not zero (``ZeroTargetError``).  A ``v`` that is not
+    a sequence (``None``, ``5``) raises ``DimensionMismatchError``."""
+    try:
+        length = len(v)
+    except TypeError as exc:
         raise DimensionMismatchError(
-            f"target has length {len(v)}, matrix has {a.rows} rows"
+            f"target must be a sequence of integers: {exc}"
+        ) from exc
+    if length != a.rows:
+        raise DimensionMismatchError(
+            f"target has length {length}, matrix has {a.rows} rows"
         )
     out = []
     for x in v:
@@ -687,10 +694,11 @@ class ModQMatrix(IntMatrix):
     reduces the entries.  The integer operations (``@``, ``transpose``,
     ``mat_vec``) act on the stored residues and return plain
     ``IntMatrix`` values or integers.  A ``ModQMatrix`` never equals an
-    ``IntMatrix``.
+    ``IntMatrix``.  A missing modulus (``zeros`` and ``identity`` pass
+    none) is None, which the prime check refuses.
     """
 
-    q: int
+    q: Optional[int] = None
 
     def __post_init__(self):
         if not _is_prime(self.q):
@@ -719,11 +727,18 @@ def lift_section(u: Sequence[int], q: int) -> IntVector:
     """The standard set-theoretic section of reduction mod ``q``: each
     residue in ``[0, q)`` is lifted to the integer with the same value.
     Rejects inputs outside ``[0, q)`` so that reduction after lifting is
-    the identity by construction."""
+    the identity by construction, and a ``u`` that is not a sequence,
+    both with ``DimensionMismatchError``."""
     if not _is_prime(q):
         raise NotPrimeError(f"modulus {q} is not prime")
+    try:
+        residues = tuple(u)
+    except TypeError as exc:
+        raise DimensionMismatchError(
+            f"residues must be a sequence of integers: {exc}"
+        ) from exc
     out = []
-    for x in u:
+    for x in residues:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
             raise DimensionMismatchError(
                 f"residue {x!r} is not in the range [0, {q})"
@@ -818,14 +833,17 @@ def _min_weight_in_coset(u0, kernel, q, supports):
     ``u0`` on the row's support, the smallest such on a tie.  Because
     coefficients are enumerated lexicographically from 0, those per-row
     choices are exactly the first minimizer of the enumeration.  Other
-    kernels (``supports`` None) are enumerated.
+    kernels (``supports`` None) are enumerated.  The one coset rule over
+    F_q: ``xi_zq_at`` and ``xi_zq_global`` both weigh cosets here.
     """
     if supports is None:
         return _enumerate_coset(u0, kernel, q)
     best = list(u0)
     for row, support in zip(kernel, supports):
-        zeroed = Counter(-u0[i] * pow(row[i], q - 2, q) % q for i in support)
-        c = min(zeroed, key=lambda c: (-zeroed[c], c)) if zeroed else 0
+        zeroed = [0] * q
+        for i in support:
+            zeroed[-u0[i] * pow(row[i], q - 2, q) % q] += 1
+        c = zeroed.index(max(zeroed))
         for i in support:
             best[i] = (best[i] + c * row[i]) % q
     return tuple(best), hamming_weight(best)
@@ -867,7 +885,7 @@ def _enumerate_coset(u0, kernel, q):
     return best_u, best_wt
 
 
-def _image_walk(a: ModQMatrix, kernel=(), supports=None):
+def _image_walk(a: ModQMatrix):
     """Every nonzero image vector ``w`` of ``a`` over F_q with the
     preimage ``u0`` that carries the pivot-column coefficients, by an
     odometer over those coefficients.
@@ -879,15 +897,8 @@ def _image_walk(a: ModQMatrix, kernel=(), supports=None):
     ``w`` once (q copies of a column add nothing), so a step costs about
     q / (q - 1) sparse columns and one entry of ``u0`` per changed digit.
 
-    Yields ``(w, hw, u0, wt)`` with ``w`` and ``u0`` lists updated in
-    place (copy them to keep them) and ``hw`` the Hamming weight of
-    ``w``.  When ``supports`` holds the pairwise disjoint supports of
-    the ``kernel`` rows, ``wt`` is the minimum weight of the coset ``u0
-    + span(kernel)``, the weight ``_min_weight_in_coset`` returns: each
-    row counts, per coefficient, the coordinates of its support that
-    the coefficient zeroes, and costs ``|S|`` minus the largest count.
-    A changed digit moves one coordinate from one count to the next.
-    Otherwise ``wt`` is None.
+    Yields ``(w, hw, u0)`` with ``w`` and ``u0`` lists updated in place
+    (copy them to keep them) and ``hw`` the Hamming weight of ``w``.
     """
     _, pivots, _, _ = _modq_system(a)
     q, r = a.q, len(pivots)
@@ -895,25 +906,6 @@ def _image_walk(a: ModQMatrix, kernel=(), supports=None):
     w = [0] * a.rows
     u0 = [0] * a.cols
     hw = 0
-    track = supports is not None
-    wt = 0 if track else None
-    if track:
-        # Pivot j sits on the support of kernel row owner[j] (-1: on
-        # none); raising its digit by one moves its zeroing coefficient
-        # by shift[j] = -1 / kernel[owner[j]][pivot].
-        row_of = {i: k for k, support in enumerate(supports) for i in support}
-        owner = [row_of.get(p, -1) for p in pivots]
-        shift = [
-            -pow(kernel[k][p], q - 2, q) % q if k >= 0 else 0
-            for k, p in zip(owner, pivots)
-        ]
-        # At u0 = 0 every coordinate is zeroed by coefficient 0.
-        # counts[k][c]: coordinates of row k's support that c zeroes;
-        # hists[k][m]: coefficients with exactly m of them; tops[k]: the
-        # largest count.
-        counts = [Counter({0: len(s)}) for s in supports]
-        hists = [[q - 1] + [0] * (len(s) - 1) + [1] for s in supports]
-        tops = [len(s) for s in supports]
     for _ in range(q**r - 1):
         j = r - 1
         while True:
@@ -928,35 +920,12 @@ def _image_walk(a: ModQMatrix, kernel=(), supports=None):
                     hw -= 1
                 w[i] = new
             p = pivots[j]
-            old = u0[p]
-            new = old + 1 if old + 1 < q else 0
+            new = u0[p] + 1 if u0[p] + 1 < q else 0
             u0[p] = new
-            if track:
-                k = owner[j]
-                if k < 0:
-                    wt += (new != 0) - (old != 0)
-                else:
-                    count, hist = counts[k], hists[k]
-                    c = old * shift[j] % q
-                    m = count[c]
-                    count[c] = m - 1
-                    hist[m] -= 1
-                    hist[m - 1] += 1
-                    if m == tops[k] and not hist[m]:
-                        tops[k] = m - 1
-                        wt += 1
-                    c = (c + shift[j]) % q
-                    m = count[c] + 1
-                    count[c] = m
-                    hist[m - 1] -= 1
-                    hist[m] += 1
-                    if m > tops[k]:
-                        tops[k] = m
-                        wt -= 1
             if new:
                 break
             j -= 1
-        yield w, hw, u0, wt
+        yield w, hw, u0
 
 
 def iter_image_with_preimage(a: ModQMatrix) -> Iterator[tuple]:
@@ -966,9 +935,8 @@ def iter_image_with_preimage(a: ModQMatrix) -> Iterator[tuple]:
     The preimage carries the coefficients of the pivot columns, which run
     in ``itertools.product(range(q), repeat=rank)`` order (last pivot
     fastest, zero skipped); each vector is stepped from the one before
-    by the odometer of ``_image_walk``, the same walk ``xi_zq_global``
-    runs."""
-    for w, _, u0, _ in _image_walk(a):
+    by the odometer of ``_image_walk``, the walk ``xi_zq_global`` runs."""
+    for w, _, u0 in _image_walk(a):
         yield tuple(w), tuple(u0)
 
 
@@ -982,11 +950,12 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
 
     The image is walked once by ``_image_walk``: an odometer over the
     pivot-column coefficients in ``itertools.product`` order, adding one
-    pivot column per changed digit.  When the kernel rows have disjoint
-    supports the walk keeps each coset's minimum weight up to date as it
-    goes; otherwise each coset is enumerated by ``_enumerate_coset``.
-    ``attaining_target`` is the first maximizer in that order: a later
-    image vector replaces it only with a strictly larger value.
+    pivot column per changed digit.  Each image vector's coset is
+    weighed by ``_min_weight_in_coset``, as in ``xi_zq_at``: per-row
+    modes when the kernel rows have disjoint supports, enumeration
+    otherwise.  ``attaining_target`` is the first maximizer in that
+    order: a later image vector replaces it only with a strictly larger
+    value.
 
     A matrix with two or more blocks (see ``_blocks``) is walked block
     by block, each block under the caps on its own, and gives the same
@@ -1027,9 +996,8 @@ def _image_maximum(a: ModQMatrix):
     # The value wt / hw is compared by cross-multiplying; the start
     # -1 / 1 loses to any image vector.
     best_wt, best_hw, best_target, lead = -1, 1, None, None
-    for w, hw, u0, wt in _image_walk(a, kernel, supports):
-        if wt is None:
-            wt = _enumerate_coset(u0, kernel, q)[1]
+    for w, hw, u0 in _image_walk(a):
+        wt = _min_weight_in_coset(u0, kernel, q, supports)[1]
         if wt * best_hw > best_wt * hw:
             best_wt, best_hw, best_target = wt, hw, tuple(w)
             lead = next(j for j, x in enumerate(u0) if x)

@@ -39,7 +39,7 @@ from expansion_lab.expansion import (
     FaceDecomposition,
     GlobalExpansion,
     MinimizationFace,
-    _min_weight_in_coset,
+    _enumerate_coset,
     _modq_system,
     hamming_weight,
 )
@@ -188,12 +188,12 @@ def spanning_by_full_scan(generators: IntMatrix) -> SpanningVerdict:
 def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
     """``xi_zq_global`` one image vector at a time: each nonzero
     pivot-coefficient vector, in ``itertools.product`` order, builds its
-    image from scratch, ``_min_weight_in_coset`` weighs its coset, and a
-    strictly larger ``Fraction`` replaces the best.  None on a zero
-    image; no caps."""
+    image from scratch, ``_enumerate_coset`` weighs its coset (never the
+    per-row modes the library takes on disjoint kernels), and a strictly
+    larger ``Fraction`` replaces the best.  None on a zero image; no caps
+    but ``_MAX_COSET``."""
     _, pivots, kernel, _ = _modq_system(a)
     q = a.q
-    supports = disjoint_supports(kernel)
     cols = [tuple(a.at(i, c) for i in range(a.rows)) for c in pivots]
     best = best_target = None
     for coeffs in itertools.product(range(q), repeat=len(pivots)):
@@ -206,7 +206,7 @@ def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
         u0 = [0] * a.cols
         for c, p in zip(coeffs, pivots):
             u0[p] = c
-        _, wt = _min_weight_in_coset(tuple(u0), kernel, q, supports)
+        _, wt = _enumerate_coset(tuple(u0), kernel, q)
         value = Fraction(wt, hamming_weight(w))
         if best is None or value > best:
             best, best_target = value, tuple(w)

@@ -620,6 +620,25 @@ class TestPerTargetSolvers:
             )
 
 
+def _xi_zq_at_mod_3(a, v):
+    return xi_zq_at(reduce_mod_q(a, 3), v)
+
+
+class TestTargetChecks:
+    """Every per-target solver refuses a target that is not a sequence
+    with the typed error, as ``IntMatrix.from_rows`` refuses such rows."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [xi_q_at, xi_z_at, _xi_zq_at_mod_3, minimization_faces, xi_q_at_face_oracle],
+        ids=["xi_q_at", "xi_z_at", "xi_zq_at", "minimization_faces", "xi_q_at_face_oracle"],
+    )
+    @pytest.mark.parametrize("target", [None, 5, 2.5], ids=["None", "5", "2.5"])
+    def test_non_sequence_target_rejected(self, solve, target):
+        with pytest.raises(DimensionMismatchError, match="must be a sequence"):
+            solve(mat([[1, 1], [0, 1]]), target)
+
+
 @st.composite
 def modq_image_targets(draw):
     """A small matrix over F_q, q in {2, 3, 5}, with a nonzero image
@@ -736,6 +755,20 @@ class TestModQMatrix:
                 lifted = lift_section(u, q)
                 assert lifted == u
                 assert tuple(x % q for x in lifted) == u
+
+    def test_missing_modulus_rejected(self):
+        # zeros and identity come from IntMatrix and pass no modulus
+        with pytest.raises(NotPrimeError, match="modulus None"):
+            ModQMatrix.zeros(2, 2)
+        with pytest.raises(NotPrimeError, match="modulus None"):
+            ModQMatrix.identity(2)
+        with pytest.raises(NotPrimeError, match="modulus None"):
+            ModQMatrix(1, 2, (1, 1))
+
+    @pytest.mark.parametrize("u", [None, 5], ids=["None", "5"])
+    def test_lift_section_non_sequence_rejected(self, u):
+        with pytest.raises(DimensionMismatchError, match="must be a sequence"):
+            lift_section(u, 3)
 
     def test_lift_section_range_check(self):
         with pytest.raises(DimensionMismatchError):
@@ -1078,11 +1111,18 @@ class TestImageWalk:
         oracle = zq_global_by_product_enumeration(a)
 
         def forbidden(*args):
-            raise AssertionError("coset search on a disjoint kernel")
+            raise AssertionError("coset enumeration on a disjoint kernel")
 
+        # each image vector of each block's walk is weighed once, by the
+        # per-row modes, none by enumeration
         monkeypatch.setattr(expansion, "_enumerate_coset", forbidden)
-        monkeypatch.setattr(expansion, "_min_weight_in_coset", forbidden)
-        res = xi_zq_global(a)
+        with mock.patch.object(
+            expansion, "_min_weight_in_coset", wraps=expansion._min_weight_in_coset
+        ) as spy:
+            res = xi_zq_global(a)
+        ranks = [modq_rank(_submatrix(a, *block)) for block in _blocks(a)]
+        assert ranks == [1, 2]
+        assert spy.call_count == sum(3**r - 1 for r in ranks)
         assert (res.value, res.attaining_target) == (
             oracle.value,
             oracle.attaining_target,
