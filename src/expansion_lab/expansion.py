@@ -840,10 +840,11 @@ def _min_weight_in_coset(u0, kernel, q, supports):
         return _enumerate_coset(u0, kernel, q)
     best = list(u0)
     for row, support in zip(kernel, supports):
-        zeroed = [0] * q
+        zeroed = {}
         for i in support:
-            zeroed[-u0[i] * pow(row[i], q - 2, q) % q] += 1
-        c = zeroed.index(max(zeroed))
+            c = -u0[i] * pow(row[i], q - 2, q) % q
+            zeroed[c] = zeroed.get(c, 0) + 1
+        c = max(sorted(zeroed), key=zeroed.__getitem__)
         for i in support:
             best[i] = (best[i] + c * row[i]) % q
     return tuple(best), hamming_weight(best)

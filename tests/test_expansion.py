@@ -9,6 +9,8 @@ import itertools
 import math
 import operator
 import random
+import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -791,6 +793,22 @@ class TestXiZqAt:
         assert res.value == Fraction(1, 2)
         assert res.witness == (0, 1, 0)
 
+    def test_large_prime_coset_needs_no_q_sized_counts(self):
+        # the per-row mode counts only the coefficients that occur on the
+        # row's support; a list of q counts would take 8 MB here, and
+        # about 17 GB at the second prime
+        a = ModQMatrix.from_rows([[1, -1]], 999983)
+        tracemalloc.start()
+        try:
+            res = xi_zq_at(a, (5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert (res.value, res.witness) == (1, (5, 0))
+        res = xi_zq_at(ModQMatrix.from_rows([[1, -1]], 2**31 - 1), (5,))
+        assert (res.value, res.witness) == (1, (5, 0))
+
     def test_target_reduced_before_use(self):
         a = ModQMatrix.from_rows([[1, 1]], 2)
         res = xi_zq_at(a, (3,))
@@ -1127,6 +1145,14 @@ class TestImageWalk:
             oracle.value,
             oracle.attaining_target,
         )
+
+    def test_large_prime_walk_stays_linear_in_the_image(self):
+        # q - 1 image vectors, each weighed in time independent of q
+        a = ModQMatrix.from_rows([[1, -1]], 999983)
+        start = time.perf_counter()
+        res = xi_zq_global(a)
+        assert time.perf_counter() - start < 60
+        assert (res.value, res.attaining_target) == (1, (1,))
 
     def test_overlapping_kernel_enumerates_each_coset(self):
         a = ModQMatrix.from_rows([[0, 2, 2, 2], [2, 2, 1, 1]], 3)
