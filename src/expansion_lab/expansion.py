@@ -24,8 +24,9 @@ integer values, met with no spanning check per target.  Only
 ``xi_z_global`` runs that check, to reduce to the rational global
 value.  A second, independent route to the rational per-target value
 (enumeration of the minimal faces of the objective, the vertices of its
-hyperplane arrangement, each read off ``_nullspace_line``) is kept
-deliberately separate so the two can be compared in tests.
+hyperplane arrangement, read off ``_arrangement_lines`` like the global
+candidates) is kept deliberately separate so the two can be compared in
+tests.
 
 Both minimizations split when the kernel basis rows have pairwise
 disjoint supports, as the component indicators spanning the kernel of a
@@ -41,32 +42,31 @@ and weighs each coset by the same rule as ``xi_zq_at``,
 The global values over Q and F_q split over the blocks of the matrix:
 the connected components of its row-support graph (``exactla._blocks``;
 over F_q, of the reduced entries).  Both norms add over blocks, so by the
-mediant inequality the global value is the largest block value, and
-each block runs the whole-matrix route on its own submatrix, under that
-route's caps.  ``xi_q_global`` reports the target of the first block,
-in order of smallest column, that reaches the value; ``xi_zq_global``
-reports the target the whole walk would, the first maximizer in product
-order (see its docstring).  A matrix with one block takes the route as
-given.  ``xi_z_global`` splits only where it reduces to ``xi_q_global``.
+mediant inequality the global value is the largest block value.
+``_block_maximum`` runs the whole-matrix route on each block's
+submatrix, under that route's caps, and reports the target of the first
+block, in order of smallest column, that reaches the value.  A matrix
+with one block takes the route as given.  ``xi_z_global`` splits only
+where it reduces to ``xi_q_global``.
 
 Every enumeration is capped by a module constant that the function
 reads when it is called: ``_MAX_NODES``, ``_MAX_CANDIDATES``,
 ``_MAX_COSET`` (checked only where a coset is enumerated, in
-``_enumerate_coset``), ``_MAX_IMAGES``, ``_MAX_FACE_RANK`` and
-``_MAX_FACE_TERMS``.  The global values check them per block.  A cap
-hit raises ``EnumerationCapError``, except past the candidate cap of the
-global constants, where the value is a lower bound over
-``_SAMPLE_TARGETS`` sampled targets with ``exact=False``; those targets
-are the images of the first ``_SAMPLE_BOX_POINTS`` points of the box
-[-2, 2]^n.  The campaign caps in ``harness`` still price the whole
-matrix (``q^cols`` and ``2^cols``), so they skip checks that the split
-would now finish.
+``_enumerate_coset``), ``_MAX_IMAGES`` and ``_MAX_FACE_SUBSETS``.  The
+global values check them per block.  A cap hit raises
+``EnumerationCapError``, except past the candidate cap of the global
+constants, where the value is a lower bound over ``_SAMPLE_TARGETS``
+sampled targets with ``exact=False``; those targets are the images of
+the first ``_SAMPLE_BOX_POINTS`` points of the box [-2, 2]^n.  The
+campaign caps in ``harness`` still price the whole matrix (``q^cols``
+and ``2^cols``), so they skip checks that the split would now finish.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -120,10 +120,9 @@ _SAMPLE_TARGETS = 40
 #: Cap on the box points [-2, 2]^n whose images are sampled for them.
 _SAMPLE_BOX_POINTS = 20_000
 
-#: Caps for the face-enumeration oracle: kernel rank and number of
-#: distinct affine terms.
-_MAX_FACE_RANK = 8
-_MAX_FACE_TERMS = 14
+#: Cap on the hyperplane subsets the face-enumeration oracle solves,
+#: C(distinct hyperplanes, kernel rank).
+_MAX_FACE_SUBSETS = math.comb(14, 7)
 
 #: Cap on the relaxations one integer branch and bound may solve.
 _MAX_NODES = 100_000
@@ -280,33 +279,25 @@ def _vertices(a: IntMatrix, v: Vector):
     u0 = _rational_preimage(a, v)
     kernel = _kernel_info(a)
     k = len(kernel)
-    if k > _MAX_FACE_RANK:
-        raise EnumerationCapError(
-            f"kernel rank {k} exceeds face enumeration cap {_MAX_FACE_RANK}"
-        )
     # Term i of the objective is |u0[i] + sum_j kernel[j][i] * x[j]|, zero
     # on the hyperplane hp . (x, 1) == 0 with hp the signed primitive ray
     # of (kernel[.][i], u0[i]); the distinct nontrivial ones are kept.
     coeffs = [tuple(row[i] for row in kernel) for i in range(a.cols)]
-    hyperplanes = list(
-        dict.fromkeys(
-            primitive_ray(integerize(list(c) + [t]))
-            for c, t in zip(coeffs, u0)
-            if any(c)
-        )
+    hyperplanes = _distinct_rays(
+        integerize(list(c) + [t]) for c, t in zip(coeffs, u0) if any(c)
     )
-    h = len(hyperplanes)
-    if h > _MAX_FACE_TERMS:
-        raise EnumerationCapError(
-            f"{h} distinct hyperplanes exceed face enumeration cap {_MAX_FACE_TERMS}"
-        )
     # The kernel rows are independent, so the normals span Q^k and every
     # minimal flat is a vertex: a k-subset whose homogeneous line y has
     # y[k] != 0, at the point y[:k] / y[k].
+    lines = _arrangement_lines(hyperplanes, k + 1, _MAX_FACE_SUBSETS)
+    if lines is None:
+        raise EnumerationCapError(
+            f"C({len(hyperplanes)}, {k}) hyperplane subsets exceed face "
+            f"enumeration cap {_MAX_FACE_SUBSETS}"
+        )
     vertices = {}
-    for subset in itertools.combinations(hyperplanes, k):
-        y = _nullspace_line(subset, k + 1)
-        if y is None or not y[k]:
+    for y in lines:
+        if not y[k]:
             continue
         through = tuple(
             idx
@@ -339,9 +330,9 @@ def minimization_faces(a: IntMatrix, v: Vector) -> FaceDecomposition:
     reported in order of the hyperplanes through them, each with the
     terms vanishing there, its point and the objective value.  Intended
     as an independent check of the simplex route.  Raises
-    ``EnumerationCapError`` when the kernel rank exceeds
-    ``_MAX_FACE_RANK`` or the distinct hyperplanes exceed
-    ``_MAX_FACE_TERMS``, which keeps the combinatorics desk-sized.
+    ``EnumerationCapError`` when the k-subsets of the distinct
+    hyperplanes number more than ``_MAX_FACE_SUBSETS``, which keeps the
+    combinatorics desk-sized.
     """
     _, vertices = _vertices(a, v)
     faces = tuple(
@@ -467,14 +458,31 @@ def _submatrix(a, rows, cols):
     return replace(a, rows=len(rows), cols=len(cols), entries=entries)
 
 
-def _embedded(res: GlobalExpansion, rows, m: int, exact: bool) -> GlobalExpansion:
-    """``res`` of the block on ``rows``, with its target padded by zeros
-    to the ``m`` rows of the whole matrix."""
-    target = [0] * m
-    for i, x in zip(rows, res.attaining_target):
+def _block_maximum(a, solve) -> GlobalExpansion:
+    """The global value ``solve`` gives, split over the blocks of ``a``
+    (see ``_blocks``), each block solved on its own submatrix under the
+    caps: the largest block value, exact when every block's is.  The
+    target is that of the first block, in order of smallest column,
+    that reaches the value, padded with zeros.  A matrix with one block
+    is solved as given; one with none has a zero image, where the value
+    is undefined (``UndefinedExpansionError``)."""
+    blocks = _blocks(a)
+    if not blocks:
+        raise UndefinedExpansionError("global expansion is undefined for a zero image")
+    if len(blocks) == 1:
+        return solve(a)
+    best = best_rows = None
+    exact = True
+    for rows, cols in blocks:
+        res = solve(_submatrix(a, rows, cols))
+        exact = exact and res.exact
+        if best is None or res.value > best.value:
+            best, best_rows = res, rows
+    target = [0] * a.rows
+    for i, x in zip(best_rows, best.attaining_target):
         target[i] = x
     return GlobalExpansion(
-        value=res.value, attaining_target=tuple(target), exact=exact
+        value=best.value, attaining_target=tuple(target), exact=exact
     )
 
 
@@ -492,42 +500,37 @@ def _global_candidates(a: IntMatrix):
     of the polytope has r-1 independent vanishing functionals, so every
     one lies on the line cut out by some (r-1)-subset of the distinct
     functionals.  Returns one integer representative per candidate ray
-    and True, or ``(None, False)`` when the subsets number more than
+    of the nonzero ``a``, or None when the subsets number more than
     ``_MAX_CANDIDATES``.
     """
     basis = _image_basis(a)
-    r = len(basis)
-    if r == 0:
-        return [], True
-    if r == 1:
+    if len(basis) == 1:
         # one candidate ray, exact whatever _MAX_CANDIDATES is
-        return [tuple(primitive_ray(basis[0]))], True
-    functionals = {}
-    for i in range(a.rows):
-        phi = tuple(b[i] for b in basis)
-        if all(c == 0 for c in phi):
-            continue
-        functionals.setdefault(primitive_ray(phi), None)
-    distinct = list(functionals)
-    total = math.comb(len(distinct), r - 1)
-    if total > _MAX_CANDIDATES:
-        return None, False
-    seen = {}
-    out = []
-    for subset in itertools.combinations(distinct, r - 1):
-        y = _nullspace_line(subset, r)
-        if y is None:
-            continue
-        target = [0] * a.rows
-        for yt, b in zip(y, basis):
-            if yt:
-                target = [x + yt * e for x, e in zip(target, b)]
-        key = primitive_ray(target)
-        if key in seen:
-            continue
-        seen[key] = None
-        out.append(tuple(key))
-    return out, True
+        return [primitive_ray(basis[0])]
+    columns = list(zip(*basis))
+    lines = _arrangement_lines(_distinct_rays(columns), len(basis), _MAX_CANDIDATES)
+    if lines is None:
+        return None
+    targets = ([sum(map(operator.mul, y, phi)) for phi in columns] for y in lines)
+    return _distinct_rays(targets)
+
+
+def _distinct_rays(vectors):
+    """The distinct primitive rays of the nonzero ``vectors``, in order
+    of first occurrence."""
+    return list(dict.fromkeys(primitive_ray(v) for v in vectors if any(v)))
+
+
+def _arrangement_lines(normals, r, cap):
+    """The ``_nullspace_line`` of each (r-1)-subset of the hyperplane
+    ``normals`` on Q^r that cuts out a line, in ``combinations`` order,
+    or None when the subsets number more than ``cap``.  The one
+    enumeration of an arrangement's lines: the global candidates and the
+    face oracle's vertices."""
+    if math.comb(len(normals), r - 1) > cap:
+        return None
+    lines = (_nullspace_line(s, r) for s in itertools.combinations(normals, r - 1))
+    return (y for y in lines if y is not None)
 
 
 def _nullspace_line(subset, r):
@@ -585,33 +588,17 @@ def xi_q_global(a: IntMatrix) -> GlobalExpansion:
     ``_SAMPLE_TARGETS`` sampled targets with ``exact=False``.  Raises
     ``UndefinedExpansionError`` when the image is zero.
 
-    A matrix with two or more blocks (see ``_blocks``) is solved block
-    by block, each block under the caps on its own: the value is the
-    largest block value, exact when every block's is, and the target is
-    that of the first block reaching it, in order of smallest column,
-    padded with zeros.  A matrix with one block is solved as given.
+    Split over the blocks of ``a`` by ``_block_maximum``, each block
+    under the caps on its own.
     """
-    blocks = _blocks(a)
-    if len(blocks) < 2:
-        return _rational_global(a)
-    best = best_rows = None
-    exact = True
-    for rows, cols in blocks:
-        res = _rational_global(_submatrix(a, rows, cols))
-        exact = exact and res.exact
-        if best is None or res.value > best.value:
-            best, best_rows = res, rows
-    return _embedded(best, best_rows, a.rows, exact)
+    return _block_maximum(a, _rational_global)
 
 
 def _rational_global(a: IntMatrix) -> GlobalExpansion:
-    """``xi_q_global`` on the whole of ``a``: the candidate enumeration,
-    or the sample past ``_MAX_CANDIDATES``."""
-    candidates, exact = _global_candidates(a)
-    if exact and not candidates:
-        raise UndefinedExpansionError(
-            "global expansion is undefined for a zero image"
-        )
+    """``xi_q_global`` on the whole of the nonzero ``a``: the candidate
+    enumeration, or the sample past ``_MAX_CANDIDATES``."""
+    candidates = _global_candidates(a)
+    exact = candidates is not None
     if not exact:
         candidates = _sampled_targets(a, _SAMPLE_TARGETS, dedupe_rays=True)
     return _largest_at(a, candidates, xi_q_at, exact)
@@ -671,14 +658,29 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
 # ---------------------------------------------------------------------------
 
 
+#: Miller-Rabin to the prime bases 2..41 decides primality exactly
+#: below this bound (Sorenson & Webster 2015).
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(q: int) -> bool:
+    """Whether ``q`` is a prime ``int``, by deterministic Miller-Rabin;
+    ``NotPrimeError`` from ``_PRIME_BOUND`` on."""
     if type(q) is not int or q < 2:
         return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
+    if q >= _PRIME_BOUND:
+        raise NotPrimeError(f"modulus {q} is past the primality bound {_PRIME_BOUND}")
+    if q <= _PRIME_BASES[-1]:
+        return q in _PRIME_BASES
+    # q - 1 = d * 2^s with d odd; q passes base b when b^d = 1 or some
+    # b^(d 2^j) = -1 with j < s.
+    low = (q - 1) & (1 - q)
+    d, s = (q - 1) // low, low.bit_length() - 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, q)
+        if x != 1 and q - 1 not in (pow(x, 1 << j, q) for j in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -755,10 +757,9 @@ def hamming_weight(u: Sequence[int]) -> int:
 @lru_cache(maxsize=256)
 def _modq_system(a: ModQMatrix):
     """Reduced row echelon data for solving ``a @ u = w`` over F_q,
-    decided once per matrix: (kernel supports, pivot columns, kernel
-    basis, row transform).  The supports are those of the kernel rows
-    when no two rows share a position (``disjoint_supports``), else
-    None."""
+    decided once per matrix: (kernel terms, pivot columns, kernel
+    basis, row transform), the terms as ``_disjoint_terms`` gives
+    them."""
     q, m, n = a.q, a.rows, a.cols
     aug = [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
     rows, scales, pivots = _reduced_echelon(aug, n, q)
@@ -772,9 +773,21 @@ def _modq_system(a: ModQMatrix):
         for row, c in zip(work, pivots):
             vec[c] = -row[f] % q
         kernel.append(tuple(vec))
-    supports = disjoint_supports(kernel)
     trans = tuple(tuple(row[n:]) for row in work)
-    return supports, tuple(pivots), tuple(kernel), trans
+    return _disjoint_terms(kernel, q), tuple(pivots), tuple(kernel), trans
+
+
+def _disjoint_terms(kernel, q):
+    """Per kernel row, the triples ``(i, entry, -entry^-1 mod q)`` on its
+    support when no two rows share a position, else None: what the
+    per-row modes of ``_min_weight_in_coset`` read."""
+    supports = disjoint_supports(kernel)
+    if supports is None:
+        return None
+    return tuple(
+        tuple((i, row[i], -pow(row[i], q - 2, q) % q) for i in support)
+        for row, support in zip(kernel, supports)
+    )
 
 
 def modq_rank(a: ModQMatrix) -> int:
@@ -808,11 +821,11 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     """
     q = a.q
     w = _target(a, w, q)
-    supports, pivots, kernel, trans = _modq_system(a)
+    terms, pivots, kernel, trans = _modq_system(a)
     u0 = _modq_solve(a, w, pivots, trans)
     if u0 is None:
         raise TargetNotInImageError("target is not in the image over F_q")
-    best_u, best_wt = _min_weight_in_coset(u0, kernel, q, supports)
+    best_u, best_wt = _min_weight_in_coset(u0, kernel, q, terms)
     value = Fraction(best_wt, hamming_weight(w))
     return ExpansionResult(
         value=value,
@@ -823,30 +836,31 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     )
 
 
-def _min_weight_in_coset(u0, kernel, q, supports):
+def _min_weight_in_coset(u0, kernel, q, terms):
     """First minimum-weight vector of the coset ``u0 + span(kernel)``
     in coefficient enumeration order, with its weight.
 
-    When ``supports`` holds the pairwise disjoint supports of the kernel
-    rows the weight splits row by row, and the coefficient of each row
-    is chosen on its own: the one that zeroes the most coordinates of
-    ``u0`` on the row's support, the smallest such on a tie.  Because
-    coefficients are enumerated lexicographically from 0, those per-row
-    choices are exactly the first minimizer of the enumeration.  Other
-    kernels (``supports`` None) are enumerated.  The one coset rule over
-    F_q: ``xi_zq_at`` and ``xi_zq_global`` both weigh cosets here.
+    When ``terms`` (``_disjoint_terms``) is given the kernel rows have
+    disjoint supports, the weight splits row by row, and the coefficient
+    of each row is chosen on its own: the one that zeroes the most
+    coordinates of ``u0`` on the row's support, the smallest such on a
+    tie.  Because coefficients are enumerated lexicographically from 0,
+    those per-row choices are exactly the first minimizer of the
+    enumeration.  Other kernels (``terms`` None) are enumerated.  The one
+    coset rule over F_q: ``xi_zq_at`` and ``xi_zq_global`` both weigh
+    cosets here.
     """
-    if supports is None:
+    if terms is None:
         return _enumerate_coset(u0, kernel, q)
     best = list(u0)
-    for row, support in zip(kernel, supports):
+    for row in terms:
         zeroed = {}
-        for i in support:
-            c = -u0[i] * pow(row[i], q - 2, q) % q
+        for i, _, shift in row:
+            c = u0[i] * shift % q
             zeroed[c] = zeroed.get(c, 0) + 1
         c = max(sorted(zeroed), key=zeroed.__getitem__)
-        for i in support:
-            best[i] = (best[i] + c * row[i]) % q
+        for i, entry, _ in row:
+            best[i] = (best[i] + c * entry) % q
     return tuple(best), hamming_weight(best)
 
 
@@ -958,49 +972,26 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
     order: a later image vector replaces it only with a strictly larger
     value.
 
-    A matrix with two or more blocks (see ``_blocks``) is walked block
-    by block, each block under the caps on its own, and gives the same
-    value and target as the whole walk.  The first maximizer of the
-    whole walk is the lexicographically least maximizing coefficient
-    vector; zeroing all but one block of a maximizer leaves a maximizer
-    (the mediant equality), so it lies on one block, and among the
-    blocks' own first maximizers it is the one whose first nonzero
-    coefficient sits at the highest pivot column.  A matrix with one
-    block is walked as given.
+    Split over the blocks of ``a`` by ``_block_maximum``, each block
+    under the caps on its own, as ``xi_q_global`` is.
     """
-    blocks = _blocks(a)
-    if len(blocks) < 2:
-        return _image_maximum(a)[0]
-    best = best_key = best_rows = None
-    for rows, cols in blocks:
-        res, lead = _image_maximum(_submatrix(a, rows, cols))
-        key = (res.value, cols[lead])
-        if best is None or key > best_key:
-            best, best_key, best_rows = res, key, rows
-    return _embedded(best, best_rows, a.rows, True)
+    return _block_maximum(a, _image_maximum)
 
 
-def _image_maximum(a: ModQMatrix):
-    """``xi_zq_global`` by one walk over the whole of ``a``, and the
-    column of the first nonzero pivot coefficient of the maximizer."""
-    q = a.q
-    r = modq_rank(a)
-    if r == 0:
-        raise UndefinedExpansionError(
-            "global expansion is undefined for a zero image"
-        )
+def _image_maximum(a: ModQMatrix) -> GlobalExpansion:
+    """``xi_zq_global`` by one walk over the whole of the nonzero ``a``."""
+    terms, pivots, kernel, _ = _modq_system(a)
+    q, r = a.q, len(pivots)
     if q**r > _MAX_IMAGES:
         raise EnumerationCapError(
             f"image size q**{r} exceeds enumeration cap {_MAX_IMAGES}"
         )
-    supports, _, kernel, _ = _modq_system(a)
     # The value wt / hw is compared by cross-multiplying; the start
     # -1 / 1 loses to any image vector.
-    best_wt, best_hw, best_target, lead = -1, 1, None, None
+    best_wt, best_hw, best_target = -1, 1, None
     for w, hw, u0 in _image_walk(a):
-        wt = _min_weight_in_coset(u0, kernel, q, supports)[1]
+        wt = _min_weight_in_coset(u0, kernel, q, terms)[1]
         if wt * best_hw > best_wt * hw:
             best_wt, best_hw, best_target = wt, hw, tuple(w)
-            lead = next(j for j, x in enumerate(u0) if x)
     best = Fraction(best_wt, best_hw)
-    return GlobalExpansion(value=best, attaining_target=best_target, exact=True), lead
+    return GlobalExpansion(value=best, attaining_target=best_target, exact=True)

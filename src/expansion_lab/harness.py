@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import expansion
 from .complexes import (
     CochainComplex,
     Graph,
@@ -78,6 +79,14 @@ _EQUALITY_MAX_EDGES = 8
 
 #: Image targets sampled per matrix for the rational/integer comparison.
 _TARGETS_PER_MATRIX = 8
+
+
+def _lower_bound_note() -> str:
+    """Why a global check is skipped on an inexact ``xi_q_global``."""
+    return (
+        "xi_q_global is a lower bound past the candidate cap "
+        f"expansion._MAX_CANDIDATES = {expansion._MAX_CANDIDATES}"
+    )
 
 
 @dataclass
@@ -397,8 +406,10 @@ def campaign_modq(
     which is exact because incidence kernels are integrally spanned.
     Checks whose finite-field enumeration exceeds ``_GLOBAL_WORK_CAP``
     (global) or ``_WITNESS_IMAGE_CAP`` (per witness) are reported
-    skipped.  The witness loop solves each distinct lifted target over
-    Z once per matrix, whichever primes reach it.
+    skipped, as is the global check when the rational value is only a
+    lower bound (``exact`` false).  The witness loop solves each
+    distinct lifted target over Z once per matrix, whichever primes
+    reach it.
     """
     rng = random.Random(seed)
     report = CampaignReport(
@@ -452,6 +463,10 @@ def campaign_modq(
                     "skipped",
                     f"global check needs q^{a.cols} = {work} > cap {_GLOBAL_WORK_CAP}",
                     {},
+                )
+            elif not z_global.exact:
+                report.add(
+                    instance, "skipped", f"global check: {_lower_bound_note()}", {}
                 )
             else:
                 zq_global = xi_zq_global(reduced)
@@ -522,7 +537,8 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
     """Row-shape, kernel-spanning, per-target rational/integer equality,
     and the global chain ``Xi_Z(d1) >= Xi_Z2(d1 mod 2)`` for the braid
     and Steinberg presentation matrices.  The chain is reported skipped
-    when ``2 ** cols`` exceeds ``_ZQ_WORK_CAP``."""
+    when ``2 ** cols`` exceeds ``_ZQ_WORK_CAP`` or the rational value is
+    only a lower bound (``exact`` false)."""
     report = CampaignReport(
         "presentations",
         None,
@@ -566,12 +582,16 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
             z_global = xi_q_global(d1)
             quantities["xi_z_global"] = format_rational(z_global.value)
             work = 2**d1.cols
+            skip = None
             if work > _ZQ_WORK_CAP:
+                skip = f"mod-2 chain needs 2^{d1.cols} = {work} > cap {_ZQ_WORK_CAP}"
+            elif not z_global.exact:
+                skip = f"mod-2 chain: {_lower_bound_note()}"
+            if skip:
                 report.add(
                     instance,
                     "skipped",
-                    f"row shape, spanning ({kdetail}), and equality hold; "
-                    f"mod-2 chain needs 2^{d1.cols} = {work} > cap {_ZQ_WORK_CAP}",
+                    f"row shape, spanning ({kdetail}), and equality hold; {skip}",
                     quantities,
                 )
                 continue

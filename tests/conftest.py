@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from expansion_lab.exactla import (
     IntMatrix,
     SnfDecomposition,
+    _blocks,
     _row_addmul,
     _row_combine,
     _xgcd,
@@ -213,6 +215,34 @@ def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
     if best is None:
         return None
     return GlobalExpansion(value=best, attaining_target=best_target, exact=True)
+
+
+def by_blocks(oracle):
+    """``oracle``, a global value on a whole matrix, under the block
+    rule: with two or more blocks (``_blocks``), ``oracle`` on each
+    block's rows and columns, the largest value, exact when every
+    block's is, at the target of the first block in order of smallest
+    column that reaches it, padded with zeros; else ``oracle`` on the
+    matrix as given."""
+
+    def run(a):
+        blocks = _blocks(a)
+        if len(blocks) < 2:
+            return oracle(a)
+        results = []
+        for rows, cols in blocks:
+            entries = tuple(a.at(i, j) for i in rows for j in cols)
+            block = replace(a, rows=len(rows), cols=len(cols), entries=entries)
+            results.append((oracle(block), rows))
+        value = max(res.value for res, _ in results)
+        res, rows = next((res, rows) for res, rows in results if res.value == value)
+        target = [0] * a.rows
+        for i, x in zip(rows, res.attaining_target):
+            target[i] = x
+        exact = all(res.exact for res, _ in results)
+        return GlobalExpansion(value=value, attaining_target=tuple(target), exact=exact)
+
+    return run
 
 
 def minimization_faces_by_closures(a: IntMatrix, v):

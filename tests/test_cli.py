@@ -176,6 +176,31 @@ def test_xi_zq_global(files, capsys):
     }
 
 
+def test_xi_zq_global_identity_takes_the_first_block(files, capsys):
+    matrix = files("a.mat", "2 2\n1 0\n0 1\n")
+    rc, data = run_json(capsys, ["xi-zq", matrix, "--modulus", "2"])
+    assert rc == 0
+    assert (data["value"], data["attaining_target"]) == ("1", ["1", "0"])
+
+
+def test_xi_mod_large_prime(files, capsys):
+    matrix = files("a.mat", "1 2\n1 -1\n")
+    target = files("t.vec", "1\n")
+    argv = ["xi", matrix, "--ring", "zq", "--modulus", str(2**61 - 1)]
+    rc, data = run_json(capsys, argv + ["--target", target])
+    assert rc == 0
+    assert data["value"] == "1"
+
+
+def test_modulus_past_the_primality_bound_is_an_input_error(files, capsys):
+    matrix = files("a.mat", "1 2\n1 -1\n")
+    target = files("t.vec", "1\n")
+    argv = ["xi", matrix, "--ring", "zq", "--modulus", str(2**89 - 1)]
+    rc = main(argv + ["--target", target])
+    assert rc == 2
+    assert "bound" in capsys.readouterr().err
+
+
 def test_xi_out_flag_writes_file(files, capsys, tmp_path):
     matrix = files("a.mat", "1 2\n1 2\n")
     target = files("t.vec", "1\n")

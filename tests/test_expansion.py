@@ -51,7 +51,10 @@ from expansion_lab.exactla import (
 from expansion_lab.expansion import (
     GlobalExpansion,
     ModQMatrix,
+    _disjoint_terms,
     _enumerate_coset,
+    _image_maximum,
+    _is_prime,
     _kernel_info,
     _min_weight_in_coset,
     _modq_system,
@@ -75,6 +78,7 @@ from expansion_lab.expansion import (
 from expansion_lab.spanning import is_integrally_spanned
 
 from conftest import (
+    by_blocks,
     elimination_systems,
     min_l1_preimage_by_box,
     minimization_faces_by_closures,
@@ -307,15 +311,23 @@ class TestFaceOracle:
             checked += 1
         assert checked >= 30
 
-    def test_rank_cap(self, monkeypatch):
-        monkeypatch.setattr(expansion, "_MAX_FACE_RANK", 0)
-        with pytest.raises(EnumerationCapError):
-            minimization_faces(mat([[1, 2]]), (1,))
+    def test_subset_cap(self, monkeypatch):
+        # kernel rank 1, two distinct hyperplanes: C(2, 1) = 2 subsets
+        a = mat([[1, 2]])
+        monkeypatch.setattr(expansion, "_MAX_FACE_SUBSETS", 2)
+        assert minimization_faces(a, (1,)).minimum == Fraction(1, 2)
+        monkeypatch.setattr(expansion, "_MAX_FACE_SUBSETS", 1)
+        with pytest.raises(EnumerationCapError, match=r"C\(2, 1\)"):
+            minimization_faces(a, (1,))
 
-    def test_term_cap(self, monkeypatch):
-        monkeypatch.setattr(expansion, "_MAX_FACE_TERMS", 1)
-        with pytest.raises(EnumerationCapError):
-            minimization_faces(mat([[1, 2]]), (1,))
+    def test_kernel_rank_nine_is_priced_by_its_subsets(self):
+        # kernel rank 9, but 10 distinct hyperplanes give only
+        # C(10, 9) = 10 subsets
+        a = mat([[1, 2, 3, 1, 2, 3, 1, 2, 3, 1]])
+        assert len(_kernel_info(a)) == 9
+        res = xi_q_at_face_oracle(a, (5,))
+        assert res.value == xi_q_at(a, (5,)).value == Fraction(1, 3)
+        assert mat_vec(a, res.witness) == (5,)
 
 
 class TestXiZAt:
@@ -779,6 +791,45 @@ class TestModQMatrix:
             lift_section((-1,), 2)
 
 
+def is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestIsPrime:
+    """Miller-Rabin to the bases 2..41 against trial division."""
+
+    def test_matches_trial_division_below_10_5(self):
+        assert [n for n in range(-2, 10**5) if _is_prime(n)] == [
+            n for n in range(-2, 10**5) if is_prime_by_trial_division(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (561, False),  # Carmichael
+            (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+            (2**61 - 1, True),
+            (2**61 + 1, False),
+            (10**12 + 39, True),
+            # strong pseudoprime to every base 2..37, caught by base 41
+            (318665857834031151167461, False),
+        ],
+    )
+    def test_large_cases(self, n, prime):
+        assert _is_prime(n) is prime
+
+    def test_bound_is_refused(self):
+        with pytest.raises(NotPrimeError, match="3317044064679887385961981"):
+            _is_prime(expansion._PRIME_BOUND)
+        with pytest.raises(NotPrimeError, match="bound"):
+            ModQMatrix.from_rows([[1, -1]], 2**89 - 1)
+
+    def test_large_prime_modulus_is_answered_at_once(self):
+        a = ModQMatrix.from_rows([[1, -1]], 2**61 - 1)
+        assert xi_zq_at(a, (1,)).value == 1
+        assert lift_section((2**61 - 2,), 2**61 - 1) == (2**61 - 2,)
+
+
 class TestXiZqAt:
     def test_known_mod2(self):
         res = xi_zq_at(ModQMatrix.from_rows([[1, 1]], 2), (1,))
@@ -973,10 +1024,18 @@ class TestMinWeightInCoset:
     @given(disjoint_rref_cosets())
     def test_mode_matches_enumeration(self, case):
         q, u0, kernel = case
-        supports = disjoint_supports(kernel)
-        assert _min_weight_in_coset(u0, kernel, q, supports) == _enumerate_coset(
+        terms = _disjoint_terms(kernel, q)
+        assert _min_weight_in_coset(u0, kernel, q, terms) == _enumerate_coset(
             u0, kernel, q
         )
+
+    def test_terms_carry_each_entry_and_its_negated_inverse(self):
+        kernel = ((1, 3, 0, 0), (0, 0, 2, 4))
+        assert _disjoint_terms(kernel, 5) == (
+            ((0, 1, 4), (1, 3, 3)),
+            ((2, 2, 2), (3, 4, 1)),
+        )
+        assert _disjoint_terms(((1, 1), (0, 1)), 5) is None
 
     def test_overlapping_kernel_matches_exhaustive_search(self):
         # both kernel rows are nonzero on columns 0 and 1, so the coset is
@@ -1076,7 +1135,8 @@ def incidence_shaped(draw):
 
 class TestImageWalk:
     """The odometer walk of the F_q image against the per-image loop it
-    replaced, ``conftest.zq_global_by_product_enumeration``."""
+    replaced, ``conftest.zq_global_by_product_enumeration``, run block
+    by block under the block rule (``conftest.by_blocks``)."""
 
     @settings(max_examples=300, deadline=None)
     @given(modq_matrices_by_kernel())
@@ -1088,7 +1148,7 @@ class TestImageWalk:
             kind == "overlapping",
         )
         res = xi_zq_global(a)
-        oracle = zq_global_by_product_enumeration(a)
+        oracle = by_blocks(zq_global_by_product_enumeration)(a)
         assert (res.value, res.attaining_target) == (
             oracle.value,
             oracle.attaining_target,
@@ -1115,7 +1175,7 @@ class TestImageWalk:
         a = reduce_mod_q(presentation_d1(steinberg_presentation(4)), 2)
         assert modq_rank(a) == 12 and not _modq_system(a)[2]
         res = xi_zq_global(a)
-        oracle = zq_global_by_product_enumeration(a)
+        oracle = by_blocks(zq_global_by_product_enumeration)(a)
         assert (res.value, res.attaining_target) == (
             oracle.value,
             oracle.attaining_target,
@@ -1126,7 +1186,7 @@ class TestImageWalk:
         a = reduce_mod_q(mat([[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1]]), 3)
         supports, _, kernel, _ = _modq_system(a)
         assert len(kernel) == 2 and supports is not None
-        oracle = zq_global_by_product_enumeration(a)
+        oracle = by_blocks(zq_global_by_product_enumeration)(a)
 
         def forbidden(*args):
             raise AssertionError("coset enumeration on a disjoint kernel")
@@ -1162,7 +1222,7 @@ class TestImageWalk:
         ) as spy:
             res = xi_zq_global(a)
         assert spy.call_count == 3 ** modq_rank(a) - 1
-        oracle = zq_global_by_product_enumeration(a)
+        oracle = by_blocks(zq_global_by_product_enumeration)(a)
         assert (res.value, res.attaining_target) == (
             oracle.value,
             oracle.attaining_target,
@@ -1220,8 +1280,9 @@ def permuted_block_diagonals(draw, field=st.none()):
 
 
 class TestBlockSplit:
-    """The global values split over the blocks of A, against the whole
-    matrix: the product enumeration over F_q, the whole route over Q."""
+    """The global values split over the blocks of A, against the product
+    enumeration over F_q run block by block, and against the whole route
+    over Q."""
 
     def test_blocks_in_order_of_smallest_column(self):
         a = mat([[0, 2, 0, 0], [0, 0, 0, 0], [1, 0, 0, 3], [0, 0, 0, 1]])
@@ -1238,7 +1299,7 @@ class TestBlockSplit:
     def test_zq_global_matches_product_enumeration(self, a):
         assert len(_blocks(a)) >= 2
         res = xi_zq_global(a)
-        oracle = zq_global_by_product_enumeration(a)
+        oracle = by_blocks(zq_global_by_product_enumeration)(a)
         assert (res.value, res.attaining_target) == (
             oracle.value,
             oracle.attaining_target,
@@ -1267,6 +1328,14 @@ class TestBlockSplit:
         assert xi_q_global(a) == GlobalExpansion(
             value=Fraction(1), attaining_target=(1, 0), exact=True
         )
+
+    def test_zq_global_follows_the_same_tie_rule(self):
+        # the whole walk's first maximizer is (0, 1); both global values
+        # take the first block instead
+        a = ModQMatrix.from_rows([[1, 0], [0, 1]], 2)
+        assert _image_maximum(a).attaining_target == (0, 1)
+        expected = GlobalExpansion(Fraction(1), attaining_target=(1, 0), exact=True)
+        assert xi_zq_global(a) == expected == xi_q_global(IntMatrix.identity(2))
 
     @pytest.mark.parametrize(
         "n, value", [(5, Fraction(1, 3)), (6, Fraction(1, 4)), (7, Fraction(1, 5))]
@@ -1359,6 +1428,15 @@ class TestEliminationReadOffs:
     def test_modq_system_matches_field_elimination(self, case):
         rows, n, q = case
         a = ModQMatrix.from_rows(rows, q, cols=n)
-        supports, pivots, kernel, trans = _modq_system(a)
+        terms, pivots, kernel, trans = _modq_system(a)
         assert (pivots, kernel, trans) == modq_system_by_elimination(a)
-        assert supports == disjoint_supports(kernel)
+        supports = disjoint_supports(kernel)
+        if supports is None:
+            assert terms is None
+        else:
+            assert [[i for i, _, _ in row] for row in terms] == [
+                list(support) for support in supports
+            ]
+            for row, vec in zip(terms, kernel):
+                for i, entry, shift in row:
+                    assert entry == vec[i] and entry * shift % q == q - 1

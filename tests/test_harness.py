@@ -11,7 +11,7 @@ import json
 import random
 from fractions import Fraction
 
-from expansion_lab import harness
+from expansion_lab import expansion, harness
 from expansion_lab.complexes import check_incidence_rows
 from expansion_lab.exactla import (
     IntMatrix,
@@ -278,6 +278,30 @@ def test_modq_cap_hits_are_recorded_as_skips(monkeypatch):
     assert report.params["global_work_cap"] == 1
     assert report.params["witness_image_cap"] == 1
     assert report.ok  # skips are honest, not failures
+
+
+def test_modq_inexact_global_value_is_a_skip_not_a_fail(monkeypatch):
+    # Past the candidate cap xi_q_global is a sampled lower bound (2/3
+    # on one matrix whose mod-2 value is 1), so the global check cannot
+    # be decided from it.
+    monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
+    report = campaign_modq(20260819, 20, (2, 3, 5))
+    assert report.ok
+    skips = [e for e in report.entries if "lower bound" in e["detail"]]
+    assert skips
+    for entry in skips:
+        assert entry["verdict"] == "skipped"
+        assert "check" not in entry["instance"]
+        assert "_MAX_CANDIDATES = 0" in entry["detail"]
+
+
+def test_presentations_inexact_global_value_is_a_skip(monkeypatch):
+    monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
+    report = campaign_presentations(range(4, 5))
+    entry = next(e for e in report.entries if e["instance"]["kind"] == "braid n=4")
+    assert entry["verdict"] == "skipped"
+    assert "_MAX_CANDIDATES = 0" in entry["detail"]
+    assert "xi_z2_global" not in entry["quantities"]
 
 
 def test_modq_witness_entries_count_images():
