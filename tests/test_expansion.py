@@ -311,7 +311,18 @@ class TestFaceOracle:
             checked += 1
         assert checked >= 30
 
-    def test_subset_cap(self, monkeypatch):
+    def test_rank_cap(self, monkeypatch):
+        # four distinct hyperplanes each: C(4, 1) = 4 subsets at kernel
+        # rank 1, C(4, 2) = 6 at kernel rank 2
+        chain = mat([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
+        ramp = mat([[1, 1, 1, 1], [0, 1, 2, 3]])
+        assert [len(_kernel_info(a)) for a in (chain, ramp)] == [1, 2]
+        monkeypatch.setattr(expansion, "_MAX_FACE_SUBSETS", 4)
+        assert minimization_faces(chain, (1, 1, 1)).minimum == 4
+        with pytest.raises(EnumerationCapError, match=r"C\(4, 2\)"):
+            minimization_faces(ramp, (1, 1))
+
+    def test_term_cap(self, monkeypatch):
         # kernel rank 1, two distinct hyperplanes: C(2, 1) = 2 subsets
         a = mat([[1, 2]])
         monkeypatch.setattr(expansion, "_MAX_FACE_SUBSETS", 2)
