@@ -39,27 +39,27 @@ walks the image once, one pivot column per step (see ``_image_walk``),
 and weighs each coset by the same rule as ``xi_zq_at``,
 ``_min_weight_in_coset``.
 
-The global values over Q and F_q split over the blocks of the matrix:
-the connected components of its row-support graph (``exactla._blocks``;
-over F_q, of the reduced entries).  Both norms add over blocks, so by the
-mediant inequality the global value is the largest block value.
-``_block_maximum`` runs the whole-matrix route on each block's
-submatrix, under that route's caps, and reports the target of the first
-block, in order of smallest column, that reaches the value.  A matrix
-with one block takes the route as given.  ``xi_z_global`` splits only
-where it reduces to ``xi_q_global``.
+The global values over Q, Z and F_q split over the blocks of the
+matrix: the connected components of its row-support graph
+(``exactla._blocks``; over F_q, of the reduced entries).  Both norms add
+over blocks, so by the mediant inequality the global value is the
+largest block value.  ``_block_maximum`` runs the whole-matrix route on
+each block's submatrix, under that route's caps, and reports the target
+of the first block, in order of smallest column, that reaches the value.
+Over Z the spanning check, too, runs on each block.
 
 Every enumeration is capped by a module constant that the function
 reads when it is called: ``_MAX_NODES``, ``_MAX_CANDIDATES``,
 ``_MAX_COSET`` (checked only where a coset is enumerated, in
-``_enumerate_coset``), ``_MAX_IMAGES`` and ``_MAX_FACE_SUBSETS``.  The
-global values check them per block.  A cap hit raises
-``EnumerationCapError``, except past the candidate cap of the global
-constants, where the value is a lower bound over ``_SAMPLE_TARGETS``
-sampled targets with ``exact=False``; those targets are the images of
-the first ``_SAMPLE_BOX_POINTS`` points of the box [-2, 2]^n.  The
-campaign caps in ``harness`` still price the whole matrix (``q^cols``
-and ``2^cols``), so they skip checks that the split would now finish.
+``_enumerate_coset``), ``_MAX_IMAGES`` and ``_MAX_FACE_SUBSETS``; the
+global values check them, and ``spanning._MAX_SUBSETS``, per block.  A
+cap hit raises ``EnumerationCapError``, except past the candidate or
+subset cap of the global constants, where the value is a lower bound
+over ``_SAMPLE_TARGETS`` sampled targets with ``exact=False``; those
+targets are the images of the first ``_SAMPLE_BOX_POINTS`` points of
+the box [-2, 2]^n.  The campaign caps in ``harness`` still price the
+whole matrix (``q^cols`` and ``2^cols``), so they skip checks that the
+split would now finish.
 """
 
 from __future__ import annotations
@@ -452,7 +452,10 @@ def _branch_and_bound(u0, kernel):
 
 
 def _submatrix(a, rows, cols):
-    """The rows ``rows`` and columns ``cols`` of ``a``, same type."""
+    """The rows ``rows`` and columns ``cols`` of ``a``, same type; ``a``
+    itself, sharing its cached factorizations, when they are all."""
+    if len(rows) == a.rows and len(cols) == a.cols:
+        return a
     n = a.cols
     entries = tuple(a.entries[i * n + j] for i in rows for j in cols)
     return replace(a, rows=len(rows), cols=len(cols), entries=entries)
@@ -463,14 +466,12 @@ def _block_maximum(a, solve) -> GlobalExpansion:
     (see ``_blocks``), each block solved on its own submatrix under the
     caps: the largest block value, exact when every block's is.  The
     target is that of the first block, in order of smallest column,
-    that reaches the value, padded with zeros.  A matrix with one block
-    is solved as given; one with none has a zero image, where the value
-    is undefined (``UndefinedExpansionError``)."""
+    that reaches the value, padded with zeros.  A matrix with no block
+    has a zero image, where the value is undefined
+    (``UndefinedExpansionError``)."""
     blocks = _blocks(a)
     if not blocks:
         raise UndefinedExpansionError("global expansion is undefined for a zero image")
-    if len(blocks) == 1:
-        return solve(a)
     best = best_rows = None
     exact = True
     for rows, cols in blocks:
@@ -619,37 +620,41 @@ def _largest_at(a, targets, solve, exact: bool) -> GlobalExpansion:
 def xi_z_global(a: IntMatrix) -> GlobalExpansion:
     """Global integer expansion constant of ``a``.
 
+    Split over the blocks of ``a`` by ``_block_maximum``, as
+    ``xi_q_global`` is: the kernel of ``a`` is the direct sum of its
+    blocks' kernels and a unit vector per zero column, so it is
+    integrally spanned exactly when every block's kernel is.
+    """
+    return _block_maximum(a, _integer_global)
+
+
+def _integer_global(a: IntMatrix) -> GlobalExpansion:
+    """``xi_z_global`` on one block ``a``.
+
     When the kernel of ``a`` is integrally spanned the integer and
-    rational per-target values agree everywhere, so this is exactly the
-    rational global value, split over the blocks of ``a`` and inexact
-    only where a block passes the candidate cap.  Its target is
-    ``xi_q_global``'s, a point of the rational image, times the smallest
-    positive integer that puts it in the integer image, where ``xi_z_at``
-    is defined: the lcm of the denominators of its coordinates in the
-    HNF basis of the image lattice.  The per-target value is unchanged
-    by scaling.  Otherwise, or when the
-    spanning check passes its subset cap ``spanning._MAX_SUBSETS``, no
-    exact finite reduction is available and the result is a lower bound over
-    ``_SAMPLE_TARGETS`` sampled targets of the whole matrix with
-    ``exact=False``.  Each sampled target is the image of an integer box
-    point, so ``xi_z_at`` always finds an integer preimage.
+    rational per-target values agree everywhere, so this is
+    ``_rational_global`` with its target times the smallest positive
+    integer that puts it in the integer image, where ``xi_z_at`` is
+    defined (scaling leaves the per-target value unchanged): the lcm of
+    the denominators of its coordinates in the HNF basis of the image
+    lattice.  Otherwise, or past the subset cap ``spanning._MAX_SUBSETS``,
+    it is a lower bound over ``_SAMPLE_TARGETS`` sampled targets,
+    ``exact=False``.  They are images of integer box points, so
+    ``xi_z_at`` finds integer preimages, and never none: the first two
+    box points differ in the last column, which a block never has zero.
     """
     try:
         spanned = is_integrally_spanned(integer_kernel_basis(a).hnf).spanned
     except AmbientDimensionCapError:
         spanned = False
     if spanned:
-        res = xi_q_global(a)
+        res = _rational_global(a)
         t = res.attaining_target
         image = LatticeBasis.from_generators(a.transpose()).hnf
         coords = solve_rational(image.transpose(), t)
         scale = math.lcm(*(y.denominator for y in coords))
         return replace(res, attaining_target=tuple(scale * x for x in t))
     targets = _sampled_targets(a, _SAMPLE_TARGETS, dedupe_rays=False)
-    if not targets:
-        raise UndefinedExpansionError(
-            "global expansion is undefined for a zero image"
-        )
     return _largest_at(a, targets, xi_z_at, False)
 
 
@@ -876,8 +881,6 @@ def _enumerate_coset(u0, kernel, q):
         )
     best_u = tuple(u0)
     best_wt = hamming_weight(u0)
-    if best_wt <= 1 or not kernel:
-        return best_u, best_wt
 
     def rec(j, acc):
         nonlocal best_u, best_wt

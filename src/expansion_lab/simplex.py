@@ -60,11 +60,6 @@ def min_l1_combination(
     for d in directions:
         if len(d) != n:
             raise ValueError(f"direction length {len(d)} != {n}")
-    if k == 0 or n == 0:
-        u = tuple(Fraction(e) for e in u)
-        value = sum(abs(e) for e in u) if n else Fraction(0)
-        return (Fraction(0),) * k, u, Fraction(value)
-
     supports = disjoint_supports(directions)
     if supports is not None:
         return _median_combination(u, directions, supports)

@@ -6,7 +6,8 @@ substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition, the minimization faces as the
 maximal closures of every hyperplane subset solved over Fraction, the
-finite-field image rebuilt vector by vector, weighted medians sorted
+finite-field image rebuilt vector by vector, the integer global value
+on the whole matrix with no block split, weighted medians sorted
 and summed in Fractions, the Hermite and Smith forms with their
 clearing loops written out inline, the presentation tokenizer as a
 character-by-character scan) so library results can be checked against
@@ -16,14 +17,18 @@ independent arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from expansion_lab import expansion
+from expansion_lab.errors import AmbientDimensionCapError, UndefinedExpansionError
 from expansion_lab.exactla import (
     IntMatrix,
+    LatticeBasis,
     SnfDecomposition,
     _blocks,
     _row_addmul,
@@ -42,12 +47,17 @@ from expansion_lab.expansion import (
     GlobalExpansion,
     MinimizationFace,
     _enumerate_coset,
+    _largest_at,
     _modq_system,
+    _sampled_targets,
     hamming_weight,
+    xi_q_global,
+    xi_z_at,
 )
 from expansion_lab.spanning import (
     SpanningVerdict,
     _saturation_witness,
+    is_integrally_spanned,
     project_columns,
     subsets_in_order,
 )
@@ -243,6 +253,32 @@ def by_blocks(oracle):
         return GlobalExpansion(value=value, attaining_target=tuple(target), exact=exact)
 
     return run
+
+
+def z_global_by_whole_matrix(a: IntMatrix) -> GlobalExpansion:
+    """``xi_z_global`` without the block split: one spanning check on
+    the kernel of the whole matrix (its subset cap read as unspanned).
+    Spanned, ``xi_q_global``'s value and target, the target scaled into
+    the integer image by the lcm of its coordinates' denominators in the
+    image lattice's HNF basis; else the largest ``xi_z_at`` over
+    ``_sampled_targets`` of the whole matrix, ``exact=False``.  Raises
+    ``UndefinedExpansionError`` when the sample holds no nonzero image,
+    which a nonzero matrix can give when its leading columns cancel."""
+    try:
+        spanned = is_integrally_spanned(integer_kernel_basis(a).hnf).spanned
+    except AmbientDimensionCapError:
+        spanned = False
+    if spanned:
+        res = xi_q_global(a)
+        t = res.attaining_target
+        image = LatticeBasis.from_generators(a.transpose()).hnf
+        coords = solve_rational(image.transpose(), t)
+        scale = math.lcm(*(y.denominator for y in coords))
+        return replace(res, attaining_target=tuple(scale * x for x in t))
+    targets = _sampled_targets(a, expansion._SAMPLE_TARGETS, dedupe_rays=False)
+    if not targets:
+        raise UndefinedExpansionError("global expansion is undefined for a zero image")
+    return _largest_at(a, targets, xi_z_at, False)
 
 
 def minimization_faces_by_closures(a: IntMatrix, v):

@@ -85,6 +85,7 @@ from conftest import (
     rand_matrix,
     rref_by_fractions,
     rref_mod_q,
+    z_global_by_whole_matrix,
     zq_global_by_product_enumeration,
 )
 
@@ -578,6 +579,29 @@ class TestGlobalInteger:
     def test_zero_image_undefined(self):
         with pytest.raises(UndefinedExpansionError):
             xi_z_global(IntMatrix.zeros(1, 3))
+
+    def test_cancelling_leading_columns_still_answer(self):
+        # The first 20,000 points of the box [-2, 2]^10 all map the row to
+        # 0; the sample of its block, the columns 1 2 -3, does not.
+        a = mat([[1, 2, -3] + [0] * 7])
+        res = xi_z_global(a)
+        assert (res.value, res.exact) == (1, False)
+        assert xi_z_at(a, res.attaining_target).value == res.value
+
+    def test_spanning_check_is_priced_per_block(self):
+        # 13 copies of the row 1 1: the whole kernel would need
+        # C(26, 13) = 10,400,600 Smith forms, past _MAX_SUBSETS; each
+        # block's kernel needs C(2, 1).
+        a = mat([[1 if j // 2 == i else 0 for j in range(26)] for i in range(13)])
+        res = xi_z_global(a)
+        assert res == GlobalExpansion(
+            value=Fraction(1), attaining_target=(1,) + (0,) * 12, exact=True
+        )
+
+    def test_one_block_is_solved_as_given(self):
+        # so that its cached factorizations are shared
+        a = mat([[1, 2], [0, 1]])
+        assert _submatrix(a, (0, 1), (0, 1)) is a
 
     def test_spanned_kernel_past_ambient_22_is_exact(self):
         # The kernel of the path on 24 vertices is the all-ones line:
@@ -1332,6 +1356,21 @@ class TestBlockSplit:
         values = [_rational_global(_submatrix(a, *b)).value for b in blocks]
         rows, _ = blocks[values.index(res.value)]
         assert not any(x for i, x in enumerate(res.attaining_target) if i not in rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(permuted_block_diagonals())
+    @example(mat([[0, 1, 2, -3, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1]]))
+    def test_z_global_matches_whole_matrix_where_spanned(self, a):
+        # The kernel is spanned exactly when every block's is; then the
+        # split value, target and flag are the whole-matrix route's.
+        res = xi_z_global(a)
+        assert xi_z_at(a, res.attaining_target).value == res.value
+        spanned = all(kernel_is_spanned(_submatrix(a, *b)) for b in _blocks(a))
+        assert spanned == kernel_is_spanned(a)
+        if spanned:
+            assert res == z_global_by_whole_matrix(a)
+        else:
+            assert not res.exact
 
     def test_q_global_tie_goes_to_smallest_column(self):
         a = IntMatrix.identity(2)

@@ -65,6 +65,24 @@ class TestKnownMinima:
         x, w, value = min_l1_combination((), [])
         assert value == 0
 
+    @pytest.mark.parametrize(
+        "u, directions, expected",
+        [
+            ((3, -1), [], ((), (F(3), F(-1)), F(4))),
+            ((F(1, 2), F(-3, 4)), [], ((), (F(1, 2), F(-3, 4)), F(5, 4))),
+            ((), [], ((), (), F(0))),
+            ((), [(), ()], ((F(0), F(0)), (), F(0))),
+        ],
+        ids=["no-directions", "fraction-offset", "empty-offset", "empty-directions"],
+    )
+    def test_nothing_to_move_is_pinned(self, u, directions, expected):
+        # The weighted-median route answers these: x is all zeros, w is u
+        # and every entry is a Fraction.
+        result = min_l1_combination(u, directions)
+        assert result == expected
+        x, w, value = result
+        assert all(type(e) is F for e in (*x, *w, value))
+
 
 class TestRandomProperties:
     def test_exactness_and_bounds(self):
