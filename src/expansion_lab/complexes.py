@@ -200,9 +200,9 @@ def incidence_kernel_basis(a: IntMatrix) -> LatticeBasis:
     zero column.  Returns the 0/1 indicator vectors of the components
     containing no self-connected vertex (a block with no single-nonzero
     row, or an isolated vertex), ordered by their smallest vertex.
-    Generates the same lattice as ``integer_kernel_basis`` (the
-    indicator vectors are a basis of the kernel), without any matrix
-    elimination.
+    The indicator vectors are a kernel basis already in Hermite form
+    (disjoint supports, ordered by smallest vertex), so this equals
+    ``integer_kernel_basis(a)``, without any matrix elimination.
     """
     check_incidence_rows(a)
     n = a.cols
@@ -221,8 +221,7 @@ def incidence_kernel_basis(a: IntMatrix) -> LatticeBasis:
         for j in cols:
             row[j] = 1
         rows.append(row)
-    basis = IntMatrix.from_rows(rows, cols=n)
-    return LatticeBasis(basis, basis, len(rows))
+    return LatticeBasis(IntMatrix.from_rows(rows, cols=n))
 
 
 # ---------------------------------------------------------------------------

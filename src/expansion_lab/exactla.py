@@ -214,8 +214,7 @@ class IntMatrix:
 @lru_cache(maxsize=512)
 def _sparse_rows(m: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
     """The (columns, entries) of each row's nonzeros, cached per matrix
-    for ``mat_vec``, ``_blocks`` and, through ``_solve_map``, the
-    solvers' check ``A @ x == v``."""
+    for ``mat_vec``, ``_blocks`` and the solvers' check ``A @ x == v``."""
     out = []
     for i in range(m.rows):
         row = m.row(i)
@@ -610,25 +609,26 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A sublattice of Z^ambient, held as generators plus their HNF.
-
-    ``hnf`` keeps only the nonzero rows, so it has exactly ``rank`` rows
-    and is the canonical basis of the lattice.
+    """A sublattice of Z^ambient, held as its HNF basis ``hnf``: the
+    nonzero rows only, so ``rank`` rows, and canonical, so equal
+    lattices compare equal.
     """
 
-    generators: IntMatrix
     hnf: IntMatrix
-    rank: int
 
     @classmethod
     def from_generators(cls, m: IntMatrix) -> LatticeBasis:
         h, _ = hnf(m)
         nonzero = [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
-        return cls(m, IntMatrix.from_rows(nonzero, cols=m.cols), len(nonzero))
+        return cls(IntMatrix.from_rows(nonzero, cols=m.cols))
+
+    @property
+    def rank(self) -> int:
+        return self.hnf.rows
 
     @property
     def ambient(self) -> int:
-        return self.generators.cols
+        return self.hnf.cols
 
     def basis_rows(self) -> list[IntVector]:
         return [self.hnf.row(i) for i in range(self.hnf.rows)]
@@ -640,7 +640,6 @@ class _SolveMap(NamedTuple):
     pivot_cols: tuple[int, ...]
     numerators: tuple[IntVector, ...]
     denominator: int
-    sparse_rows: tuple[tuple[IntVector, IntVector], ...]
 
 
 @lru_cache(maxsize=512)
@@ -654,8 +653,9 @@ def _solve_map(a: IntMatrix) -> _SolveMap:
     product of the pivots, ``d * T^-1`` is the integer adjugate, so row
     ``p`` of it comes from one exact substitution against ``d * e_p``;
     ``M`` is that matrix times the pivot rows of ``u``, reduced by the
-    gcd it shares with ``d``.  ``sparse_rows`` is ``_sparse_rows(a)``,
-    the one cached sparse view, for the check ``A @ x == v``.
+    gcd it shares with ``d``.  ``_solve_scaled`` checks ``A @ x == v``
+    on ``_sparse_rows(a)``, the one cached sparse view; the map does not
+    hold a second copy of it.
     """
     h, u = hnf(a.transpose())
     pivots = hnf_pivots(h)
@@ -678,7 +678,6 @@ def _solve_map(a: IntMatrix) -> _SolveMap:
         tuple(c for _, c in pivots),
         tuple(tuple(e // g for e in row) for row in m_rows),
         d // g,
-        _sparse_rows(a),
     )
 
 
@@ -698,7 +697,7 @@ def _solve_scaled(a: IntMatrix, v: Sequence) -> tuple[list[int], int] | None:
             x = [xi + v[c] * e for xi, e in zip(x, row)]
     # The pivot columns fix x; every row of A must agree with v as well.
     d = smap.denominator
-    for (cols, entries), target in zip(smap.sparse_rows, v):
+    for (cols, entries), target in zip(_sparse_rows(a), v):
         lhs = sum(map(operator.mul, entries, map(x.__getitem__, cols)))
         if lhs != d * target:
             return None
@@ -737,13 +736,12 @@ def integer_kernel_basis(a: IntMatrix) -> LatticeBasis:
     """Basis of the integer kernel {x in Z^cols : A x = 0}.
 
     Rows of the unimodular transform of hnf(A^T) matching zero rows of
-    the echelon form span the kernel saturatedly; they are re-normalized
-    to their own HNF so the generators are canonical.
+    the echelon form span the kernel saturatedly; the lattice keeps
+    their own HNF, so the basis is canonical.
     """
     h, u = hnf(a.transpose())
     raw = [list(u.row(i)) for i in range(h.rows) if not any(h.row(i))]
-    canon = LatticeBasis.from_generators(IntMatrix.from_rows(raw, cols=a.cols))
-    return LatticeBasis(canon.hnf, canon.hnf, canon.rank)
+    return LatticeBasis.from_generators(IntMatrix.from_rows(raw, cols=a.cols))
 
 
 def lattice_member(basis: LatticeBasis, x: Sequence[int]) -> bool:

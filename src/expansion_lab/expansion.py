@@ -487,33 +487,31 @@ def _block_maximum(a, solve) -> GlobalExpansion:
     )
 
 
-def _image_basis(a: IntMatrix):
-    return LatticeBasis.from_generators(a.transpose()).basis_rows()
-
-
 def _global_candidates(a: IntMatrix):
     """Candidate targets covering every extreme point of the unit ball
     of the 1-norm intersected with the rational image.
 
-    The image is parametrized by an integer basis ``b_1..b_r``; each
-    coordinate of the ambient space induces the linear functional
-    ``y -> sum_t y_t b_t[i]`` on the parameter space.  An extreme point
-    of the polytope has r-1 independent vanishing functionals, so every
-    one lies on the line cut out by some (r-1)-subset of the distinct
-    functionals.  Returns one integer representative per candidate ray
-    of the nonzero ``a``, or None when the subsets number more than
-    ``_MAX_CANDIDATES``.
+    Each ambient coordinate ``i`` gives the functional ``y -> (y @ B)[i]``
+    on Q^r, ``B`` the image lattice's HNF basis.  An extreme point has
+    r-1 independent vanishing functionals, so it lies on the line cut
+    out by some (r-1)-subset of the distinct ones.  Returns the point
+    ``y @ B`` of each distinct primitive line ``y`` (first entry
+    positive), or None past ``_MAX_CANDIDATES`` subsets.  ``B`` is
+    echelon with positive pivots, so each is primitive in the image
+    lattice, leads with a positive entry and spans a ray of its own.
     """
-    basis = _image_basis(a)
+    basis = LatticeBasis.from_generators(a.transpose()).basis_rows()
     if len(basis) == 1:
         # one candidate ray, exact whatever _MAX_CANDIDATES is
-        return [primitive_ray(basis[0])]
+        return [basis[0]]
     columns = list(zip(*basis))
     lines = _arrangement_lines(_distinct_rays(columns), len(basis), _MAX_CANDIDATES)
     if lines is None:
         return None
-    targets = ([sum(map(operator.mul, y, phi)) for phi in columns] for y in lines)
-    return _distinct_rays(targets)
+    return [
+        tuple(sum(map(operator.mul, y, phi)) for phi in columns)
+        for y in dict.fromkeys(lines)
+    ]
 
 
 def _distinct_rays(vectors):
@@ -556,17 +554,17 @@ def _nullspace_line(subset, r):
     return primitive_ray(y)
 
 
-def _sampled_targets(a: IntMatrix, limit: int, *, dedupe_rays: bool):
+def _sampled_targets(a: IntMatrix, *, dedupe_rays: bool):
     """Deterministic finite sample of nonzero image targets: images of
     the integer box [-2, 2]^n in lexicographic order, de-duplicated
-    (by ray or exactly), capped at ``limit`` targets and at the first
-    ``_SAMPLE_BOX_POINTS`` box points."""
+    (by ray or exactly), capped at ``_SAMPLE_TARGETS`` targets and at
+    the first ``_SAMPLE_BOX_POINTS`` box points."""
     seen = {}
     out = []
     for count, u in enumerate(
         itertools.product(range(-2, 3), repeat=a.cols)
     ):
-        if count >= _SAMPLE_BOX_POINTS or len(out) >= limit:
+        if count >= _SAMPLE_BOX_POINTS or len(out) >= _SAMPLE_TARGETS:
             break
         v = mat_vec(a, u)
         if all(x == 0 for x in v):
@@ -589,6 +587,9 @@ def xi_q_global(a: IntMatrix) -> GlobalExpansion:
     ``_SAMPLE_TARGETS`` sampled targets with ``exact=False``.  Raises
     ``UndefinedExpansionError`` when the image is zero.
 
+    The attaining target lies in the integer image, so ``xi_z_at`` is
+    defined there: ``(2,)`` on ``[[2]]``.
+
     Split over the blocks of ``a`` by ``_block_maximum``, each block
     under the caps on its own.
     """
@@ -601,7 +602,7 @@ def _rational_global(a: IntMatrix) -> GlobalExpansion:
     candidates = _global_candidates(a)
     exact = candidates is not None
     if not exact:
-        candidates = _sampled_targets(a, _SAMPLE_TARGETS, dedupe_rays=True)
+        candidates = _sampled_targets(a, dedupe_rays=True)
     return _largest_at(a, candidates, xi_q_at, exact)
 
 
@@ -633,28 +634,21 @@ def _integer_global(a: IntMatrix) -> GlobalExpansion:
 
     When the kernel of ``a`` is integrally spanned the integer and
     rational per-target values agree everywhere, so this is
-    ``_rational_global`` with its target times the smallest positive
-    integer that puts it in the integer image, where ``xi_z_at`` is
-    defined (scaling leaves the per-target value unchanged): the lcm of
-    the denominators of its coordinates in the HNF basis of the image
-    lattice.  Otherwise, or past the subset cap ``spanning._MAX_SUBSETS``,
-    it is a lower bound over ``_SAMPLE_TARGETS`` sampled targets,
-    ``exact=False``.  They are images of integer box points, so
-    ``xi_z_at`` finds integer preimages, and never none: the first two
-    box points differ in the last column, which a block never has zero.
+    ``_rational_global``, whose targets already lie in the integer
+    image, where ``xi_z_at`` is defined.  Otherwise, or past the subset
+    cap ``spanning._MAX_SUBSETS``, it is a lower bound over
+    ``_SAMPLE_TARGETS`` sampled targets, ``exact=False``.  They are
+    images of integer box points, so ``xi_z_at`` finds integer
+    preimages, and never none: the first two box points differ in the
+    last column, which a block never has zero.
     """
     try:
         spanned = is_integrally_spanned(integer_kernel_basis(a).hnf).spanned
     except AmbientDimensionCapError:
         spanned = False
     if spanned:
-        res = _rational_global(a)
-        t = res.attaining_target
-        image = LatticeBasis.from_generators(a.transpose()).hnf
-        coords = solve_rational(image.transpose(), t)
-        scale = math.lcm(*(y.denominator for y in coords))
-        return replace(res, attaining_target=tuple(scale * x for x in t))
-    targets = _sampled_targets(a, _SAMPLE_TARGETS, dedupe_rays=False)
+        return _rational_global(a)
+    targets = _sampled_targets(a, dedupe_rays=False)
     return _largest_at(a, targets, xi_z_at, False)
 
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from expansion_lab import expansion
 from expansion_lab.errors import AmbientDimensionCapError, UndefinedExpansionError
 from expansion_lab.exactla import (
     IntMatrix,
@@ -275,7 +274,7 @@ def z_global_by_whole_matrix(a: IntMatrix) -> GlobalExpansion:
         coords = solve_rational(image.transpose(), t)
         scale = math.lcm(*(y.denominator for y in coords))
         return replace(res, attaining_target=tuple(scale * x for x in t))
-    targets = _sampled_targets(a, expansion._SAMPLE_TARGETS, dedupe_rays=False)
+    targets = _sampled_targets(a, dedupe_rays=False)
     if not targets:
         raise UndefinedExpansionError("global expansion is undefined for a zero image")
     return _largest_at(a, targets, xi_z_at, False)

@@ -284,6 +284,7 @@ class TestHnf:
             a = LatticeBasis.from_generators(m)
             b = LatticeBasis.from_generators(w @ m)
             assert a.hnf == b.hnf
+            assert a == b
 
 
 class TestSnf:
@@ -576,7 +577,7 @@ class TestKernel:
         for _ in range(25):
             a = rand_matrix(rng, max_dim=3, lo=-3, hi=3)
             k = integer_kernel_basis(a)
-            basis = LatticeBasis.from_generators(k.generators)
+            basis = LatticeBasis.from_generators(k.hnf)
             import itertools as it
 
             for x in it.product(range(-2, 3), repeat=a.cols):

@@ -552,12 +552,13 @@ class TestGlobalInteger:
         "rows, target", [([[2]], (2,)), ([[2, 2]], (2,)), ([[1, 2], [1, -1]], (0, 3))]
     )
     def test_spanned_target_in_integer_image(self, rows, target):
-        # xi_q_global attains the value at the primitive ray (1,), resp.
-        # (0, 1), which is not in the integer image.
+        # The primitive rays (1,), resp. (0, 1), of Z^m are not in the
+        # integer image; both global values report the image-lattice
+        # point on that ray instead.
         res = xi_z_global(mat(rows))
         assert res.exact
         assert res.attaining_target == target
-        assert res.value == xi_q_global(mat(rows)).value
+        assert xi_q_global(mat(rows)) == res
         assert xi_z_at(mat(rows), target).value == res.value
 
     def test_unspanned_gives_lower_bound(self):
@@ -650,23 +651,26 @@ class TestPerTargetSolvers:
     @given(image_targets())
     def test_global_values_attained(self, case):
         # Each global value is the per-target value at its attaining
-        # target.  The Z target lies in the integer image, and on a
-        # spanned kernel no proper divisor of it does.
+        # target.  The Q target lies in the integer image and no proper
+        # divisor of it does; on a spanned kernel the Z result is the
+        # Q result, so its target is that one.
         a, _ = case
         q_global = xi_q_global(a)
         assert q_global.exact
-        assert xi_q_at(a, q_global.attaining_target).value == q_global.value
+        t = q_global.attaining_target
+        assert xi_q_at(a, t).value == q_global.value
+        assert solve_integer(a, t) is not None
+        g = math.gcd(*t)
+        assert all(
+            solve_integer(a, [x // d for x in t]) is None
+            for d in range(2, g + 1)
+            if g % d == 0
+        )
         z_global = xi_z_global(a)
         assert z_global.exact == kernel_is_spanned(a)
-        t = z_global.attaining_target
-        assert xi_z_at(a, t).value == z_global.value
+        assert xi_z_at(a, z_global.attaining_target).value == z_global.value
         if z_global.exact:
-            g = math.gcd(*t)
-            assert all(
-                solve_integer(a, [x // d for x in t]) is None
-                for d in range(2, g + 1)
-                if g % d == 0
-            )
+            assert z_global == q_global
 
 
 def _xi_zq_at_mod_3(a, v):
