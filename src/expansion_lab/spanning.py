@@ -7,17 +7,21 @@ span. Equivalently: every projected generator matrix has all Smith
 invariant factors equal to 1 (the projected lattice is saturated).
 
 The condition ranges over all 2^n - 1 nonempty subsets, but it is
-decided on C(n, k) of them, k the rank: a lattice is spanned exactly
-when each rank-sized projection of its HNF basis is saturated (see
-``is_integrally_spanned``). The size-then-lex subset scan runs only
-when that certificate fails, to find the first failing subset and a
-witness vector. It skips the Smith form of every projection that passes
-the Heller-Tompkins 2-colouring test (``_signed_edges``,
-``_two_colourable``): such a projection is totally unimodular, hence
-saturated, so only Smith forms that could not have failed are skipped.
-Both are capped at ``_MAX_SUBSETS`` subsets: the certificate's C(n, k)
-is priced before any Smith form, and the scan stops as soon as it would
-pass the cap.
+decided by the C(n, k) rank-sized minors of the HNF basis, k the rank:
+a lattice is spanned exactly when each of them is in {0, +-1} (see
+``is_integrally_spanned``). Once every entry of the basis is in
+{0, +-1}, it is ``[I | M]`` up to column order and those minors are
+the square minors of the tableau M, so the certificate takes one Smith
+form per square submatrix of M with no zero row or column. The
+size-then-lex subset scan runs only when that certificate fails, to
+find the first failing subset and a witness vector. It skips the
+Smith form of every projection that passes the Heller-Tompkins
+2-colouring test (``_signed_edges``, ``_two_colourable``): such a
+projection is totally unimodular, hence saturated, so only Smith forms
+that could not have failed are skipped. Both are capped at
+``_MAX_SUBSETS``: the certificate's C(n, k) minors are priced before
+any Smith form, and the scan stops as soon as it would pass the cap on
+subsets.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .exactla import (
     IntVector,
     LatticeBasis,
     SnfDecomposition,
+    hnf_pivots,
     lattice_member,
     snf,
     solve_rational,
@@ -202,29 +207,48 @@ def _two_colourable(edges) -> bool:
 
 
 def _rank_sized_certificate(generators: IntMatrix) -> bool:
-    """True when every rank-sized projection of the HNF basis is saturated.
+    """True when every k x k minor of the HNF basis B is in {0, +-1}.
 
     A spanned HNF basis has every entry in {0, +-1}: its minor on the
     pivot columns is the product of the positive pivots, so each pivot
     is 1, the entries above it are reduced to 0, and any other entry is
     up to sign the minor that swaps it in for its row's pivot column.
     That test rules most unspanned lattices out before any Smith form.
-    Raises ``AmbientDimensionCapError`` when C(n, k) passes
+
+    Once it has passed, B is ``[I | M]`` up to column order, M the
+    k x (n - k) tableau on the free columns.  A k x k minor of B that
+    leaves out the pivot columns of rows R and takes the free columns S
+    (|R| = |S|) is, up to sign, the minor of M on rows R and columns S.
+    So the k-minors are in {0, +-1} exactly when every square submatrix
+    of M has all its invariant factors 1 (its nonzero ones when it is
+    singular), i.e. when M is totally unimodular.  The submatrices are
+    taken by size, smallest first, and one with a zero row or column is
+    skipped: its minor is 0.  Raises ``AmbientDimensionCapError`` when
+    the C(n, k) = sum_s C(k, s) C(n - k, s) minors pass
     ``_MAX_SUBSETS``, before the first Smith form.
     """
     basis = LatticeBasis.from_generators(generators)
     if any(e not in (-1, 0, 1) for e in basis.hnf.entries):
         return False
-    price = math.comb(basis.ambient, basis.rank)
+    k, n = basis.rank, basis.ambient
+    price = math.comb(n, k)
     if price > _MAX_SUBSETS:
         raise AmbientDimensionCapError(
-            f"certifying takes C({basis.ambient}, {basis.rank}) = {price} Smith "
-            f"forms, above the subset cap _MAX_SUBSETS = {_MAX_SUBSETS}"
+            f"certifying takes C({n}, {k}) = {price} rank-sized minors, "
+            f"above the subset cap _MAX_SUBSETS = {_MAX_SUBSETS}"
         )
-    rows = basis.basis_rows()
-    for combo in itertools.combinations(range(basis.ambient), basis.rank):
-        if any(f != 1 for f in snf(_project(rows, combo)).invariant_factors()):
-            return False
+    pivots = {c for _, c in hnf_pivots(basis.hnf)}
+    free = tuple(j for j in range(n) if j not in pivots)
+    tableau = [[row[j] for j in free] for row in basis.basis_rows()]
+    for size in range(1, min(k, n - k) + 1):
+        for chosen in itertools.combinations(tableau, size):
+            live = [j for j in range(n - k) if any(row[j] for row in chosen)]
+            for cols in itertools.combinations(live, size):
+                if not all(any(row[j] for j in cols) for row in chosen):
+                    continue
+                square = _project(chosen, cols)
+                if any(f != 1 for f in snf(square).invariant_factors()):
+                    return False
     return True
 
 
@@ -246,6 +270,14 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     is then totally unimodular of some rank r, with an r x r minor +-1,
     so its Smith invariant factors are all 1: every projection is
     saturated.
+
+    So the k-minors of B are decided on M. When every entry of B is in
+    {0, +-1}, J can be its pivot columns: each pivot is 1 and the
+    entries above it are 0, so B_J = I and B itself is [I | M]. Its
+    k-minors are then, up to sign, the square minors of M, and the
+    certificate (``_rank_sized_certificate``) takes a Smith form of each
+    square submatrix of M that has no zero row or column: the lattice is
+    spanned exactly when M is totally unimodular.
 
     A family with no nonzero generators is spanned outright (every
     projection is the zero lattice), with no subsets enumerated. When
@@ -272,8 +304,8 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     the failing subset, its witness and ``subsets_checked`` are those of
     the scan with a Smith form on every subset.
 
-    ``AmbientDimensionCapError`` is raised when the certificate needs
-    more than ``_MAX_SUBSETS`` Smith forms, or the scan would visit
+    ``AmbientDimensionCapError`` is raised when the certificate prices
+    more than ``_MAX_SUBSETS`` rank-sized minors, or the scan would visit
     more than ``_MAX_SUBSETS`` subsets. At ambient n <= 22 neither
     happens: C(n, k) and the scan are both at most 2^n - 1.
     """

@@ -4,7 +4,8 @@ The oracles here are deliberately naive (exhaustive enumeration,
 permutation expansion, the dense matrix-vector product, forward
 substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
-subset scan of the spanning condition, the minimization faces as the
+subset scan of the spanning condition and its certificate on every
+rank-sized projection of the HNF basis, the minimization faces as the
 maximal closures of every hyperplane subset solved over Fraction, the
 finite-field image rebuilt vector by vector, the integer global value
 on the whole matrix with no block split, weighted medians sorted
@@ -194,6 +195,18 @@ def spanning_by_full_scan(generators: IntMatrix) -> SpanningVerdict:
             witness = _saturation_witness(projected, dec)
             return SpanningVerdict(False, (subset, witness), checked)
     return SpanningVerdict(True, None, checked)
+
+
+def rank_sized_certificate_by_projections(generators: IntMatrix) -> bool:
+    """The spanning certificate on all C(n, k) rank-sized projections of
+    the HNF basis, k the rank: True when each has every Smith invariant
+    factor 1.  No {0, +-1} filter and no tableau, so it checks both."""
+    basis = LatticeBasis.from_generators(generators)
+    return all(
+        all(f == 1 for f in snf(project_columns(basis.hnf, subset)).invariant_factors())
+        for subset in subsets_in_order(basis.ambient)
+        if len(subset) == basis.rank
+    )
 
 
 def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:

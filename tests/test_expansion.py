@@ -590,9 +590,9 @@ class TestGlobalInteger:
         assert xi_z_at(a, res.attaining_target).value == res.value
 
     def test_spanning_check_is_priced_per_block(self):
-        # 13 copies of the row 1 1: the whole kernel would need
-        # C(26, 13) = 10,400,600 Smith forms, past _MAX_SUBSETS; each
-        # block's kernel needs C(2, 1).
+        # 13 copies of the row 1 1: the whole kernel is priced at
+        # C(26, 13) = 10,400,600 rank-sized minors, past _MAX_SUBSETS;
+        # each block's kernel at C(2, 1).
         a = mat([[1 if j // 2 == i else 0 for j in range(26)] for i in range(13)])
         res = xi_z_global(a)
         assert res == GlobalExpansion(
@@ -606,7 +606,8 @@ class TestGlobalInteger:
 
     def test_spanned_kernel_past_ambient_22_is_exact(self):
         # The kernel of the path on 24 vertices is the all-ones line:
-        # C(24, 1) = 24 Smith forms certify it.
+        # priced at C(24, 1) = 24 minors, it is certified by the 23 1 x 1
+        # Smith forms of its tableau of ones.
         a = graph_d0(Graph(24, tuple((i, i + 1) for i in range(1, 24))))
         res = xi_z_global(a)
         assert res == xi_q_global(a)

@@ -11,6 +11,7 @@ from conftest import (
     in_lattice_by_box,
     rand_matrix,
     rand_unimodular,
+    rank_sized_certificate_by_projections,
     spanning_by_full_scan,
 )
 from expansion_lab import spanning
@@ -122,6 +123,36 @@ def signed_graph_families(draw):
             columns.append({})
     columns = draw(st.permutations(columns))
     return M([[col.get(i, 0) for col in columns] for i in range(r)], cols=len(columns))
+
+
+@st.composite
+def small_lattices(draw):
+    """Up to four generators in Z^1..Z^8, entries in {0, +-1} or in -2..2."""
+    n = draw(st.integers(1, 8))
+    bound = draw(st.sampled_from((1, 2)))
+    entries = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return M([draw(entries) for _ in range(draw(st.integers(1, 4)))], cols=n)
+
+
+@st.composite
+def tableau_lattices(draw):
+    """[I | M] in Z^2..Z^8 of rank 1..4 with its columns shuffled, M in
+    {0, +-1}, and sometimes a planted square of M that is not totally
+    unimodular: [[1, 1], [1, -1]] (determinant -2) or the odd cycle
+    (determinant 2), on random rows and columns of M."""
+    k = draw(st.integers(1, 4))
+    f = draw(st.integers(1, 8 - k))
+    m = [draw(st.lists(st.integers(-1, 1), min_size=f, max_size=f)) for _ in range(k)]
+    plant = draw(st.sampled_from(((), ((1, 1), (1, -1)), ((1, 1, 0), (0, 1, 1), (1, 0, 1)))))
+    if len(plant) <= min(k, f):
+        rows = draw(st.permutations(range(k)))[: len(plant)]
+        cols = draw(st.permutations(range(f)))[: len(plant)]
+        for r, planted_row in zip(rows, plant):
+            for c, x in zip(cols, planted_row):
+                m[r][c] = x
+    order = draw(st.permutations(range(k + f)))
+    full = [[int(i == j) for j in range(k)] + m[i] for i in range(k)]
+    return M([[row[j] for j in order] for row in full], cols=k + f)
 
 
 @st.composite
@@ -238,6 +269,16 @@ class TestIsIntegrallySpanned:
         assert witness == (0, 0, 1)
         assert verdict.subsets_checked == 7
 
+    def test_tableau_minor_failure(self):
+        # HNF [I | M] with M = [[1, 1], [1, -1]]: every entry is in
+        # {0, +-1}, but the minor on columns 3 and 4 is -2
+        verdict = is_integrally_spanned(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
+        assert not verdict.spanned
+        subset, witness = verdict.witness
+        assert subset.indices == (3, 4)
+        assert witness == (1, -2)
+        assert verdict.subsets_checked == 10
+
     def test_single_vector_projection_failure(self):
         verdict = is_integrally_spanned(M([[2, 1]]))
         assert not verdict.spanned
@@ -316,11 +357,14 @@ class TestIsIntegrallySpanned:
 
         monkeypatch.setattr(spanning, "snf", no_snf)
         # [I | I] in Z^26 passes the HNF filter, but certifying it takes
-        # C(26, 13) = 10,400,600 Smith forms: refused before the first.
+        # C(26, 13) = 10,400,600 rank-sized minors: refused before the
+        # first Smith form.  Its tableau I has only 2^13 - 1 squares
+        # with no zero row or column; the price is C(n, k) all the same.
         identity = [[int(i == j) for j in range(13)] for i in range(13)]
         with pytest.raises(AmbientDimensionCapError, match="_MAX_SUBSETS"):
             is_integrally_spanned(M([row + row for row in identity]))
-        # The certificate of [[1, 0, 1, 0]] takes C(4, 1) = 4 Smith forms.
+        # The certificate of [[1, 0, 1, 0]] is priced at C(4, 1) = 4
+        # minors, although its tableau (0, 1, 0) takes one Smith form.
         gens = M([[1, 0, 1, 0]])
         monkeypatch.setattr(spanning, "_MAX_SUBSETS", 3)
         with pytest.raises(AmbientDimensionCapError):
@@ -353,26 +397,43 @@ class TestIsIntegrallySpanned:
             subset, _ = verdict.witness
             assert len(subset) <= rank(gens)
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_lattices() | tableau_lattices())
+    @example(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
+    @example(M([[1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]]))
+    def test_certificate_matches_projections(self, gens):
+        certified = spanning._rank_sized_certificate(gens)
+        assert certified == rank_sized_certificate_by_projections(gens)
+        assert is_integrally_spanned(gens) == spanning_by_full_scan(gens)
+
     @pytest.mark.parametrize(
         "rows, calls, spanned, checked",
         [
-            # K5 image lattice: rank 4 at ambient 10, C(10, 4) projections
+            # K5 image lattice: rank 4 at ambient 10, a 4 x 6 tableau
+            # whose 143 square submatrices with no zero row or column
+            # stand in for the C(10, 4) = 210 projections
             (
                 [[1 if e[0] == v else -1 if e[1] == v else 0
                   for e in itertools.combinations(range(5), 2)]
                  for v in range(4)],
-                math.comb(10, 4),
+                143,
                 True,
                 2**10 - 1,
             ),
-            # ambient 30, past a full scan's reach: C(30, 1) projections
-            ([[1] * 30], 30, True, 2**30 - 1),
+            # ambient 30, past a full scan's reach: the 1 x 29 tableau
+            # of ones takes 29 1 x 1 forms
+            ([[1] * 30], 29, True, 2**30 - 1),
             # HNF [[1, 1], [0, 2]] fails the filter: only the scan runs,
             # and the 2-colouring test skips the singleton (1,)
             ([[1, 1], [1, 3]], 2, False, 3),
             # the planted triple: every proper subset is 2-colourable, so
             # the one Smith form is on (1, 2, 3)
             ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1, False, 7),
+            # tableau [[1, 1], [1, -1]]: four 1 x 1 forms pass and the
+            # 2 x 2, of determinant -2, fails; the scan then takes one
+            # Smith form, on (3, 4), the only subset that is not
+            # 2-colourable, with witness (1, -2)
+            ([[1, 0, 1, 1], [0, 1, 1, -1]], 6, False, 10),
         ],
     )
     def test_smith_forms_computed(self, monkeypatch, rows, calls, spanned, checked):
