@@ -37,7 +37,9 @@ general path, the simplex or the full coset enumeration, which also
 serve the tests as oracles for the closed forms.  The global F_q value
 walks the image once, one pivot column per step (see ``_image_walk``),
 and weighs each coset by the same rule as ``xi_zq_at``,
-``_min_weight_in_coset``.
+``_min_weight_in_coset``.  The image walk and the coset enumeration are
+one product-order odometer over F_q, ``_odometer``: it adds one sparse
+step per changed digit and keeps the Hamming weight as a counter.
 
 The global values over Q, Z and F_q split over the blocks of the
 matrix: the connected components of its row-support graph
@@ -50,14 +52,16 @@ Over Z the spanning check, too, runs on each block.
 
 Every enumeration is capped by a module constant that the function
 reads when it is called: ``_MAX_NODES``, ``_MAX_CANDIDATES``,
-``_MAX_COSET`` (checked only where a coset is enumerated, in
-``_enumerate_coset``), ``_MAX_IMAGES`` and ``_MAX_FACE_SUBSETS``; the
-global values check them, and ``spanning._MAX_SUBSETS``, per block.  A
-cap hit raises ``EnumerationCapError``, except past the candidate or
-subset cap of the global constants, where the value is a lower bound
-over ``_SAMPLE_TARGETS`` sampled targets with ``exact=False``; those
-targets are the images of the first ``_SAMPLE_BOX_POINTS`` points of
-the box [-2, 2]^n.  The campaign caps in ``harness`` still price the
+``_MAX_COSET`` (checked where a coset is enumerated: per coset in
+``_enumerate_coset``, and over the whole walk, ``q ** (rank +
+dim(ker))``, before ``xi_zq_global`` walks an enumerated kernel),
+``_MAX_IMAGES`` and ``_MAX_FACE_SUBSETS``; the global values check
+them, and ``spanning._MAX_SUBSETS``, per block.  A cap hit raises
+``EnumerationCapError``, except past the candidate or subset cap of the
+global constants, where the value is a lower bound over
+``_SAMPLE_TARGETS`` sampled targets with ``exact=False``; those targets
+are the images of the first ``_SAMPLE_BOX_POINTS`` points of the box
+[-2, 2]^n.  The campaign caps in ``harness`` still price the
 whole matrix (``q^cols`` and ``2^cols``), so they skip checks that the
 split would now finish.
 """
@@ -865,64 +869,57 @@ def _min_weight_in_coset(u0, kernel, q, terms):
 
 def _enumerate_coset(u0, kernel, q):
     """``_min_weight_in_coset`` by running over all coefficient vectors
-    in lexicographic order; serves any kernel.  The one enumeration of a
-    coset, so the one place that checks ``_MAX_COSET``: raises
-    ``EnumerationCapError`` when ``q ** dim(ker)`` exceeds it."""
+    in lexicographic order, stepped by ``_odometer`` from ``u0``, one
+    kernel row per changed coefficient; serves any kernel whose rows,
+    like ``u0``, have entries in ``[0, q)``.  A later vector replaces
+    the best only with a strictly smaller weight, and the search ends
+    once the best weighs at most 1 (at once when ``u0`` does): only the
+    zero vector beats that, and it lies in no coset of a nonzero
+    target.  The one enumeration of a coset, so the one place that
+    checks ``_MAX_COSET`` per coset: raises ``EnumerationCapError`` when
+    ``q ** dim(ker)`` exceeds it."""
     kdim = len(kernel)
     if q**kdim > _MAX_COSET:
         raise EnumerationCapError(
             f"coset size q**{kdim} exceeds enumeration cap {_MAX_COSET}"
         )
-    best_u = tuple(u0)
-    best_wt = hamming_weight(u0)
-
-    def rec(j, acc):
-        nonlocal best_u, best_wt
-        if best_wt <= 1:
-            return
-        if j == kdim:
-            wt = hamming_weight(acc)
-            if wt < best_wt:
-                best_wt = wt
-                best_u = tuple(acc)
-            return
-        row = kernel[j]
-        for c in range(q):
-            if c == 0:
-                rec(j + 1, acc)
-            else:
-                rec(j + 1, tuple((x + c * y) % q for x, y in zip(acc, row)))
-
-    rec(0, tuple(u0))
+    best_u, best_wt = tuple(u0), hamming_weight(u0)
+    if best_wt <= 1:
+        return best_u, best_wt
+    u = list(u0)
+    steps = [[(i, x) for i, x in enumerate(row) if x] for row in kernel]
+    for wt in _odometer(u, steps, q, [0] * kdim, range(kdim)):
+        if wt < best_wt:
+            best_u, best_wt = tuple(u), wt
+            if wt <= 1:
+                break
     return best_u, best_wt
 
 
-def _image_walk(a: ModQMatrix):
-    """Every nonzero image vector ``w`` of ``a`` over F_q with the
-    preimage ``u0`` that carries the pivot-column coefficients, by an
-    odometer over those coefficients.
+def _odometer(vec, steps, q, digits, positions):
+    """Walks the digit vectors of F_q^r, r = ``len(steps)``, after the
+    zero vector in ``itertools.product(range(q), repeat=r)`` order, last
+    digit fastest, keeping ``vec`` at its start plus ``sum_j digit_j *
+    steps[j]`` mod q.  The one product-order walk over F_q: the image
+    (``_image_walk``) and the coset (``_enumerate_coset``) both step
+    through it.
 
-    The coefficient vectors come in ``itertools.product(range(q),
-    repeat=rank)`` order, last pivot fastest, the zero vector skipped.
-    A step raises the last digit and carries; every digit that changes,
-    one that wraps from q - 1 to 0 included, adds its pivot column to
-    ``w`` once (q copies of a column add nothing), so a step costs about
-    q / (q - 1) sparse columns and one entry of ``u0`` per changed digit.
-
-    Yields ``(w, hw, u0)`` with ``w`` and ``u0`` lists updated in place
-    (copy them to keep them) and ``hw`` the Hamming weight of ``w``.
-    """
-    _, pivots, _, _ = _modq_system(a)
-    q, r = a.q, len(pivots)
-    columns = [[(i, x) for i, x in enumerate(a.column(p)) if x] for p in pivots]
-    w = [0] * a.rows
-    u0 = [0] * a.cols
-    hw = 0
+    ``vec`` is a list with entries in ``[0, q)`` and ``steps[j]`` a
+    sparse vector, pairs ``(i, x)`` with ``x`` in ``[1, q)``.  Digit j
+    is kept at ``digits[positions[j]]``, which starts at 0.  A step
+    raises the last digit and carries; every digit that changes, one
+    that wraps from q - 1 to 0 included, adds its sparse step to
+    ``vec`` once (q copies add nothing), so a step costs about
+    q / (q - 1) sparse steps and one write of ``digits`` per changed
+    digit.  Yields the Hamming weight of ``vec`` after each step, kept
+    as a counter; ``vec`` and ``digits`` are updated in place."""
+    hw = hamming_weight(vec)
+    r = len(steps)
     for _ in range(q**r - 1):
         j = r - 1
         while True:
-            for i, x in columns[j]:
-                old = w[i]
+            for i, x in steps[j]:
+                old = vec[i]
                 new = old + x
                 if new >= q:
                     new -= q
@@ -930,13 +927,32 @@ def _image_walk(a: ModQMatrix):
                     hw += 1
                 elif not new:
                     hw -= 1
-                w[i] = new
-            p = pivots[j]
-            new = u0[p] + 1 if u0[p] + 1 < q else 0
-            u0[p] = new
+                vec[i] = new
+            p = positions[j]
+            new = digits[p] + 1 if digits[p] + 1 < q else 0
+            digits[p] = new
             if new:
                 break
             j -= 1
+        yield hw
+
+
+def _image_walk(a: ModQMatrix):
+    """Every nonzero image vector ``w`` of ``a`` over F_q with the
+    preimage ``u0`` that carries the pivot-column coefficients: the
+    ``_odometer`` over those coefficients, one pivot column per changed
+    digit, each digit written into ``u0`` at its pivot.
+
+    The coefficient vectors come in ``itertools.product(range(q),
+    repeat=rank)`` order, last pivot fastest, the zero vector skipped.
+    Yields ``(w, hw, u0)`` with ``w`` and ``u0`` lists updated in place
+    (copy them to keep them) and ``hw`` the Hamming weight of ``w``.
+    """
+    _, pivots, _, _ = _modq_system(a)
+    columns = [[(i, x) for i, x in enumerate(a.column(p)) if x] for p in pivots]
+    w = [0] * a.rows
+    u0 = [0] * a.cols
+    for hw in _odometer(w, columns, a.q, u0, pivots):
         yield w, hw, u0
 
 
@@ -947,7 +963,8 @@ def iter_image_with_preimage(a: ModQMatrix) -> Iterator[tuple]:
     The preimage carries the coefficients of the pivot columns, which run
     in ``itertools.product(range(q), repeat=rank)`` order (last pivot
     fastest, zero skipped); each vector is stepped from the one before
-    by the odometer of ``_image_walk``, the walk ``xi_zq_global`` runs."""
+    by ``_image_walk``, the walk ``xi_zq_global`` runs, on the
+    ``_odometer`` that also steps each enumerated coset."""
     for w, _, u0 in _image_walk(a):
         yield tuple(w), tuple(u0)
 
@@ -956,13 +973,14 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
     """Global expansion of ``a`` over F_q: the maximum of the per-target
     values over all nonzero image vectors.  Exact (the image is finite);
     raises ``EnumerationCapError`` when ``q ** rank`` exceeds
-    ``_MAX_IMAGES`` or, on a kernel whose cosets are enumerated,
-    ``q ** dim(ker)`` exceeds ``_MAX_COSET``, and
-    ``UndefinedExpansionError`` on a zero image.
+    ``_MAX_IMAGES`` or, on a kernel whose cosets are enumerated, when
+    ``q ** (rank + dim(ker))``, every coset vector the walk may visit,
+    exceeds ``_MAX_COSET``, and ``UndefinedExpansionError`` on a zero
+    image.
 
-    The image is walked once by ``_image_walk``: an odometer over the
-    pivot-column coefficients in ``itertools.product`` order, adding one
-    pivot column per changed digit.  Each image vector's coset is
+    The image is walked once by ``_image_walk``: the ``_odometer`` over
+    the pivot-column coefficients in ``itertools.product`` order, adding
+    one pivot column per changed digit.  Each image vector's coset is
     weighed by ``_min_weight_in_coset``, as in ``xi_zq_at``: per-row
     modes when the kernel rows have disjoint supports, enumeration
     otherwise.  ``attaining_target`` is the first maximizer in that
@@ -982,6 +1000,14 @@ def _image_maximum(a: ModQMatrix) -> GlobalExpansion:
     if q**r > _MAX_IMAGES:
         raise EnumerationCapError(
             f"image size q**{r} exceeds enumeration cap {_MAX_IMAGES}"
+        )
+    # On an enumerated kernel the walk may visit q**r cosets of q**k
+    # vectors each: price them all before the first step.
+    k = len(kernel)
+    if terms is None and q ** (r + k) > _MAX_COSET:
+        raise EnumerationCapError(
+            f"image size q**{r} times coset size q**{k} exceeds "
+            f"enumeration cap {_MAX_COSET}"
         )
     # The value wt / hw is compared by cross-multiplying; the start
     # -1 / 1 loses to any image vector.

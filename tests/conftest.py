@@ -7,7 +7,8 @@ textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition and its certificate on every
 rank-sized projection of the HNF basis, the minimization faces as the
 maximal closures of every hyperplane subset solved over Fraction, the
-finite-field image rebuilt vector by vector, the integer global value
+finite-field image rebuilt vector by vector and each coset searched
+by recursion, the integer global value
 on the whole matrix with no block split, weighted medians sorted
 and summed in Fractions, the Hermite and Smith forms with their
 clearing loops written out inline, the presentation tokenizer as a
@@ -46,7 +47,6 @@ from expansion_lab.expansion import (
     FaceDecomposition,
     GlobalExpansion,
     MinimizationFace,
-    _enumerate_coset,
     _largest_at,
     _modq_system,
     _sampled_targets,
@@ -209,13 +209,45 @@ def rank_sized_certificate_by_projections(generators: IntMatrix) -> bool:
     )
 
 
+def coset_by_recursion(u0, kernel, q):
+    """The first minimum-weight vector of ``u0 + span(kernel)`` over F_q
+    and its weight, by recursion over the coefficient vectors in
+    lexicographic order, each leaf's vector rebuilt as a tuple and its
+    weight recounted; a leaf replaces the best only with a strictly
+    smaller weight, and the search stops once the best weighs at most 1.
+    No cap."""
+    kdim = len(kernel)
+    best_u = tuple(u0)
+    best_wt = hamming_weight(u0)
+
+    def rec(j, acc):
+        nonlocal best_u, best_wt
+        if best_wt <= 1:
+            return
+        if j == kdim:
+            wt = hamming_weight(acc)
+            if wt < best_wt:
+                best_wt = wt
+                best_u = tuple(acc)
+            return
+        row = kernel[j]
+        for c in range(q):
+            if c == 0:
+                rec(j + 1, acc)
+            else:
+                rec(j + 1, tuple((x + c * y) % q for x, y in zip(acc, row)))
+
+    rec(0, tuple(u0))
+    return best_u, best_wt
+
+
 def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
     """``xi_zq_global`` one image vector at a time: each nonzero
     pivot-coefficient vector, in ``itertools.product`` order, builds its
-    image from scratch, ``_enumerate_coset`` weighs its coset (never the
-    per-row modes the library takes on disjoint kernels), and a strictly
-    larger ``Fraction`` replaces the best.  None on a zero image; no caps
-    but ``_MAX_COSET``."""
+    image from scratch, ``coset_by_recursion`` weighs its coset (never
+    the per-row modes the library takes on disjoint kernels), and a
+    strictly larger ``Fraction`` replaces the best.  None on a zero
+    image; no caps."""
     _, pivots, kernel, _ = _modq_system(a)
     q = a.q
     cols = [tuple(a.at(i, c) for i in range(a.rows)) for c in pivots]
@@ -230,7 +262,7 @@ def zq_global_by_product_enumeration(a) -> GlobalExpansion | None:
         u0 = [0] * a.cols
         for c, p in zip(coeffs, pivots):
             u0[p] = c
-        _, wt = _enumerate_coset(tuple(u0), kernel, q)
+        _, wt = coset_by_recursion(tuple(u0), kernel, q)
         value = Fraction(wt, hamming_weight(w))
         if best is None or value > best:
             best, best_target = value, tuple(w)

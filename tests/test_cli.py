@@ -6,6 +6,8 @@ contract: 0 success, 1 campaign failure, 2 input or solver error.
 """
 
 import json
+import random
+import time
 
 import pytest
 
@@ -181,6 +183,19 @@ def test_xi_zq_global_identity_takes_the_first_block(files, capsys):
     rc, data = run_json(capsys, ["xi-zq", matrix, "--modulus", "2"])
     assert rc == 0
     assert (data["value"], data["attaining_target"]) == ("1", ["1", "0"])
+
+
+def test_xi_zq_walk_past_the_coset_cap_is_a_solver_error(files, capsys):
+    # rank 18 and an overlapping kernel of dimension 12 mod 2: 2 ** 30
+    # coset vectors in all, refused before the walk starts
+    rng = random.Random(3)
+    rows = [" ".join(str(rng.randint(0, 1)) for _ in range(30)) for _ in range(18)]
+    matrix = files("a.mat", "18 30\n" + "\n".join(rows) + "\n")
+    start = time.perf_counter()
+    rc = main(["xi-zq", matrix, "--modulus", "2"])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert "coset size" in capsys.readouterr().err
 
 
 def test_xi_mod_large_prime(files, capsys):

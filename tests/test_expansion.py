@@ -79,6 +79,7 @@ from expansion_lab.spanning import is_integrally_spanned
 
 from conftest import (
     by_blocks,
+    coset_by_recursion,
     elimination_systems,
     min_l1_preimage_by_box,
     minimization_faces_by_closures,
@@ -92,6 +93,21 @@ from conftest import (
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def simplex_d1(n):
+    """``d1`` of the full simplex on ``n`` vertices, Δ^(n-1): one row per
+    triangle i < j < k and one column per edge, both in lexicographic
+    order, the row being the coboundary f -> f(jk) - f(ik) + f(ij).  Its
+    kernel rows overlap."""
+    edges = list(itertools.combinations(range(n), 2))
+    index = {e: c for c, e in enumerate(edges)}
+    rows = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        row = [0] * len(edges)
+        row[index[j, k]], row[index[i, k]], row[index[i, j]] = 1, -1, 1
+        rows.append(row)
+    return mat(rows)
 
 
 def kernel_is_spanned(a: IntMatrix):
@@ -1017,6 +1033,31 @@ class TestXiZqGlobal:
         with pytest.raises(EnumerationCapError, match="coset size"):
             xi_zq_global(a)
 
+    def test_walk_cap_prices_image_times_coset(self):
+        # rank 18 and an overlapping kernel of dimension 12: the image
+        # and each coset are under their caps, the 2 ** 30 coset vectors
+        # of the walk are not, and the walk is refused before it starts
+        rng = random.Random(3)
+        a = ModQMatrix.from_rows(
+            [[rng.randint(0, 1) for _ in range(30)] for _ in range(18)], 2
+        )
+        terms, pivots, kernel, _ = _modq_system(a)
+        assert (terms, len(pivots), len(kernel)) == (None, 18, 12)
+        assert 2**18 <= expansion._MAX_IMAGES and 2**12 <= expansion._MAX_COSET
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError, match="coset size"):
+            xi_zq_global(a)
+        assert time.perf_counter() - start < 1
+
+    def test_walk_cap_refuses_a_wide_row_that_each_target_answers(self):
+        # every coset of the 1 x 24 all-ones row starts at weight 1 and
+        # exits at once, but the walk is priced as 2 ** 24 coset vectors
+        a = ModQMatrix.from_rows([[1] * 24], 2)
+        assert _modq_system(a)[0] is None
+        with pytest.raises(EnumerationCapError, match="coset size"):
+            xi_zq_global(a)
+        assert xi_zq_at(a, (1,)).value == 1
+
     def test_image_enumeration_is_complete_and_disjoint(self):
         a = ModQMatrix.from_rows([[1, 1, 0], [0, 1, 1]], 2)
         pairs = list(iter_image_with_preimage(a))
@@ -1095,6 +1136,49 @@ class TestMinWeightInCoset:
             == w
         ]
         assert hamming_weight(res.witness) == min(weights) == 1
+
+
+@st.composite
+def overlapping_cosets(draw):
+    """(q, u0, kernel) over F_q, q in {2, 3, 5, 7}: two to four kernel
+    rows with entries in [0, q) and ``q ** rows`` at most 2,401, of which
+    the first two share a nonzero position, and a start ``u0`` with
+    entries in [0, q).  The rows need not be independent or echelon:
+    the enumeration runs over coefficient vectors, not the span."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(2, max(c for c in (2, 3, 4) if q**c <= 2401)))
+    entry = st.integers(0, q - 1)
+    kernel = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    i = draw(st.integers(0, n - 1))
+    nonzero = st.integers(1, q - 1)
+    kernel[0][i], kernel[1][i] = draw(nonzero), draw(nonzero)
+    u0 = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    return q, u0, tuple(map(tuple, kernel))
+
+
+class TestCosetOdometer:
+    """``_enumerate_coset`` on the shared odometer against the recursion
+    it replaced, ``conftest.coset_by_recursion``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(overlapping_cosets())
+    @example((2, (1, 1, 0), ()))
+    @example((5, (0, 0, 0), ((1, 2, 0), (3, 1, 4))))
+    @example((3, (0, 2, 0), ((1, 1, 0), (0, 1, 1))))
+    @example((7, (0, 6, 5, 0), ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))))
+    # (1, 0, 0), weight 1, ends the walk before (1, 1) reaches zero
+    @example((2, (1, 1, 0), ((1, 0, 0), (0, 1, 0))))
+    def test_matches_recursion(self, case):
+        q, u0, kernel = case
+        assert _enumerate_coset(u0, kernel, q) == coset_by_recursion(u0, kernel, q)
+
+    def test_start_of_weight_one_is_returned_unwalked(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("walked a coset whose start weighs 1")
+
+        monkeypatch.setattr(expansion, "_odometer", forbidden)
+        assert _enumerate_coset((0, 4, 0), ((1, 1, 0), (0, 1, 1)), 5) == ((0, 4, 0), 1)
 
 
 @st.composite
@@ -1220,6 +1304,27 @@ class TestImageWalk:
             oracle.value,
             oracle.attaining_target,
         )
+
+    @pytest.mark.parametrize(
+        "n, value, target",
+        [
+            (5, Fraction(3, 5), (1, 1, 0, 0, 0, 1, 0, 1, 0, 1)),
+            (
+                6,
+                Fraction(1, 2),
+                (0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0),
+            ),
+        ],
+    )
+    def test_simplex_d1_mod_2(self, n, value, target):
+        # Δ^4 (10 x 10) and Δ^5 (20 x 15): overlapping kernels, every
+        # coset enumerated; 3/n is the Meshulam-Wallach bound
+        a = reduce_mod_q(simplex_d1(n), 2)
+        assert _modq_system(a)[0] is None
+        res = xi_zq_global(a)
+        assert (res.value, res.attaining_target) == (value, target)
+        oracle = by_blocks(zq_global_by_product_enumeration)(a)
+        assert (oracle.value, oracle.attaining_target) == (value, target)
 
     def test_disjoint_kernel_needs_no_coset_search(self, monkeypatch):
         # two components: the kernel is spanned by their indicators
