@@ -4,8 +4,12 @@ A family of integer vectors is integrally spanned when, for every
 subset of coordinates, the projections of the generators Z-span every
 integer point of their Q-span.  The checker diagnoses projections
 through their Smith invariant factors: a spanned lattice of rank k is
-certified on its k-coordinate projections alone, and otherwise the
-subsets are scanned to return a concrete witness vector.
+certified on its k-coordinate projections alone.  Otherwise the
+certificate names k coordinates whose projection is unsaturated; they
+are shrunk while the projection stays unsaturated, and the result
+carries a concrete witness vector.  The count printed is the number of
+subsets covered when spanned, and otherwise the Smith forms the
+witness step took.
 """
 
 from expansion_lab import IntMatrix, is_integrally_spanned
@@ -15,7 +19,8 @@ def show(rows):
     a = IntMatrix.from_rows(rows)
     verdict = is_integrally_spanned(a)
     print(f"generators {rows}")
-    print(f"  spanned: {verdict.spanned}  (subsets checked: {verdict.subsets_checked})")
+    label = "subsets covered" if verdict.spanned else "Smith forms for the witness"
+    print(f"  spanned: {verdict.spanned}  ({label}: {verdict.subsets_checked})")
     if verdict.witness is not None:
         subset, vector = verdict.witness
         print(f"  witness: at coordinates {subset.indices}, the integer vector")

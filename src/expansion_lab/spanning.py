@@ -7,21 +7,18 @@ span. Equivalently: every projected generator matrix has all Smith
 invariant factors equal to 1 (the projected lattice is saturated).
 
 The condition ranges over all 2^n - 1 nonempty subsets, but it is
-decided by the C(n, k) rank-sized minors of the HNF basis, k the rank:
-a lattice is spanned exactly when each of them is in {0, +-1} (see
-``is_integrally_spanned``). Once every entry of the basis is in
-{0, +-1}, it is ``[I | M]`` up to column order and those minors are
-the square minors of the tableau M, so the certificate takes one Smith
-form per square submatrix of M with no zero row or column. The
-size-then-lex subset scan runs only when that certificate fails, to
-find the first failing subset and a witness vector. It skips the
-Smith form of every projection that passes the Heller-Tompkins
-2-colouring test (``_signed_edges``, ``_two_colourable``): such a
-projection is totally unimodular, hence saturated, so only Smith forms
-that could not have failed are skipped. Both are capped at
-``_MAX_SUBSETS``: the certificate's C(n, k) minors are priced before
-any Smith form, and the scan stops as soon as it would pass the cap on
-subsets.
+decided by the C(n, k) rank-sized minors of the HNF basis B, k the
+rank: a lattice is spanned exactly when each of them is in {0, +-1}
+(see ``is_integrally_spanned``). Once every entry of B is in {0, +-1},
+it is ``[I | M]`` up to column order and those minors are the square
+minors of the tableau M, so the certificate takes one Smith form per
+square submatrix of M with no zero row or column. Its C(n, k) minors
+are priced against ``_MAX_SUBSETS`` before any Smith form. A failing
+certificate names k columns T with |det B_T| >= 2, whose projection is
+unsaturated. The witness is read off T: coordinates are dropped from it
+while the projection stays unsaturated, one Smith form per drop tried,
+so the reported subset has at most k coordinates and no unsaturated
+proper subset.
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ from .exactla import (
     unimodular_inverse,
 )
 
-# The most coordinate subsets one call may project: 2^22 - 1 is a full
-# scan at ambient 22.
+# The most rank-sized minors one certificate may price: C(n, k) stays
+# under 2^22 - 1 at ambient 22.
 _MAX_SUBSETS = 2**22 - 1
 
 
@@ -79,8 +76,9 @@ class SpanningVerdict:
 
     ``subsets_checked`` is 2^n - 1 when spanned (the certificate covers
     every nonempty subset), 0 for a family with no nonzero generator,
-    and otherwise the number of subsets the size-then-lex scan visited,
-    up to and including the failing one.
+    and otherwise the number of coordinate subsets whose Smith form the
+    witness step took: the certificate's failing columns T and each
+    one-coordinate drop tried.
     """
 
     spanned: bool
@@ -101,13 +99,6 @@ def project_columns(generators: IntMatrix, subset: CoordSubset) -> IntMatrix:
         )
     rows = list(map(generators.row, range(generators.rows)))
     return _project(rows, tuple(j - 1 for j in subset.indices))
-
-
-def subsets_in_order(ambient: int):
-    """All nonempty coordinate subsets, by size then lexicographically."""
-    for size in range(1, ambient + 1):
-        for combo in itertools.combinations(range(1, ambient + 1), size):
-            yield CoordSubset(ambient, combo)
 
 
 def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVector:
@@ -160,76 +151,43 @@ def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVecto
     raise WitnessError("witness validation failed for every candidate")
 
 
-def _signed_edges(rows: list[IntVector], ncols: int) -> list:
-    """The Heller-Tompkins data of each column of ``rows``.
-
-    ``None`` for a column outside the test (an entry not in {0, +-1},
-    or more than two nonzeros), ``()`` for a zero column or a single
-    +-1, and ``(a, b, parity)`` for +-1 entries in exactly rows a and b,
-    with parity 1 when they have the same sign (rows a and b must then
-    lie in different classes) and 0 when opposite (the same class).
-    """
-    out = []
-    for j in range(ncols):
-        nonzero = [(i, row[j]) for i, row in enumerate(rows) if row[j]]
-        if len(nonzero) > 2 or any(x not in (-1, 1) for _, x in nonzero):
-            out.append(None)
-        elif len(nonzero) == 2:
-            (a, x), (b, y) = nonzero
-            out.append((a, b, int(x == y)))
-        else:
-            out.append(())
-    return out
-
-
-def _two_colourable(edges) -> bool:
-    """True when the rows split into two classes meeting every edge's
-    parity: a union-find over rows, each row holding its parent and its
-    class parity against it."""
-    parent = {}
-
-    def find(v):
-        parity = 0
-        while v in parent:
-            v, p = parent[v]
-            parity ^= p
-        return v, parity
-
-    for a, b, parity in edges:
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            if pa ^ pb != parity:
-                return False
-        else:
-            parent[ra] = (rb, pa ^ pb ^ parity)
-    return True
-
-
-def _rank_sized_certificate(generators: IntMatrix) -> bool:
-    """True when every k x k minor of the HNF basis B is in {0, +-1}.
+def _rank_sized_certificate(generators: IntMatrix) -> tuple[int, ...] | None:
+    """None when every k x k minor of the HNF basis B is in {0, +-1};
+    otherwise the sorted 0-based columns T of one k x k minor with
+    |det B_T| >= 2.
 
     A spanned HNF basis has every entry in {0, +-1}: its minor on the
     pivot columns is the product of the positive pivots, so each pivot
     is 1, the entries above it are reduced to 0, and any other entry is
     up to sign the minor that swaps it in for its row's pivot column.
-    That test rules most unspanned lattices out before any Smith form.
+    So a pivot > 1 names the pivot columns, and, with every pivot 1, an
+    entry outside {0, +-1} names the pivots with its column swapped in
+    for its row's pivot, before any Smith form.
 
-    Once it has passed, B is ``[I | M]`` up to column order, M the
-    k x (n - k) tableau on the free columns.  A k x k minor of B that
+    Once that test has passed, B is ``[I | M]`` up to column order, M
+    the k x (n - k) tableau on the free columns.  A k x k minor of B that
     leaves out the pivot columns of rows R and takes the free columns S
     (|R| = |S|) is, up to sign, the minor of M on rows R and columns S.
     So the k-minors are in {0, +-1} exactly when every square submatrix
     of M has all its invariant factors 1 (its nonzero ones when it is
     singular), i.e. when M is totally unimodular.  The submatrices are
     taken by size, smallest first, and one with a zero row or column is
-    skipped: its minor is 0.  Raises ``AmbientDimensionCapError`` when
-    the C(n, k) = sum_s C(k, s) C(n - k, s) minors pass
-    ``_MAX_SUBSETS``, before the first Smith form.
+    skipped: its minor is 0.  Every smaller minor is then in {0, +-1},
+    so the first square that fails is nonsingular with |det| >= 2, and
+    it names (pivots - pivots(R)) | S.  Raises
+    ``AmbientDimensionCapError`` when the C(n, k) = sum_s C(k, s)
+    C(n - k, s) minors pass ``_MAX_SUBSETS``, before the first Smith
+    form.
     """
     basis = LatticeBasis.from_generators(generators)
-    if any(e not in (-1, 0, 1) for e in basis.hnf.entries):
-        return False
+    rows = basis.basis_rows()
+    pivots = [c for _, c in hnf_pivots(basis.hnf)]
+    if any(row[p] > 1 for row, p in zip(rows, pivots)):
+        return tuple(pivots)
+    for row, p in zip(rows, pivots):
+        for j, e in enumerate(row):
+            if e not in (-1, 0, 1):
+                return tuple(sorted(set(pivots) - {p} | {j}))
     k, n = basis.rank, basis.ambient
     price = math.comb(n, k)
     if price > _MAX_SUBSETS:
@@ -237,19 +195,20 @@ def _rank_sized_certificate(generators: IntMatrix) -> bool:
             f"certifying takes C({n}, {k}) = {price} rank-sized minors, "
             f"above the subset cap _MAX_SUBSETS = {_MAX_SUBSETS}"
         )
-    pivots = {c for _, c in hnf_pivots(basis.hnf)}
     free = tuple(j for j in range(n) if j not in pivots)
-    tableau = [[row[j] for j in free] for row in basis.basis_rows()]
+    tableau = [[row[j] for j in free] for row in rows]
     for size in range(1, min(k, n - k) + 1):
-        for chosen in itertools.combinations(tableau, size):
+        for r in itertools.combinations(range(k), size):
+            chosen = [tableau[i] for i in r]
             live = [j for j in range(n - k) if any(row[j] for row in chosen)]
             for cols in itertools.combinations(live, size):
                 if not all(any(row[j] for j in cols) for row in chosen):
                     continue
                 square = _project(chosen, cols)
                 if any(f != 1 for f in snf(square).invariant_factors()):
-                    return False
-    return True
+                    kept = {p for i, p in enumerate(pivots) if i not in r}
+                    return tuple(sorted(kept | {free[j] for j in cols}))
+    return None
 
 
 def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
@@ -279,63 +238,63 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     square submatrix of M that has no zero row or column: the lattice is
     spanned exactly when M is totally unimodular.
 
+    A failing certificate names k columns T with |det B_T| >= 2, in one
+    of three ways:
+
+      1. a pivot > 1: T is the pivot columns, and det B_T is the
+         product of the pivots;
+      2. every pivot 1 and an entry e outside {0, +-1}: T is the
+         pivots with e's column swapped in for its row's pivot, and
+         det B_T = +-e;
+      3. a square of M on rows R and columns S, with all smaller ones
+         passing, whose determinant is outside {0, +-1}: T is
+         (pivots - pivots(R)) | S, and det B_T = +-det M_RS.
+
+    The projection onto T is the row lattice of B_T, of full rank k and
+    index |det B_T| >= 2 in Z^T, so it is unsaturated. Each subset of T
+    also has full rank, so its projection is saturated exactly when it
+    is all of Z^subset, and every subset of a saturated one is
+    saturated. Coordinates of T are therefore dropped in one pass,
+    keeping each drop that leaves the projection unsaturated: what
+    remains has no unsaturated proper subset, and its witness comes from
+    its Smith form (``_saturation_witness``). A certificate naming a
+    saturated T raises ``WitnessError``.
+
     A family with no nonzero generators is spanned outright (every
     projection is the zero lattice), with no subsets enumerated. When
     the certificate holds, the verdict is spanned with
-    ``subsets_checked`` = 2^n - 1. When it fails, subsets are scanned by
-    size then lexicographically over the generators as given, stopping
-    at the first unsaturated projection with a validated witness pair;
-    by the theorem that subset has at most k coordinates. A scan that
-    finds no failure contradicts the certificate and raises
-    ``WitnessError``.
-
-    The scan takes no Smith form of a projection that passes the
-    Heller-Tompkins test (Heller & Tompkins 1956; Schrijver, *Theory of
-    Linear and Integer Programming*, Thm 19.3): every column has at most
-    two nonzeros, each +-1, and the rows split into two classes with
-    each same-sign pair of a column in different classes and each
-    opposite-sign pair in the same class. Such a matrix is totally
-    unimodular, so each nonzero maximal minor is +-1, all its invariant
-    factors are 1 and the projection is saturated. The test is read off
-    the generator rows once (``_signed_edges``); a projection keeps the
-    columns it selects and the classes that split them, so each subset
-    is decided by a parity union-find over its own columns
-    (``_two_colourable``). Only saturated projections are skipped, so
-    the failing subset, its witness and ``subsets_checked`` are those of
-    the scan with a Smith form on every subset.
+    ``subsets_checked`` = 2^n - 1; when it fails, ``subsets_checked``
+    counts the Smith forms of the witness step, on T and on each drop
+    tried, at most k + 1. The projections are of the generators as
+    given, so the witness is a vector against their rows.
 
     ``AmbientDimensionCapError`` is raised when the certificate prices
-    more than ``_MAX_SUBSETS`` rank-sized minors, or the scan would visit
-    more than ``_MAX_SUBSETS`` subsets. At ambient n <= 22 neither
-    happens: C(n, k) and the scan are both at most 2^n - 1.
+    more than ``_MAX_SUBSETS`` rank-sized minors. At ambient n <= 22
+    that cannot happen: C(n, k) is at most 2^n - 1.
     """
     n = generators.cols
     if generators.is_zero():
         return SpanningVerdict(True, None, 0)
-    if _rank_sized_certificate(generators):
+    failing = _rank_sized_certificate(generators)
+    if failing is None:
         return SpanningVerdict(True, None, 2**n - 1)
     rows = list(map(generators.row, range(generators.rows)))
-    edges = _signed_edges(rows, n)
-    order = itertools.chain.from_iterable(
-        itertools.combinations(range(n), size) for size in range(1, n + 1)
-    )
-    for checked, combo in enumerate(order, 1):
-        if checked > _MAX_SUBSETS:
-            raise AmbientDimensionCapError(
-                f"the witness scan of ambient {n} passed the subset cap "
-                f"_MAX_SUBSETS = {_MAX_SUBSETS}"
-            )
-        chosen = [edges[j] for j in combo]
-        if None not in chosen and _two_colourable(filter(None, chosen)):
-            continue
-        projected = _project(rows, combo)
-        dec = snf(projected)
-        if all(f == 1 for f in dec.invariant_factors()):
-            continue
-        subset = CoordSubset(n, tuple(j + 1 for j in combo))
-        witness = _saturation_witness(projected, dec)
-        return SpanningVerdict(False, (subset, witness), checked)
-    raise WitnessError(
-        "a rank-sized projection is unsaturated, yet the subset scan found "
-        "every projection saturated"
-    )
+    cols, projected = failing, _project(rows, failing)
+    dec = snf(projected)
+    if all(f == 1 for f in dec.invariant_factors()):
+        raise WitnessError(
+            f"the certificate names the columns {failing}, yet their "
+            "projection is saturated"
+        )
+    checked = 1
+    for j in failing:
+        if len(cols) == 1:
+            break
+        smaller = tuple(c for c in cols if c != j)
+        smaller_projected = _project(rows, smaller)
+        smaller_dec = snf(smaller_projected)
+        checked += 1
+        if any(f != 1 for f in smaller_dec.invariant_factors()):
+            cols, projected, dec = smaller, smaller_projected, smaller_dec
+    subset = CoordSubset(n, tuple(j + 1 for j in cols))
+    return SpanningVerdict(False, (subset, _saturation_witness(projected, dec)), checked)

@@ -55,11 +55,11 @@ from expansion_lab.expansion import (
     xi_z_at,
 )
 from expansion_lab.spanning import (
+    CoordSubset,
     SpanningVerdict,
     _saturation_witness,
     is_integrally_spanned,
     project_columns,
-    subsets_in_order,
 )
 
 
@@ -177,6 +177,13 @@ def solve_upper(h: IntMatrix, pivots, target, integral: bool):
     if vec_mat(y, h) != tuple(target):
         return None
     return y
+
+
+def subsets_in_order(ambient: int):
+    """All nonempty coordinate subsets, by size then lexicographically."""
+    for size in range(1, ambient + 1):
+        for combo in itertools.combinations(range(1, ambient + 1), size):
+            yield CoordSubset(ambient, combo)
 
 
 def spanning_by_full_scan(generators: IntMatrix) -> SpanningVerdict:

@@ -57,6 +57,22 @@ def test_span_check_unspanned_reports_witness(files, capsys):
     assert data["witness_vector"] == [1]
 
 
+def test_span_check_odd_cycle_answers_with_a_witness(files, capsys):
+    # e_i + e_(i+1) on a 23-cycle: the HNF pivot 2 decides it, where a
+    # scan over subsets would pass _MAX_SUBSETS
+    rows = [" ".join(str(int(j in (i, (i + 1) % 23))) for j in range(23))
+            for i in range(23)]
+    matrix = files("cycle.mat", "23 23\n" + "\n".join(rows) + "\n")
+    rc, data = run_json(capsys, ["span-check", matrix])
+    assert rc == 0
+    assert data["spanned"] is False
+    assert data["witness_subset"] == list(range(1, 24))
+    # the lattice is the vectors of even coordinate sum, of index 2 in
+    # Z^23, so a witness is exactly a vector of odd sum
+    assert sum(data["witness_vector"]) % 2 == 1
+    assert data["subsets_checked"] == 24
+
+
 def test_span_check_witness_failure_is_a_solver_error(files, capsys, monkeypatch):
     # every witness candidate then looks like a lattice member
     monkeypatch.setattr(spanning, "lattice_member", lambda basis, x: True)
@@ -69,9 +85,10 @@ def test_span_check_witness_failure_is_a_solver_error(files, capsys, monkeypatch
 
 
 def test_span_check_subset_cap_is_a_solver_error(files, capsys, monkeypatch):
-    # the witness scan fails at subset {1}, past a cap of 0 subsets
+    # the certificate of the row 1 1 is priced at C(2, 1) = 2 rank-sized
+    # minors, past a cap of 0
     monkeypatch.setattr(spanning, "_MAX_SUBSETS", 0)
-    matrix = files("g.mat", "1 2\n2 1\n")
+    matrix = files("g.mat", "1 2\n1 1\n")
     rc = main(["span-check", matrix])
     err = capsys.readouterr().err
     assert rc == 2

@@ -458,7 +458,7 @@ class TestXiZAt:
 
 
 def test_per_target_solvers_skip_the_spanning_scan(monkeypatch):
-    # The 2^n spanning scan serves only xi_z_global; the per-target
+    # The spanning check serves only xi_z_global; the per-target
     # solvers must not reach it.  The face routines run on a 1x6 row,
     # since the 13-dimensional kernel of the 1x14 row is past their
     # kernel rank cap.

@@ -7,12 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    affine_solve_by_fractions,
     det_by_permutations,
     in_lattice_by_box,
     rand_matrix,
     rand_unimodular,
     rank_sized_certificate_by_projections,
+    snf_by_row_and_column_operations,
     spanning_by_full_scan,
+    subsets_in_order,
 )
 from expansion_lab import spanning
 from expansion_lab.errors import (
@@ -25,7 +28,6 @@ from expansion_lab.spanning import (
     CoordSubset,
     is_integrally_spanned,
     project_columns,
-    subsets_in_order,
 )
 
 M = IntMatrix.from_rows
@@ -57,6 +59,48 @@ def minor_gcd_saturated(rows: list[list[int]]) -> bool:
             sub = M([[m.at(i, j) for j in ci] for i in ri])
             g = math.gcd(g, det_by_permutations(sub))
     return g == 1
+
+
+def in_integer_span(rows: list[list[int]], x) -> bool:
+    """Integer membership of ``x``, a vector in the rational span of
+    ``rows``: adjoining it keeps the product of the nonzero invariant
+    factors (the covolume) exactly when it is already a member."""
+    def covolume(m):
+        return math.prod(snf_by_row_and_column_operations(M(m)).invariant_factors())
+
+    return covolume(rows) == covolume(rows + [list(x)])
+
+
+def cycle_lattice(length: int) -> IntMatrix:
+    """Rows e_i + e_(i+1) around a cycle: an odd cycle has a pivot 2 in
+    its HNF, while every proper projection is totally unimodular."""
+    return M([[int(j in (i, (i + 1) % length)) for j in range(length)]
+              for i in range(length)])
+
+
+def assert_matches_oracles(gens: IntMatrix):
+    """The verdict against the full subset scan and the certificate
+    against every rank-sized projection; an unspanned verdict's witness
+    re-checked by Fraction elimination and Smith covolumes, its subset
+    no larger than the rank and saturated after any one drop."""
+    verdict = is_integrally_spanned(gens)
+    assert verdict.spanned == spanning_by_full_scan(gens).spanned
+    failing = spanning._rank_sized_certificate(gens)
+    assert (failing is None) == rank_sized_certificate_by_projections(gens)
+    assert (failing is None) == verdict.spanned
+    if verdict.spanned:
+        return
+    subset, witness = verdict.witness
+    rows = [[gens.at(i, j - 1) for j in subset.indices] for i in range(gens.rows)]
+    # in the rational span of the projected generators ...
+    assert affine_solve_by_fractions(list(zip(*rows)), witness, gens.rows) is not None
+    # ... but not in their integer span
+    assert not in_integer_span(rows, witness)
+    assert len(subset) <= rank(gens)
+    assert verdict.subsets_checked <= len(failing) + 1
+    if len(subset) > 1:
+        for d in range(len(subset)):
+            assert minor_gcd_saturated([row[:d] + row[d + 1:] for row in rows])
 
 
 def spanned_by_minor_oracle(gens: IntMatrix) -> bool:
@@ -97,9 +141,9 @@ def generator_families(draw):
 def signed_graph_families(draw):
     """Up to five generators in Z^1..Z^7 whose columns are mostly signed
     edges: a zero column, one +-1, or two +-1 entries of either sign;
-    sometimes a same-sign triangle (an odd cycle, which no 2-colouring
-    splits) and sometimes a non-unit column (a +-2 entry, or three +-1
-    entries), which the 2-colouring test does not cover."""
+    sometimes a same-sign triangle (an odd cycle, whose 3 x 3 minor is
+    2) and sometimes a column that is not a signed edge (a +-2 entry,
+    or three +-1 entries)."""
     r = draw(st.integers(1, 5))
     sign = st.sampled_from((-1, 1))
     columns = []
@@ -228,29 +272,6 @@ class TestSaturatedFor:
         assert saturated((1, 2))
 
 
-class TestTwoColouring:
-    @settings(max_examples=200, deadline=None)
-    @given(signed_graph_families())
-    @example(M([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
-    @example(M([[1, 0, -1], [-1, 1, 0], [0, -1, 1]]))
-    def test_passing_matrix_is_totally_unimodular(self, gens):
-        rows = [gens.row(i) for i in range(gens.rows)]
-        edges = spanning._signed_edges(rows, gens.cols)
-        passes = None not in edges and spanning._two_colourable(filter(None, edges))
-        minors = {
-            det_by_permutations(M([[gens.at(i, j) for j in cj] for i in ri]))
-            for k in range(1, min(gens.rows, gens.cols) + 1)
-            for ri in itertools.combinations(range(gens.rows), k)
-            for cj in itertools.combinations(range(gens.cols), k)
-        }
-        if passes:
-            assert minors <= {-1, 0, 1}
-        elif None not in edges:
-            # With at most two +-1 entries per column the test is exact:
-            # a failed 2-colouring leaves a minor outside {0, +-1}.
-            assert not minors <= {-1, 0, 1}
-
-
 class TestIsIntegrallySpanned:
     def test_flagship_failure(self):
         verdict = is_integrally_spanned(M([[1, 1], [1, 3]]))
@@ -267,7 +288,7 @@ class TestIsIntegrallySpanned:
         subset, witness = verdict.witness
         assert subset.indices == (1, 2, 3)
         assert witness == (0, 0, 1)
-        assert verdict.subsets_checked == 7
+        assert verdict.subsets_checked == 4
 
     def test_tableau_minor_failure(self):
         # HNF [I | M] with M = [[1, 1], [1, -1]]: every entry is in
@@ -277,7 +298,7 @@ class TestIsIntegrallySpanned:
         subset, witness = verdict.witness
         assert subset.indices == (3, 4)
         assert witness == (1, -2)
-        assert verdict.subsets_checked == 10
+        assert verdict.subsets_checked == 3
 
     def test_single_vector_projection_failure(self):
         verdict = is_integrally_spanned(M([[2, 1]]))
@@ -285,6 +306,19 @@ class TestIsIntegrallySpanned:
         subset, witness = verdict.witness
         assert subset.indices == (1,)
         assert witness == (1,)
+        assert verdict.subsets_checked == 1
+
+    def test_witness_subset_is_shrunk_from_the_certificate(self):
+        # The pivot 2 names the pivot columns (1, 2, 3).  Dropping 1
+        # leaves (2, 3) unsaturated, dropping 2 from it saturates it, and
+        # dropping 3 leaves (2,), the only unsaturated subset: four
+        # Smith forms, on T and on the three drops tried.
+        verdict = is_integrally_spanned(M([[1, 0, 0], [0, 2, 0], [0, 0, 1]]))
+        assert not verdict.spanned
+        subset, witness = verdict.witness
+        assert subset.indices == (2,)
+        assert witness == (1,)
+        assert verdict.subsets_checked == 4
 
     def test_single_vector_spanned_iff_small_entries(self):
         for vec in itertools.product(range(-3, 4), repeat=3):
@@ -372,13 +406,6 @@ class TestIsIntegrallySpanned:
         monkeypatch.setattr(spanning, "snf", snf)
         monkeypatch.setattr(spanning, "_MAX_SUBSETS", 4)
         assert is_integrally_spanned(gens).spanned
-        # The witness scan of [[1, 1], [1, 3]] fails at its third subset.
-        gens = M([[1, 1], [1, 3]])
-        monkeypatch.setattr(spanning, "_MAX_SUBSETS", 2)
-        with pytest.raises(AmbientDimensionCapError, match="_MAX_SUBSETS"):
-            is_integrally_spanned(gens)
-        monkeypatch.setattr(spanning, "_MAX_SUBSETS", 3)
-        assert is_integrally_spanned(gens).subsets_checked == 3
 
     @settings(max_examples=300, deadline=None)
     @given(generator_families() | signed_graph_families())
@@ -390,21 +417,16 @@ class TestIsIntegrallySpanned:
         [0, -1, 0, 0, 1, -1, 0, -1, 0, 0, 0],
         [0, 1, -1, 0, 0, 0, 0, 0, 1, 0, 0],
     ]))
+    @example(cycle_lattice(7))
     def test_matches_full_scan(self, gens):
-        verdict = is_integrally_spanned(gens)
-        assert verdict == spanning_by_full_scan(gens)
-        if not verdict.spanned:
-            subset, _ = verdict.witness
-            assert len(subset) <= rank(gens)
+        assert_matches_oracles(gens)
 
     @settings(max_examples=300, deadline=None)
     @given(small_lattices() | tableau_lattices())
     @example(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
     @example(M([[1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]]))
     def test_certificate_matches_projections(self, gens):
-        certified = spanning._rank_sized_certificate(gens)
-        assert certified == rank_sized_certificate_by_projections(gens)
-        assert is_integrally_spanned(gens) == spanning_by_full_scan(gens)
+        assert_matches_oracles(gens)
 
     @pytest.mark.parametrize(
         "rows, calls, spanned, checked",
@@ -423,17 +445,21 @@ class TestIsIntegrallySpanned:
             # ambient 30, past a full scan's reach: the 1 x 29 tableau
             # of ones takes 29 1 x 1 forms
             ([[1] * 30], 29, True, 2**30 - 1),
-            # HNF [[1, 1], [0, 2]] fails the filter: only the scan runs,
-            # and the 2-colouring test skips the singleton (1,)
-            ([[1, 1], [1, 3]], 2, False, 3),
-            # the planted triple: every proper subset is 2-colourable, so
-            # the one Smith form is on (1, 2, 3)
-            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1, False, 7),
+            # HNF [[1, 1], [0, 2]]: the pivot 2 names (1, 2) before any
+            # Smith form; the witness step takes (1, 2) and its two drops
+            ([[1, 1], [1, 3]], 3, False, 3),
+            # the planted triple: its pivot 2 names (1, 2, 3), and the
+            # witness step takes it and its three drops
+            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 4, False, 4),
             # tableau [[1, 1], [1, -1]]: four 1 x 1 forms pass and the
-            # 2 x 2, of determinant -2, fails; the scan then takes one
-            # Smith form, on (3, 4), the only subset that is not
-            # 2-colourable, with witness (1, -2)
-            ([[1, 0, 1, 1], [0, 1, 1, -1]], 6, False, 10),
+            # 2 x 2, of determinant -2, fails and names (3, 4); the
+            # witness step takes (3, 4) and its two drops, with witness
+            # (1, -2)
+            ([[1, 0, 1, 1], [0, 1, 1, -1]], 8, False, 3),
+            # the 23-cycle e_i + e_(i+1): its pivot 2 names all 23 columns
+            # before any Smith form or price, where a scan would pass
+            # _MAX_SUBSETS; the witness step takes them and 23 drops
+            (cycle_lattice(23).to_rows(), 24, False, 24),
         ],
     )
     def test_smith_forms_computed(self, monkeypatch, rows, calls, spanned, checked):
@@ -451,6 +477,8 @@ class TestIsIntegrallySpanned:
         assert verdict.subsets_checked == checked
 
     def test_certificate_contradicted_by_scan_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(spanning, "_rank_sized_certificate", lambda gens: False)
-        with pytest.raises(WitnessError):
+        # a certificate naming columns (1, 2), whose projection is the
+        # identity and so saturated, is contradicted by its Smith form
+        monkeypatch.setattr(spanning, "_rank_sized_certificate", lambda gens: (0, 1))
+        with pytest.raises(WitnessError, match="saturated"):
             is_integrally_spanned(M([[1, 0, 1], [0, 1, -1]]))
