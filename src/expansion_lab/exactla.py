@@ -7,12 +7,13 @@ rational linear solving, kernel lattices, lattice membership, and the
 plain-text matrix/vector formats used by the command line tools.
 
 Linear solves factor each matrix once: ``_solve_map`` caches an integer
-matrix and a common denominator that turn the target's pivot entries
-into the solution, so each target costs integer products plus the full
-check ``A @ x == v``.  That check and ``mat_vec`` read one cached sparse
-view of the rows, ``_sparse_rows``.  Lattice membership is an integer
-solve against the transposed HNF basis.  Forward substitution against
-the HNF, the route the map encodes, stays in the tests as its oracle.
+matrix, as the nonzeros of each row, and a common denominator that turn
+the target's pivot entries into the solution, so each target costs one
+product per nonzero plus the check ``A @ x == v`` on the rows off the
+pivots.  That check and ``mat_vec`` read one cached sparse view of the
+rows, ``_sparse_rows``.  Lattice membership is an integer solve against
+the transposed HNF basis.  Forward substitution against the HNF, the
+route the map encodes, stays in the tests as its oracle.
 
 Gauss-Jordan elimination over Q and over F_q has one core,
 ``_reduced_echelon``: fraction-free (Bareiss, with lazy row scales), it
@@ -62,13 +63,13 @@ Rational = Fraction
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 
+#: The entry type of a vector that needs no conversion, for one type scan.
+_INT = frozenset({int})
+
 
 def l1_norm(vec: Sequence) -> Fraction | int:
     """Sum of absolute values; exact for ints and Fractions alike."""
-    total = 0
-    for entry in vec:
-        total += abs(entry)
-    return total
+    return sum(map(abs, vec))
 
 
 def primitive_ray(vec: Sequence[int]) -> IntVector:
@@ -232,8 +233,11 @@ def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
     row's included."""
     if len(x) != m.cols:
         raise DimensionMismatchError(f"vector length {len(x)} != cols {m.cols}")
-    # One term 0 * x_j per type in x gives the dense sum's type.
-    zero = sum(0 * b for b in {type(b): b for b in x}.values())
+    # One term 0 * x_j per type in x gives the dense sum's type; for the
+    # usual all-int x, one type scan says it is an int.
+    zero = 0
+    if not _INT.issuperset(map(type, x)):
+        zero = sum(0 * b for b in {type(b): b for b in x}.values())
     get = x.__getitem__
     return tuple(
         zero + sum(map(operator.mul, entries, map(get, cols)))
@@ -635,11 +639,17 @@ class LatticeBasis:
 
 
 class _SolveMap(NamedTuple):
-    """Everything the solvers need of ``a``, independent of the target."""
+    """Everything the solvers need of ``a``, independent of the target:
+    sparse rows, so a solve pays only for nonzeros.  ``numerators[p]``
+    is row ``p`` of ``M`` as its nonzeros ``(col, entry)``, read for the
+    target entry at ``pivot_cols[p]``; ``checks`` lists each row of ``a``
+    off the pivot columns as ``(row, cols, entries)``, the tuples of
+    ``_sparse_rows(a)``."""
 
     pivot_cols: tuple[int, ...]
-    numerators: tuple[IntVector, ...]
+    numerators: tuple[tuple[tuple[int, int], ...], ...]
     denominator: int
+    checks: tuple[tuple[int, IntVector, IntVector], ...]
 
 
 @lru_cache(maxsize=512)
@@ -653,9 +663,12 @@ def _solve_map(a: IntMatrix) -> _SolveMap:
     product of the pivots, ``d * T^-1`` is the integer adjugate, so row
     ``p`` of it comes from one exact substitution against ``d * e_p``;
     ``M`` is that matrix times the pivot rows of ``u``, reduced by the
-    gcd it shares with ``d``.  ``_solve_scaled`` checks ``A @ x == v``
-    on ``_sparse_rows(a)``, the one cached sparse view; the map does not
-    hold a second copy of it.
+    gcd it shares with ``d``, and kept as the nonzeros of each row.
+
+    Then ``A @ x = y @ h`` agrees with ``v`` on every row of ``A`` in
+    ``P`` by construction, so ``_solve_scaled`` checks only the others,
+    ``checks``.  Their sparse rows are those of ``_sparse_rows(a)``, the
+    one cached sparse view, not a second copy.
     """
     h, u = hnf(a.transpose())
     pivots = hnf_pivots(h)
@@ -674,32 +687,48 @@ def _solve_map(a: IntMatrix) -> _SolveMap:
                 row = [x + coeff * e for x, e in zip(row, u.row(i))]
         m_rows.append(row)
     g = math.gcd(d, *itertools.chain.from_iterable(m_rows))
+    pivot_cols = tuple(c for _, c in pivots)
+    on_pivot = set(pivot_cols)
     return _SolveMap(
-        tuple(c for _, c in pivots),
-        tuple(tuple(e // g for e in row) for row in m_rows),
+        pivot_cols,
+        tuple(tuple((j, e // g) for j, e in enumerate(row) if e) for row in m_rows),
         d // g,
+        tuple(
+            (i, cols, entries)
+            for i, (cols, entries) in enumerate(_sparse_rows(a))
+            if i not in on_pivot
+        ),
     )
 
 
 def _solve_scaled(a: IntMatrix, v: Sequence) -> tuple[list[int], int] | None:
     """``(x_num, den)`` with ``A @ x_num == den * v`` for the pinned
     solution ``x = x_num / den``, or None when ``v`` is not in the
-    rational image.  Entries of ``v`` may be ints or Fractions."""
+    rational image.  Entries of ``v`` may be ints or Fractions; any other
+    entry (``0.5``, ``None``) raises ``DimensionMismatchError``."""
     if len(v) != a.rows:
         raise DimensionMismatchError(f"target length {len(v)} != rows {a.rows}")
     smap = _solve_map(a)
-    scale = math.lcm(1, *(e.denominator for e in v))
-    if scale != 1:
+    scale = 1
+    if not _INT.issuperset(map(type, v)):
+        try:
+            scale = math.lcm(1, *(e.denominator for e in v))
+        except AttributeError as exc:
+            raise DimensionMismatchError(
+                f"target entries must be integers or Fractions: {exc}"
+            ) from exc
         v = [e.numerator * (scale // e.denominator) for e in v]
     x = [0] * a.cols
     for c, row in zip(smap.pivot_cols, smap.numerators):
-        if v[c]:
-            x = [xi + v[c] * e for xi, e in zip(x, row)]
-    # The pivot columns fix x; every row of A must agree with v as well.
+        t = v[c]
+        if t:
+            for j, e in row:
+                x[j] += t * e
+    # The pivot columns fix x and its rows there; the others must agree.
     d = smap.denominator
-    for (cols, entries), target in zip(_sparse_rows(a), v):
-        lhs = sum(map(operator.mul, entries, map(x.__getitem__, cols)))
-        if lhs != d * target:
+    get = x.__getitem__
+    for i, cols, entries in smap.checks:
+        if sum(map(operator.mul, entries, map(get, cols))) != d * v[i]:
             return None
     return x, d * scale
 

@@ -39,7 +39,10 @@ walks the image once, one pivot column per step (see ``_image_walk``),
 and weighs each coset by the same rule as ``xi_zq_at``,
 ``_min_weight_in_coset``.  The image walk and the coset enumeration are
 one product-order odometer over F_q, ``_odometer``: it adds one sparse
-step per changed digit and keeps the Hamming weight as a counter.
+step per changed digit and keeps the Hamming weight as a counter.  The
+solves and walks over F_q read a per-matrix plan, ``_modq_system``: the
+row transform of the elimination and the kernel as sparse rows, built
+once, so a target pays only for nonzeros.
 
 The global values over Q, Z and F_q split over the blocks of the
 matrix: the connected components of its row-support graph
@@ -74,7 +77,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     AmbientDimensionCapError,
@@ -91,6 +94,7 @@ from .exactla import (
     IntVector,
     LatticeBasis,
     Rational,
+    _INT,
     _blocks,
     _divide,
     _reduced_echelon,
@@ -183,18 +187,22 @@ def _target(a, v: Vector, q: Optional[int] = None) -> IntVector:
         raise DimensionMismatchError(
             f"target has length {length}, matrix has {a.rows} rows"
         )
-    out = []
-    for x in v:
-        if isinstance(x, bool):
-            raise DimensionMismatchError("target entries must be integers")
-        if isinstance(x, int):
-            out.append(x)
-        elif isinstance(x, Fraction) and x.denominator == 1:
-            out.append(int(x))
-        else:
-            raise DimensionMismatchError(
-                f"target entries must be integers, got {x!r}"
-            )
+    if _INT.issuperset(map(type, v)):
+        # One type scan for the usual all-int target.
+        out = v
+    else:
+        out = []
+        for x in v:
+            if isinstance(x, bool):
+                raise DimensionMismatchError("target entries must be integers")
+            if isinstance(x, int):
+                out.append(x)
+            elif isinstance(x, Fraction) and x.denominator == 1:
+                out.append(int(x))
+            else:
+                raise DimensionMismatchError(
+                    f"target entries must be integers, got {x!r}"
+                )
     v = tuple(out) if q is None else tuple(x % q for x in out)
     if not any(v):
         raise ZeroTargetError("expansion at the zero target is undefined")
@@ -742,27 +750,43 @@ def lift_section(u: Sequence[int], q: int) -> IntVector:
         raise DimensionMismatchError(
             f"residues must be a sequence of integers: {exc}"
         ) from exc
-    out = []
+    if all(type(x) is int and 0 <= x < q for x in residues):
+        # One scan for the usual input, plain ints in range.
+        return residues
     for x in residues:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
             raise DimensionMismatchError(
                 f"residue {x!r} is not in the range [0, {q})"
             )
-        out.append(x)
-    return tuple(out)
+    return residues
 
 
 def hamming_weight(u: Sequence[int]) -> int:
     """Number of nonzero entries."""
-    return sum(1 for x in u if x != 0)
+    return len(u) - u.count(0)
+
+
+class _ModQPlan(NamedTuple):
+    """The sparse rows the solves and walks over F_q read, per matrix.
+
+    ``solve`` holds the row transform's rows for the pivots and
+    ``consistency`` its rows past the rank, each as ``(cols, entries)``
+    of its nonzeros; ``steps`` holds each kernel row's nonzeros as pairs
+    ``(i, x)``, the ``_odometer`` steps of ``_enumerate_coset``."""
+
+    solve: tuple[tuple[IntVector, IntVector], ...]
+    consistency: tuple[tuple[IntVector, IntVector], ...]
+    steps: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @lru_cache(maxsize=256)
 def _modq_system(a: ModQMatrix):
     """Reduced row echelon data for solving ``a @ u = w`` over F_q,
     decided once per matrix: (kernel terms, pivot columns, kernel
-    basis, row transform), the terms as ``_disjoint_terms`` gives
-    them."""
+    basis, plan), the terms as ``_disjoint_terms`` gives them, the
+    kernel basis as dense rows, and the plan a ``_ModQPlan``: the row
+    transform and the kernel as sparse rows, so that a solve or a coset
+    step pays only for nonzeros."""
     q, m, n = a.q, a.rows, a.cols
     aug = [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
     rows, scales, pivots = _reduced_echelon(aug, n, q)
@@ -776,8 +800,19 @@ def _modq_system(a: ModQMatrix):
         for row, c in zip(work, pivots):
             vec[c] = -row[f] % q
         kernel.append(tuple(vec))
-    trans = tuple(tuple(row[n:]) for row in work)
-    return _disjoint_terms(kernel, q), tuple(pivots), tuple(kernel), trans
+    trans = []
+    for row in work:
+        cols = tuple(j for j in range(m) if row[n + j])
+        trans.append((cols, tuple(row[n + j] for j in cols)))
+    r = len(pivots)
+    plan = _ModQPlan(tuple(trans[:r]), tuple(trans[r:]), _sparse_steps(kernel))
+    return _disjoint_terms(kernel, q), tuple(pivots), tuple(kernel), plan
+
+
+def _sparse_steps(rows):
+    """Each row's nonzero entries as pairs ``(i, x)``: the ``_odometer``
+    steps of the vectors ``rows``."""
+    return tuple(tuple((i, x) for i, x in enumerate(row) if x) for row in rows)
 
 
 def _disjoint_terms(kernel, q):
@@ -799,17 +834,19 @@ def modq_rank(a: ModQMatrix) -> int:
     return len(pivots)
 
 
-def _modq_solve(a: ModQMatrix, w: Sequence[int], pivots, trans):
-    """A solution of ``a @ u = w`` over F_q from the pivots and row
-    transform of ``_modq_system(a)``, or None."""
+def _modq_solve(a: ModQMatrix, w: Sequence[int], pivots, plan):
+    """A solution of ``a @ u = w`` over F_q from the pivots and plan of
+    ``_modq_system(a)``, or None.  The consistency rows go first, so a
+    target outside the image costs only them; then each pivot
+    coordinate is its transform row's nonzeros times ``w``."""
     q = a.q
-    t = [sum(trans[i][j] * w[j] for j in range(a.rows)) % q for i in range(a.rows)]
-    for i in range(len(pivots), a.rows):
-        if t[i] != 0:
+    get = w.__getitem__
+    for cols, entries in plan.consistency:
+        if sum(map(operator.mul, entries, map(get, cols))) % q:
             return None
     u = [0] * a.cols
-    for j, c in enumerate(pivots):
-        u[c] = t[j]
+    for c, (cols, entries) in zip(pivots, plan.solve):
+        u[c] = sum(map(operator.mul, entries, map(get, cols))) % q
     return tuple(u)
 
 
@@ -824,11 +861,11 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     """
     q = a.q
     w = _target(a, w, q)
-    terms, pivots, kernel, trans = _modq_system(a)
-    u0 = _modq_solve(a, w, pivots, trans)
+    terms, pivots, _, plan = _modq_system(a)
+    u0 = _modq_solve(a, w, pivots, plan)
     if u0 is None:
         raise TargetNotInImageError("target is not in the image over F_q")
-    best_u, best_wt = _min_weight_in_coset(u0, kernel, q, terms)
+    best_u, best_wt = _min_weight_in_coset(u0, plan.steps, q, terms)
     value = Fraction(best_wt, hamming_weight(w))
     return ExpansionResult(
         value=value,
@@ -839,9 +876,10 @@ def xi_zq_at(a: ModQMatrix, w: Sequence[int]) -> ExpansionResult:
     )
 
 
-def _min_weight_in_coset(u0, kernel, q, terms):
+def _min_weight_in_coset(u0, steps, q, terms):
     """First minimum-weight vector of the coset ``u0 + span(kernel)``
-    in coefficient enumeration order, with its weight.
+    in coefficient enumeration order, with its weight; ``steps`` holds
+    the kernel rows as ``_sparse_steps``.
 
     When ``terms`` (``_disjoint_terms``) is given the kernel rows have
     disjoint supports, the weight splits row by row, and the coefficient
@@ -854,7 +892,7 @@ def _min_weight_in_coset(u0, kernel, q, terms):
     cosets here.
     """
     if terms is None:
-        return _enumerate_coset(u0, kernel, q)
+        return _enumerate_coset(u0, steps, q)
     best = list(u0)
     for row in terms:
         zeroed = {}
@@ -862,23 +900,25 @@ def _min_weight_in_coset(u0, kernel, q, terms):
             c = u0[i] * shift % q
             zeroed[c] = zeroed.get(c, 0) + 1
         c = max(sorted(zeroed), key=zeroed.__getitem__)
-        for i, entry, _ in row:
-            best[i] = (best[i] + c * entry) % q
+        if c:
+            for i, entry, _ in row:
+                best[i] = (best[i] + c * entry) % q
     return tuple(best), hamming_weight(best)
 
 
-def _enumerate_coset(u0, kernel, q):
+def _enumerate_coset(u0, steps, q):
     """``_min_weight_in_coset`` by running over all coefficient vectors
     in lexicographic order, stepped by ``_odometer`` from ``u0``, one
     kernel row per changed coefficient; serves any kernel whose rows,
-    like ``u0``, have entries in ``[0, q)``.  A later vector replaces
-    the best only with a strictly smaller weight, and the search ends
-    once the best weighs at most 1 (at once when ``u0`` does): only the
-    zero vector beats that, and it lies in no coset of a nonzero
-    target.  The one enumeration of a coset, so the one place that
+    like ``u0``, have entries in ``[0, q)``, given as ``_sparse_steps``
+    (``_modq_system`` builds them once per matrix, not per coset).  A
+    later vector replaces the best only with a strictly smaller weight,
+    and the search ends once the best weighs at most 1 (at once when
+    ``u0`` does): only the zero vector beats that, and it lies in no
+    coset of a nonzero target.  The one enumeration of a coset, so the one place that
     checks ``_MAX_COSET`` per coset: raises ``EnumerationCapError`` when
     ``q ** dim(ker)`` exceeds it."""
-    kdim = len(kernel)
+    kdim = len(steps)
     if q**kdim > _MAX_COSET:
         raise EnumerationCapError(
             f"coset size q**{kdim} exceeds enumeration cap {_MAX_COSET}"
@@ -887,7 +927,6 @@ def _enumerate_coset(u0, kernel, q):
     if best_wt <= 1:
         return best_u, best_wt
     u = list(u0)
-    steps = [[(i, x) for i, x in enumerate(row) if x] for row in kernel]
     for wt in _odometer(u, steps, q, [0] * kdim, range(kdim)):
         if wt < best_wt:
             best_u, best_wt = tuple(u), wt
@@ -995,7 +1034,7 @@ def xi_zq_global(a: ModQMatrix) -> GlobalExpansion:
 
 def _image_maximum(a: ModQMatrix) -> GlobalExpansion:
     """``xi_zq_global`` by one walk over the whole of the nonzero ``a``."""
-    terms, pivots, kernel, _ = _modq_system(a)
+    terms, pivots, kernel, plan = _modq_system(a)
     q, r = a.q, len(pivots)
     if q**r > _MAX_IMAGES:
         raise EnumerationCapError(
@@ -1013,7 +1052,7 @@ def _image_maximum(a: ModQMatrix) -> GlobalExpansion:
     # -1 / 1 loses to any image vector.
     best_wt, best_hw, best_target = -1, 1, None
     for w, hw, u0 in _image_walk(a):
-        wt = _min_weight_in_coset(u0, kernel, q, terms)[1]
+        wt = _min_weight_in_coset(u0, plan.steps, q, terms)[1]
         if wt * best_hw > best_wt * hw:
             best_wt, best_hw, best_target = wt, hw, tuple(w)
     best = Fraction(best_wt, best_hw)

@@ -9,12 +9,15 @@ span the kernel of a graph incidence matrix), the program splits into
 k one-dimensional problems ``min_x sum_i |u_i + x d_i|`` over the
 support of each d.  Each is minimized by a weighted median of the
 breakpoints ``-u_i / d_i`` with weights ``|d_i|`` (Barrodale & Roberts
-1973); the lower weighted median is taken.  This route works in
-integers: the denominators of u are cleared once, to ``U = L u``, so a
-unit entry ``d_i = +-1`` has the integer breakpoint ``-U_i d_i`` (in
-units of 1/L) and only entries with ``|d_i| > 1`` need a Fraction.  The
-residual ``L w`` is updated on each support alone, and the results are
-divided by L once, at the end.
+1973); the lower weighted median is taken.  The supports, and whether
+they are disjoint, are decided once per kernel (``_supports``, cached on
+the directions), not on every call.  This route works in integers: the
+denominators of u are cleared once, to ``U = L u``, so a unit entry
+``d_i = +-1`` has the integer breakpoint ``-U_i d_i`` (in units of 1/L)
+and only entries with ``|d_i| > 1`` need a Fraction.  The residual
+``L w`` is updated on each support alone, and the results are divided
+by L once, at the end; when L is 1 there is nothing to divide, and each
+Fraction is built from its integer without a gcd.
 
 Otherwise the general path is a simplex on the LP: with residual
 r = u + D x split as r = rp - rm and x = xp - xm,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
@@ -60,7 +64,7 @@ def min_l1_combination(
     for d in directions:
         if len(d) != n:
             raise ValueError(f"direction length {len(d)} != {n}")
-    supports = disjoint_supports(directions)
+    supports = _supports(tuple(map(tuple, directions)))
     if supports is not None:
         return _median_combination(u, directions, supports)
     u = tuple(Fraction(e) for e in u)
@@ -71,6 +75,14 @@ def min_l1_combination(
     )
     value = Fraction(sum(abs(e) for e in w))
     return x, w, value
+
+
+@lru_cache(maxsize=512)
+def _supports(directions):
+    """``disjoint_supports(directions)`` for a tuple of tuples, decided
+    once per kernel: the per-target solvers pass the same cached kernel
+    rows on every call."""
+    return disjoint_supports(directions)
 
 
 def _median_combination(u, directions, supports):
@@ -102,10 +114,17 @@ def _median_combination(u, directions, supports):
         if median:
             for i in support:
                 scaled[i] += median * d[i]
-        x.append(Fraction(median, scale))
+        x.append(median)
+    if scale == 1:
+        # Nothing to divide out: Fraction(e) skips the gcd.
+        return (
+            tuple(map(Fraction, x)),
+            tuple(map(Fraction, scaled)),
+            Fraction(sum(map(abs, scaled))),
+        )
     w = tuple(Fraction(e, scale) for e in scaled)
     value = Fraction(sum(map(abs, scaled)), scale)
-    return tuple(x), w, value
+    return tuple(Fraction(e, scale) for e in x), w, value
 
 
 def _simplex_min_l1(u, directions) -> tuple[Fraction, ...]:

@@ -8,7 +8,8 @@ subset scan of the spanning condition and its certificate on every
 rank-sized projection of the HNF basis, the minimization faces as the
 maximal closures of every hyperplane subset solved over Fraction, the
 finite-field image rebuilt vector by vector and each coset searched
-by recursion, the integer global value
+by recursion, the F_q solve through the dense row transform, the
+integer global value
 on the whole matrix with no block split, weighted medians sorted
 and summed in Fractions, the Hermite and Smith forms with their
 clearing loops written out inline, the presentation tokenizer as a
@@ -214,6 +215,22 @@ def rank_sized_certificate_by_projections(generators: IntMatrix) -> bool:
         for subset in subsets_in_order(basis.ambient)
         if len(subset) == basis.rank
     )
+
+
+def modq_solve_dense(a, w, pivots, trans):
+    """A solution of ``a @ u = w`` over F_q, or None: the dense ``m x m``
+    row transform ``trans`` times ``w``, every row of it, then the rows
+    past the rank checked zero and the others written at their pivot
+    columns.  The route the sparse plan of ``_modq_system`` replaced."""
+    q = a.q
+    t = [sum(trans[i][j] * w[j] for j in range(a.rows)) % q for i in range(a.rows)]
+    for i in range(len(pivots), a.rows):
+        if t[i] != 0:
+            return None
+    u = [0] * a.cols
+    for j, c in enumerate(pivots):
+        u[c] = t[j]
+    return tuple(u)
 
 
 def coset_by_recursion(u0, kernel, q):

@@ -28,6 +28,7 @@ from expansion_lab.exactla import (
     IntMatrix,
     LatticeBasis,
     _reduced_echelon,
+    _solve_map,
     det,
     format_matrix,
     format_rational,
@@ -456,6 +457,16 @@ class TestSolvers:
         with pytest.raises(DimensionMismatchError):
             solve_integer(M([[1, 2]]), (1, 2))
 
+    @pytest.mark.parametrize("entry", [0.5, 1.0, None], ids=["0.5", "1.0", "None"])
+    def test_entry_without_denominator_rejected(self, entry):
+        # Neither an int nor a Fraction: refused with the typed error,
+        # not an AttributeError from reading its denominator.
+        a = M([[1, 0], [0, 1]])
+        with pytest.raises(DimensionMismatchError, match="integers or Fractions"):
+            solve_rational(a, [entry, 1])
+        with pytest.raises(DimensionMismatchError, match="integers or Fractions"):
+            solve_integer(a, [1, entry])
+
     def test_random_roundtrip(self):
         rng = random.Random(13)
         for _ in range(60):
@@ -539,6 +550,18 @@ class TestSolveMap:
         assert solve_integer(a, (1, 3)) is None
         assert solve_rational(a, (1, 3)) == (Fraction(-1, 2), Fraction(1, 2))
         assert solve_rational(a, (1, 3)) == solve_by_substitution(a, (1, 3), False)
+
+    def test_map_is_sparse_and_checks_only_rows_off_the_pivots(self):
+        # hnf(A^T) is A^T itself, pivots on rows 0 and 1 of A, so the
+        # solve fixes those rows and checks row 2 alone.
+        a = M([[1, 0], [0, 1], [1, 1]])
+        smap = _solve_map(a)
+        assert smap.pivot_cols == (0, 1)
+        assert smap.numerators == (((0, 1),), ((1, 1),))
+        assert smap.denominator == 1
+        assert smap.checks == ((2, (0, 1), (1, 1)),)
+        assert solve_integer(a, (1, 2, 3)) == (1, 2)
+        assert solve_integer(a, (1, 2, 4)) is None
 
     def test_empty_shapes(self):
         assert solve_integer(M([], cols=3), ()) == (0, 0, 0)

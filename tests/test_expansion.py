@@ -60,6 +60,7 @@ from expansion_lab.expansion import (
     _modq_system,
     _nullspace_line,
     _rational_global,
+    _sparse_steps,
     _submatrix,
     hamming_weight,
     iter_image_with_preimage,
@@ -83,6 +84,7 @@ from conftest import (
     elimination_systems,
     min_l1_preimage_by_box,
     minimization_faces_by_closures,
+    modq_solve_dense,
     rand_matrix,
     rref_by_fractions,
     rref_mod_q,
@@ -708,6 +710,28 @@ class TestTargetChecks:
         with pytest.raises(DimensionMismatchError, match="must be a sequence"):
             solve(mat([[1, 1], [0, 1]]), target)
 
+    @pytest.mark.parametrize(
+        "solve", [xi_q_at, xi_z_at, _xi_zq_at_mod_3], ids=["xi_q_at", "xi_z_at", "xi_zq_at"]
+    )
+    @pytest.mark.parametrize(
+        "entry", [True, 2.0, Fraction(1, 2)], ids=["True", "2.0", "1/2"]
+    )
+    def test_last_entry_off_the_int_scan_rejected(self, solve, entry):
+        # Every entry but the last is a plain int, so only the full check
+        # after the one type scan can refuse the target.
+        with pytest.raises(DimensionMismatchError, match="must be integers"):
+            solve(IntMatrix.identity(3), (1, 0, entry))
+
+    @pytest.mark.parametrize(
+        "solve, target",
+        [(xi_q_at, (1, 0, 4)), (xi_z_at, (1, 0, 4)), (_xi_zq_at_mod_3, (1, 0, 1))],
+        ids=["xi_q_at", "xi_z_at", "xi_zq_at"],
+    )
+    def test_integral_fraction_accepted(self, solve, target):
+        res = solve(IntMatrix.identity(3), (1, 0, Fraction(4)))
+        assert res.target == target
+        assert all(type(x) is int for x in res.target)
+
 
 @st.composite
 def modq_image_targets(draw):
@@ -845,6 +869,11 @@ class TestModQMatrix:
             lift_section((3,), 3)
         with pytest.raises(DimensionMismatchError):
             lift_section((-1,), 2)
+
+    @pytest.mark.parametrize("u", [(True, 0), (0, 3)], ids=["True", "3"])
+    def test_lift_section_refuses_what_the_one_scan_passes_on(self, u):
+        with pytest.raises(DimensionMismatchError, match="not in the range"):
+            lift_section(u, 3)
 
 
 def is_prime_by_trial_division(n):
@@ -1106,8 +1135,9 @@ class TestMinWeightInCoset:
     def test_mode_matches_enumeration(self, case):
         q, u0, kernel = case
         terms = _disjoint_terms(kernel, q)
-        assert _min_weight_in_coset(u0, kernel, q, terms) == _enumerate_coset(
-            u0, kernel, q
+        steps = _sparse_steps(kernel)
+        assert _min_weight_in_coset(u0, steps, q, terms) == _enumerate_coset(
+            u0, steps, q
         )
 
     def test_terms_carry_each_entry_and_its_negated_inverse(self):
@@ -1171,14 +1201,17 @@ class TestCosetOdometer:
     @example((2, (1, 1, 0), ((1, 0, 0), (0, 1, 0))))
     def test_matches_recursion(self, case):
         q, u0, kernel = case
-        assert _enumerate_coset(u0, kernel, q) == coset_by_recursion(u0, kernel, q)
+        assert _enumerate_coset(u0, _sparse_steps(kernel), q) == coset_by_recursion(
+            u0, kernel, q
+        )
 
     def test_start_of_weight_one_is_returned_unwalked(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("walked a coset whose start weighs 1")
 
         monkeypatch.setattr(expansion, "_odometer", forbidden)
-        assert _enumerate_coset((0, 4, 0), ((1, 1, 0), (0, 1, 1)), 5) == ((0, 4, 0), 1)
+        steps = _sparse_steps(((1, 1, 0), (0, 1, 1)))
+        assert _enumerate_coset((0, 4, 0), steps, 5) == ((0, 4, 0), 1)
 
 
 @st.composite
@@ -1579,6 +1612,52 @@ class TestNullspaceLine:
             assert all(sum(map(operator.mul, phi, line)) == 0 for phi in subset)
 
 
+@st.composite
+def modq_targets(draw):
+    """(a, w): a matrix over F_q, q in {2, 3, 5, 7}, with 1-5 rows and
+    ``q ** cols`` at most 2,401, and a nonzero target that is the image
+    of a drawn vector or is drawn outright, so often outside the image
+    when the rank is short."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    cols = draw(st.integers(1, max(c for c in range(1, 7) if q**c <= 2401)))
+    rows = draw(st.integers(1, 5))
+    entry = st.integers(0, q - 1) | st.just(0)
+    a = ModQMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)),
+        q,
+    )
+    if draw(st.booleans()):
+        u = draw(st.lists(entry, min_size=cols, max_size=cols))
+        w = tuple(x % q for x in mat_vec(a, u))
+    else:
+        w = tuple(draw(st.lists(entry, min_size=rows, max_size=rows)))
+    assume(any(w))
+    return a, w
+
+
+class TestSparseModqSolve:
+    """``xi_zq_at`` on the sparse plan of ``_modq_system`` against the
+    dense row transform, ``conftest.modq_solve_dense``, with the coset
+    searched by ``conftest.coset_by_recursion``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(modq_targets())
+    @example((ModQMatrix.from_rows([[1], [1]], 2), (1, 0)))
+    def test_matches_dense_solve(self, case):
+        a, w = case
+        pivots, kernel, trans = modq_system_by_elimination(a)
+        u0 = modq_solve_dense(a, w, pivots, trans)
+        if u0 is None:
+            with pytest.raises(TargetNotInImageError, match="not in the image over F_q"):
+                xi_zq_at(a, w)
+            return
+        witness, weight = coset_by_recursion(u0, kernel, a.q)
+        res = xi_zq_at(a, w)
+        assert res.witness == witness
+        assert res.value == Fraction(weight, hamming_weight(w))
+
+
 class TestEliminationReadOffs:
     """``_modq_system`` reads the fraction-free elimination; the
     reference reads textbook Gauss-Jordan over F_q."""
@@ -1588,8 +1667,20 @@ class TestEliminationReadOffs:
     def test_modq_system_matches_field_elimination(self, case):
         rows, n, q = case
         a = ModQMatrix.from_rows(rows, q, cols=n)
-        terms, pivots, kernel, trans = _modq_system(a)
+        terms, pivots, kernel, plan = _modq_system(a)
+        # The plan keeps the row transform and the kernel as sparse rows;
+        # densified, they are the whole transform and the kernel basis.
+        trans = tuple(
+            tuple(dict(zip(cols, entries)).get(j, 0) for j in range(a.rows))
+            for cols, entries in plan.solve + plan.consistency
+        )
         assert (pivots, kernel, trans) == modq_system_by_elimination(a)
+        assert len(plan.solve) == len(pivots)
+        steps = tuple(
+            tuple(dict(row).get(i, 0) for i in range(n)) for row in plan.steps
+        )
+        assert steps == kernel
+        assert all(x for row in plan.steps for _, x in row)
         supports = disjoint_supports(kernel)
         if supports is None:
             assert terms is None
