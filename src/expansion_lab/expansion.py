@@ -16,11 +16,14 @@ The rational image check is ``_rational_preimage``.
 Everything here is exact.  Rational optima come from
 ``simplex.min_l1_combination``, integer optima from branch and bound
 with rational relaxation bounds, and finite-field optima from a search
-of the solution coset.  Branch and bound stops below any node whose
-relaxation already has integer coefficients.  On an integrally spanned
-kernel the HNF basis is totally unimodular, so the root relaxation is
-integral and one LP decides: the paper's equality of the rational and
-integer values, met with no spanning check per target.  Only
+of the solution coset.  The relaxations of branch and bound run in
+integers scaled by a common denominator (``simplex._relaxation``);
+Fractions appear only in the results.  Branch and bound stops below any
+node whose relaxation already has integer coefficients.  On an
+integrally spanned kernel the HNF basis is totally unimodular, so the
+root relaxation is integral and one LP decides: the paper's equality of
+the rational and integer values, met with no spanning check per target
+and no Fraction built before the value.  Only
 ``xi_z_global`` runs that check, to reduce to the rational global
 value.  A second, independent route to the rational per-target value
 (enumeration of the minimal faces of the objective, the vertices of its
@@ -107,7 +110,7 @@ from .exactla import (
     solve_integer,
     solve_rational,
 )
-from .simplex import min_l1_combination
+from .simplex import _relaxation, min_l1_combination
 from .spanning import is_integrally_spanned
 
 Vector = Sequence[Union[int, Rational]]
@@ -414,12 +417,15 @@ def _branch_and_bound(u0, kernel):
 
     Depth-first search that fixes one coefficient per level.  Each node
     solves the rational relaxation over the coefficients not yet fixed
-    and is pruned when that bound cannot beat the incumbent, which
-    starts at ``u0``.  A node whose relaxation has integer coefficients
-    needs no descent: its optimum is the best integer point below it,
-    and becomes the incumbent.  On an integrally spanned kernel the
-    root relaxation is such a node (the HNF basis is totally
-    unimodular), so one LP decides.
+    (``simplex._relaxation``, in integers scaled by a common
+    denominator) and is pruned when that bound cannot beat the
+    incumbent, which starts at ``u0``: ``|w|_1 >= best * scale``,
+    compared in integers.  A node whose relaxation has integer
+    coefficients (scale 1) needs no descent: its optimum is the best
+    integer point below it, and becomes the incumbent as it stands.  On
+    an integrally spanned kernel the root relaxation is such a node (the
+    HNF basis is totally unimodular), so one LP decides and no Fraction
+    is built.
 
     Elsewhere the children are scanned outward from the floor of the
     relaxed coefficient in both directions; a direction stops at the
@@ -440,13 +446,14 @@ def _branch_and_bound(u0, kernel):
             raise EnumerationCapError(
                 f"branch and bound node limit {_MAX_NODES} exceeded"
             )
-        x, w, bound = min_l1_combination(base, kernel[j:])
-        if bound >= best_val:
+        x, w, scale = _relaxation(list(base), 1, kernel[j:])
+        bound = sum(map(abs, w))
+        if bound >= best_val * scale:
             return True
-        if all(c.denominator == 1 for c in x):
-            best_u, best_val = tuple(int(e) for e in w), int(bound)
+        if scale == 1:
+            best_u, best_val = tuple(w), bound
             return False
-        center = math.floor(x[0])
+        center = x[0] // scale
         for c, step in ((center, -1), (center + 1, 1)):
             while not descend(
                 tuple(b + c * e for b, e in zip(base, kernel[j])), j + 1

@@ -506,12 +506,17 @@ def campaign_modq(
                 if z_val is None:
                     z_val = z_at[t] = xi_z_at(a, t).value
                 checked += 1
-                if (q - 1) * z_val < res.value:
+                # (q - 1) * z_val < res.value, cross-multiplied in integers.
+                zq_val = res.value
+                if (
+                    (q - 1) * z_val.numerator * zq_val.denominator
+                    < zq_val.numerator * z_val.denominator
+                ):
                     bad = {
                         "w": format_vector(w).strip(),
                         "lifted_target": format_vector(t).strip(),
                         "xi_z_at": format_rational(z_val),
-                        "xi_zq_at": format_rational(res.value),
+                        "xi_zq_at": format_rational(zq_val),
                     }
                     break
             if bad is None:

@@ -1,7 +1,8 @@
 """Exact L1 minimization over an affine subspace.
 
-The one entry point minimizes ``|u + x_1 d_1 + ... + x_k d_k|_1`` over
-rational x, the classic least-absolute-deviations program.
+The public entry point minimizes ``|u + x_1 d_1 + ... + x_k d_k|_1``
+over rational x, the classic least-absolute-deviations program, for a
+rational offset u and integer directions d_j.
 
 When the directions have pairwise disjoint supports (every coordinate
 is moved by at most one of them, as for the component indicators that
@@ -11,13 +12,14 @@ support of each d.  Each is minimized by a weighted median of the
 breakpoints ``-u_i / d_i`` with weights ``|d_i|`` (Barrodale & Roberts
 1973); the lower weighted median is taken.  The supports, and whether
 they are disjoint, are decided once per kernel (``_supports``, cached on
-the directions), not on every call.  This route works in integers: the
-denominators of u are cleared once, to ``U = L u``, so a unit entry
-``d_i = +-1`` has the integer breakpoint ``-U_i d_i`` (in units of 1/L)
-and only entries with ``|d_i| > 1`` need a Fraction.  The residual
-``L w`` is updated on each support alone, and the results are divided
-by L once, at the end; when L is 1 there is nothing to divide, and each
-Fraction is built from its integer without a gcd.
+the tuple of directions), not on every call.  The medians run in one
+scaled-integer core, ``_median_core``: the denominators of u are
+cleared once, to ``U = L u``, so a unit entry ``d_i = +-1`` has the
+integer breakpoint ``-U_i d_i`` (in units of 1/L) and only entries with
+``|d_i| > 1`` need a Fraction to be sorted.  A median that falls
+between integers multiplies L, U and the earlier coefficients by its
+denominator, so the coefficients ``L x`` and the residual ``L w`` stay
+integers, updated on each support alone.
 
 Otherwise the general path is a simplex on the LP: with residual
 r = u + D x split as r = rp - rm and x = xp - xm,
@@ -32,6 +34,13 @@ The entering rule is largest reduced cost, switching permanently to
 Bland's smallest-index rule when the objective stalls, which rules out
 cycling.  The simplex works in fractions.Fraction and also serves the
 tests as an oracle for the weighted-median route.
+
+Both routes answer through ``_relaxation`` as ``(L x, L w, L)`` in
+integers; the simplex route clears the denominators of its optimum
+once.  ``min_l1_combination`` divides by L into Fractions, once.
+Branch and bound calls ``_relaxation`` directly on its integer offsets
+(L starts at 1): L stays 1 exactly when the relaxation is integral, and
+then no Fraction is built on the median route.
 """
 
 from __future__ import annotations
@@ -42,8 +51,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import EnumerationCapError, UnboundedLPError
-from .exactla import disjoint_supports
+from .errors import DimensionMismatchError, EnumerationCapError, UnboundedLPError
+from .exactla import _INT, disjoint_supports
 
 _STALL_LIMIT = 30
 _MAX_PIVOTS = 20000
@@ -58,40 +67,78 @@ def min_l1_combination(
     exactly and ``value = |w|_1``. With no directions this is just
     ``((), u, |u|_1)``.  Directions with pairwise disjoint supports are
     solved by one weighted median each, any others by the simplex.
+    Entries of ``u`` are ints or Fractions and entries of the directions
+    are ints; any other entry (``0.5``), or a direction whose length is
+    not ``len(u)``, raises ``DimensionMismatchError`` on either route.
     """
     n = len(u)
-    k = len(directions)
+    try:
+        scale = math.lcm(1, *(e.denominator for e in u))
+    except AttributeError as exc:
+        raise DimensionMismatchError(
+            f"offset entries must be integers or Fractions: {exc}"
+        ) from exc
     for d in directions:
         if len(d) != n:
-            raise ValueError(f"direction length {len(d)} != {n}")
-    supports = _supports(tuple(map(tuple, directions)))
-    if supports is not None:
-        return _median_combination(u, directions, supports)
-    u = tuple(Fraction(e) for e in u)
-    x = _simplex_min_l1(u, directions)
-    w = tuple(
-        u[i] + sum(x[j] * Fraction(directions[j][i]) for j in range(k))
-        for i in range(n)
+            raise DimensionMismatchError(f"direction length {len(d)} != {n}")
+        if not _INT.issuperset(map(type, d)):
+            raise DimensionMismatchError(
+                f"direction entries must be integers, got {tuple(d)!r}"
+            )
+    scaled = [e.numerator * (scale // e.denominator) for e in u]
+    x, w, scale = _relaxation(scaled, scale, tuple(map(tuple, directions)))
+    if scale == 1:
+        # Nothing to divide out: Fraction(e) skips the gcd.
+        return (
+            tuple(map(Fraction, x)),
+            tuple(map(Fraction, w)),
+            Fraction(sum(map(abs, w))),
+        )
+    return (
+        tuple(Fraction(e, scale) for e in x),
+        tuple(Fraction(e, scale) for e in w),
+        Fraction(sum(map(abs, w)), scale),
     )
-    value = Fraction(sum(abs(e) for e in w))
-    return x, w, value
+
+
+def _relaxation(scaled, scale, directions):
+    """The optimum of ``min_l1_combination`` in scaled integers, for the
+    offset ``scaled / scale`` (``scaled`` a list of ints, which the
+    median route updates in place) and a tuple of integer direction
+    tuples: ``(x, w, scale)``, with ``x / scale`` the coefficients and
+    ``w / scale`` the residual.  From ``scale`` 1, as branch and bound
+    calls it, the returned scale is 1 exactly when every coefficient is
+    an integer."""
+    supports = _supports(directions)
+    if supports is not None:
+        return _median_core(scaled, scale, directions, supports)
+    x = _simplex_min_l1(tuple(Fraction(e, scale) for e in scaled), directions)
+    den = math.lcm(*(c.denominator for c in x))
+    x = [c.numerator * (den // c.denominator) * scale for c in x]
+    w = [e * den for e in scaled]
+    for c, d in zip(x, directions):
+        if c:
+            for i, e in enumerate(d):
+                w[i] += c * e
+    return x, w, scale * den
 
 
 @lru_cache(maxsize=512)
 def _supports(directions):
     """``disjoint_supports(directions)`` for a tuple of tuples, decided
-    once per kernel: the per-target solvers pass the same cached kernel
-    rows on every call."""
+    once per kernel: the solvers pass the kernel rows cached per matrix
+    (or a suffix of them) on every call."""
     return disjoint_supports(directions)
 
 
-def _median_combination(u, directions, supports):
-    """``min_l1_combination`` for directions with pairwise disjoint
-    ``supports``: one lower weighted median per direction, in integers
-    scaled by the common denominator of ``u`` (integers or Fractions).
+def _median_core(scaled, scale, directions, supports):
+    """The weighted-median optimum for directions with pairwise disjoint
+    ``supports``, in integers: ``scaled`` is the offset times ``scale``
+    (a list of ints, updated in place until a fractional median
+    replaces it).  Returns ``(x, w, scale)``, the lower weighted median
+    of each direction and the residual, both times the returned scale,
+    which is ``scale`` times the denominators of the fractional medians.
     An empty support gives the coefficient 0."""
-    scale = math.lcm(*(e.denominator for e in u))
-    scaled = [e.numerator * (scale // e.denominator) for e in u]
     x = []
     for d, support in zip(directions, supports):
         points = []
@@ -111,20 +158,20 @@ def _median_combination(u, directions, supports):
             if 2 * running >= total:
                 median = point
                 break
+        if type(median) is Fraction:
+            den = median.denominator
+            if den != 1:
+                # Rescale so that the median, and all that follows,
+                # stays an integer.
+                scale *= den
+                scaled = [e * den for e in scaled]
+                x = [c * den for c in x]
+            median = median.numerator
         if median:
             for i in support:
                 scaled[i] += median * d[i]
         x.append(median)
-    if scale == 1:
-        # Nothing to divide out: Fraction(e) skips the gcd.
-        return (
-            tuple(map(Fraction, x)),
-            tuple(map(Fraction, scaled)),
-            Fraction(sum(map(abs, scaled))),
-        )
-    w = tuple(Fraction(e, scale) for e in scaled)
-    value = Fraction(sum(map(abs, scaled)), scale)
-    return tuple(Fraction(e, scale) for e in x), w, value
+    return x, scaled, scale
 
 
 def _simplex_min_l1(u, directions) -> tuple[Fraction, ...]:

@@ -27,7 +27,12 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from expansion_lab.errors import AmbientDimensionCapError, UndefinedExpansionError
+from expansion_lab import expansion
+from expansion_lab.errors import (
+    AmbientDimensionCapError,
+    EnumerationCapError,
+    UndefinedExpansionError,
+)
 from expansion_lab.exactla import (
     IntMatrix,
     LatticeBasis,
@@ -39,6 +44,7 @@ from expansion_lab.exactla import (
     disjoint_supports,
     integer_kernel_basis,
     integerize,
+    l1_norm,
     mat_vec,
     primitive_ray,
     snf,
@@ -55,6 +61,7 @@ from expansion_lab.expansion import (
     xi_q_global,
     xi_z_at,
 )
+from expansion_lab.simplex import min_l1_combination
 from expansion_lab.spanning import (
     CoordSubset,
     SpanningVerdict,
@@ -640,6 +647,42 @@ def median_combination_by_fractions(u, directions):
         for i in range(len(u))
     )
     return x, w, Fraction(sum(abs(e) for e in w))
+
+
+def branch_and_bound_by_fractions(u0, kernel):
+    """``expansion._branch_and_bound`` on the public Fraction relaxation
+    ``min_l1_combination``: the same depth-first search, pruning rule
+    (``>=``) and child order, with each bound, coefficient and residual
+    a Fraction and integrality read off the denominators.  Returns
+    ``(point, value, relaxations)``, under the same ``_MAX_NODES``."""
+    best_u, best_val = tuple(u0), l1_norm(u0)
+    if not kernel:
+        return best_u, best_val, 0
+    nodes = 0
+
+    def descend(base, j):
+        nonlocal best_u, best_val, nodes
+        nodes += 1
+        if nodes > expansion._MAX_NODES:
+            raise EnumerationCapError(
+                f"branch and bound node limit {expansion._MAX_NODES} exceeded"
+            )
+        x, w, bound = min_l1_combination(base, kernel[j:])
+        if bound >= best_val:
+            return True
+        if all(c.denominator == 1 for c in x):
+            best_u, best_val = tuple(int(e) for e in w), int(bound)
+            return False
+        center = math.floor(x[0])
+        for c, step in ((center, -1), (center + 1, 1)):
+            while not descend(
+                tuple(b + c * e for b, e in zip(base, kernel[j])), j + 1
+            ):
+                c += step
+        return False
+
+    descend(tuple(u0), 0)
+    return best_u, best_val, nodes
 
 
 def rref_by_fractions(rows, ncols):

@@ -79,6 +79,7 @@ from expansion_lab.expansion import (
 from expansion_lab.spanning import is_integrally_spanned
 
 from conftest import (
+    branch_and_bound_by_fractions,
     by_blocks,
     coset_by_recursion,
     elimination_systems,
@@ -132,7 +133,7 @@ def image_target(rng: random.Random, a: IntMatrix):
 def xi_z_at_counting_relaxations(a: IntMatrix, v):
     """``xi_z_at(a, v)`` and the number of LP relaxations it solved."""
     with mock.patch.object(
-        expansion, "min_l1_combination", wraps=expansion.min_l1_combination
+        expansion, "_relaxation", wraps=expansion._relaxation
     ) as lp:
         res = xi_z_at(a, v)
     return res, lp.call_count
@@ -166,6 +167,57 @@ def spanned_kernel_targets(draw):
     order = draw(st.permutations(range(k + m)))
     a = mat([[row[c] for c in order] for row in rows])
     u = draw(st.lists(st.integers(-2, 2), min_size=k + m, max_size=k + m))
+    v = mat_vec(a, u)
+    assume(any(v))
+    return a, v
+
+
+@st.composite
+def small_matrix_targets(draw):
+    """A 1-3 x 2-5 matrix with entries in [-3, 3] and a nonzero image
+    target ``A u`` with ``u`` in [-2, 2]^cols."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(2, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    a = mat(draw(st.lists(entries, min_size=rows, max_size=rows)))
+    u = draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols))
+    v = mat_vec(a, u)
+    assume(any(v))
+    return a, v
+
+
+@st.composite
+def disjoint_wide_targets(draw):
+    """A block-diagonal matrix of 1x2 rows ``(p, r)`` with entries in
+    [-4, 4], and a nonzero image target.  Each block's kernel row is
+    ``(r, -p) / gcd``, so the kernel rows have disjoint supports and a
+    block with ``|p| != |r|`` has an entry ``|d_i| > 1``, where the
+    weighted median may fall between integers (``[[1, 2]]`` at 3)."""
+    nonzero = st.integers(-4, 4).filter(bool)
+    blocks = draw(st.lists(st.tuples(nonzero, nonzero), min_size=1, max_size=3))
+    cols = 2 * len(blocks)
+    a = mat(
+        [
+            [0] * (2 * b) + list(pair) + [0] * (cols - 2 * b - 2)
+            for b, pair in enumerate(blocks)
+        ]
+    )
+    u = draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
+    v = mat_vec(a, u)
+    assume(any(v))
+    return a, v
+
+
+@st.composite
+def overlapping_unspanned_targets(draw):
+    """A 1x3 row with entries in [-4, 4] whose kernel basis rows overlap
+    and do not span integrally (as ``[[1, 2, 3]]``), and a nonzero image
+    target: the relaxations take the simplex and the search branches."""
+    row = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=3, max_size=3))
+    a = mat([row])
+    assume(disjoint_supports(_kernel_info(a)) is None)
+    assume(not kernel_is_spanned(a))
+    u = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
     v = mat_vec(a, u)
     assume(any(v))
     return a, v
@@ -457,6 +509,57 @@ class TestXiZAt:
             xi_z_at(mat([[1, 2]]), (1,))
         # an empty kernel leaves nothing to search, so no node is spent
         assert xi_z_at(IntMatrix.identity(2), (1, 2)).value == 1
+
+
+class TestBranchAndBoundOracle:
+    """Branch and bound on scaled-integer relaxations against the same
+    search on Fraction relaxations (``branch_and_bound_by_fractions``):
+    the same value, witness and number of relaxations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            small_matrix_targets(),
+            spanned_kernel_targets(),
+            disjoint_wide_targets(),
+            overlapping_unspanned_targets(),
+        )
+    )
+    # A badly conditioned basis row (0, 0, 0, 0, 2, 1, 0): 604 relaxations.
+    @example((mat([[2, -2, -1, 2, -1, 2, 0]]), (15,)))
+    # A fractional median at the root.
+    @example((mat([[1, 2]]), (3,)))
+    # Overlapping kernel rows, branching below the root.
+    @example((mat([[1, 2, 3]]), (7,)))
+    def test_matches_fraction_oracle(self, case):
+        a, v = case
+        res, relaxations = xi_z_at_counting_relaxations(a, v)
+        point, value, nodes = branch_and_bound_by_fractions(
+            solve_integer(a, v), _kernel_info(a)
+        )
+        assert res.value == Fraction(value, l1_norm(v))
+        assert res.witness == point
+        assert relaxations == nodes
+        assert all(type(e) is int for e in res.witness)
+
+    @pytest.mark.parametrize(
+        "rows, target, value, witness, relaxations",
+        [
+            (
+                [[2, -2, -1, 2, -1, 2, 0]],
+                (15,),
+                Fraction(8, 15),
+                (0, 0, 0, 0, -1, 7, 0),
+                604,
+            ),
+            ([[1, 2]], (3,), Fraction(2, 3), (1, 1), 4),
+            ([[1, 2, 3]], (7,), Fraction(3, 7), (0, 2, 1), 8),
+        ],
+        ids=["badly-conditioned", "fractional-median", "overlapping"],
+    )
+    def test_pinned_witnesses(self, rows, target, value, witness, relaxations):
+        res, count = xi_z_at_counting_relaxations(mat(rows), target)
+        assert (res.value, res.witness, count) == (value, witness, relaxations)
 
 
 def test_per_target_solvers_skip_the_spanning_scan(monkeypatch):

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expansion_lab import simplex
-from expansion_lab.errors import EnumerationCapError
-from expansion_lab.simplex import _simplex_min_l1, min_l1_combination
+from expansion_lab.errors import DimensionMismatchError, EnumerationCapError
+from expansion_lab.exactla import disjoint_supports
+from expansion_lab.simplex import _relaxation, _simplex_min_l1, min_l1_combination
 
 from conftest import median_combination_by_fractions, weighted_median_by_fractions
 
@@ -198,6 +199,92 @@ class TestDisjointSupports:
         x, w, value = min_l1_combination(u, dirs)
         assert x == _simplex_min_l1(u, dirs) == (2, -1)
         assert value == 0
+
+
+@st.composite
+def sparse_instances(draw, offsets=st.integers(-6, 6)):
+    """An offset drawn from ``offsets`` (integers, as branch and bound
+    passes it, by default) and 0-3 integer directions drawn sparse, so
+    that their supports are sometimes disjoint (the median route) and
+    sometimes overlap (the simplex)."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 3))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    dirs = [tuple(draw(entry) for _ in range(n)) for _ in range(k)]
+    u = tuple(draw(offsets) for _ in range(n))
+    return u, dirs
+
+
+class TestRelaxation:
+    """``_relaxation`` from scale 1, as branch and bound calls it, is
+    ``min_l1_combination`` in scaled integers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_instances())
+    # A median between integers: |5 + 2x| + |1 + x| at x = -5/2.
+    @example(((5, 1), [(2, 1)]))
+    # Overlapping supports with an integral optimum.
+    @example(((-2, -1, 1), [(1, 1, 0), (0, 1, 1)]))
+    def test_matches_the_fraction_entry_point(self, instance):
+        u, dirs = instance
+        x, w, scale = _relaxation(list(u), 1, tuple(dirs))
+        assert all(type(e) is int for e in (*x, *w, scale))
+        assert scale >= 1
+        fx, fw, fvalue = min_l1_combination(u, dirs)
+        assert tuple(F(c, scale) for c in x) == fx
+        assert tuple(F(e, scale) for e in w) == fw
+        assert F(sum(map(abs, w)), scale) == fvalue
+        assert (scale == 1) == all(c.denominator == 1 for c in fx)
+
+    def test_fractional_median_rescales_earlier_coefficients(self):
+        # The first direction's median is 2; the second's is -1/2, which
+        # multiplies everything, the first coefficient included, by 2.
+        dirs = ((1, 0, 0, 0), (0, 0, 2, 0))
+        x, w, scale = _relaxation([-2, 0, 1, 0], 1, dirs)
+        assert (x, w, scale) == ([4, -1], [0, 0, 0, 0], 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_instances(offsets=st.fractions(-6, 6, max_denominator=4)))
+def test_rational_offsets_on_both_routes(instance):
+    # A rational offset starts the scaled core above scale 1; the simplex
+    # route must carry that scale into its coefficients.
+    u, dirs = instance
+    x, w, value = min_l1_combination(u, dirs)
+    assert all(type(e) is F for e in (*x, *w, value))
+    assert w == tuple(
+        u[i] + sum(x[j] * d[i] for j, d in enumerate(dirs)) for i in range(len(u))
+    )
+    assert value == sum(map(abs, w))
+    if disjoint_supports(dirs) is None:
+        assert x == _simplex_min_l1(u, dirs)
+
+
+class TestTypedErrors:
+    """Both routes refuse the same malformed input with the same error."""
+
+    ROUTES = pytest.mark.parametrize(
+        "directions",
+        [[(1, 0, 0), (0, 1, 1)], [(1, 1, 0), (0, 1, 1)]],
+        ids=["median", "simplex"],
+    )
+
+    @ROUTES
+    def test_float_offset(self, directions):
+        with pytest.raises(DimensionMismatchError, match="integers or Fractions"):
+            min_l1_combination((0.5, 1, 2), directions)
+
+    @ROUTES
+    def test_float_direction_entry(self, directions):
+        directions = [directions[0], (0, 1.5, 1)]
+        with pytest.raises(DimensionMismatchError, match="must be integers"):
+            min_l1_combination((1, 1, 2), directions)
+
+    @ROUTES
+    def test_direction_of_wrong_length(self, directions):
+        directions = [directions[0], directions[1][:2]]
+        with pytest.raises(DimensionMismatchError, match="direction length 2 != 3"):
+            min_l1_combination((1, 1, 2), directions)
 
 
 def test_pivot_cap_is_a_typed_cap_error(monkeypatch):
