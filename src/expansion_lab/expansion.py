@@ -225,9 +225,12 @@ def _rational_preimage(a: IntMatrix, v: IntVector):
 
 @lru_cache(maxsize=512)
 def _kernel_info(a: IntMatrix):
-    """Rows of the HNF basis of the integer kernel of ``a``, cached per
-    matrix and shared by every solver."""
-    return tuple(integer_kernel_basis(a).basis_rows())
+    """``(rows, supports)``, cached per matrix and shared by every
+    solver: the HNF basis rows of the integer kernel of ``a`` and, for
+    each suffix j = 0..k (the empty one included), the LP route of
+    branch and bound at level j, ``disjoint_supports(rows[j:])``."""
+    rows = tuple(integer_kernel_basis(a).basis_rows())
+    return rows, tuple(disjoint_supports(rows[j:]) for j in range(len(rows) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +247,8 @@ def xi_q_at(a: IntMatrix, v: Vector) -> ExpansionResult:
     """
     v = _target(a, v)
     u0 = _rational_preimage(a, v)
-    kernel = _kernel_info(a)
-    x, w, best = min_l1_combination(u0, kernel)
-    witness = tuple(w)
+    kernel, _ = _kernel_info(a)
+    _, witness, best = min_l1_combination(u0, kernel)
     value = Fraction(best, l1_norm(v))
     return ExpansionResult(
         value=value, target=tuple(v), witness=witness, ring="Q", solver="lp"
@@ -292,7 +294,7 @@ def _vertices(a: IntMatrix, v: Vector):
     ``minimization_faces`` and ``xi_q_at_face_oracle``."""
     v = _target(a, v)
     u0 = _rational_preimage(a, v)
-    kernel = _kernel_info(a)
+    kernel, _ = _kernel_info(a)
     k = len(kernel)
     # Term i of the objective is |u0[i] + sum_j kernel[j][i] * x[j]|, zero
     # on the hyperplane hp . (x, 1) == 0 with hp the signed primitive ray
@@ -401,7 +403,7 @@ def xi_z_at(a: IntMatrix, v: Vector) -> ExpansionResult:
         raise TargetNotInIntegerImageError(
             "target has rational but no integer preimage", rational
         )
-    best_u, best_val = _branch_and_bound(u0, _kernel_info(a))
+    best_u, best_val = _branch_and_bound(u0, *_kernel_info(a))
     return ExpansionResult(
         value=Fraction(best_val, l1_norm(v)),
         target=tuple(v),
@@ -411,15 +413,15 @@ def xi_z_at(a: IntMatrix, v: Vector) -> ExpansionResult:
     )
 
 
-def _branch_and_bound(u0, kernel):
+def _branch_and_bound(u0, kernel, supports):
     """Exact integer minimum of ``l1(u0 + sum c_j kernel_j)`` over
     integer coefficients, with a point attaining it.
 
-    Depth-first search that fixes one coefficient per level.  Each node
-    solves the rational relaxation over the coefficients not yet fixed
-    (``simplex._relaxation``, in integers scaled by a common
-    denominator) and is pruned when that bound cannot beat the
-    incumbent, which starts at ``u0``: ``|w|_1 >= best * scale``,
+    Depth-first search that fixes one coefficient per level.  A node at
+    level j solves the rational relaxation over ``kernel[j:]`` on the
+    route ``supports[j]`` (``simplex._relaxation``, in integers scaled
+    by a common denominator) and is pruned when that bound cannot beat
+    the incumbent, which starts at ``u0``: ``|w|_1 >= best * scale``,
     compared in integers.  A node whose relaxation has integer
     coefficients (scale 1) needs no descent: its optimum is the best
     integer point below it, and becomes the incumbent as it stands.  On
@@ -446,7 +448,7 @@ def _branch_and_bound(u0, kernel):
             raise EnumerationCapError(
                 f"branch and bound node limit {_MAX_NODES} exceeded"
             )
-        x, w, scale = _relaxation(list(base), 1, kernel[j:])
+        x, w, scale = _relaxation(list(base), 1, kernel[j:], supports[j])
         bound = sum(map(abs, w))
         if bound >= best_val * scale:
             return True

@@ -543,7 +543,8 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
     and the global chain ``Xi_Z(d1) >= Xi_Z2(d1 mod 2)`` for the braid
     and Steinberg presentation matrices.  The chain is reported skipped
     when ``2 ** cols`` exceeds ``_ZQ_WORK_CAP`` or the rational value is
-    only a lower bound (``exact`` false)."""
+    only a lower bound (``exact`` false).  A family whose ``d1`` is zero
+    (both, at n = 2) is one skipped entry."""
     report = CampaignReport(
         "presentations",
         None,
@@ -559,6 +560,9 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
             p = build(n)
             d1 = presentation_d1(p)
             instance = {"kind": f"{family} n={n}", "d1": format_matrix(d1)}
+            if d1.is_zero():
+                report.add(instance, "skipped", "zero image has no expansion values", {})
+                continue
             try:
                 check_incidence_rows(d1)
             except RowShapeError as err:

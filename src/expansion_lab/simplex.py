@@ -10,9 +10,10 @@ span the kernel of a graph incidence matrix), the program splits into
 k one-dimensional problems ``min_x sum_i |u_i + x d_i|`` over the
 support of each d.  Each is minimized by a weighted median of the
 breakpoints ``-u_i / d_i`` with weights ``|d_i|`` (Barrodale & Roberts
-1973); the lower weighted median is taken.  The supports, and whether
-they are disjoint, are decided once per kernel (``_supports``, cached on
-the tuple of directions), not on every call.  The medians run in one
+1973); the lower weighted median is taken.  The callers decide whether
+the supports are disjoint, so this layer keeps no cache: once per call
+(``min_l1_combination``) or once per kernel suffix
+(``expansion._kernel_info``).  The medians run in one
 scaled-integer core, ``_median_core``: the denominators of u are
 cleared once, to ``U = L u``, so a unit entry ``d_i = +-1`` has the
 integer breakpoint ``-U_i d_i`` (in units of 1/L) and only entries with
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
@@ -86,7 +86,8 @@ def min_l1_combination(
                 f"direction entries must be integers, got {tuple(d)!r}"
             )
     scaled = [e.numerator * (scale // e.denominator) for e in u]
-    x, w, scale = _relaxation(scaled, scale, tuple(map(tuple, directions)))
+    supports = disjoint_supports(directions)
+    x, w, scale = _relaxation(scaled, scale, directions, supports)
     if scale == 1:
         # Nothing to divide out: Fraction(e) skips the gcd.
         return (
@@ -101,15 +102,14 @@ def min_l1_combination(
     )
 
 
-def _relaxation(scaled, scale, directions):
+def _relaxation(scaled, scale, directions, supports):
     """The optimum of ``min_l1_combination`` in scaled integers, for the
     offset ``scaled / scale`` (``scaled`` a list of ints, which the
-    median route updates in place) and a tuple of integer direction
-    tuples: ``(x, w, scale)``, with ``x / scale`` the coefficients and
-    ``w / scale`` the residual.  From ``scale`` 1, as branch and bound
-    calls it, the returned scale is 1 exactly when every coefficient is
-    an integer."""
-    supports = _supports(directions)
+    median route updates in place), integer directions and their
+    ``disjoint_supports`` (None takes the simplex): ``(x, w, scale)``,
+    with ``x / scale`` the coefficients and ``w / scale`` the residual.
+    From ``scale`` 1, as branch and bound calls it, the returned scale
+    is 1 exactly when every coefficient is an integer."""
     if supports is not None:
         return _median_core(scaled, scale, directions, supports)
     x = _simplex_min_l1(tuple(Fraction(e, scale) for e in scaled), directions)
@@ -121,14 +121,6 @@ def _relaxation(scaled, scale, directions):
             for i, e in enumerate(d):
                 w[i] += c * e
     return x, w, scale * den
-
-
-@lru_cache(maxsize=512)
-def _supports(directions):
-    """``disjoint_supports(directions)`` for a tuple of tuples, decided
-    once per kernel: the solvers pass the kernel rows cached per matrix
-    (or a suffix of them) on every call."""
-    return disjoint_supports(directions)
 
 
 def _median_core(scaled, scale, directions, supports):

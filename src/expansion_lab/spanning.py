@@ -107,7 +107,8 @@ def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVecto
     With d = u @ m @ v and some diagonal entry d_r > 1, candidate
     vectors are tried in order and validated:
 
-      1. the r-th row of inverse(u) @ d divided by d_r, when integral;
+      1. the r-th row of inverse(u) @ d, read as the r-th row of m @ v
+         (they are equal), divided by d_r, when integral;
       2. that row undivided;
       3. the r-th row of inverse(v).
 
@@ -127,17 +128,16 @@ def _saturation_witness(projected: IntMatrix, dec: SnfDecomposition) -> IntVecto
         # Rank-deficient saturation failures cannot happen: factors are 1.
         raise WitnessError("no failing invariant factor")
     d_r = dec.d.at(r, r)
-    u_inv = unimodular_inverse(dec.u)
-    ud_row = tuple(
-        sum(u_inv.at(r, i) * dec.d.at(i, j) for i in range(dec.d.rows))
-        for j in range(dec.d.cols)
+    m_r = projected.row(r)
+    mv_row = tuple(
+        sum(e * dec.v.at(i, j) for i, e in enumerate(m_r) if e)
+        for j in range(dec.v.cols)
     )
     candidates = []
-    if all(e % d_r == 0 for e in ud_row):
-        candidates.append(tuple(e // d_r for e in ud_row))
-    candidates.append(ud_row)
-    v_inv = unimodular_inverse(dec.v)
-    candidates.append(v_inv.row(r))
+    if all(e % d_r == 0 for e in mv_row):
+        candidates.append(tuple(e // d_r for e in mv_row))
+    candidates.append(mv_row)
+    candidates.append(unimodular_inverse(dec.v).row(r))
 
     basis = LatticeBasis.from_generators(projected)
     for cand in candidates:

@@ -321,6 +321,13 @@ def test_verify_presentations_n_range_flag(capsys):
     assert kinds == {"braid n=3", "steinberg n=3"}
 
 
+def test_verify_presentations_from_two_strands(capsys):
+    rc = main(["verify", "presentations", "--n-range", "2:4"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["totals"] == {"pass": 2, "fail": 0, "skipped": 2}
+
+
 def test_verify_presentations_below_two_strands_is_an_input_error(capsys):
     rc = main(["verify", "presentations", "--n-range", "1:3"])
     assert rc == 2

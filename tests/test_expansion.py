@@ -5,10 +5,12 @@ simplex route against the face-enumeration oracle and against exhaustive
 box searches, which are independent arithmetic.
 """
 
+import inspect
 import itertools
 import math
 import operator
 import random
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from expansion_lab import expansion
+from expansion_lab import expansion, simplex, spanning
 from expansion_lab.complexes import (
     Graph,
     check_incidence_rows,
@@ -215,7 +217,7 @@ def overlapping_unspanned_targets(draw):
     target: the relaxations take the simplex and the search branches."""
     row = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=3, max_size=3))
     a = mat([row])
-    assume(disjoint_supports(_kernel_info(a)) is None)
+    assume(_kernel_info(a)[1][0] is None)
     assume(not kernel_is_spanned(a))
     u = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
     v = mat_vec(a, u)
@@ -387,7 +389,7 @@ class TestFaceOracle:
         # rank 1, C(4, 2) = 6 at kernel rank 2
         chain = mat([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
         ramp = mat([[1, 1, 1, 1], [0, 1, 2, 3]])
-        assert [len(_kernel_info(a)) for a in (chain, ramp)] == [1, 2]
+        assert [len(_kernel_info(a)[0]) for a in (chain, ramp)] == [1, 2]
         monkeypatch.setattr(expansion, "_MAX_FACE_SUBSETS", 4)
         assert minimization_faces(chain, (1, 1, 1)).minimum == 4
         with pytest.raises(EnumerationCapError, match=r"C\(4, 2\)"):
@@ -406,10 +408,68 @@ class TestFaceOracle:
         # kernel rank 9, but 10 distinct hyperplanes give only
         # C(10, 9) = 10 subsets
         a = mat([[1, 2, 3, 1, 2, 3, 1, 2, 3, 1]])
-        assert len(_kernel_info(a)) == 9
+        assert len(_kernel_info(a)[0]) == 9
         res = xi_q_at_face_oracle(a, (5,))
         assert res.value == xi_q_at(a, (5,)).value == Fraction(1, 3)
         assert mat_vec(a, res.witness) == (5,)
+
+
+def lines_run(fn, code, *args):
+    """``fn(*args)`` and the set of line numbers of ``code`` it ran."""
+    lines = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return fn(*args), lines
+    finally:
+        sys.settrace(previous)
+
+
+class TestAntiCycling:
+    """The simplex's switch to Bland's smallest-index rule, made on the
+    first stall by ``_STALL_LIMIT = 0``, against the face oracle."""
+
+    @pytest.fixture(autouse=True)
+    def switch_on_first_stall(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+
+    def test_pinned_instance_engages_blands_rule(self):
+        source, start = inspect.getsourcelines(simplex._simplex_min_l1)
+        switch = start + next(
+            i for i, line in enumerate(source) if "use_bland = True" in line
+        )
+        a = mat([[0, 2, 1, 2]])
+        code = simplex._simplex_min_l1.__code__
+        res, lines = lines_run(xi_q_at, code, a, (1,))
+        assert switch in lines
+        assert res.value == xi_q_at_face_oracle(a, (1,)).value == Fraction(1, 2)
+        assert mat_vec(a, res.witness) == (1,)
+
+    def test_overlapping_kernels_match_face_oracle(self):
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(400):
+            rows, cols = rng.randint(1, 3), rng.randint(2, 7)
+            a = mat([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+            if _kernel_info(a)[1][0] is not None:
+                continue
+            v = image_target(rng, a)
+            if v is None:
+                continue
+            res = xi_q_at(a, v)
+            assert res.value == xi_q_at_face_oracle(a, v).value
+            assert mat_vec(a, res.witness) == tuple(v)
+            assert l1_norm(res.witness) == res.value * l1_norm(v)
+            checked += 1
+            if checked == 60:
+                break
+        assert checked == 60
 
 
 class TestXiZAt:
@@ -465,7 +525,7 @@ class TestXiZAt:
         for rows in ([[1, 2, 3]], [[3, 5, 7]], [[1, 1, 2, 3], [0, 2, 1, 1]]):
             a = mat(rows)
             assert not kernel_is_spanned(a)
-            assert disjoint_supports(_kernel_info(a)) is None
+            assert _kernel_info(a)[1][0] is None
             targets = itertools.product(range(-3, 4), repeat=a.rows)
             cases += [(a, v) for v in targets if any(v)]
         checked = branched = 0
@@ -535,7 +595,7 @@ class TestBranchAndBoundOracle:
         a, v = case
         res, relaxations = xi_z_at_counting_relaxations(a, v)
         point, value, nodes = branch_and_bound_by_fractions(
-            solve_integer(a, v), _kernel_info(a)
+            solve_integer(a, v), _kernel_info(a)[0]
         )
         assert res.value == Fraction(value, l1_norm(v))
         assert res.witness == point
@@ -681,6 +741,17 @@ class TestGlobalInteger:
         assert res.attaining_target == target
         assert xi_q_global(mat(rows)) == res
         assert xi_z_at(mat(rows), target).value == res.value
+
+    def test_spanning_cap_gives_lower_bound(self, monkeypatch):
+        # Past the subset cap the spanning check of the block is read as
+        # unspanned: the value is a sampled lower bound, not an error.
+        a = mat([[1, -1]])
+        monkeypatch.setattr(spanning, "_MAX_SUBSETS", 0)
+        assert xi_z_global(a) == GlobalExpansion(
+            value=Fraction(1), attaining_target=(-1,), exact=False
+        )
+        monkeypatch.undo()
+        assert xi_z_global(a).exact
 
     def test_unspanned_gives_lower_bound(self):
         res = xi_z_global(mat([[1, 2]]))

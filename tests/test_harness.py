@@ -351,6 +351,22 @@ def test_presentations_small_range_passes():
     assert report.ok
 
 
+def test_presentations_two_strands_are_skipped_zero_images():
+    # At n = 2 both families have a d1 with no rows; n = 3 is reported
+    # as if the range began there.
+    report = campaign_presentations(range(2, 4))
+    assert [e["instance"]["kind"] for e in report.entries[:2]] == [
+        "braid n=2",
+        "steinberg n=2",
+    ]
+    for entry in report.entries[:2]:
+        assert entry["verdict"] == "skipped"
+        assert "zero image" in entry["detail"]
+    tail = [dict(e, index=e["index"] - 2) for e in report.entries[2:]]
+    assert tail == campaign_presentations(range(3, 4)).entries
+    assert report.ok
+
+
 def test_presentations_large_steinberg_is_skipped_not_passed():
     report = campaign_presentations(range(5, 6))
     by_kind = {e["instance"]["kind"]: e for e in report.entries}

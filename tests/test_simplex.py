@@ -227,7 +227,7 @@ class TestRelaxation:
     @example(((-2, -1, 1), [(1, 1, 0), (0, 1, 1)]))
     def test_matches_the_fraction_entry_point(self, instance):
         u, dirs = instance
-        x, w, scale = _relaxation(list(u), 1, tuple(dirs))
+        x, w, scale = _relaxation(list(u), 1, dirs, disjoint_supports(dirs))
         assert all(type(e) is int for e in (*x, *w, scale))
         assert scale >= 1
         fx, fw, fvalue = min_l1_combination(u, dirs)
@@ -240,7 +240,7 @@ class TestRelaxation:
         # The first direction's median is 2; the second's is -1/2, which
         # multiplies everything, the first coefficient included, by 2.
         dirs = ((1, 0, 0, 0), (0, 0, 2, 0))
-        x, w, scale = _relaxation([-2, 0, 1, 0], 1, dirs)
+        x, w, scale = _relaxation([-2, 0, 1, 0], 1, dirs, disjoint_supports(dirs))
         assert (x, w, scale) == ([4, -1], [0, 0, 0, 0], 2)
 
 
