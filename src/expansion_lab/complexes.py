@@ -100,6 +100,8 @@ def parse_graph(text: str) -> Graph:
                 v = int(parts[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: vertex must be an integer")
+            if not 1 <= v <= v_count:  # (0, 0) is the null edge
+                raise FormatError(f"line {lineno}: self vertex {v} not in 1..{v_count}")
             edges.append((v, v))
             continue
         try:

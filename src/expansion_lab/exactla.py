@@ -15,12 +15,12 @@ rows, ``_sparse_rows``.  Lattice membership is an integer solve against
 the transposed HNF basis.  Forward substitution against the HNF, the
 route the map encodes, stays in the tests as its oracle.
 
-Gauss-Jordan elimination over Q and over F_q has one core,
-``_reduced_echelon``: fraction-free (Bareiss, with lazy row scales), it
-returns each reduced row times a scale.  The face oracle's affine
-solves, the candidate lines of the global constants and the finite-field
-systems in ``expansion`` are read off it.  Textbook Gauss-Jordan over
-``Fraction`` and over F_q stays in the tests as its oracle.
+Gauss-Jordan elimination over Q and over F_q has one step, ``_pivot``:
+fraction-free (Bareiss, with lazy row scales), it keeps each reduced row
+times a scale.  ``_reduced_echelon`` (read off by the face oracle, the
+global candidate lines and the finite-field systems), ``det`` and the
+simplex tableau pivot through it.  Textbook Gauss-Jordan and the
+``Fraction`` simplex stay in the tests as its oracles.
 
 The lattice side has one clearing step too: ``_clear_column`` zeroes a
 column below its pivot by exact division or an extended-gcd 2x2 block.
@@ -512,32 +512,46 @@ def snf(m: IntMatrix) -> SnfDecomposition:
 
 
 def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
+    """Determinant: the last Bareiss pivot, signed by the row swaps."""
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+    rows = m.to_rows()
+    scales = [1] * m.rows
+    sign = prev = 1
+    for c in range(m.rows):
+        pr = next((i for i in range(c, m.rows) if rows[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            scales[c], scales[pr] = scales[pr], scales[c]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        prev = _pivot(rows, scales, c, c, prev)
+    return sign * prev
+
+
+def _pivot(rows, scales, r, c, prev, q=None) -> int:
+    """One Gauss-Jordan step on the entry ``(r, c)``, in place: row ``i``
+    is ``scales[i]`` times its reduced row and ``prev`` the last pivot.
+    Brings row ``r`` up to the scale ``prev``, clears column ``c`` from
+    every other row and returns the new pivot, the new scale of each row
+    it touched.  Bareiss with lazy scales: a row last updated at the
+    pivot ``s`` holds integer minors over ``s``, so an update divides
+    exactly by ``s``; rows zero in the column keep their scale, which
+    keeps sparse systems sparse."""
+    if scales[r] != prev:
+        rows[r] = _divide([x * prev for x in rows[r]], scales[r], q)
+    pivot_row = rows[r]
+    pv = pivot_row[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            rows[i] = _divide(
+                [pv * x - f * y for x, y in zip(row, pivot_row)], scales[i], q
+            )
+            scales[i] = pv
+    scales[r] = pv
+    return pv
 
 
 def _divide(row: list[int], s: int, q: int | None) -> list[int]:
@@ -561,14 +575,8 @@ def _reduced_echelon(
     sides, a row transform) carried along, and ``pivots`` lists the pivot
     columns.  The pivot row is the first one at or below the current rank
     that is nonzero in the column, so the row order is the one textbook
-    Gauss-Jordan over the field produces.
-
-    Bareiss with lazy scales: a row last updated at the pivot ``s`` holds
-    ``s`` times its reduced row, whose entries times ``s`` are integer
-    minors, so an update divides exactly by ``s``.  Rows with a zero in
-    the pivot column are left at their scale, which keeps sparse systems
-    sparse; a row is brought up to the previous pivot only when it
-    becomes the pivot row.
+    Gauss-Jordan over the field produces, and each step is one
+    ``_pivot``.
     """
     rows = [list(row) for row in rows]
     scales = [1] * len(rows)
@@ -581,20 +589,8 @@ def _reduced_echelon(
             continue
         rows[rank], rows[pr] = rows[pr], rows[rank]
         scales[rank], scales[pr] = scales[pr], scales[rank]
-        if scales[rank] != prev:
-            rows[rank] = _divide([x * prev for x in rows[rank]], scales[rank], q)
-        pivot_row = rows[rank]
-        pv = pivot_row[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != rank:
-                rows[i] = _divide(
-                    [pv * x - f * y for x, y in zip(row, pivot_row)], scales[i], q
-                )
-                scales[i] = pv
-        scales[rank] = pv
+        prev = _pivot(rows, scales, rank, c, prev, q)
         pivots.append(c)
-        prev = pv
     return rows, scales, pivots
 
 
@@ -820,6 +816,8 @@ def parse_matrix(text: str) -> IntMatrix:
     if nrows < 0 or ncols < 0:
         raise FormatError(f"line {lineno}: dimensions must be nonnegative")
     body = lines[1:]
+    if ncols == 0 and not body:  # rows with no entries are skipped blank lines
+        return IntMatrix.zeros(nrows, 0)
     if len(body) != nrows:
         raise FormatError(f"expected {nrows} rows, got {len(body)}")
     rows = []

@@ -33,15 +33,16 @@ feasible solution, so no phase-1 is needed: rows with negative right
 hand side are negated to put the matching rm variable in the basis.
 The entering rule is largest reduced cost, switching permanently to
 Bland's smallest-index rule when the objective stalls, which rules out
-cycling.  The simplex works in fractions.Fraction and also serves the
+cycling.  The tableau is in integers, pivoted by the Bareiss step
+``exactla._pivot``, and x comes back as ``(X, D)``.  It also serves the
 tests as an oracle for the weighted-median route.
 
 Both routes answer through ``_relaxation`` as ``(L x, L w, L)`` in
-integers; the simplex route clears the denominators of its optimum
-once.  ``min_l1_combination`` divides by L into Fractions, once.
-Branch and bound calls ``_relaxation`` directly on its integer offsets
-(L starts at 1): L stays 1 exactly when the relaxation is integral, and
-then no Fraction is built on the median route.
+integers; the simplex route reduces ``(X, D)`` by one gcd.
+``min_l1_combination`` divides by L into Fractions, once.  Branch and
+bound calls ``_relaxation`` directly on its integer offsets (L starts at
+1): L stays 1 exactly when the relaxation is integral, and then no
+Fraction is built on either route.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import DimensionMismatchError, EnumerationCapError, UnboundedLPError
-from .exactla import _INT, disjoint_supports
+from .exactla import _INT, _pivot, disjoint_supports
 
 _STALL_LIMIT = 30
 _MAX_PIVOTS = 20000
@@ -112,9 +113,11 @@ def _relaxation(scaled, scale, directions, supports):
     is 1 exactly when every coefficient is an integer."""
     if supports is not None:
         return _median_core(scaled, scale, directions, supports)
-    x = _simplex_min_l1(tuple(Fraction(e, scale) for e in scaled), directions)
-    den = math.lcm(*(c.denominator for c in x))
-    x = [c.numerator * (den // c.denominator) * scale for c in x]
+    # X / D is scale * x; dividing by g leaves den the lcm of x's denominators.
+    x, den = _simplex_min_l1(scaled, directions)
+    g = math.gcd(den * scale, *x)
+    den = den * scale // g
+    x = [c // g * scale for c in x]
     w = [e * den for e in scaled]
     for c, d in zip(x, directions):
         if c:
@@ -166,28 +169,27 @@ def _median_core(scaled, scale, directions, supports):
     return x, scaled, scale
 
 
-def _simplex_min_l1(u, directions) -> tuple[Fraction, ...]:
-    """Optimal ``x`` by the tableau simplex, for any directions.
+def _simplex_min_l1(u, directions) -> tuple[list[int], int]:
+    """Optimal ``x = X / D`` by the tableau simplex, for any directions.
 
-    ``u`` is a tuple of Fractions and there is at least one direction
-    and one coordinate.  Raises ``EnumerationCapError`` past
-    ``_MAX_PIVOTS`` pivots.
+    ``u`` is a sequence of ints and there is at least one direction and
+    one coordinate.  Row ``i`` of the tableau (row n: the reduced costs)
+    is ``scales[i] > 0`` times its rational row, so the scales keep
+    every sign and cancel in each ratio: each choice is the rational
+    tableau's.  Raises ``EnumerationCapError`` past ``_MAX_PIVOTS``.
     """
     n = len(u)
     k = len(directions)
-    zero = Fraction(0)
-    one = Fraction(1)
     width = 2 * n + 2 * k + 1  # rp, rm, xp, xm, rhs
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
     for i in range(n):
-        row = [zero] * width
-        row[i] = one
-        row[n + i] = -one
+        row = [0] * width
+        row[i] = 1
+        row[n + i] = -1
         for j, d in enumerate(directions):
-            coeff = Fraction(d[i])
-            row[2 * n + j] = -coeff
-            row[2 * n + k + j] = coeff
+            row[2 * n + j] = -d[i]
+            row[2 * n + k + j] = d[i]
         row[-1] = u[i]
         if u[i] < 0:
             row = [-e for e in row]
@@ -197,16 +199,18 @@ def _simplex_min_l1(u, directions) -> tuple[Fraction, ...]:
         rows.append(row)
 
     # Reduced costs z_j - c_j; every starting basic variable has cost 1.
-    cost = [one] * (2 * n) + [zero] * (2 * k) + [zero]
-    obj = [zero] * width
-    for j in range(width):
-        obj[j] = sum(rows[i][j] for i in range(n)) - cost[j]
+    obj = [sum(col) for col in zip(*rows)]
+    for j in range(2 * n):
+        obj[j] -= 1
+    rows.append(obj)
+    scales, prev = [1] * (n + 1), 1
 
     pivots = 0
     stall = 0
-    last_objective = obj[-1]
+    last_objective, last_scale = obj[-1], prev
     use_bland = False
     while True:
+        obj = rows[n]
         entering = None
         if use_bland:
             for j in range(width - 1):
@@ -214,7 +218,7 @@ def _simplex_min_l1(u, directions) -> tuple[Fraction, ...]:
                     entering = j
                     break
         else:
-            best = zero
+            best = 0
             for j in range(width - 1):
                 if obj[j] > best:
                     best = obj[j]
@@ -222,45 +226,33 @@ def _simplex_min_l1(u, directions) -> tuple[Fraction, ...]:
         if entering is None:
             break
         leaving = None
-        best_ratio = None
+        best_rhs, best_coeff = 1, 0  # the ratio 1 / 0, above every other
         for i in range(n):
             coeff = rows[i][entering]
             if coeff > 0:
-                ratio = rows[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+                # rows[i][-1] / coeff against the least ratio, in integers.
+                lhs, least = rows[i][-1] * best_coeff, best_rhs * coeff
+                if lhs < least or (lhs == least and basis[i] < basis[leaving]):
+                    best_rhs, best_coeff, leaving = rows[i][-1], coeff, i
         if leaving is None:
             raise UnboundedLPError("L1 objective cannot be unbounded below")
-        pivot = rows[leaving][entering]
-        rows[leaving] = [e / pivot for e in rows[leaving]]
-        for i in range(n):
-            if i != leaving and rows[i][entering] != 0:
-                factor = rows[i][entering]
-                rows[i] = [e - factor * p for e, p in zip(rows[i], rows[leaving])]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [e - factor * p for e, p in zip(obj, rows[leaving])]
+        prev = _pivot(rows, scales, leaving, entering, prev)
         basis[leaving] = entering
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise EnumerationCapError(
                 f"simplex pivot limit {_MAX_PIVOTS} exceeded"
             )
-        if obj[-1] == last_objective:
+        # The objective row, nonzero at entering, is at the scale prev.
+        if rows[n][-1] * last_scale == last_objective * prev:
             stall += 1
             if stall > _STALL_LIMIT:
                 use_bland = True
         else:
             stall = 0
-            last_objective = obj[-1]
+            last_objective, last_scale = rows[n][-1], prev
 
-    values = {var: rows[i][-1] for i, var in enumerate(basis)}
-    return tuple(
-        values.get(2 * n + j, zero) - values.get(2 * n + k + j, zero)
-        for j in range(k)
-    )
+    den = math.lcm(*scales[:n])
+    values = {var: rows[i][-1] * (den // scales[i]) for i, var in enumerate(basis)}
+    x = [values.get(2 * n + j, 0) - values.get(2 * n + k + j, 0) for j in range(k)]
+    return x, den

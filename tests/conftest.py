@@ -11,7 +11,7 @@ finite-field image rebuilt vector by vector and each coset searched
 by recursion, the F_q solve through the dense row transform, the
 integer global value
 on the whole matrix with no block split, weighted medians sorted
-and summed in Fractions, the Hermite and Smith forms with their
+and summed in Fractions, the L1 simplex on a tableau of Fractions, the Hermite and Smith forms with their
 clearing loops written out inline, the presentation tokenizer as a
 character-by-character scan) so library results can be checked against
 independent arithmetic.
@@ -27,10 +27,11 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from expansion_lab import expansion
+from expansion_lab import expansion, simplex
 from expansion_lab.errors import (
     AmbientDimensionCapError,
     EnumerationCapError,
+    UnboundedLPError,
     UndefinedExpansionError,
 )
 from expansion_lab.exactla import (
@@ -683,6 +684,100 @@ def branch_and_bound_by_fractions(u0, kernel):
 
     descend(tuple(u0), 0)
     return best_u, best_val, nodes
+
+
+def simplex_by_fractions(u, directions):
+    """``simplex._simplex_min_l1`` on a tableau of Fractions, each pivot
+    row divided by its pivot: the same start, entering rule, switch to
+    Bland's rule after ``simplex._STALL_LIMIT`` stalls, ratio test and
+    tie rule, under ``simplex._MAX_PIVOTS``.  Returns ``(x, pivots)``,
+    ``x`` a tuple of Fractions."""
+    n = len(u)
+    k = len(directions)
+    zero = Fraction(0)
+    one = Fraction(1)
+    width = 2 * n + 2 * k + 1  # rp, rm, xp, xm, rhs
+    rows = []
+    basis = []
+    for i in range(n):
+        row = [zero] * width
+        row[i] = one
+        row[n + i] = -one
+        for j, d in enumerate(directions):
+            coeff = Fraction(d[i])
+            row[2 * n + j] = -coeff
+            row[2 * n + k + j] = coeff
+        row[-1] = Fraction(u[i])
+        if u[i] < 0:
+            row = [-e for e in row]
+            basis.append(n + i)
+        else:
+            basis.append(i)
+        rows.append(row)
+
+    # Reduced costs z_j - c_j; every starting basic variable has cost 1.
+    cost = [one] * (2 * n) + [zero] * (2 * k) + [zero]
+    obj = [sum(rows[i][j] for i in range(n)) - cost[j] for j in range(width)]
+
+    pivots = 0
+    stall = 0
+    last_objective = obj[-1]
+    use_bland = False
+    while True:
+        entering = None
+        if use_bland:
+            entering = next((j for j in range(width - 1) if obj[j] > 0), None)
+        else:
+            best = zero
+            for j in range(width - 1):
+                if obj[j] > best:
+                    best = obj[j]
+                    entering = j
+        if entering is None:
+            break
+        leaving = None
+        best_ratio = None
+        for i in range(n):
+            coeff = rows[i][entering]
+            if coeff > 0:
+                ratio = rows[i][-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving is None:
+            raise UnboundedLPError("L1 objective cannot be unbounded below")
+        pivot = rows[leaving][entering]
+        rows[leaving] = [e / pivot for e in rows[leaving]]
+        for i in range(n):
+            if i != leaving and rows[i][entering] != 0:
+                factor = rows[i][entering]
+                rows[i] = [e - factor * p for e, p in zip(rows[i], rows[leaving])]
+        factor = obj[entering]
+        obj = [e - factor * p for e, p in zip(obj, rows[leaving])]
+        basis[leaving] = entering
+        pivots += 1
+        if pivots > simplex._MAX_PIVOTS:
+            raise EnumerationCapError(
+                f"simplex pivot limit {simplex._MAX_PIVOTS} exceeded"
+            )
+        if obj[-1] == last_objective:
+            stall += 1
+            if stall > simplex._STALL_LIMIT:
+                use_bland = True
+        else:
+            stall = 0
+            last_objective = obj[-1]
+
+    values = {var: rows[i][-1] for i, var in enumerate(basis)}
+    x = tuple(
+        values.get(2 * n + j, zero) - values.get(2 * n + k + j, zero)
+        for j in range(k)
+    )
+    return x, pivots
 
 
 def rref_by_fractions(rows, ncols):

@@ -262,6 +262,27 @@ def test_build_complex_from_graph(files, tmp_path, capsys):
     assert labels["faces"] == []
 
 
+def test_build_complex_self_zero_is_an_input_error(files, tmp_path, capsys):
+    # self 0 would read as the null edge and write a zero row.
+    graph = files("g.graph", "2 1\nself 0\n")
+    rc = main(["build-complex", "--graph", graph, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "line 2: self vertex 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_complex_without_vertices_is_read_back(files, tmp_path, capsys):
+    # One null edge and no vertices: d0 is 1x0, written as a blank row.
+    graph = files("g.graph", "0 1\n0 0\n")
+    out_dir = tmp_path / "out"
+    assert main(["build-complex", "--graph", graph, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    d0 = out_dir / "d0.mat"
+    assert parse_matrix(d0.read_text()) == IntMatrix.zeros(1, 0)
+    rc, data = run_json(capsys, ["span-check", str(d0)])
+    assert rc == 0 and data["spanned"] is True
+
+
 def test_build_complex_from_presentation(files, tmp_path, capsys):
     pres = files("p.pres", "gens: a b; rel: a b a^-1 b^-1\n")
     out_dir = tmp_path / "out"

@@ -140,6 +140,15 @@ class TestGraphText:
         with pytest.raises(FormatError):
             parse_graph("2 1\n1 5\n")
 
+    @pytest.mark.parametrize("vertex", [0, 3, -1])
+    def test_self_vertex_outside_the_graph(self, vertex):
+        # self 0 would otherwise read as the null edge (0, 0).
+        with pytest.raises(FormatError, match="line 2: self vertex"):
+            parse_graph(f"2 1\nself {vertex}\n")
+
+    def test_zero_pair_is_the_null_edge(self):
+        assert parse_graph("2 1\n0 0\n") == Graph(2, (NULL_EDGE,))
+
 
 class TestIncidenceShape:
     def test_accepts_incidence_rows(self):

@@ -411,12 +411,26 @@ class TestDetInverse:
         with pytest.raises(DimensionMismatchError):
             det(M([[1, 2]]))
 
-    def test_det_matches_permutation_expansion(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            m = M([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-            assert det(m) == det_by_permutations(m)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4) | st.just(0), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ).map(lambda rows: IntMatrix.from_rows(rows, cols=len(rows)))
+        )
+    )
+    # One swap flips the sign.
+    @example(M([[0, 1], [1, 0]]))
+    # Row 2 is zero in column 0, so it stays at scale 1 until a swap
+    # brings it up to the pivot 2 in column 1: det -10.
+    @example(M([[2, 1, 0], [4, 2, 1], [0, 5, 7]]))
+    # Column 1 has no pivot once column 0 is cleared.
+    @example(M([[1, 2, 3], [2, 4, 5], [3, 6, 1]]))
+    def test_det_matches_permutation_expansion(self, m):
+        # det is the last Bareiss pivot, signed by the row swaps.
+        assert det(m) == det_by_permutations(m)
 
     def test_unimodular_inverse(self):
         rng = random.Random(5)
@@ -641,6 +655,12 @@ class TestTextFormats:
         m = M([[1, -2, 3], [0, 4, -5]])
         assert parse_matrix(format_matrix(m)) == m
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0)])
+    def test_empty_matrix_roundtrip(self, shape):
+        # Rows with no columns are written as blank lines.
+        m = IntMatrix.zeros(*shape)
+        assert parse_matrix(format_matrix(m)) == m
+
     def test_matrix_comments_and_blanks(self):
         text = "# codifferential\n\n2 2\n1 0\n\n0 1\n"
         assert parse_matrix(text) == IntMatrix.identity(2)
@@ -656,6 +676,8 @@ class TestTextFormats:
             parse_matrix("1 2\n1 x\n")
         with pytest.raises(FormatError):
             parse_matrix("2 2\n1 2\n")
+        with pytest.raises(FormatError, match="expected 0 entries"):
+            parse_matrix("2 0\n1\n1\n")
 
     def test_vector_roundtrip(self):
         assert parse_vector(format_vector((3, -1, 0))) == (3, -1, 0)

@@ -1,18 +1,32 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from expansion_lab import simplex
+from expansion_lab import exactla, simplex
 from expansion_lab.errors import DimensionMismatchError, EnumerationCapError
 from expansion_lab.exactla import disjoint_supports
 from expansion_lab.simplex import _relaxation, _simplex_min_l1, min_l1_combination
 
-from conftest import median_combination_by_fractions, weighted_median_by_fractions
+from conftest import (
+    median_combination_by_fractions,
+    simplex_by_fractions,
+    weighted_median_by_fractions,
+)
 
 F = Fraction
+
+
+def simplex_x(u, directions):
+    """``_simplex_min_l1`` at a rational offset ``u``: on ``L u`` in
+    integers its ``X / D`` is ``L x``."""
+    scale = math.lcm(1, *(F(e).denominator for e in u))
+    x, den = _simplex_min_l1([int(e * scale) for e in u], directions)
+    return tuple(F(c, den * scale) for c in x)
 
 
 def f_value(u, directions, x):
@@ -173,7 +187,7 @@ class TestDisjointSupports:
         x, w, value = min_l1_combination(u, dirs)
         assert (x, w, value) == median_combination_by_fractions(u, dirs)
         assert all(type(e) is F for e in x + w + (value,))
-        assert value == f_value(u, dirs, _simplex_min_l1(tuple(map(F, u)), dirs))
+        assert value == f_value(u, dirs, simplex_x(u, dirs))
         assert w == tuple(
             u[i] + sum(x[j] * d[i] for j, d in enumerate(dirs))
             for i in range(len(u))
@@ -197,7 +211,7 @@ class TestDisjointSupports:
         )
         assert f_value(u, dirs, medians) == 2
         x, w, value = min_l1_combination(u, dirs)
-        assert x == _simplex_min_l1(u, dirs) == (2, -1)
+        assert x == simplex_x(u, dirs) == (2, -1)
         assert value == 0
 
 
@@ -257,7 +271,70 @@ def test_rational_offsets_on_both_routes(instance):
     )
     assert value == sum(map(abs, w))
     if disjoint_supports(dirs) is None:
-        assert x == _simplex_min_l1(u, dirs)
+        assert x == simplex_x(u, dirs)
+
+
+@st.composite
+def overlapping_instances(draw):
+    """An integer offset and 2-4 directions whose supports overlap, the
+    inputs the simplex route takes: n <= 8, entries in [-3, 3]."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 4))
+    row = st.tuples(*[st.integers(-3, 3)] * n)
+    dirs = [draw(row) for _ in range(k)]
+    assume(disjoint_supports(dirs) is None)
+    return draw(st.tuples(*[st.integers(-6, 6)] * n)), dirs
+
+
+class TestIntegerTableau:
+    """The fraction-free tableau against ``simplex_by_fractions``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(overlapping_instances())
+    # The root LP of xi_q_at on [[0, 2, 1, 2]] at (1,), which stalls
+    # into Bland's rule under _STALL_LIMIT 0.
+    @example(((0, 0, 1, 0), [(1, 0, 0, 0), (0, 1, 0, -1), (0, 0, 2, -1)]))
+    # The root LP of [[2, -2, -1, 2, -1, 2, 0]] at 15, whose branch and
+    # bound takes 604 relaxations.
+    @example(
+        (
+            (0, 0, -15, 0, 0, 0, 0),
+            [
+                (1, 0, 0, 0, 0, -1, 0),
+                (0, 1, 0, 0, 0, 1, 0),
+                (0, 0, 1, 0, 1, 1, 0),
+                (0, 0, 0, 1, 0, -1, 0),
+                (0, 0, 0, 0, 2, 1, 0),
+                (0, 0, 0, 0, 0, 0, 1),
+            ],
+        )
+    )
+    def test_matches_the_fraction_tableau(self, instance):
+        u, dirs = instance
+        divide, pivot = exactla._divide, simplex._pivot
+
+        def exact_divide(row, s, q):
+            # Floor division would truncate a remainder silently.
+            assert q is not None or all(x % s == 0 for x in row), (row, s)
+            return divide(row, s, q)
+
+        def counted_pivot(*args):
+            nonlocal pivots
+            pivots += 1
+            return pivot(*args)
+
+        for limit in (30, 0):
+            pivots = 0
+            with (
+                mock.patch.object(simplex, "_STALL_LIMIT", limit),
+                mock.patch.object(exactla, "_divide", exact_divide),
+                mock.patch.object(simplex, "_pivot", counted_pivot),
+            ):
+                x, den = _simplex_min_l1(u, dirs)
+                expected, expected_pivots = simplex_by_fractions(u, dirs)
+            assert all(type(e) is int for e in (*x, den)) and den > 0
+            assert tuple(F(c, den) for c in x) == expected
+            assert pivots == expected_pivots
 
 
 class TestTypedErrors:
