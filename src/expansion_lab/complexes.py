@@ -116,13 +116,11 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    """Render a graph in the format accepted by :func:`parse_graph`.
-    Null edges have no file syntax and are rejected."""
+    """Render a graph in the format accepted by :func:`parse_graph`,
+    a null edge as ``0 0``, so that ``parse_graph`` reads it back."""
     out = [f"{g.vertex_count} {g.edge_count}"]
     for tail, head in g.edges:
-        if (tail, head) == NULL_EDGE:
-            raise FormatError("null edges cannot be serialized")
-        if tail == head:
+        if tail == head and (tail, head) != NULL_EDGE:
             out.append(f"self {tail}")
         else:
             out.append(f"{tail} {head}")

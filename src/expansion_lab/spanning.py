@@ -11,9 +11,11 @@ decided by the C(n, k) rank-sized minors of the HNF basis B, k the
 rank: a lattice is spanned exactly when each of them is in {0, +-1}
 (see ``is_integrally_spanned``). Once every entry of B is in {0, +-1},
 it is ``[I | M]`` up to column order and those minors are the square
-minors of the tableau M, so the certificate takes one Smith form per
-square submatrix of M with no zero row or column. Its C(n, k) minors
-are priced against ``_MAX_SUBSETS`` before any Smith form. A failing
+minors of the tableau M: the lattice is spanned exactly when M is
+totally unimodular. The certificate decides that from a table of the
+nonzero minors of M, built one size at a time, each by a Laplace
+expansion over the table one size down. Its C(n, k) minors are priced
+against ``_MAX_SUBSETS`` before the minor table. A failing
 certificate names k columns T with |det B_T| >= 2, whose projection is
 unsaturated. The witness is read off T: coordinates are dropped from it
 while the projection stays unsaturated, one Smith form per drop tried,
@@ -23,7 +25,6 @@ proper subset.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -169,15 +170,26 @@ def _rank_sized_certificate(generators: IntMatrix) -> tuple[int, ...] | None:
     leaves out the pivot columns of rows R and takes the free columns S
     (|R| = |S|) is, up to sign, the minor of M on rows R and columns S.
     So the k-minors are in {0, +-1} exactly when every square submatrix
-    of M has all its invariant factors 1 (its nonzero ones when it is
-    singular), i.e. when M is totally unimodular.  The submatrices are
-    taken by size, smallest first, and one with a zero row or column is
-    skipped: its minor is 0.  Every smaller minor is then in {0, +-1},
-    so the first square that fails is nonsingular with |det| >= 2, and
-    it names (pivots - pivots(R)) | S.  Raises
+    of M has determinant in {0, +-1}, i.e. when M is totally unimodular.
+
+    The squares are decided by a table of minors, one size at a time:
+    level s maps (R, S) to det M[R, S], keeping only the nonzero ones,
+    and only two levels are held.  Level 1 is the nonzero entries of M,
+    each confirmed by a 1 x 1 Smith form.  A level-s minor is the
+    Laplace expansion along the first row r0 of R,
+
+        det M[R, S] = sum over j in S of
+                      (-1)^pos(j, S) M[r0][j] det M[R - r0, S - j],
+
+    read off level s - 1, so a minor that level s - 1 and row r0 leave
+    at zero is never formed.  Every smaller minor has passed, so
+    "fails" means |det M[R, S]| >= 2 (a singular square, with its
+    smaller minors in {0, +-1}, has its nonzero invariant factors 1).
+    The first failure, by size, then R, then S, each lexicographically,
+    names (pivots - pivots(R)) | S: the square that a Smith form of each
+    square in that order would report first.  Raises
     ``AmbientDimensionCapError`` when the C(n, k) = sum_s C(k, s)
-    C(n - k, s) minors pass ``_MAX_SUBSETS``, before the first Smith
-    form.
+    C(n - k, s) minors pass ``_MAX_SUBSETS``, before the minor table.
     """
     basis = LatticeBasis.from_generators(generators)
     rows = basis.basis_rows()
@@ -197,17 +209,54 @@ def _rank_sized_certificate(generators: IntMatrix) -> tuple[int, ...] | None:
         )
     free = tuple(j for j in range(n) if j not in pivots)
     tableau = [[row[j] for j in free] for row in rows]
-    for size in range(1, min(k, n - k) + 1):
-        for r in itertools.combinations(range(k), size):
-            chosen = [tableau[i] for i in r]
-            live = [j for j in range(n - k) if any(row[j] for row in chosen)]
-            for cols in itertools.combinations(live, size):
-                if not all(any(row[j] for j in cols) for row in chosen):
+
+    def members(cols: int) -> list[int]:
+        """The tableau columns of the bit mask ``cols``, ascending."""
+        return [j for j in range(n - k) if cols >> j & 1]
+
+    def named(r: tuple[int, ...], cols: int) -> tuple[int, ...]:
+        kept = {p for i, p in enumerate(pivots) if i not in r}
+        return tuple(sorted(kept | {free[j] for j in members(cols)}))
+
+    # Level s maps R to {S: det M[R, S]} over its nonzero s x s minors,
+    # S a bit mask of tableau columns.  The 1 x 1 Smith forms confirm
+    # entries already bounded above; they are the only Smith forms the
+    # modq and presentations workloads take (ROADMAP item 4 drops them).
+    entries = [[(1 << j, e) for j, e in enumerate(row) if e] for row in tableau]
+    level: dict[tuple[int, ...], dict[int, int]] = {}
+    for i, row in enumerate(entries):
+        for bit, e in row:
+            if any(f != 1 for f in snf(IntMatrix(1, 1, (e,))).invariant_factors()):
+                return named((i,), bit)
+        if row:
+            level[(i,)] = dict(row)
+    while level:
+        below, level = level, {}
+        # Rows (r0,) + rest in lexicographic order: r0 outermost, and
+        # ``below`` was filled in that order one level down.
+        for r0 in range(k):
+            for rest, minors in below.items():
+                if rest[0] <= r0:
                     continue
-                square = _project(chosen, cols)
-                if any(f != 1 for f in snf(square).invariant_factors()):
-                    kept = {p for i, p in enumerate(pivots) if i not in r}
-                    return tuple(sorted(kept | {free[j] for j in cols}))
+                # Laplace along row r0: each nonzero minor on (rest, S')
+                # and each nonzero M[r0][j], j not in S', adds
+                # (-1)^pos(j) M[r0][j] det M[rest, S'] to S' | {j}, where
+                # pos(j) counts the columns of S' below j.
+                dets: dict[int, int] = {}
+                for cols, d in minors.items():
+                    for bit, e in entries[r0]:
+                        if cols & bit:
+                            continue
+                        term = e * d
+                        if (cols & (bit - 1)).bit_count() & 1:
+                            term = -term
+                        dets[cols | bit] = dets.get(cols | bit, 0) + term
+                failing = [s for s, d in dets.items() if d > 1 or d < -1]
+                if failing:
+                    return named((r0,) + rest, min(failing, key=members))
+                nonzero = {s: d for s, d in dets.items() if d}
+                if nonzero:
+                    level[(r0,) + rest] = nonzero
     return None
 
 
@@ -234,9 +283,10 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     {0, +-1}, J can be its pivot columns: each pivot is 1 and the
     entries above it are 0, so B_J = I and B itself is [I | M]. Its
     k-minors are then, up to sign, the square minors of M, and the
-    certificate (``_rank_sized_certificate``) takes a Smith form of each
-    square submatrix of M that has no zero row or column: the lattice is
-    spanned exactly when M is totally unimodular.
+    certificate (``_rank_sized_certificate``) builds the nonzero minors
+    of M by size, each a Laplace expansion over the minors one size
+    smaller: the lattice is spanned exactly when M is totally
+    unimodular.
 
     A failing certificate names k columns T with |det B_T| >= 2, in one
     of three ways:
@@ -247,7 +297,8 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
          pivots with e's column swapped in for its row's pivot, and
          det B_T = +-e;
       3. a square of M on rows R and columns S, with all smaller ones
-         passing, whose determinant is outside {0, +-1}: T is
+         passing, whose determinant is outside {0, +-1} (the first in
+         the minor table's order): T is
          (pivots - pivots(R)) | S, and det B_T = +-det M_RS.
 
     The projection onto T is the row lattice of B_T, of full rank k and

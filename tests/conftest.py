@@ -4,8 +4,9 @@ The oracles here are deliberately naive (exhaustive enumeration,
 permutation expansion, the dense matrix-vector product, forward
 substitution against an echelon form,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
-subset scan of the spanning condition and its certificate on every
-rank-sized projection of the HNF basis, the minimization faces as the
+subset scan of the spanning condition, its certificate on every
+rank-sized projection of the HNF basis and on one Smith form per
+square of the tableau, the minimization faces as the
 maximal closures of every hyperplane subset solved over Fraction, the
 finite-field image rebuilt vector by vector and each coset searched
 by recursion, the F_q solve through the dense row transform, the
@@ -43,6 +44,7 @@ from expansion_lab.exactla import (
     _row_combine,
     _xgcd,
     disjoint_supports,
+    hnf_pivots,
     integer_kernel_basis,
     integerize,
     l1_norm,
@@ -223,6 +225,39 @@ def rank_sized_certificate_by_projections(generators: IntMatrix) -> bool:
         for subset in subsets_in_order(basis.ambient)
         if len(subset) == basis.rank
     )
+
+
+def tableau_certificate_by_smith_forms(generators: IntMatrix) -> tuple[int, ...] | None:
+    """The rank-sized certificate with one Smith form per square of the
+    tableau: after the same pivot and {0, +-1} entry tests, every square
+    submatrix of M with no zero row or column, by size, then rows, then
+    columns, each lexicographically; the first with an invariant factor
+    other than 1 names (pivots - pivots(R)) | S.  None when M is totally
+    unimodular.  No minor table and no price."""
+    basis = LatticeBasis.from_generators(generators)
+    rows = basis.basis_rows()
+    pivots = [c for _, c in hnf_pivots(basis.hnf)]
+    if any(row[p] > 1 for row, p in zip(rows, pivots)):
+        return tuple(pivots)
+    for row, p in zip(rows, pivots):
+        for j, e in enumerate(row):
+            if e not in (-1, 0, 1):
+                return tuple(sorted(set(pivots) - {p} | {j}))
+    k, n = basis.rank, basis.ambient
+    free = tuple(j for j in range(n) if j not in pivots)
+    tableau = [[row[j] for j in free] for row in rows]
+    for size in range(1, min(k, n - k) + 1):
+        for r in itertools.combinations(range(k), size):
+            chosen = [tableau[i] for i in r]
+            live = [j for j in range(n - k) if any(row[j] for row in chosen)]
+            for cols in itertools.combinations(live, size):
+                if not all(any(row[j] for j in cols) for row in chosen):
+                    continue
+                square = IntMatrix.from_rows([[row[j] for j in cols] for row in chosen])
+                if any(f != 1 for f in snf(square).invariant_factors()):
+                    kept = {p for i, p in enumerate(pivots) if i not in r}
+                    return tuple(sorted(kept | {free[j] for j in cols}))
+    return None
 
 
 def modq_solve_dense(a, w, pivots, trans):

@@ -122,9 +122,18 @@ class TestGraphText:
         g = Graph(4, ((1, 2), (2, 2), (3, 4)))
         assert parse_graph(format_graph(g)) == g
 
-    def test_null_edges_have_no_file_form(self):
-        with pytest.raises(FormatError):
-            format_graph(Graph(1, (NULL_EDGE,)))
+    def test_null_edges_and_loops_roundtrip(self):
+        # A null edge is written as 0 0 and a loop as self v, and
+        # parse_graph reads both back.
+        cases = [
+            (Graph(1, (NULL_EDGE,)), "1 1\n0 0\n"),
+            (Graph(0, (NULL_EDGE, NULL_EDGE)), "0 2\n0 0\n0 0\n"),
+            (Graph(3, ((2, 2), NULL_EDGE, (3, 1), (1, 1))),
+             "3 4\nself 2\n0 0\n3 1\nself 1\n"),
+        ]
+        for g, text in cases:
+            assert format_graph(g) == text
+            assert parse_graph(format_graph(g)) == g
 
     def test_errors(self):
         with pytest.raises(FormatError):

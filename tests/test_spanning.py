@@ -16,6 +16,7 @@ from conftest import (
     snf_by_row_and_column_operations,
     spanning_by_full_scan,
     subsets_in_order,
+    tableau_certificate_by_smith_forms,
 )
 from expansion_lab import spanning
 from expansion_lab.errors import (
@@ -69,6 +70,14 @@ def in_integer_span(rows: list[list[int]], x) -> bool:
         return math.prod(snf_by_row_and_column_operations(M(m)).invariant_factors())
 
     return covolume(rows) == covolume(rows + [list(x)])
+
+
+def image_lattice(vertices: int) -> list[list[int]]:
+    """The image lattice of K_vertices: one row per vertex but the last,
+    +1 where an edge (a, b), a < b, leaves it and -1 where one enters."""
+    edges = list(itertools.combinations(range(vertices), 2))
+    return [[1 if a == v else -1 if b == v else 0 for a, b in edges]
+            for v in range(vertices - 1)]
 
 
 def cycle_lattice(length: int) -> IntMatrix:
@@ -428,20 +437,31 @@ class TestIsIntegrallySpanned:
     def test_certificate_matches_projections(self, gens):
         assert_matches_oracles(gens)
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_lattices() | tableau_lattices())
+    # the odd cycle in the tableau: every 2 x 2 passes, the 3 x 3 is 2
+    @example(M([[1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]]))
+    # the 2 x 2 tableau square of determinant -2
+    @example(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
+    # K5, spanned: every square of its 4 x 6 tableau is in {0, +-1}
+    @example(M(image_lattice(5)))
+    # two failing 2 x 2 squares, on tableau rows (1, 2) and (2, 3): the
+    # first by rows names T
+    @example(M([[1, 0, 0, 1, 1, 0, 0], [0, 1, 0, 1, -1, 1, 1], [0, 0, 1, 0, 0, 1, -1]]))
+    def test_certificate_matches_smith_forms(self, gens):
+        # The minor table names the same columns T as a Smith form of
+        # each tableau square, not only the same verdict.
+        assert spanning._rank_sized_certificate(gens) == tableau_certificate_by_smith_forms(gens)
+
     @pytest.mark.parametrize(
         "rows, calls, spanned, checked",
         [
             # K5 image lattice: rank 4 at ambient 10, a 4 x 6 tableau
-            # whose 143 square submatrices with no zero row or column
-            # stand in for the C(10, 4) = 210 projections
-            (
-                [[1 if e[0] == v else -1 if e[1] == v else 0
-                  for e in itertools.combinations(range(5), 2)]
-                 for v in range(4)],
-                143,
-                True,
-                2**10 - 1,
-            ),
+            # (the incidence matrix of K4) standing in for the C(10, 4) =
+            # 210 projections.  Only its 12 nonzero entries take a Smith
+            # form (a 1 x 1 each); the larger squares are decided by the
+            # minor table, with no Smith form.
+            (image_lattice(5), 12, True, 2**10 - 1),
             # ambient 30, past a full scan's reach: the 1 x 29 tableau
             # of ones takes 29 1 x 1 forms
             ([[1] * 30], 29, True, 2**30 - 1),
@@ -451,15 +471,19 @@ class TestIsIntegrallySpanned:
             # the planted triple: its pivot 2 names (1, 2, 3), and the
             # witness step takes it and its three drops
             ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 4, False, 4),
-            # tableau [[1, 1], [1, -1]]: four 1 x 1 forms pass and the
-            # 2 x 2, of determinant -2, fails and names (3, 4); the
-            # witness step takes (3, 4) and its two drops, with witness
-            # (1, -2)
-            ([[1, 0, 1, 1], [0, 1, 1, -1]], 8, False, 3),
+            # tableau [[1, 1], [1, -1]]: four 1 x 1 forms pass, and the
+            # minor table finds the 2 x 2 determinant -2, which names
+            # (3, 4) with no Smith form; the witness step takes (3, 4)
+            # and its two drops, with witness (1, -2)
+            ([[1, 0, 1, 1], [0, 1, 1, -1]], 7, False, 3),
             # the 23-cycle e_i + e_(i+1): its pivot 2 names all 23 columns
             # before any Smith form or price, where a scan would pass
             # _MAX_SUBSETS; the witness step takes them and 23 drops
             (cycle_lattice(23).to_rows(), 24, False, 24),
+            # K8 image lattice: rank 7 at ambient 28, a 7 x 21 tableau (the
+            # incidence matrix of K7).  Its Smith forms are its 42 nonzero
+            # tableau entries, so no square of size >= 2 takes one.
+            (image_lattice(8), 42, True, 2**28 - 1),
         ],
     )
     def test_smith_forms_computed(self, monkeypatch, rows, calls, spanned, checked):
