@@ -150,11 +150,15 @@ def _cmd_build_complex(args) -> int:
 
 def _parse_primes(text: str) -> tuple:
     try:
-        return tuple(int(p) for p in text.split(","))
+        primes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise FormatError(
             f"--primes must be comma-separated integers, got {text!r}"
         ) from None
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise FormatError(f"--primes repeats the prime {p}, got {text!r}")
+    return primes
 
 
 def _parse_n_range(text: str) -> range:

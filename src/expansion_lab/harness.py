@@ -24,6 +24,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import expansion
@@ -42,6 +43,7 @@ from .errors import EnumerationCapError, RowShapeError
 from .exactla import (
     IntMatrix,
     LatticeBasis,
+    _blocks,
     format_matrix,
     format_rational,
     format_vector,
@@ -51,6 +53,8 @@ from .exactla import (
     primitive_ray,
 )
 from .expansion import (
+    _submatrix,
+    hamming_weight,
     iter_image_with_preimage,
     lift_section,
     minimization_faces,
@@ -396,6 +400,83 @@ def campaign_cw(complexes: Optional[Sequence] = None) -> CampaignReport:
 # ---------------------------------------------------------------------------
 
 
+def _block_witnesses(a: IntMatrix, reduced, blocks, z_at: dict):
+    """Every nonzero image vector ``w`` of ``reduced`` (``a`` mod q), in
+    ``iter_image_with_preimage`` order, as ``(w, wt, hw, m, norm,
+    parts)``: the weights of ``xi_zq_at``'s witness and of ``w``, the
+    integer minimum ``xi_z_at`` finds at the lifted target ``t`` and
+    the 1-norm of ``t``, and ``t`` cut into one part per block of
+    ``blocks`` (``_blocks(a)``; see ``_lifted_target``).
+
+    Each nonzero block image is solved once, on the block's submatrix.
+    This is exact: the F_q elimination never mixes blocks, so a block's
+    witness is the whole witness restricted to the block, and both
+    minima and both norms add over blocks.  ``z_at`` maps ``(block,
+    t_b)`` to the block's integer minimum and norm, shared by every
+    prime of the matrix."""
+    q = reduced.q
+    zero = (0,) * a.rows
+    solved = []
+    for rows, cols in blocks:
+        key = itemgetter(*rows)
+        memo = {key(zero): (0, 0, 0, 0, (0,) * len(rows))}
+        block, block_q = _submatrix(a, rows, cols), _submatrix(reduced, rows, cols)
+        solved.append((rows, key, block, block_q, memo))
+    for w, _ in iter_image_with_preimage(reduced):
+        wt = hw = m = norm = 0
+        parts = []
+        for rows, key, block, block_q, memo in solved:
+            part = memo.get(key(w))
+            if part is None:
+                w_b = tuple(w[i] for i in rows)
+                u = xi_zq_at(block_q, w_b).witness
+                t_b = mat_vec(block, lift_section(u, q))
+                z = z_at.get((block, t_b))
+                if z is None:
+                    best = xi_z_at(block, t_b).witness
+                    z = z_at[block, t_b] = (l1_norm(best), l1_norm(t_b))
+                part = memo[key(w)] = (
+                    hamming_weight(u), hamming_weight(w_b), *z, t_b
+                )
+            wt += part[0]
+            hw += part[1]
+            m += part[2]
+            norm += part[3]
+            parts.append(part[4])
+        yield w, wt, hw, m, norm, parts
+
+
+def _lifted_target(a: IntMatrix, blocks, parts) -> tuple:
+    """The lifted target of the whole matrix from its block parts."""
+    t = [0] * a.rows
+    for (rows, _), part in zip(blocks, parts):
+        for i, x in zip(rows, part):
+            t[i] = x
+    return tuple(t)
+
+
+def _witness_check(a: IntMatrix, reduced, blocks, z_at: dict):
+    """``(checked, bad)`` for the per-witness inequality ``(q - 1) *
+    xi_z_at >= xi_zq_at`` over the image of ``reduced``, from the sums
+    of ``_block_witnesses``: the number of image vectors checked, and
+    the first violation as report quantities, or None."""
+    q = reduced.q
+    checked = 0
+    for w, wt, hw, m, norm, parts in _block_witnesses(a, reduced, blocks, z_at):
+        checked += 1
+        # (q - 1) * (m / norm) < wt / hw, cross-multiplied in integers.
+        if (q - 1) * m * hw < wt * norm:
+            return checked, {
+                "w": format_vector(w).strip(),
+                "lifted_target": format_vector(
+                    _lifted_target(a, blocks, parts)
+                ).strip(),
+                "xi_z_at": format_rational(Fraction(m, norm)),
+                "xi_zq_at": format_rational(Fraction(wt, hw)),
+            }
+    return checked, None
+
+
 def campaign_modq(
     seed: int, count: int, primes: Sequence[int] = (2, 3, 5)
 ) -> CampaignReport:
@@ -407,9 +488,14 @@ def campaign_modq(
     Checks whose finite-field enumeration exceeds ``_GLOBAL_WORK_CAP``
     (global) or ``_WITNESS_IMAGE_CAP`` (per witness) are reported
     skipped, as is the global check when the rational value is only a
-    lower bound (``exact`` false).  The witness loop solves each
-    distinct lifted target over Z once per matrix, whichever primes
-    reach it.
+    lower bound (``exact`` false).
+
+    The witness loop walks every image vector of the whole matrix but
+    solves block by block (``_block_witnesses``): each nonzero block
+    image once per prime over F_q, each lifted block target once per
+    matrix over Z, whichever primes reach it.  ``_WITNESS_IMAGE_CAP``
+    still prices the whole ``q^rank`` walk, while the solves number
+    ``sum_b q^rank_b``.
     """
     rng = random.Random(seed)
     report = CampaignReport(
@@ -452,6 +538,7 @@ def campaign_modq(
             )
             continue
         z_global = xi_q_global(a)
+        blocks = _blocks(a)
         z_at = {}
         for q in primes:
             instance = {"kind": kind, "matrix": format_matrix(a), "q": q}
@@ -496,29 +583,7 @@ def campaign_modq(
                     {},
                 )
                 continue
-            bad = None
-            checked = 0
-            for w, _ in iter_image_with_preimage(reduced):
-                res = xi_zq_at(reduced, w)
-                lifted = lift_section(res.witness, q)
-                t = mat_vec(a, lifted)
-                z_val = z_at.get(t)
-                if z_val is None:
-                    z_val = z_at[t] = xi_z_at(a, t).value
-                checked += 1
-                # (q - 1) * z_val < res.value, cross-multiplied in integers.
-                zq_val = res.value
-                if (
-                    (q - 1) * z_val.numerator * zq_val.denominator
-                    < zq_val.numerator * z_val.denominator
-                ):
-                    bad = {
-                        "w": format_vector(w).strip(),
-                        "lifted_target": format_vector(t).strip(),
-                        "xi_z_at": format_rational(z_val),
-                        "xi_zq_at": format_rational(zq_val),
-                    }
-                    break
+            checked, bad = _witness_check(a, reduced, blocks, z_at)
             if bad is None:
                 report.add(
                     witness_instance,

@@ -11,7 +11,8 @@ maximal closures of every hyperplane subset solved over Fraction, the
 finite-field image rebuilt vector by vector and each coset searched
 by recursion, the F_q solve through the dense row transform, the
 integer global value
-on the whole matrix with no block split, weighted medians sorted
+on the whole matrix with no block split, the per-witness loop of the
+mod-q campaign on the whole matrix, weighted medians sorted
 and summed in Fractions, the L1 simplex on a tableau of Fractions, the Hermite and Smith forms with their
 clearing loops written out inline, the presentation tokenizer as a
 character-by-character scan) so library results can be checked against
@@ -44,6 +45,8 @@ from expansion_lab.exactla import (
     _row_combine,
     _xgcd,
     disjoint_supports,
+    format_rational,
+    format_vector,
     hnf_pivots,
     integer_kernel_basis,
     integerize,
@@ -61,8 +64,12 @@ from expansion_lab.expansion import (
     _modq_system,
     _sampled_targets,
     hamming_weight,
+    iter_image_with_preimage,
+    lift_section,
+    reduce_mod_q,
     xi_q_global,
     xi_z_at,
+    xi_zq_at,
 )
 from expansion_lab.simplex import min_l1_combination
 from expansion_lab.spanning import (
@@ -390,6 +397,36 @@ def z_global_by_whole_matrix(a: IntMatrix) -> GlobalExpansion:
     if not targets:
         raise UndefinedExpansionError("global expansion is undefined for a zero image")
     return _largest_at(a, targets, xi_z_at, False)
+
+
+def witness_loop_by_whole_matrix(a: IntMatrix, q: int, solve_z=xi_z_at):
+    """The per-witness loop of ``harness.campaign_modq`` with no block
+    split: for each nonzero image vector ``w`` of ``a`` mod ``q``, in
+    ``iter_image_with_preimage`` order, ``xi_zq_at`` on the whole
+    reduced matrix, its witness lifted by ``lift_section`` and mapped by
+    ``a`` to the target ``t``, and ``solve_z(a, t)`` on the whole
+    matrix.  Returns ``(checked, bad, seen)``: the image vectors
+    checked, the report quantities of the first ``w`` with ``(q - 1) *
+    xi_z_at < xi_zq_at`` (None when there is none, and the walk then
+    checks every image vector), and ``(w, xi_zq_at value, t, xi_z_at
+    value)`` for each ``w`` checked."""
+    reduced = reduce_mod_q(a, q)
+    seen = []
+    for w, _ in iter_image_with_preimage(reduced):
+        res = xi_zq_at(reduced, w)
+        zq_val = res.value
+        t = mat_vec(a, lift_section(res.witness, q))
+        z_val = solve_z(a, t).value
+        seen.append((w, zq_val, t, z_val))
+        if (q - 1) * z_val < zq_val:
+            bad = {
+                "w": format_vector(w).strip(),
+                "lifted_target": format_vector(t).strip(),
+                "xi_z_at": format_rational(z_val),
+                "xi_zq_at": format_rational(zq_val),
+            }
+            return len(seen), bad, seen
+    return len(seen), None, seen
 
 
 def minimization_faces_by_closures(a: IntMatrix, v):

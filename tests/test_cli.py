@@ -372,6 +372,16 @@ def test_verify_modq_blank_primes_is_an_input_error(primes, capsys):
     assert "--primes must be comma-separated integers" in captured.err
 
 
+@pytest.mark.parametrize("primes", ["2,2", "2,3,02"])
+def test_verify_modq_repeated_prime_is_an_input_error(primes, capsys):
+    # A repeated prime would run and report every check of it twice.
+    rc = main(["verify", "modq", "--count", "1", "--primes", primes])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--primes repeats the prime 2" in captured.err
+
+
 @pytest.mark.parametrize("campaign", ["modq", "lemma-oracle"])
 def test_verify_negative_count_is_an_input_error(campaign, capsys):
     rc = main(["verify", campaign, "--count", "-3"])

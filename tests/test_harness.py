@@ -9,18 +9,33 @@ import csv
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expansion_lab import expansion, harness
 from expansion_lab.complexes import check_incidence_rows
 from expansion_lab.exactla import (
     IntMatrix,
+    _blocks,
+    format_matrix,
     mat_vec,
     parse_matrix,
     parse_vector,
     primitive_ray,
 )
-from expansion_lab.expansion import xi_q_at, xi_z_at
+from expansion_lab.expansion import (
+    _submatrix,
+    iter_image_with_preimage,
+    modq_rank,
+    reduce_mod_q,
+    xi_q_at,
+    xi_z_at,
+    xi_zq_at,
+)
 from expansion_lab.harness import (
     CampaignReport,
     campaign_cw,
@@ -32,6 +47,8 @@ from expansion_lab.harness import (
     random_incidence_matrix,
     sample_image_targets,
 )
+
+from conftest import witness_loop_by_whole_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +330,169 @@ def test_modq_witness_entries_count_images():
 
 
 def test_modq_solves_each_lifted_target_once_per_matrix(monkeypatch):
-    # Every lifted target goes through harness.mat_vec, every integer
-    # solve through harness.xi_z_at; targets recur across the primes.
-    plain = campaign_modq(5, 3, primes=(2, 3, 5)).to_json()
-    lifted, solved = [], []
+    # The witness loop lifts each nonzero block image once per (matrix,
+    # q), through harness.mat_vec, and solves each lifted block target
+    # once per matrix, through harness.xi_z_at; targets recur across the
+    # primes.  harness._blocks is called once per matrix.
+    primes = (2, 3, 5)
+    plain = campaign_modq(5, 3, primes=primes).to_json()
+    matrices, lifted, solved = [], [], []
+
+    def blocks_of(a):
+        matrices.append(a)
+        lifted.append([])
+        solved.append([])
+        return _blocks(a)
 
     def lift_target(a, u):
         t = mat_vec(a, u)
-        lifted.append((a, t))
+        lifted[-1].append((a, t))
         return t
 
     def solve(a, v):
-        solved.append((a, tuple(v)))
+        solved[-1].append((a, tuple(v)))
         return xi_z_at(a, v)
 
+    monkeypatch.setattr(harness, "_blocks", blocks_of)
     monkeypatch.setattr(harness, "mat_vec", lift_target)
     monkeypatch.setattr(harness, "xi_z_at", solve)
-    report = campaign_modq(5, 3, primes=(2, 3, 5))
+    report = campaign_modq(5, 3, primes=primes)
     assert report.to_json() == plain
+    for a, lifts, solves in zip(matrices, lifted, solved):
+        block_images = 0
+        for q in primes:
+            reduced = reduce_mod_q(a, q)
+            if q ** modq_rank(reduced) > harness._WITNESS_IMAGE_CAP:
+                continue
+            for rows, cols in _blocks(a):
+                block = _submatrix(reduced, rows, cols)
+                block_images += q ** modq_rank(block) - 1
+        assert len(lifts) == block_images
+        assert len(solves) == len(set(solves))
+        assert set(solves) == set(lifts)
     checked = sum(
         e["quantities"].get("images_checked", 0) for e in report.entries
     )
-    assert len(lifted) == checked
-    assert len(solved) == len(set(solved)) < len(lifted)
-    assert set(solved) == set(lifted)
+    assert sum(map(len, lifted)) < checked
+
+
+@st.composite
+def modq_witness_cases(draw):
+    """``(a, q)``: a random incidence matrix or a block-diagonal sum of
+    up to three, with at most as many rows as keep ``q ** rank`` within
+    256, the campaign's witness cap."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    budget = {2: 8, 3: 5, 5: 3}[q]
+    k = draw(st.integers(1, 3))
+    parts = [
+        random_incidence_matrix(
+            random.Random(draw(st.integers(0, 2**32))), max_edges=budget // k
+        )
+        for _ in range(k)
+    ]
+    return block_diagonal(parts), q
+
+
+def block_diagonal(parts):
+    """The block-diagonal sum of the matrices ``parts``."""
+    cols = sum(p.cols for p in parts)
+    rows = []
+    offset = 0
+    for p in parts:
+        for i in range(p.rows):
+            rows.append([0] * offset + list(p.row(i)) + [0] * (cols - offset - p.cols))
+        offset += p.cols
+    return IntMatrix.from_rows(rows, cols=cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(modq_witness_cases())
+def test_block_witness_loop_matches_the_whole_matrix_loop(case):
+    a, q = case
+    reduced = reduce_mod_q(a, q)
+    blocks = _blocks(a)
+    checked, bad, seen = witness_loop_by_whole_matrix(a, q)
+    assert harness._witness_check(a, reduced, blocks, {}) == (checked, bad)
+    walked = [
+        (w, Fraction(wt, hw), harness._lifted_target(a, blocks, parts), Fraction(m, norm))
+        for w, wt, hw, m, norm, parts in harness._block_witnesses(a, reduced, blocks, {})
+    ]
+    assert walked[:checked] == seen
+    assert bad is not None or len(walked) == checked
+
+
+@settings(max_examples=100, deadline=None)
+@given(modq_witness_cases())
+def test_block_coset_witness_is_the_whole_witness_restricted(case):
+    a, q = case
+    reduced = reduce_mod_q(a, q)
+    blocks = _blocks(a)
+    in_blocks = {j for _, cols in blocks for j in cols}
+    for w, _ in iter_image_with_preimage(reduced):
+        whole = xi_zq_at(reduced, w).witness
+        assert all(whole[j] == 0 for j in range(a.cols) if j not in in_blocks)
+        for rows, cols in blocks:
+            w_b = tuple(w[i] for i in rows)
+            restricted = tuple(whole[j] for j in cols)
+            if any(w_b):
+                block = _submatrix(reduced, rows, cols)
+                assert xi_zq_at(block, w_b).witness == restricted
+            else:
+                assert not any(restricted)
+
+
+def test_modq_reports_match_the_whole_matrix_loop(monkeypatch):
+    plain = [campaign_modq(seed, 20, (2, 3, 5)).to_json() for seed in range(3)]
+
+    def whole_matrix_check(a, reduced, blocks, z_at):
+        return witness_loop_by_whole_matrix(a, reduced.q)[:2]
+
+    monkeypatch.setattr(harness, "_witness_check", whole_matrix_check)
+    assert [campaign_modq(seed, 20, (2, 3, 5)).to_json() for seed in range(3)] == plain
+
+
+def _zero_minimum(a, v):
+    """A wrong integer solver: minimum 0 at every target."""
+    return replace(xi_z_at(a, v), value=Fraction(0), witness=(0,) * a.cols)
+
+
+def _zero_minimum_past_one(a, v):
+    """A wrong integer solver: minimum 0 at every target with an entry
+    of size 2 or more."""
+    res = xi_z_at(a, v)
+    if max(map(abs, v)) < 2:
+        return res
+    return _zero_minimum(a, v)
+
+
+@pytest.mark.parametrize(
+    "rows, q, solver, first",
+    [
+        # Two blocks on interleaved columns and a zero column: the first
+        # image vector fails, and its lifted target joins both blocks.
+        ([[1, 0, -1, 0, 0], [0, 1, 0, -1, 0], [0, 0, 1, 0, 0]], 3, _zero_minimum, True),
+        # One block: only a lifted target with an entry 2 fails, later
+        # in the walk.
+        ([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]], 3, _zero_minimum_past_one, False),
+    ],
+)
+def test_modq_witness_violation_is_reported_as_the_oracle_finds_it(
+    monkeypatch, rows, q, solver, first
+):
+    a = IntMatrix.from_rows(rows)
+    checked, bad, _ = witness_loop_by_whole_matrix(a, q, solver)
+    assert bad is not None
+    assert (checked == 1) == first
+    monkeypatch.setattr(harness, "random_incidence_matrix", lambda rng: a)
+    monkeypatch.setattr(harness, "xi_z_at", solver)
+    report = campaign_modq(0, 1, primes=(q,))
+    entry = report.entries[-1]
+    assert entry["instance"]["matrix"] == format_matrix(a)
+    assert entry["instance"]["check"] == "per-witness"
+    assert entry["verdict"] == "fail"
+    assert entry["detail"] == "per-witness inequality violated"
+    assert entry["quantities"] == bad
+    assert not report.ok
 
 
 # ---------------------------------------------------------------------------
