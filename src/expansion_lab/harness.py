@@ -8,6 +8,17 @@ an enumeration-cap hit is always a visible ``skipped`` entry, never a
 silent pass.  Reports are deterministic functions of (seed, arguments,
 library version).
 
+The checks run on the blocks of each matrix (``exactla._blocks``), which
+each campaign takes once per matrix and passes down.  The matrix is,
+up to row and column order, the direct sum of its blocks and of zero
+rows and columns, so its kernel is the direct sum of the block kernels
+and of one unit vector per zero column, and a preimage of a target is
+a preimage of each block part, side by side.  Spanning, the kernel
+rank, the 1-norm minima over Q and Z and the norms of the targets all
+follow from the blocks (``_kernel_spanned``, ``_matrix_targets_equal``),
+and each distinct block, or block and block target, is solved once per
+matrix.
+
 The campaign sizes are module constants, recorded in each report's
 ``params``: ``_GLOBAL_WORK_CAP`` and ``_WITNESS_IMAGE_CAP`` bound the
 finite-field work per instance of the mod-q campaign, ``_ZQ_WORK_CAP``
@@ -215,11 +226,28 @@ def sample_image_targets(rng: random.Random, a: IntMatrix) -> list:
     return out
 
 
-def _kernel_spanned(a: IntMatrix):
-    """(spanned, detail) for the kernel of ``a``."""
-    kernel = integer_kernel_basis(a)
-    verdict = is_integrally_spanned(kernel.hnf)
-    return verdict.spanned, f"kernel rank {kernel.rank}"
+def _kernel_spanned(a: IntMatrix, blocks):
+    """(spanned, detail) for the kernel of ``a``, from its blocks
+    ``blocks`` (``_blocks(a)``).
+
+    The kernel is the direct sum of the block kernels, each on its
+    block's columns, and of one unit vector per zero column.  A
+    projection of a direct sum on disjoint coordinates is the direct sum
+    of the projections, saturated exactly when each is, and a unit
+    vector projects to Z or 0.  So the kernel is spanned exactly when
+    every distinct block's kernel is, and its rank is the sum of the
+    block ranks plus the number of zero columns."""
+    rank = a.cols - sum(len(cols) for _, cols in blocks)
+    spanned = True
+    seen = {}
+    for rows, cols in blocks:
+        block = _submatrix(a, rows, cols)
+        if block not in seen:
+            kernel = integer_kernel_basis(block)
+            seen[block] = kernel.rank, is_integrally_spanned(kernel.hnf).spanned
+        rank += seen[block][0]
+        spanned = spanned and seen[block][1]
+    return spanned, f"kernel rank {rank}"
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +257,12 @@ def _kernel_spanned(a: IntMatrix):
 
 def _equality_entry(report, rng, a: IntMatrix, label: str):
     instance = {"kind": label, "matrix": format_matrix(a)}
-    spanned, kdetail = _kernel_spanned(a)
+    blocks = _blocks(a)
+    spanned, kdetail = _kernel_spanned(a, blocks)
     if not spanned:
         report.add(instance, "fail", f"kernel not integrally spanned ({kdetail})", {})
         return
-    ok, compared, _ = _matrix_targets_equal(rng, a)
+    ok, compared, _ = _matrix_targets_equal(rng, a, blocks)
     if not compared:
         report.add(instance, "pass", "no nonzero image targets; equality vacuous", {})
     elif not ok:
@@ -323,14 +352,40 @@ def default_cw_fixtures() -> list:
     ]
 
 
-def _matrix_targets_equal(rng, a: IntMatrix):
+def _matrix_targets_equal(rng, a: IntMatrix, blocks):
     """(ok, compared, counterexample) for Q/Z equality over sampled
-    targets of ``a``; vacuously true when the image is zero."""
+    targets of ``a``; vacuously true when the image is zero.
+
+    The targets are sampled on the whole matrix, but solved on its
+    blocks ``blocks`` (``_blocks(a)``).  A preimage of ``v`` is a
+    preimage of each block part ``v_b`` side by side, with any value on
+    the zero columns (best 0), and ``v`` is zero on the zero rows.  So
+    the 1-norm minimum at ``v``, over Q and over Z, is the sum of the
+    block minima, ``xi_*_at(block, v_b) * |v_b|_1``, and the value is
+    that sum divided once by ``|v|_1``.  Each nonzero ``(block, v_b)``
+    is solved once per matrix, whichever targets and blocks share it."""
     targets = sample_image_targets(rng, a)
+    solved = [(rows, _submatrix(a, rows, cols)) for rows, cols in blocks]
+    minima = {}
     compared = []
     for v in targets:
-        q_val = xi_q_at(a, v).value
-        z_val = xi_z_at(a, v).value
+        q_min = z_min = 0
+        for rows, block in solved:
+            v_b = tuple(v[i] for i in rows)
+            if not any(v_b):
+                continue
+            part = minima.get((block, v_b))
+            if part is None:
+                norm = l1_norm(v_b)
+                part = minima[block, v_b] = (
+                    xi_q_at(block, v_b).value * norm,
+                    xi_z_at(block, v_b).value * norm,
+                )
+            q_min += part[0]
+            z_min += part[1]
+        norm = l1_norm(v)
+        q_val = Fraction(q_min, norm)
+        z_val = Fraction(z_min, norm)
         compared.append(
             {
                 "target": format_vector(v).strip(),
@@ -375,8 +430,8 @@ def campaign_cw(complexes: Optional[Sequence] = None) -> CampaignReport:
                 quantities,
             )
             continue
-        ok0, compared0, bad0 = _matrix_targets_equal(rng, c.d0)
-        ok1, compared1, bad1 = _matrix_targets_equal(rng, c.d1)
+        ok0, compared0, bad0 = _matrix_targets_equal(rng, c.d0, _blocks(c.d0))
+        ok1, compared1, bad1 = _matrix_targets_equal(rng, c.d1, _blocks(c.d1))
         quantities["d0_targets"] = compared0
         quantities["d1_targets"] = compared1
         if not (ok0 and ok1):
@@ -528,7 +583,8 @@ def campaign_modq(
                 {},
             )
             continue
-        spanned, kdetail = _kernel_spanned(a)
+        blocks = _blocks(a)
+        spanned, kdetail = _kernel_spanned(a, blocks)
         if not spanned:
             report.add(
                 {"kind": kind, "matrix": format_matrix(a)},
@@ -538,7 +594,6 @@ def campaign_modq(
             )
             continue
         z_global = xi_q_global(a)
-        blocks = _blocks(a)
         z_at = {}
         for q in primes:
             instance = {"kind": kind, "matrix": format_matrix(a), "q": q}
@@ -633,7 +688,8 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
             except RowShapeError as err:
                 report.add(instance, "fail", f"row shape violated: {err}", {})
                 continue
-            spanned, kdetail = _kernel_spanned(d1)
+            blocks = _blocks(d1)
+            spanned, kdetail = _kernel_spanned(d1, blocks)
             if not spanned:
                 report.add(
                     instance,
@@ -642,7 +698,7 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
                     {},
                 )
                 continue
-            ok, compared, bad = _matrix_targets_equal(rng, d1)
+            ok, compared, bad = _matrix_targets_equal(rng, d1, blocks)
             if not ok:
                 instance["target"] = format_vector(bad).strip()
                 report.add(

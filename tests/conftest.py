@@ -12,7 +12,8 @@ finite-field image rebuilt vector by vector and each coset searched
 by recursion, the F_q solve through the dense row transform, the
 integer global value
 on the whole matrix with no block split, the per-witness loop of the
-mod-q campaign on the whole matrix, weighted medians sorted
+mod-q campaign, its per-target equality check and its kernel check,
+each on the whole matrix, weighted medians sorted
 and summed in Fractions, the L1 simplex on a tableau of Fractions, the Hermite and Smith forms with their
 clearing loops written out inline, the presentation tokenizer as a
 character-by-character scan) so library results can be checked against
@@ -67,10 +68,12 @@ from expansion_lab.expansion import (
     iter_image_with_preimage,
     lift_section,
     reduce_mod_q,
+    xi_q_at,
     xi_q_global,
     xi_z_at,
     xi_zq_at,
 )
+from expansion_lab.harness import sample_image_targets
 from expansion_lab.simplex import min_l1_combination
 from expansion_lab.spanning import (
     CoordSubset,
@@ -427,6 +430,35 @@ def witness_loop_by_whole_matrix(a: IntMatrix, q: int, solve_z=xi_z_at):
             }
             return len(seen), bad, seen
     return len(seen), None, seen
+
+
+def targets_equal_by_whole_matrix(rng: random.Random, a: IntMatrix):
+    """``harness._matrix_targets_equal`` with no block split: for each
+    target ``sample_image_targets(rng, a)`` draws, ``xi_q_at`` and
+    ``xi_z_at`` on the whole matrix, in order, up to the first target
+    where they differ.  Returns ``(ok, compared, counterexample)``."""
+    compared = []
+    for v in sample_image_targets(rng, a):
+        q_val = xi_q_at(a, v).value
+        z_val = xi_z_at(a, v).value
+        compared.append(
+            {
+                "target": format_vector(v).strip(),
+                "xi_q": format_rational(q_val),
+                "xi_z": format_rational(z_val),
+            }
+        )
+        if q_val != z_val:
+            return False, compared, v
+    return True, compared, None
+
+
+def kernel_spanned_by_whole_matrix(a: IntMatrix):
+    """``harness._kernel_spanned`` with no block split: the spanning
+    verdict of the HNF basis of the whole kernel, and its rank."""
+    kernel = integer_kernel_basis(a)
+    verdict = is_integrally_spanned(kernel.hnf)
+    return verdict.spanned, f"kernel rank {kernel.rank}"
 
 
 def minimization_faces_by_closures(a: IntMatrix, v):

@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansion_lab import expansion, harness
-from expansion_lab.complexes import check_incidence_rows
+from expansion_lab.complexes import (
+    braid_presentation,
+    check_incidence_rows,
+    presentation_d1,
+    steinberg_presentation,
+)
 from expansion_lab.exactla import (
     IntMatrix,
     _blocks,
@@ -48,7 +53,11 @@ from expansion_lab.harness import (
     sample_image_targets,
 )
 
-from conftest import witness_loop_by_whole_matrix
+from conftest import (
+    kernel_spanned_by_whole_matrix,
+    targets_equal_by_whole_matrix,
+    witness_loop_by_whole_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +220,179 @@ def test_equality_mismatch_records_the_failing_target(monkeypatch):
     q_val = Fraction(entry["quantities"]["xi_q"])
     assert Fraction(entry["quantities"]["xi_z"]) == q_val + 1
     assert q_val == xi_q_at(path3, seen[1]).value
+
+
+# ---------------------------------------------------------------------------
+# Block-wise kernel and per-target checks.
+# ---------------------------------------------------------------------------
+
+
+def with_zero_lines(a, rng):
+    """``a`` with zero rows and zero columns inserted at random places
+    and its rows and columns shuffled, so that blocks interleave."""
+    rows = [list(a.row(i)) for i in range(a.rows)]
+    cols = a.cols
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, cols)
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+        cols += 1
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), [0] * cols)
+    order = list(range(cols))
+    rng.shuffle(order)
+    rng.shuffle(rows)
+    return IntMatrix.from_rows([[row[j] for j in order] for row in rows], cols=cols)
+
+
+@st.composite
+def targets_cases(draw):
+    """A matrix for the per-target check: a random incidence matrix, a
+    block-diagonal sum of up to three parts (incidence matrices, or a
+    random 1x2 or 1x3 row, whose kernel may be unspanned and whose
+    values may differ) with zero rows and columns interleaved, or the
+    ``d1`` of a braid or Steinberg presentation on 2 to 6 strands."""
+    kind = draw(st.sampled_from(("incidence", "sum", "presentation")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "incidence":
+        return random_incidence_matrix(rng, max_edges=8)
+    if kind == "presentation":
+        build = draw(st.sampled_from((braid_presentation, steinberg_presentation)))
+        return presentation_d1(build(draw(st.integers(2, 6))))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            parts.append(random_incidence_matrix(rng, max_edges=4))
+        else:
+            width = rng.randint(2, 3)
+            parts.append(
+                IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(width)]])
+            )
+    return with_zero_lines(block_diagonal(parts), rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets_cases(), st.integers(0, 2**32))
+def test_block_targets_check_matches_the_whole_matrix(a, seed):
+    blocks = _blocks(a)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert harness._matrix_targets_equal(
+        rng, a, blocks
+    ) == targets_equal_by_whole_matrix(oracle_rng, a)
+    # The same draws leave the stream in the same state.
+    assert rng.random() == oracle_rng.random()
+    assert harness._kernel_spanned(a, blocks) == kernel_spanned_by_whole_matrix(a)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, expected",
+    [
+        # The zero matrix: no block, every column a unit vector.
+        ([[0, 0, 0], [0, 0, 0]], 3, (True, "kernel rank 3")),
+        # Zero columns add one unit vector each to the kernel.
+        ([[0, 1, -1, 0, 0]], 5, (True, "kernel rank 4")),
+        # Zero rows belong to no block.
+        ([[1, -1, 0], [0, 0, 0], [0, 1, -1]], 3, (True, "kernel rank 1")),
+        # [[1, 2]] + [[1, -1]]: the first block's kernel (2, -1) is
+        # unspanned (its projection on column 1 is 2Z).
+        ([[1, 2, 0, 0], [0, 0, 1, -1]], 4, (False, "kernel rank 2")),
+    ],
+)
+def test_block_kernel_check_matches_the_whole_matrix(rows, cols, expected):
+    a = IntMatrix.from_rows(rows, cols=cols)
+    assert kernel_spanned_by_whole_matrix(a) == expected
+    assert harness._kernel_spanned(a, _blocks(a)) == expected
+
+
+@pytest.mark.parametrize(
+    "run, matrices",
+    [
+        (lambda: campaign_presentations(range(3, 8)), 10),
+        (lambda: campaign_equality(5, 20), 23),
+    ],
+    ids=["presentations", "equality"],
+)
+def test_targets_check_solves_each_block_target_once_per_matrix(
+    monkeypatch, run, matrices
+):
+    # Each matrix's blocks are taken once, through harness._blocks, and
+    # passed to the kernel and per-target checks; each distinct (block,
+    # v_b) is solved once per matrix over Q and once over Z.  The
+    # equality campaign's negative control solves outside these checks.
+    plain = run().to_json()
+    seen, targets, q_solves, z_solves = [], [], [], []
+    inside = []
+
+    def blocks_of(a):
+        seen.append(a)
+        for calls in (targets, q_solves, z_solves):
+            calls.append([])
+        return _blocks(a)
+
+    def sample(rng, a):
+        out = sample_image_targets(rng, a)
+        targets[-1].extend(out)
+        return out
+
+    real_check = harness._matrix_targets_equal
+
+    def check(rng, a, blocks):
+        assert a == seen[-1]
+        inside.append(True)
+        try:
+            return real_check(rng, a, blocks)
+        finally:
+            inside.pop()
+
+    def recording(solve, calls):
+        def wrapped(a, v):
+            if inside:
+                calls[-1].append((a, tuple(v)))
+            return solve(a, v)
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "_blocks", blocks_of)
+    monkeypatch.setattr(harness, "sample_image_targets", sample)
+    monkeypatch.setattr(harness, "_matrix_targets_equal", check)
+    monkeypatch.setattr(harness, "xi_q_at", recording(xi_q_at, q_solves))
+    monkeypatch.setattr(harness, "xi_z_at", recording(xi_z_at, z_solves))
+    assert run().to_json() == plain
+    assert len(seen) == matrices
+    pairs = 0
+    for a, vs, q_calls, z_calls in zip(seen, targets, q_solves, z_solves):
+        blocks = _blocks(a)
+        expected = set()
+        for v in vs:
+            for rows, cols in blocks:
+                v_b = tuple(v[i] for i in rows)
+                if any(v_b):
+                    expected.add((_submatrix(a, rows, cols), v_b))
+        for calls in (q_calls, z_calls):
+            assert len(calls) == len(set(calls))
+            assert set(calls) == expected
+        pairs += len(vs) * len(blocks)
+    assert sum(map(len, q_solves)) < pairs
+
+
+def test_campaign_reports_match_the_whole_matrix_checks(monkeypatch):
+    def reports():
+        return [
+            campaign_presentations(range(2, 8)).to_json(),
+            campaign_cw().to_json(),
+            *(campaign_equality(seed, 20).to_json() for seed in range(3)),
+            campaign_modq(0, 10, (2, 3)).to_json(),
+        ]
+
+    plain = reports()
+    monkeypatch.setattr(
+        harness,
+        "_matrix_targets_equal",
+        lambda rng, a, blocks: targets_equal_by_whole_matrix(rng, a),
+    )
+    monkeypatch.setattr(
+        harness, "_kernel_spanned", lambda a, blocks: kernel_spanned_by_whole_matrix(a)
+    )
+    assert reports() == plain
 
 
 # ---------------------------------------------------------------------------
