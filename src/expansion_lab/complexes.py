@@ -28,7 +28,14 @@ from .errors import (
     PresentationSyntaxError,
     RowShapeError,
 )
-from .exactla import IntMatrix, LatticeBasis, _blocks, _content_lines, rank
+from .exactla import (
+    IntMatrix,
+    LatticeBasis,
+    _blocks,
+    _content_lines,
+    _sparse_rows,
+    rank,
+)
 
 #: Sentinel edge producing an all-zero codifferential row.
 NULL_EDGE = (0, 0)
@@ -147,18 +154,15 @@ def graph_d0(g: Graph) -> IntMatrix:
 
 def check_incidence_rows(a: IntMatrix) -> None:
     """Require every row to have entries in {-1, 0, 1} with at most one
-    ``+1`` and at most one ``-1``; raises ``RowShapeError`` otherwise."""
-    for i in range(a.rows):
-        plus = minus = 0
-        for x in a.row(i):
-            if x == 1:
-                plus += 1
-            elif x == -1:
-                minus += 1
-            elif x != 0:
-                raise RowShapeError(
-                    f"row {i + 1} has entry {x} outside {{-1, 0, 1}}"
-                )
+    ``+1`` and at most one ``-1``; raises ``RowShapeError`` otherwise.
+    Reads each row's nonzeros, in column order, from ``_sparse_rows``."""
+    for i, (_, entries) in enumerate(_sparse_rows(a)):
+        plus, minus = entries.count(1), entries.count(-1)
+        if plus + minus < len(entries):
+            x = next(x for x in entries if x != 1 and x != -1)
+            raise RowShapeError(
+                f"row {i + 1} has entry {x} outside {{-1, 0, 1}}"
+            )
         if plus > 1 or minus > 1:
             raise RowShapeError(
                 f"row {i + 1} has {plus} entries +1 and {minus} entries -1"
@@ -357,14 +361,18 @@ def presentation_text(p: GroupPresentation) -> str:
 
 
 def presentation_d1(p: GroupPresentation) -> IntMatrix:
-    """Relator-by-generator matrix of signed exponent sums."""
-    rows = []
-    for word in p.relators:
-        row = [0] * len(p.generators)
+    """Relator-by-generator matrix of signed exponent sums.
+
+    The entries are summed from the relator words straight into one
+    flat row-major list, with no row lists and no ``from_rows`` pass
+    over the (mostly zero) entries."""
+    cols = len(p.generators)
+    entries = [0] * (len(p.relators) * cols)
+    for r, word in enumerate(p.relators):
+        start = r * cols
         for idx, sign in word:
-            row[idx] += sign
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=len(p.generators))
+            entries[start + idx] += sign
+    return IntMatrix(len(p.relators), cols, tuple(entries))
 
 
 def _commutator(a: int, b: int):

@@ -195,7 +195,7 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, flat)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -216,12 +216,12 @@ class IntMatrix:
 def _sparse_rows(m: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
     """The (columns, entries) of each row's nonzeros, cached per matrix
     for ``mat_vec``, ``_blocks`` and the solvers' check ``A @ x == v``."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        cols = tuple(j for j, e in enumerate(row) if e)
-        out.append((cols, tuple(row[j] for j in cols)))
-    return tuple(out)
+    columns = range(m.cols)
+    compress = itertools.compress
+    return tuple(
+        (tuple(compress(columns, row)), tuple(compress(row, row)))
+        for row in map(m.row, range(m.rows))
+    )
 
 
 def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
@@ -245,13 +245,16 @@ def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
     )
 
 
-def _blocks(a: IntMatrix):
+@lru_cache(maxsize=512)
+def _blocks(a: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
     """The blocks of ``a``: the connected components of its row-support
     graph, where each row joins the columns it is nonzero on
-    (union-find).  Returns ``(rows, cols)`` pairs of increasing index
-    tuples, in order of smallest column.  Zero rows and zero columns
-    belong to no block.  A ``ModQMatrix`` stores reduced entries, so
-    there an entry divisible by q joins nothing.
+    (union-find).  Returns a tuple of ``(rows, cols)`` pairs of
+    increasing index tuples, in order of smallest column.  Zero rows and
+    zero columns belong to no block.  A ``ModQMatrix`` stores reduced
+    entries, so there an entry divisible by q joins nothing.  Cached per
+    matrix beside ``_sparse_rows``, so a campaign and the global values
+    it calls share one search; the result is immutable.
     """
     parent = list(range(a.cols))
 
@@ -272,7 +275,7 @@ def _blocks(a: IntMatrix):
     for i, cols in enumerate(supports):
         if cols:
             blocks[find(cols[0])][0].append(i)
-    return [(tuple(rows), tuple(cols)) for rows, cols in blocks.values()]
+    return tuple((tuple(rows), tuple(cols)) for rows, cols in blocks.values())
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -835,9 +838,17 @@ def parse_matrix(text: str) -> IntMatrix:
 
 
 def format_matrix(m: IntMatrix) -> str:
+    """The ``rows cols`` header, then one line per row; the text of each
+    distinct row is built once, since presentation matrices repeat most
+    of their rows."""
+    text = {}
     lines = [f"{m.rows} {m.cols}"]
     for i in range(m.rows):
-        lines.append(" ".join(str(e) for e in m.row(i)))
+        row = m.row(i)
+        line = text.get(row)
+        if line is None:
+            line = text[row] = " ".join(map(str, row))
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -853,7 +864,7 @@ def parse_vector(text: str) -> IntVector:
 
 
 def format_vector(v: Sequence[int]) -> str:
-    return " ".join(str(e) for e in v) + "\n"
+    return " ".join(map(str, v)) + "\n"
 
 
 def format_rational(value: Fraction) -> str:

@@ -489,14 +489,21 @@ def _block_maximum(a, solve) -> GlobalExpansion:
     target is that of the first block, in order of smallest column,
     that reaches the value, padded with zeros.  A matrix with no block
     has a zero image, where the value is undefined
-    (``UndefinedExpansionError``)."""
+    (``UndefinedExpansionError``).  Each distinct block submatrix is
+    solved once per call: identical blocks give identical results, so
+    a presentation ``d1`` whose blocks repeat costs one solve per kind
+    of block, and a cap is hit, if at all, on the same first block."""
     blocks = _blocks(a)
     if not blocks:
         raise UndefinedExpansionError("global expansion is undefined for a zero image")
+    solved = {}
     best = best_rows = None
     exact = True
     for rows, cols in blocks:
-        res = solve(_submatrix(a, rows, cols))
+        block = _submatrix(a, rows, cols)
+        res = solved.get(block)
+        if res is None:
+            res = solved[block] = solve(block)
         exact = exact and res.exact
         if best is None or res.value > best.value:
             best, best_rows = res, rows

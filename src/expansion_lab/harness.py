@@ -208,21 +208,30 @@ def random_incidence_matrix(rng: random.Random, max_edges: int = 10) -> IntMatri
 def sample_image_targets(rng: random.Random, a: IntMatrix) -> list:
     """Up to ``_TARGETS_PER_MATRIX`` nonzero image targets ``A u`` with
     ``u`` drawn from the box [-2, 2]^n, de-duplicated by ray (one
-    representative per rational direction)."""
+    representative per rational direction).
+
+    Each distinct row of ``a`` is multiplied once per draw and its
+    value copied to the rows that repeat it: most rows of a
+    presentation ``d1`` repeat an earlier one."""
+    slot = {}
+    spread = [slot.setdefault(a.row(i), len(slot)) for i in range(a.rows)]
+    distinct = IntMatrix.from_rows(slot, cols=a.cols)
     seen = set()
     out = []
     for _ in range(60):
         if len(out) >= _TARGETS_PER_MATRIX:
             break
         u = [rng.randint(-2, 2) for _ in range(a.cols)]
-        v = mat_vec(a, u)
-        if all(x == 0 for x in v):
+        w = mat_vec(distinct, u)
+        if not any(w):
             continue
-        key = tuple(primitive_ray(v))
+        # v holds every entry of w, and its first nonzero entry is that
+        # of w, so the ray of w names the ray of v.
+        key = primitive_ray(w)
         if key in seen:
             continue
         seen.add(key)
-        out.append(tuple(v))
+        out.append(tuple(map(w.__getitem__, spread)))
     return out
 
 

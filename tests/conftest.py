@@ -3,6 +3,7 @@
 The oracles here are deliberately naive (exhaustive enumeration,
 permutation expansion, the dense matrix-vector product, forward
 substitution against an echelon form,
+the image targets sampled by the dense product on every row,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition, its certificate on every
 rank-sized projection of the HNF basis and on one Smith form per
@@ -16,7 +17,9 @@ mod-q campaign, its per-target equality check and its kernel check,
 each on the whole matrix, weighted medians sorted
 and summed in Fractions, the L1 simplex on a tableau of Fractions, the Hermite and Smith forms with their
 clearing loops written out inline, the presentation tokenizer as a
-character-by-character scan) so library results can be checked against
+character-by-character scan, the matrix text written entry by entry,
+the presentation matrix from row lists and the incidence row shape
+read off every entry) so library results can be checked against
 independent arithmetic.
 """
 
@@ -30,10 +33,11 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from expansion_lab import expansion, simplex
+from expansion_lab import expansion, harness, simplex
 from expansion_lab.errors import (
     AmbientDimensionCapError,
     EnumerationCapError,
+    RowShapeError,
     UnboundedLPError,
     UndefinedExpansionError,
 )
@@ -1008,3 +1012,88 @@ def tokenize_by_scan(text: str):
         col += j - i
         i = j
     return out
+
+
+def format_matrix_by_entries(m: IntMatrix) -> str:
+    """``exactla.format_matrix`` written entry by entry: the header,
+    then every row's entries joined by spaces, one line per row."""
+    lines = [f"{m.rows} {m.cols}"]
+    for i in range(m.rows):
+        lines.append(" ".join(str(e) for e in m.row(i)))
+    return "\n".join(lines) + "\n"
+
+
+def sample_image_targets_by_rows(rng: random.Random, a: IntMatrix) -> list:
+    """``harness.sample_image_targets`` with every row multiplied on
+    every draw by the dense product, each target keyed by its own ray."""
+    seen = set()
+    out = []
+    for _ in range(60):
+        if len(out) >= harness._TARGETS_PER_MATRIX:
+            break
+        u = [rng.randint(-2, 2) for _ in range(a.cols)]
+        v = mat_vec_dense(a, u)
+        if all(x == 0 for x in v):
+            continue
+        key = primitive_ray(v)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(v)
+    return out
+
+
+def presentation_d1_by_rows(p) -> IntMatrix:
+    """``complexes.presentation_d1`` through dense row lists: one row of
+    exponent sums per relator, read back by ``IntMatrix.from_rows``."""
+    rows = []
+    for word in p.relators:
+        row = [0] * len(p.generators)
+        for idx, sign in word:
+            row[idx] += sign
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=len(p.generators))
+
+
+def check_incidence_rows_by_entries(a: IntMatrix) -> None:
+    """``complexes.check_incidence_rows`` over every entry, zeros
+    included: the first entry outside {-1, 0, 1} in row order, else the
+    first row with two entries +1 or two entries -1, raises
+    ``RowShapeError`` with the same message."""
+    for i in range(a.rows):
+        plus = minus = 0
+        for x in a.row(i):
+            if x == 1:
+                plus += 1
+            elif x == -1:
+                minus += 1
+            elif x != 0:
+                raise RowShapeError(
+                    f"row {i + 1} has entry {x} outside {{-1, 0, 1}}"
+                )
+        if plus > 1 or minus > 1:
+            raise RowShapeError(
+                f"row {i + 1} has {plus} entries +1 and {minus} entries -1"
+            )
+
+
+@st.composite
+def repeated_row_matrices(draw, bound: int = 3):
+    """Matrices with 0 to 5 columns whose rows are drawn from a small
+    pool, so rows repeat, with the zero row in the pool; entries in
+    [-k, k] for k drawn from 1 to ``bound``."""
+    cols = draw(st.integers(0, 5))
+    k = draw(st.integers(1, bound))
+    line = st.lists(st.integers(-k, k), min_size=cols, max_size=cols)
+    pool = draw(st.lists(line, min_size=1, max_size=4)) + [[0] * cols]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    return IntMatrix.from_rows([pool[i] for i in picks], cols=cols)
+
+
+def outcome(fn, *args):
+    """``("value", fn(*args))``, or the type and message of the
+    ``Exception`` it raises, for comparing a route with its oracle."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from expansion_lab import spanning
+from expansion_lab import cli, spanning
 from expansion_lab.cli import main
 from expansion_lab.exactla import IntMatrix, parse_matrix
 from expansion_lab.harness import CampaignReport
@@ -497,3 +497,31 @@ def test_non_prime_modulus_is_an_input_error(files, capsys):
     rc = main(["xi", matrix, "--ring", "zq", "--modulus", "4", "--target", target])
     assert rc == 2
     assert "prime" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(files, tmp_path, capsys, monkeypatch):
+    # main keeps the parser of its first call; an argparse error between
+    # two calls changes neither the later output nor its exit code.
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        matrix = files("g.mat", "2 2\n1 0\n0 1\n")
+        graph = files("path.graph", "3 2\n1 2\n2 3\n")
+        first = run_json(capsys, ["span-check", matrix])
+        for bad in (
+            ["xi", matrix],  # --target is required
+            ["build-complex", "--graph", graph, "--presentation", graph],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            assert "error:" in capsys.readouterr().err
+            assert run_json(capsys, ["span-check", matrix]) == first
+        # the mutually exclusive group accepts one source after the clash
+        assert main(["build-complex", "--graph", graph, "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "d1.mat").read_text(encoding="utf-8") == "0 2\n"
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()

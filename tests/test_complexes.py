@@ -19,6 +19,7 @@ from expansion_lab.errors import (
 )
 from expansion_lab.exactla import (
     IntMatrix,
+    format_matrix,
     integer_kernel_basis,
     lattice_member,
     LatticeBasis,
@@ -50,7 +51,14 @@ from expansion_lab.complexes import (
 from expansion_lab.harness import random_incidence_matrix
 from expansion_lab.spanning import is_integrally_spanned
 
-from conftest import tokenize_by_scan
+from conftest import (
+    check_incidence_rows_by_entries,
+    format_matrix_by_entries,
+    outcome,
+    presentation_d1_by_rows,
+    repeated_row_matrices,
+    tokenize_by_scan,
+)
 
 #: Every character ``str.isspace`` accepts (29 of them), the separator,
 #: word pieces and a non-ASCII letter: the presentation tokenizer's
@@ -183,6 +191,20 @@ class TestIncidenceShape:
             g = rand_graph(rng)
             a = graph_d0(g)
             assert graph_d0(graph_of_incidence(a)) == a
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_row_matrices())
+    def test_sparse_check_matches_entry_by_entry_oracle(self, a):
+        # The check reads each row's nonzeros; the oracle reads every
+        # entry.  Both accept, or both raise the same message.
+        assert outcome(check_incidence_rows, a) == outcome(
+            check_incidence_rows_by_entries, a
+        )
+
+    def test_first_bad_entry_in_column_order_is_named(self):
+        a = IntMatrix.from_rows([[1, 0, -1], [0, 3, -2], [1, 1, 0]])
+        with pytest.raises(RowShapeError, match="^row 2 has entry 3 outside"):
+            check_incidence_rows(a)
 
 
 class TestIncidenceKernel:
@@ -508,3 +530,46 @@ class TestH1:
     def test_graph_with_independent_cycle(self):
         square = Graph(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
         assert not h1_is_trivial(graph_complex(square))
+
+
+@st.composite
+def presentations(draw):
+    """Presentations on 0 to 5 generators whose relators are drawn from
+    a small pool of words, so rows repeat; empty words give zero rows,
+    and words may repeat or cancel a generator."""
+    count = draw(st.integers(0, 5))
+    names = tuple(f"g{i}" for i in range(count))
+    letter = st.tuples(st.integers(0, count - 1), st.sampled_from((1, -1)))
+    word = st.lists(letter, max_size=6).map(tuple) if count else st.just(())
+    pool = draw(st.lists(word, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    return GroupPresentation(names, tuple(pool[i] for i in picks))
+
+
+class TestPresentationMatrixOracles:
+    """``presentation_d1`` fills one flat entry list and the report
+    prints each distinct row once; the row-list construction, the dense
+    text and the dense row-shape check are the oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(presentations())
+    def test_flat_fill_matches_row_lists(self, p):
+        m = presentation_d1(p)
+        assert type(m) is IntMatrix
+        assert m == presentation_d1_by_rows(p)
+        assert all(type(e) is int for e in m.entries)
+        assert format_matrix(m) == format_matrix_by_entries(m)
+        assert outcome(check_incidence_rows, m) == outcome(
+            check_incidence_rows_by_entries, m
+        )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("build", [braid_presentation, steinberg_presentation])
+    def test_families_match_oracles(self, build, n):
+        p = build(n)
+        m = presentation_d1(p)
+        assert m == presentation_d1_by_rows(p)
+        assert format_matrix(m) == format_matrix_by_entries(m)
+        assert outcome(check_incidence_rows, m) == outcome(
+            check_incidence_rows_by_entries, m
+        ) == ("value", None)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from conftest import (
     det_by_permutations,
     elimination_systems,
+    format_matrix_by_entries,
     hnf_by_inline_clearing,
     in_lattice_by_box,
     mat_vec_dense,
     rand_matrix,
     rand_unimodular,
+    repeated_row_matrices,
     rref_by_fractions,
     rref_mod_q,
     snf_by_row_and_column_operations,
@@ -660,6 +662,20 @@ class TestTextFormats:
         # Rows with no columns are written as blank lines.
         m = IntMatrix.zeros(*shape)
         assert parse_matrix(format_matrix(m)) == m
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_row_matrices())
+    def test_matrix_text_matches_entry_by_entry_oracle(self, m):
+        # Each distinct row's text is built once; repeated rows, zero
+        # rows and rows with no columns must read as the oracle writes.
+        text = format_matrix(m)
+        assert text == format_matrix_by_entries(m)
+        assert parse_matrix(text) == m
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_row_matrices())
+    def test_is_zero_matches_every_entry(self, m):
+        assert m.is_zero() == all(e == 0 for e in m.entries)
 
     def test_matrix_comments_and_blanks(self):
         text = "# codifferential\n\n2 2\n1 0\n\n0 1\n"

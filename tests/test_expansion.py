@@ -88,6 +88,7 @@ from conftest import (
     min_l1_preimage_by_box,
     minimization_faces_by_closures,
     modq_solve_dense,
+    outcome,
     rand_matrix,
     rref_by_fractions,
     rref_mod_q,
@@ -1638,13 +1639,13 @@ class TestBlockSplit:
 
     def test_blocks_in_order_of_smallest_column(self):
         a = mat([[0, 2, 0, 0], [0, 0, 0, 0], [1, 0, 0, 3], [0, 0, 0, 1]])
-        assert _blocks(a) == [((2, 3), (0, 3)), ((0,), (1,))]
-        assert _blocks(IntMatrix.zeros(2, 3)) == []
+        assert _blocks(a) == (((2, 3), (0, 3)), ((0,), (1,)))
+        assert _blocks(IntMatrix.zeros(2, 3)) == ()
 
     def test_blocks_over_f_q_use_reduced_entries(self):
-        assert _blocks(mat([[1, 3], [0, 1]])) == [((0, 1), (0, 1))]
+        assert _blocks(mat([[1, 3], [0, 1]])) == (((0, 1), (0, 1)),)
         a = ModQMatrix.from_rows([[1, 3], [0, 1]], 3)
-        assert _blocks(a) == [((0,), (0,)), ((1,), (1,))]
+        assert _blocks(a) == (((0,), (0,)), ((1,), (1,)))
 
     @settings(max_examples=300, deadline=None)
     @given(permuted_block_diagonals(st.sampled_from((2, 3, 5))))
@@ -1715,6 +1716,107 @@ class TestBlockSplit:
         zq = xi_zq_global(reduce_mod_q(d1, 2))
         assert zq.value == value
         assert zq.value <= xi_q_global(d1).value
+
+
+def block_diagonal(blocks, q=None):
+    """The block-diagonal sum of ``blocks`` in order, as an
+    ``IntMatrix`` or, given ``q``, a ``ModQMatrix``."""
+    cols = sum(len(b[0]) for b in blocks)
+    rows = []
+    left = 0
+    for b in blocks:
+        rows += [[0] * left + row + [0] * (cols - left - len(row)) for row in b]
+        left += len(b[0])
+    return mat(rows) if q is None else ModQMatrix.from_rows(rows, q)
+
+
+@st.composite
+def repeated_block_diagonals(draw, field=st.none()):
+    """Block-diagonal sums of two to five blocks, in order, each drawn
+    from a pool of one to three nonzero blocks of at most 3x3 followed
+    by up to two zero rows, so that blocks repeat.  With ``field``
+    drawing a prime q, a ``ModQMatrix`` whose pool entries are lifted by
+    multiples of q."""
+    q = draw(field)
+    entry = st.integers(-2, 2) if q is None else st.integers(0, q - 1)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 3))
+        line = st.lists(entry, min_size=width, max_size=width)
+        block = draw(st.lists(line, min_size=1, max_size=3))
+        assume(any(any(row) for row in block))
+        if q is not None:
+            block = [[x + q * draw(st.integers(-1, 1)) for x in row] for row in block]
+        pool.append(block + [[0] * width] * draw(st.integers(0, 2)))
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=2, max_size=5))
+    return block_diagonal([pool[i] for i in picks], q)
+
+
+def distinct_blocks(a):
+    return {_submatrix(a, *b) for b in _blocks(a)}
+
+
+class TestOneSolvePerDistinctBlock:
+    """``_block_maximum`` solves each distinct block submatrix once per
+    call; the per-block loop with no memo (``conftest.by_blocks``) is
+    the oracle for values, targets, flags and errors."""
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_steinberg_d1_solves_its_one_kind_of_block_once(self, n):
+        # d1 splits into n(n - 1) identical blocks, one per generator.
+        d1 = presentation_d1(steinberg_presentation(n))
+        for a, name, route in (
+            (d1, "_rational_global", xi_q_global),
+            (reduce_mod_q(d1, 2), "_image_maximum", xi_zq_global),
+        ):
+            assert len(_blocks(a)) == n * (n - 1)
+            assert len(distinct_blocks(a)) == 1
+            solve = getattr(expansion, name)
+            with mock.patch.object(expansion, name, wraps=solve) as counted:
+                res = route(a)
+            assert counted.call_count == 1
+            assert res == by_blocks(solve)(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_block_diagonals())
+    def test_q_global_matches_per_block_loop(self, a):
+        with mock.patch.object(
+            expansion, "_rational_global", wraps=_rational_global
+        ) as counted:
+            res = xi_q_global(a)
+        assert res == by_blocks(_rational_global)(a)
+        solved = [c.args[0] for c in counted.call_args_list]
+        assert len(solved) == len(set(solved)) == len(distinct_blocks(a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_block_diagonals(st.sampled_from((2, 3, 5))))
+    def test_zq_global_matches_per_block_loop(self, a):
+        with mock.patch.object(
+            expansion, "_image_maximum", wraps=_image_maximum
+        ) as counted:
+            res = xi_zq_global(a)
+        assert res == by_blocks(_image_maximum)(a)
+        solved = [c.args[0] for c in counted.call_args_list]
+        assert len(solved) == len(set(solved)) == len(distinct_blocks(a))
+
+    def test_image_cap_raises_on_the_same_first_block(self, monkeypatch):
+        # Blocks of rank 1, 2, 3, 2, 3 mod 2 under a cap of 2 images:
+        # the first rank-2 block raises, before any rank-3 block is met.
+        one, two, three = [[1]], [[1, 1], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        a = block_diagonal([one, two, three, two, three], q=2)
+        monkeypatch.setattr(expansion, "_MAX_IMAGES", 2)
+        got = outcome(xi_zq_global, a)
+        assert got == outcome(by_blocks(_image_maximum), a)
+        assert got == (EnumerationCapError, "image size q**2 exceeds enumeration cap 2")
+
+    def test_candidate_cap_gives_the_same_lower_bound(self, monkeypatch):
+        # Past the candidate cap the rank-2 blocks are sampled, inexact;
+        # the rank-1 blocks stay exact.
+        a = block_diagonal([[[1, 2]], [[1, 1, 0], [0, 1, 1]], [[1, 2]], [[1, 1, 0], [0, 1, 1]]])
+        monkeypatch.setattr(expansion, "_MAX_CANDIDATES", 0)
+        res = xi_q_global(a)
+        assert res == by_blocks(_rational_global)(a)
+        assert not res.exact
 
 
 def test_modq_rank():

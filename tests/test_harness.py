@@ -55,6 +55,8 @@ from expansion_lab.harness import (
 
 from conftest import (
     kernel_spanned_by_whole_matrix,
+    repeated_row_matrices,
+    sample_image_targets_by_rows,
     targets_equal_by_whole_matrix,
     witness_loop_by_whole_matrix,
 )
@@ -136,6 +138,24 @@ def test_sample_image_targets_are_nonzero_distinct_rays_in_image():
     for v in targets:
         assert any(x != 0 for x in v)
         xi_q_at(a, v)  # raises if v were outside the image
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_row_matrices(), st.integers(0, 2**32))
+def test_sample_image_targets_match_dense_oracle(a, seed):
+    # Distinct rows are multiplied once per draw and rays keyed on them;
+    # the targets and the rng stream are those of the dense product.
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert sample_image_targets(rng, a) == sample_image_targets_by_rows(oracle_rng, a)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_sample_image_targets_on_steinberg_d1_match_dense_oracle(n):
+    a = presentation_d1(steinberg_presentation(n))
+    rng, oracle_rng = random.Random(n), random.Random(n)
+    assert sample_image_targets(rng, a) == sample_image_targets_by_rows(oracle_rng, a)
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_sample_image_targets_zero_matrix_gives_nothing():
