@@ -211,11 +211,11 @@ def incidence_kernel_basis(a: IntMatrix) -> LatticeBasis:
     check_incidence_rows(a)
     n = a.cols
     blocks = _blocks(a)
-    covered = {j for _, cols in blocks for j in cols}
+    covered = {j for _, cols, _ in blocks for j in cols}
     components = [
         cols
-        for rows, cols in blocks
-        if all(sum(map(bool, a.row(i))) != 1 for i in rows)
+        for _, cols, block in blocks
+        if all(sum(map(bool, block.row(i))) != 1 for i in range(block.rows))
     ]
     components += [(j,) for j in range(n) if j not in covered]
     rows = []

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -246,15 +246,19 @@ def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
 
 
 @lru_cache(maxsize=512)
-def _blocks(a: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
+def _blocks(a: IntMatrix) -> tuple[tuple[IntVector, IntVector, IntMatrix], ...]:
     """The blocks of ``a``: the connected components of its row-support
     graph, where each row joins the columns it is nonzero on
-    (union-find).  Returns a tuple of ``(rows, cols)`` pairs of
-    increasing index tuples, in order of smallest column.  Zero rows and
-    zero columns belong to no block.  A ``ModQMatrix`` stores reduced
-    entries, so there an entry divisible by q joins nothing.  Cached per
-    matrix beside ``_sparse_rows``, so a campaign and the global values
-    it calls share one search; the result is immutable.
+    (union-find), as ``(rows, cols, block)`` triples in order of
+    smallest column.  ``rows`` and ``cols`` are increasing index tuples
+    and ``block`` is the submatrix on them, built by
+    ``dataclasses.replace``, so a ``ModQMatrix`` block keeps its q.  A
+    matrix that is one block is its own block, and equal submatrices
+    are one object.  Zero rows and zero columns belong to no block.  A
+    ``ModQMatrix`` stores reduced entries, so there an entry divisible
+    by q joins nothing.  The one place that splits a matrix, cached per
+    matrix beside ``_sparse_rows``: every caller shares one search and
+    one build of each block; the result is immutable.
     """
     parent = list(range(a.cols))
 
@@ -275,7 +279,17 @@ def _blocks(a: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
     for i, cols in enumerate(supports):
         if cols:
             blocks[find(cols[0])][0].append(i)
-    return tuple((tuple(rows), tuple(cols)) for rows, cols in blocks.values())
+    n = a.cols
+    built = {}
+    out = []
+    for rows, cols in blocks.values():
+        block = a
+        if len(rows) < a.rows or len(cols) < n:
+            flat = tuple(a.entries[i * n + j] for i in rows for j in cols)
+            block = replace(a, rows=len(rows), cols=len(cols), entries=flat)
+            block = built.setdefault(block, block)
+        out.append((tuple(rows), tuple(cols), block))
+    return tuple(out)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -52,9 +52,10 @@ matrix: the connected components of its row-support graph
 (``exactla._blocks``; over F_q, of the reduced entries).  Both norms add
 over blocks, so by the mediant inequality the global value is the
 largest block value.  ``_block_maximum`` runs the whole-matrix route on
-each block's submatrix, under that route's caps, and reports the target
-of the first block, in order of smallest column, that reaches the value.
-Over Z the spanning check, too, runs on each block.
+each block submatrix that ``_blocks`` hands out, under that route's caps,
+and reports the target of the first block, in order of smallest column,
+that reaches the value.  Over Z the spanning check, too, runs on each
+block.
 
 Every enumeration is capped by a module constant that the function
 reads when it is called: ``_MAX_NODES``, ``_MAX_CANDIDATES``,
@@ -77,7 +78,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -472,20 +473,10 @@ def _branch_and_bound(u0, kernel, supports):
 # ---------------------------------------------------------------------------
 
 
-def _submatrix(a, rows, cols):
-    """The rows ``rows`` and columns ``cols`` of ``a``, same type; ``a``
-    itself, sharing its cached factorizations, when they are all."""
-    if len(rows) == a.rows and len(cols) == a.cols:
-        return a
-    n = a.cols
-    entries = tuple(a.entries[i * n + j] for i in rows for j in cols)
-    return replace(a, rows=len(rows), cols=len(cols), entries=entries)
-
-
 def _block_maximum(a, solve) -> GlobalExpansion:
-    """The global value ``solve`` gives, split over the blocks of ``a``
-    (see ``_blocks``), each block solved on its own submatrix under the
-    caps: the largest block value, exact when every block's is.  The
+    """The global value ``solve`` gives, split over the blocks of ``a``,
+    each block solved on the submatrix that ``_blocks`` hands out, under
+    the caps: the largest block value, exact when every block's is.  The
     target is that of the first block, in order of smallest column,
     that reaches the value, padded with zeros.  A matrix with no block
     has a zero image, where the value is undefined
@@ -499,8 +490,7 @@ def _block_maximum(a, solve) -> GlobalExpansion:
     solved = {}
     best = best_rows = None
     exact = True
-    for rows, cols in blocks:
-        block = _submatrix(a, rows, cols)
+    for rows, _, block in blocks:
         res = solved.get(block)
         if res is None:
             res = solved[block] = solve(block)

@@ -8,16 +8,17 @@ an enumeration-cap hit is always a visible ``skipped`` entry, never a
 silent pass.  Reports are deterministic functions of (seed, arguments,
 library version).
 
-The checks run on the blocks of each matrix (``exactla._blocks``), which
-each campaign takes once per matrix and passes down.  The matrix is,
-up to row and column order, the direct sum of its blocks and of zero
-rows and columns, so its kernel is the direct sum of the block kernels
-and of one unit vector per zero column, and a preimage of a target is
-a preimage of each block part, side by side.  Spanning, the kernel
-rank, the 1-norm minima over Q and Z and the norms of the targets all
-follow from the blocks (``_kernel_spanned``, ``_matrix_targets_equal``),
-and each distinct block, or block and block target, is solved once per
-matrix.
+The checks run on the blocks of each matrix.  The cached
+``exactla._blocks`` decides the split and hands out each block's
+submatrix, built once per matrix, to every check that asks it for the
+blocks of the matrix it is given.  The matrix is, up to row and column
+order, the direct sum of its blocks and of zero rows and columns, so
+its kernel is the direct sum of the block kernels and of one unit
+vector per zero column, and a preimage of a target is a preimage of
+each block part, side by side.  Spanning, the kernel rank, the 1-norm
+minima over Q and Z and the norms of the targets all follow from the
+blocks (``_kernel_spanned``, ``_matrix_targets_equal``), and each
+distinct block, or block and block target, is solved once per matrix.
 
 The campaign sizes are module constants, recorded in each report's
 ``params``: ``_GLOBAL_WORK_CAP`` and ``_WITNESS_IMAGE_CAP`` bound the
@@ -64,7 +65,6 @@ from .exactla import (
     primitive_ray,
 )
 from .expansion import (
-    _submatrix,
     hamming_weight,
     iter_image_with_preimage,
     lift_section,
@@ -235,9 +235,9 @@ def sample_image_targets(rng: random.Random, a: IntMatrix) -> list:
     return out
 
 
-def _kernel_spanned(a: IntMatrix, blocks):
-    """(spanned, detail) for the kernel of ``a``, from its blocks
-    ``blocks`` (``_blocks(a)``).
+def _kernel_spanned(a: IntMatrix):
+    """(spanned, detail) for the kernel of ``a``, from the block
+    submatrices that ``_blocks(a)`` hands out.
 
     The kernel is the direct sum of the block kernels, each on its
     block's columns, and of one unit vector per zero column.  A
@@ -246,11 +246,11 @@ def _kernel_spanned(a: IntMatrix, blocks):
     vector projects to Z or 0.  So the kernel is spanned exactly when
     every distinct block's kernel is, and its rank is the sum of the
     block ranks plus the number of zero columns."""
-    rank = a.cols - sum(len(cols) for _, cols in blocks)
+    blocks = _blocks(a)
+    rank = a.cols - sum(len(cols) for _, cols, _ in blocks)
     spanned = True
     seen = {}
-    for rows, cols in blocks:
-        block = _submatrix(a, rows, cols)
+    for _, _, block in blocks:
         if block not in seen:
             kernel = integer_kernel_basis(block)
             seen[block] = kernel.rank, is_integrally_spanned(kernel.hnf).spanned
@@ -266,12 +266,11 @@ def _kernel_spanned(a: IntMatrix, blocks):
 
 def _equality_entry(report, rng, a: IntMatrix, label: str):
     instance = {"kind": label, "matrix": format_matrix(a)}
-    blocks = _blocks(a)
-    spanned, kdetail = _kernel_spanned(a, blocks)
+    spanned, kdetail = _kernel_spanned(a)
     if not spanned:
         report.add(instance, "fail", f"kernel not integrally spanned ({kdetail})", {})
         return
-    ok, compared, _ = _matrix_targets_equal(rng, a, blocks)
+    ok, compared, _ = _matrix_targets_equal(rng, a)
     if not compared:
         report.add(instance, "pass", "no nonzero image targets; equality vacuous", {})
     elif not ok:
@@ -361,12 +360,12 @@ def default_cw_fixtures() -> list:
     ]
 
 
-def _matrix_targets_equal(rng, a: IntMatrix, blocks):
+def _matrix_targets_equal(rng, a: IntMatrix):
     """(ok, compared, counterexample) for Q/Z equality over sampled
     targets of ``a``; vacuously true when the image is zero.
 
-    The targets are sampled on the whole matrix, but solved on its
-    blocks ``blocks`` (``_blocks(a)``).  A preimage of ``v`` is a
+    The targets are sampled on the whole matrix, but solved on the
+    block submatrices of ``_blocks(a)``.  A preimage of ``v`` is a
     preimage of each block part ``v_b`` side by side, with any value on
     the zero columns (best 0), and ``v`` is zero on the zero rows.  So
     the 1-norm minimum at ``v``, over Q and over Z, is the sum of the
@@ -374,12 +373,12 @@ def _matrix_targets_equal(rng, a: IntMatrix, blocks):
     that sum divided once by ``|v|_1``.  Each nonzero ``(block, v_b)``
     is solved once per matrix, whichever targets and blocks share it."""
     targets = sample_image_targets(rng, a)
-    solved = [(rows, _submatrix(a, rows, cols)) for rows, cols in blocks]
+    blocks = _blocks(a)
     minima = {}
     compared = []
     for v in targets:
         q_min = z_min = 0
-        for rows, block in solved:
+        for rows, _, block in blocks:
             v_b = tuple(v[i] for i in rows)
             if not any(v_b):
                 continue
@@ -439,8 +438,8 @@ def campaign_cw(complexes: Optional[Sequence] = None) -> CampaignReport:
                 quantities,
             )
             continue
-        ok0, compared0, bad0 = _matrix_targets_equal(rng, c.d0, _blocks(c.d0))
-        ok1, compared1, bad1 = _matrix_targets_equal(rng, c.d1, _blocks(c.d1))
+        ok0, compared0, bad0 = _matrix_targets_equal(rng, c.d0)
+        ok1, compared1, bad1 = _matrix_targets_equal(rng, c.d1)
         quantities["d0_targets"] = compared0
         quantities["d1_targets"] = compared1
         if not (ok0 and ok1):
@@ -464,15 +463,16 @@ def campaign_cw(complexes: Optional[Sequence] = None) -> CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-def _block_witnesses(a: IntMatrix, reduced, blocks, z_at: dict):
+def _block_witnesses(a: IntMatrix, reduced, z_at: dict):
     """Every nonzero image vector ``w`` of ``reduced`` (``a`` mod q), in
     ``iter_image_with_preimage`` order, as ``(w, wt, hw, m, norm,
     parts)``: the weights of ``xi_zq_at``'s witness and of ``w``, the
     integer minimum ``xi_z_at`` finds at the lifted target ``t`` and
     the 1-norm of ``t``, and ``t`` cut into one part per block of
-    ``blocks`` (``_blocks(a)``; see ``_lifted_target``).
+    ``_blocks(a)`` (see ``_lifted_target``).
 
-    Each nonzero block image is solved once, on the block's submatrix.
+    Each nonzero block image is solved once, on the block's submatrix
+    and its reduction mod q, which is the same submatrix of ``reduced``.
     This is exact: the F_q elimination never mixes blocks, so a block's
     witness is the whole witness restricted to the block, and both
     minima and both norms add over blocks.  ``z_at`` maps ``(block,
@@ -481,11 +481,10 @@ def _block_witnesses(a: IntMatrix, reduced, blocks, z_at: dict):
     q = reduced.q
     zero = (0,) * a.rows
     solved = []
-    for rows, cols in blocks:
+    for rows, _, block in _blocks(a):
         key = itemgetter(*rows)
         memo = {key(zero): (0, 0, 0, 0, (0,) * len(rows))}
-        block, block_q = _submatrix(a, rows, cols), _submatrix(reduced, rows, cols)
-        solved.append((rows, key, block, block_q, memo))
+        solved.append((rows, key, block, reduce_mod_q(block, q), memo))
     for w, _ in iter_image_with_preimage(reduced):
         wt = hw = m = norm = 0
         parts = []
@@ -510,31 +509,29 @@ def _block_witnesses(a: IntMatrix, reduced, blocks, z_at: dict):
         yield w, wt, hw, m, norm, parts
 
 
-def _lifted_target(a: IntMatrix, blocks, parts) -> tuple:
+def _lifted_target(a: IntMatrix, parts) -> tuple:
     """The lifted target of the whole matrix from its block parts."""
     t = [0] * a.rows
-    for (rows, _), part in zip(blocks, parts):
+    for (rows, _, _), part in zip(_blocks(a), parts):
         for i, x in zip(rows, part):
             t[i] = x
     return tuple(t)
 
 
-def _witness_check(a: IntMatrix, reduced, blocks, z_at: dict):
+def _witness_check(a: IntMatrix, reduced, z_at: dict):
     """``(checked, bad)`` for the per-witness inequality ``(q - 1) *
     xi_z_at >= xi_zq_at`` over the image of ``reduced``, from the sums
     of ``_block_witnesses``: the number of image vectors checked, and
     the first violation as report quantities, or None."""
     q = reduced.q
     checked = 0
-    for w, wt, hw, m, norm, parts in _block_witnesses(a, reduced, blocks, z_at):
+    for w, wt, hw, m, norm, parts in _block_witnesses(a, reduced, z_at):
         checked += 1
         # (q - 1) * (m / norm) < wt / hw, cross-multiplied in integers.
         if (q - 1) * m * hw < wt * norm:
             return checked, {
                 "w": format_vector(w).strip(),
-                "lifted_target": format_vector(
-                    _lifted_target(a, blocks, parts)
-                ).strip(),
+                "lifted_target": format_vector(_lifted_target(a, parts)).strip(),
                 "xi_z_at": format_rational(Fraction(m, norm)),
                 "xi_zq_at": format_rational(Fraction(wt, hw)),
             }
@@ -584,19 +581,19 @@ def campaign_modq(
     ]
     for idx, a in enumerate(instances):
         kind = "fixture" if idx < len(fixtures) else "random"
+        matrix = format_matrix(a)
         if a.is_zero():
             report.add(
-                {"kind": kind, "matrix": format_matrix(a)},
+                {"kind": kind, "matrix": matrix},
                 "skipped",
                 "zero matrix has no expansion values",
                 {},
             )
             continue
-        blocks = _blocks(a)
-        spanned, kdetail = _kernel_spanned(a, blocks)
+        spanned, kdetail = _kernel_spanned(a)
         if not spanned:
             report.add(
-                {"kind": kind, "matrix": format_matrix(a)},
+                {"kind": kind, "matrix": matrix},
                 "fail",
                 f"kernel not integrally spanned ({kdetail})",
                 {},
@@ -605,7 +602,7 @@ def campaign_modq(
         z_global = xi_q_global(a)
         z_at = {}
         for q in primes:
-            instance = {"kind": kind, "matrix": format_matrix(a), "q": q}
+            instance = {"kind": kind, "matrix": matrix, "q": q}
             reduced = reduce_mod_q(a, q)
             work = q**a.cols
             if work > _GLOBAL_WORK_CAP:
@@ -647,7 +644,7 @@ def campaign_modq(
                     {},
                 )
                 continue
-            checked, bad = _witness_check(a, reduced, blocks, z_at)
+            checked, bad = _witness_check(a, reduced, z_at)
             if bad is None:
                 report.add(
                     witness_instance,
@@ -697,8 +694,7 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
             except RowShapeError as err:
                 report.add(instance, "fail", f"row shape violated: {err}", {})
                 continue
-            blocks = _blocks(d1)
-            spanned, kdetail = _kernel_spanned(d1, blocks)
+            spanned, kdetail = _kernel_spanned(d1)
             if not spanned:
                 report.add(
                     instance,
@@ -707,7 +703,7 @@ def campaign_presentations(n_range: Sequence[int] = range(3, 8)) -> CampaignRepo
                     {},
                 )
                 continue
-            ok, compared, bad = _matrix_targets_equal(rng, d1, blocks)
+            ok, compared, bad = _matrix_targets_equal(rng, d1)
             if not ok:
                 instance["target"] = format_vector(bad).strip()
                 report.add(

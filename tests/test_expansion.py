@@ -63,7 +63,6 @@ from expansion_lab.expansion import (
     _nullspace_line,
     _rational_global,
     _sparse_steps,
-    _submatrix,
     hamming_weight,
     iter_image_with_preimage,
     lift_section,
@@ -795,7 +794,10 @@ class TestGlobalInteger:
     def test_one_block_is_solved_as_given(self):
         # so that its cached factorizations are shared
         a = mat([[1, 2], [0, 1]])
-        assert _submatrix(a, (0, 1), (0, 1)) is a
+        _blocks.cache_clear()
+        ((rows, cols, block),) = _blocks(a)
+        assert (rows, cols, block) == ((0, 1), (0, 1), a)
+        assert block is a
 
     def test_spanned_kernel_past_ambient_22_is_exact(self):
         # The kernel of the path on 24 vertices is the all-ones line:
@@ -977,8 +979,11 @@ class TestModQMatrix:
         assert xi_zq_global(m).value == 1
 
     def test_submatrix_is_a_checked_modq_matrix(self):
+        # _blocks cuts a ModQMatrix block by dataclasses.replace, so the
+        # block keeps its q and passes the constructor's checks.
         a = ModQMatrix.from_rows([[1, 0, 2], [0, 4, 0]], 5)
-        block = _submatrix(a, (0,), (0, 2))
+        (rows, cols, block), _ = _blocks(a)
+        assert (rows, cols) == ((0,), (0, 2))
         assert type(block) is ModQMatrix
         assert (block.rows, block.cols, block.q, block.entries) == (1, 2, 5, (1, 2))
         with pytest.raises(DimensionMismatchError):
@@ -1551,7 +1556,7 @@ class TestImageWalk:
             expansion, "_min_weight_in_coset", wraps=expansion._min_weight_in_coset
         ) as spy:
             res = xi_zq_global(a)
-        ranks = [modq_rank(_submatrix(a, *block)) for block in _blocks(a)]
+        ranks = [modq_rank(block) for _, _, block in _blocks(a)]
         assert ranks == [1, 2]
         assert spy.call_count == sum(3**r - 1 for r in ranks)
         assert (res.value, res.attaining_target) == (
@@ -1639,13 +1644,18 @@ class TestBlockSplit:
 
     def test_blocks_in_order_of_smallest_column(self):
         a = mat([[0, 2, 0, 0], [0, 0, 0, 0], [1, 0, 0, 3], [0, 0, 0, 1]])
-        assert _blocks(a) == (((2, 3), (0, 3)), ((0,), (1,)))
+        assert _blocks(a) == (
+            ((2, 3), (0, 3), mat([[1, 3], [0, 1]])),
+            ((0,), (1,), mat([[2]])),
+        )
         assert _blocks(IntMatrix.zeros(2, 3)) == ()
 
     def test_blocks_over_f_q_use_reduced_entries(self):
-        assert _blocks(mat([[1, 3], [0, 1]])) == (((0, 1), (0, 1)),)
+        a = mat([[1, 3], [0, 1]])
+        assert _blocks(a) == (((0, 1), (0, 1), a),)
         a = ModQMatrix.from_rows([[1, 3], [0, 1]], 3)
-        assert _blocks(a) == (((0,), (0,)), ((1,), (1,)))
+        one = ModQMatrix.from_rows([[1]], 3)
+        assert _blocks(a) == (((0,), (0,), one), ((1,), (1,), one))
 
     @settings(max_examples=300, deadline=None)
     @given(permuted_block_diagonals(st.sampled_from((2, 3, 5))))
@@ -1671,8 +1681,8 @@ class TestBlockSplit:
         # The tie rule: the target lies on the first block, in order of
         # smallest column, that reaches the value.  In the example both
         # blocks reach 1 and the whole route's target is (0, 0, 1).
-        values = [_rational_global(_submatrix(a, *b)).value for b in blocks]
-        rows, _ = blocks[values.index(res.value)]
+        values = [_rational_global(block).value for _, _, block in blocks]
+        rows, _, _ = blocks[values.index(res.value)]
         assert not any(x for i, x in enumerate(res.attaining_target) if i not in rows)
 
     @settings(max_examples=150, deadline=None)
@@ -1683,7 +1693,7 @@ class TestBlockSplit:
         # split value, target and flag are the whole-matrix route's.
         res = xi_z_global(a)
         assert xi_z_at(a, res.attaining_target).value == res.value
-        spanned = all(kernel_is_spanned(_submatrix(a, *b)) for b in _blocks(a))
+        spanned = all(kernel_is_spanned(block) for _, _, block in _blocks(a))
         assert spanned == kernel_is_spanned(a)
         if spanned:
             assert res == z_global_by_whole_matrix(a)
@@ -1752,8 +1762,75 @@ def repeated_block_diagonals(draw, field=st.none()):
     return block_diagonal([pool[i] for i in picks], q)
 
 
+def dense_slice(a, rows, cols):
+    """The rows ``rows`` and columns ``cols`` of ``a``, cut from its
+    nested row lists, as a matrix of ``a``'s type."""
+    data = a.to_rows()
+    cut = [[data[i][j] for j in cols] for i in rows]
+    if isinstance(a, ModQMatrix):
+        return ModQMatrix.from_rows(cut, a.q, cols=len(cols))
+    return IntMatrix.from_rows(cut, cols=len(cols))
+
+
 def distinct_blocks(a):
-    return {_submatrix(a, *b) for b in _blocks(a)}
+    return {dense_slice(a, rows, cols) for rows, cols, _ in _blocks(a)}
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Matrices of up to 4 x 4 with entries in [-2, 2], mostly zero, so
+    that zero rows and columns occur and a matrix can be one block."""
+    cols = draw(st.integers(1, 4))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+    line = st.lists(entry, min_size=cols, max_size=cols)
+    return IntMatrix.from_rows(draw(st.lists(line, max_size=4)), cols=cols)
+
+
+class TestBlockSubmatrices:
+    """``_blocks`` hands out each block's submatrix, against a dense
+    slice of the matrix's rows cut in the test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            sparse_matrices(),
+            permuted_block_diagonals(),
+            permuted_block_diagonals(st.sampled_from((2, 3, 5))),
+            repeated_block_diagonals(),
+            repeated_block_diagonals(st.sampled_from((2, 3, 5))),
+        )
+    )
+    def test_every_block_is_the_dense_slice(self, a):
+        # The cache answers for an equal matrix seen before with that
+        # matrix's blocks; start from an empty cache to see a's own.
+        _blocks.cache_clear()
+        blocks = _blocks(a)
+        nonzeros = 0
+        shared = {}
+        for rows, cols, block in blocks:
+            assert type(block) is type(a)
+            assert block == dense_slice(a, rows, cols)
+            # Equal submatrices are one object.
+            assert shared.setdefault(block, block) is block
+            nonzeros += sum(map(bool, block.entries))
+        # The blocks hold every nonzero entry of the matrix.
+        assert nonzeros == sum(map(bool, a.entries))
+        # A matrix that is one block gets itself.
+        everything = (tuple(range(a.rows)), tuple(range(a.cols)))
+        if len(blocks) == 1 and blocks[0][:2] == everything:
+            assert blocks[0][2] is a
+
+    @pytest.mark.parametrize("q", [None, 2])
+    def test_steinberg_d1_blocks_are_one_object(self, q):
+        # Steinberg d1 at n = 7 is 840 x 42 and splits into 42 identical
+        # 5 x 1 blocks.
+        a = presentation_d1(steinberg_presentation(7))
+        if q is not None:
+            a = reduce_mod_q(a, q)
+        blocks = _blocks(a)
+        assert len(blocks) == 42
+        assert len({id(block) for _, _, block in blocks}) == 1
+        assert blocks[0][2] == dense_slice(a, *blocks[0][:2])
 
 
 class TestOneSolvePerDistinctBlock:

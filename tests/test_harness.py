@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansion_lab import expansion, harness
+from expansion_lab import complexes, expansion, harness
 from expansion_lab.complexes import (
     braid_presentation,
     check_incidence_rows,
@@ -33,7 +33,6 @@ from expansion_lab.exactla import (
     primitive_ray,
 )
 from expansion_lab.expansion import (
-    _submatrix,
     iter_image_with_preimage,
     modq_rank,
     reduce_mod_q,
@@ -293,14 +292,13 @@ def targets_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(targets_cases(), st.integers(0, 2**32))
 def test_block_targets_check_matches_the_whole_matrix(a, seed):
-    blocks = _blocks(a)
     rng, oracle_rng = random.Random(seed), random.Random(seed)
-    assert harness._matrix_targets_equal(
-        rng, a, blocks
-    ) == targets_equal_by_whole_matrix(oracle_rng, a)
+    assert harness._matrix_targets_equal(rng, a) == targets_equal_by_whole_matrix(
+        oracle_rng, a
+    )
     # The same draws leave the stream in the same state.
     assert rng.random() == oracle_rng.random()
-    assert harness._kernel_spanned(a, blocks) == kernel_spanned_by_whole_matrix(a)
+    assert harness._kernel_spanned(a) == kernel_spanned_by_whole_matrix(a)
 
 
 @pytest.mark.parametrize(
@@ -320,7 +318,23 @@ def test_block_targets_check_matches_the_whole_matrix(a, seed):
 def test_block_kernel_check_matches_the_whole_matrix(rows, cols, expected):
     a = IntMatrix.from_rows(rows, cols=cols)
     assert kernel_spanned_by_whole_matrix(a) == expected
-    assert harness._kernel_spanned(a, _blocks(a)) == expected
+    assert harness._kernel_spanned(a) == expected
+
+
+def record_block_searches(monkeypatch):
+    """Clear the ``_blocks`` cache and record, in a list it returns,
+    every matrix whose blocks any module asks for; the cache's misses
+    then count the block searches."""
+    _blocks.cache_clear()
+    asked = []
+
+    def blocks_of(a):
+        asked.append(a)
+        return _blocks(a)
+
+    for module in (complexes, expansion, harness):
+        monkeypatch.setattr(module, "_blocks", blocks_of)
+    return asked
 
 
 @pytest.mark.parametrize(
@@ -334,19 +348,14 @@ def test_block_kernel_check_matches_the_whole_matrix(rows, cols, expected):
 def test_targets_check_solves_each_block_target_once_per_matrix(
     monkeypatch, run, matrices
 ):
-    # Each matrix's blocks are taken once, through harness._blocks, and
-    # passed to the kernel and per-target checks; each distinct (block,
-    # v_b) is solved once per matrix over Q and once over Z.  The
-    # equality campaign's negative control solves outside these checks.
+    # Every check reads the blocks of its matrix from the cached
+    # _blocks, which searches each distinct matrix once; each distinct
+    # (block, v_b) is solved once per matrix over Q and once over Z.
+    # The equality campaign's negative control solves outside these
+    # checks.
     plain = run().to_json()
     seen, targets, q_solves, z_solves = [], [], [], []
     inside = []
-
-    def blocks_of(a):
-        seen.append(a)
-        for calls in (targets, q_solves, z_solves):
-            calls.append([])
-        return _blocks(a)
 
     def sample(rng, a):
         out = sample_image_targets(rng, a)
@@ -355,11 +364,13 @@ def test_targets_check_solves_each_block_target_once_per_matrix(
 
     real_check = harness._matrix_targets_equal
 
-    def check(rng, a, blocks):
-        assert a == seen[-1]
+    def check(rng, a):
+        seen.append(a)
+        for calls in (targets, q_solves, z_solves):
+            calls.append([])
         inside.append(True)
         try:
-            return real_check(rng, a, blocks)
+            return real_check(rng, a)
         finally:
             inside.pop()
 
@@ -371,22 +382,24 @@ def test_targets_check_solves_each_block_target_once_per_matrix(
 
         return wrapped
 
-    monkeypatch.setattr(harness, "_blocks", blocks_of)
+    asked = record_block_searches(monkeypatch)
     monkeypatch.setattr(harness, "sample_image_targets", sample)
     monkeypatch.setattr(harness, "_matrix_targets_equal", check)
     monkeypatch.setattr(harness, "xi_q_at", recording(xi_q_at, q_solves))
     monkeypatch.setattr(harness, "xi_z_at", recording(xi_z_at, z_solves))
     assert run().to_json() == plain
+    assert _blocks.cache_info().misses == len(set(asked))
+    assert set(seen) <= set(asked)
     assert len(seen) == matrices
     pairs = 0
     for a, vs, q_calls, z_calls in zip(seen, targets, q_solves, z_solves):
         blocks = _blocks(a)
         expected = set()
         for v in vs:
-            for rows, cols in blocks:
+            for rows, _, block in blocks:
                 v_b = tuple(v[i] for i in rows)
                 if any(v_b):
-                    expected.add((_submatrix(a, rows, cols), v_b))
+                    expected.add((block, v_b))
         for calls in (q_calls, z_calls):
             assert len(calls) == len(set(calls))
             assert set(calls) == expected
@@ -407,11 +420,9 @@ def test_campaign_reports_match_the_whole_matrix_checks(monkeypatch):
     monkeypatch.setattr(
         harness,
         "_matrix_targets_equal",
-        lambda rng, a, blocks: targets_equal_by_whole_matrix(rng, a),
+        lambda rng, a: targets_equal_by_whole_matrix(rng, a),
     )
-    monkeypatch.setattr(
-        harness, "_kernel_spanned", lambda a, blocks: kernel_spanned_by_whole_matrix(a)
-    )
+    monkeypatch.setattr(harness, "_kernel_spanned", kernel_spanned_by_whole_matrix)
     assert reports() == plain
 
 
@@ -535,16 +546,18 @@ def test_modq_solves_each_lifted_target_once_per_matrix(monkeypatch):
     # The witness loop lifts each nonzero block image once per (matrix,
     # q), through harness.mat_vec, and solves each lifted block target
     # once per matrix, through harness.xi_z_at; targets recur across the
-    # primes.  harness._blocks is called once per matrix.
+    # primes.  The cached _blocks searches each distinct matrix once.
     primes = (2, 3, 5)
     plain = campaign_modq(5, 3, primes=primes).to_json()
     matrices, lifted, solved = [], [], []
+    real_walk = harness._block_witnesses
 
-    def blocks_of(a):
-        matrices.append(a)
-        lifted.append([])
-        solved.append([])
-        return _blocks(a)
+    def walk(a, reduced, z_at):
+        if not matrices or matrices[-1] is not a:
+            matrices.append(a)
+            lifted.append([])
+            solved.append([])
+        return real_walk(a, reduced, z_at)
 
     def lift_target(a, u):
         t = mat_vec(a, u)
@@ -555,20 +568,22 @@ def test_modq_solves_each_lifted_target_once_per_matrix(monkeypatch):
         solved[-1].append((a, tuple(v)))
         return xi_z_at(a, v)
 
-    monkeypatch.setattr(harness, "_blocks", blocks_of)
+    asked = record_block_searches(monkeypatch)
+    monkeypatch.setattr(harness, "_block_witnesses", walk)
     monkeypatch.setattr(harness, "mat_vec", lift_target)
     monkeypatch.setattr(harness, "xi_z_at", solve)
     report = campaign_modq(5, 3, primes=primes)
     assert report.to_json() == plain
+    assert _blocks.cache_info().misses == len(set(asked))
+    assert set(matrices) <= set(asked)
+    assert matrices
     for a, lifts, solves in zip(matrices, lifted, solved):
         block_images = 0
         for q in primes:
-            reduced = reduce_mod_q(a, q)
-            if q ** modq_rank(reduced) > harness._WITNESS_IMAGE_CAP:
+            if q ** modq_rank(reduce_mod_q(a, q)) > harness._WITNESS_IMAGE_CAP:
                 continue
-            for rows, cols in _blocks(a):
-                block = _submatrix(reduced, rows, cols)
-                block_images += q ** modq_rank(block) - 1
+            for _, _, block in _blocks(a):
+                block_images += q ** modq_rank(reduce_mod_q(block, q)) - 1
         assert len(lifts) == block_images
         assert len(solves) == len(set(solves))
         assert set(solves) == set(lifts)
@@ -612,12 +627,11 @@ def block_diagonal(parts):
 def test_block_witness_loop_matches_the_whole_matrix_loop(case):
     a, q = case
     reduced = reduce_mod_q(a, q)
-    blocks = _blocks(a)
     checked, bad, seen = witness_loop_by_whole_matrix(a, q)
-    assert harness._witness_check(a, reduced, blocks, {}) == (checked, bad)
+    assert harness._witness_check(a, reduced, {}) == (checked, bad)
     walked = [
-        (w, Fraction(wt, hw), harness._lifted_target(a, blocks, parts), Fraction(m, norm))
-        for w, wt, hw, m, norm, parts in harness._block_witnesses(a, reduced, blocks, {})
+        (w, Fraction(wt, hw), harness._lifted_target(a, parts), Fraction(m, norm))
+        for w, wt, hw, m, norm, parts in harness._block_witnesses(a, reduced, {})
     ]
     assert walked[:checked] == seen
     assert bad is not None or len(walked) == checked
@@ -629,16 +643,19 @@ def test_block_coset_witness_is_the_whole_witness_restricted(case):
     a, q = case
     reduced = reduce_mod_q(a, q)
     blocks = _blocks(a)
-    in_blocks = {j for _, cols in blocks for j in cols}
+    in_blocks = {j for _, cols, _ in blocks for j in cols}
     for w, _ in iter_image_with_preimage(reduced):
         whole = xi_zq_at(reduced, w).witness
         assert all(whole[j] == 0 for j in range(a.cols) if j not in in_blocks)
-        for rows, cols in blocks:
+        for rows, cols, block in blocks:
             w_b = tuple(w[i] for i in rows)
             restricted = tuple(whole[j] for j in cols)
+            # Reduction commutes with taking the submatrix.
+            block_q = reduce_mod_q(block, q)
+            cut = tuple(reduced.at(i, j) for i in rows for j in cols)
+            assert block_q.entries == cut
             if any(w_b):
-                block = _submatrix(reduced, rows, cols)
-                assert xi_zq_at(block, w_b).witness == restricted
+                assert xi_zq_at(block_q, w_b).witness == restricted
             else:
                 assert not any(restricted)
 
@@ -646,7 +663,7 @@ def test_block_coset_witness_is_the_whole_witness_restricted(case):
 def test_modq_reports_match_the_whole_matrix_loop(monkeypatch):
     plain = [campaign_modq(seed, 20, (2, 3, 5)).to_json() for seed in range(3)]
 
-    def whole_matrix_check(a, reduced, blocks, z_at):
+    def whole_matrix_check(a, reduced, z_at):
         return witness_loop_by_whole_matrix(a, reduced.q)[:2]
 
     monkeypatch.setattr(harness, "_witness_check", whole_matrix_check)
