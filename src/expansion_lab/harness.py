@@ -33,10 +33,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import expansion
@@ -65,8 +65,8 @@ from .exactla import (
     primitive_ray,
 )
 from .expansion import (
+    _image_walk,
     hamming_weight,
-    iter_image_with_preimage,
     lift_section,
     minimization_faces,
     modq_rank,
@@ -463,50 +463,60 @@ def campaign_cw(complexes: Optional[Sequence] = None) -> CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-def _block_witnesses(a: IntMatrix, reduced, z_at: dict):
-    """Every nonzero image vector ``w`` of ``reduced`` (``a`` mod q), in
-    ``iter_image_with_preimage`` order, as ``(w, wt, hw, m, norm,
-    parts)``: the weights of ``xi_zq_at``'s witness and of ``w``, the
-    integer minimum ``xi_z_at`` finds at the lifted target ``t`` and
-    the 1-norm of ``t``, and ``t`` cut into one part per block of
-    ``_blocks(a)`` (see ``_lifted_target``).
+def _block_tables(a: IntMatrix, q: int, z_at: dict) -> dict:
+    """One table per distinct block of ``_blocks(a)``: a dict from each
+    nonzero image vector ``w_b`` of the block mod q, in ``_image_walk``
+    order, to ``(wt_b, hw_b, m_b, norm_b, t_b)``.  ``wt_b`` is the
+    weight of ``xi_zq_at``'s witness ``u`` on the block mod q, ``hw_b``
+    the weight of ``w_b``, ``t_b`` the lifted block target ``block @
+    lift_section(u)``, and ``m_b`` and ``norm_b`` the 1-norms of
+    ``xi_z_at``'s minimizer at ``t_b`` and of ``t_b``.
 
-    Each nonzero block image is solved once, on the block's submatrix
-    and its reduction mod q, which is the same submatrix of ``reduced``.
-    This is exact: the F_q elimination never mixes blocks, so a block's
-    witness is the whole witness restricted to the block, and both
-    minima and both norms add over blocks.  ``z_at`` maps ``(block,
-    t_b)`` to the block's integer minimum and norm, shared by every
-    prime of the matrix."""
-    q = reduced.q
-    zero = (0,) * a.rows
-    solved = []
-    for rows, _, block in _blocks(a):
-        key = itemgetter(*rows)
-        memo = {key(zero): (0, 0, 0, 0, (0,) * len(rows))}
-        solved.append((rows, key, block, reduce_mod_q(block, q), memo))
-    for w, _ in iter_image_with_preimage(reduced):
-        wt = hw = m = norm = 0
+    Each block image is solved once per (matrix, q), each lifted block
+    target once per matrix: ``z_at`` maps ``(block, t_b)`` to ``(m_b,
+    norm_b)``, shared by every prime of the matrix."""
+    tables = {}
+    for _, _, block in _blocks(a):
+        if block in tables:
+            continue
+        block_q = reduce_mod_q(block, q)
+        table = tables[block] = {}
+        for w_b, hw_b, _ in _image_walk(block_q):
+            w_b = tuple(w_b)
+            u = xi_zq_at(block_q, w_b).witness
+            t_b = mat_vec(block, lift_section(u, q))
+            z = z_at.get((block, t_b))
+            if z is None:
+                best = xi_z_at(block, t_b).witness
+                z = z_at[block, t_b] = (l1_norm(best), l1_norm(t_b))
+            table[w_b] = (hamming_weight(u), hw_b, *z, t_b)
+    return tables
+
+
+def _block_witnesses(a: IntMatrix, reduced, tables: dict):
+    """Every nonzero image vector ``w`` of ``reduced`` (``a`` mod q), in
+    ``_image_walk`` order, as ``(w, wt, hw, m, norm, parts)``: ``hw``
+    the walk's weight of ``w``, the sums of ``wt_b``, ``m_b`` and
+    ``norm_b`` of ``tables`` (``_block_tables``) over the nonzero block
+    parts of ``w``, and the lifted block targets ``t_b``, one per block
+    of ``_blocks(a)`` (see ``_lifted_target``).  This is exact: the F_q
+    elimination never mixes blocks, so a block's witness is the whole
+    witness restricted to the block, and both minima and both norms add
+    over blocks."""
+    cut = [(rows, tables[block], (0,) * len(rows)) for rows, _, block in _blocks(a)]
+    for w, hw, _ in _image_walk(reduced):
+        wt = m = norm = 0
         parts = []
-        for rows, key, block, block_q, memo in solved:
-            part = memo.get(key(w))
+        for rows, table, zero in cut:
+            part = table.get(tuple(w[i] for i in rows))
             if part is None:
-                w_b = tuple(w[i] for i in rows)
-                u = xi_zq_at(block_q, w_b).witness
-                t_b = mat_vec(block, lift_section(u, q))
-                z = z_at.get((block, t_b))
-                if z is None:
-                    best = xi_z_at(block, t_b).witness
-                    z = z_at[block, t_b] = (l1_norm(best), l1_norm(t_b))
-                part = memo[key(w)] = (
-                    hamming_weight(u), hamming_weight(w_b), *z, t_b
-                )
+                parts.append(zero)
+                continue
             wt += part[0]
-            hw += part[1]
             m += part[2]
             norm += part[3]
             parts.append(part[4])
-        yield w, wt, hw, m, norm, parts
+        yield tuple(w), wt, hw, m, norm, parts
 
 
 def _lifted_target(a: IntMatrix, parts) -> tuple:
@@ -520,12 +530,45 @@ def _lifted_target(a: IntMatrix, parts) -> tuple:
 
 def _witness_check(a: IntMatrix, reduced, z_at: dict):
     """``(checked, bad)`` for the per-witness inequality ``(q - 1) *
-    xi_z_at >= xi_zq_at`` over the image of ``reduced``, from the sums
-    of ``_block_witnesses``: the number of image vectors checked, and
-    the first violation as report quantities, or None."""
+    xi_z_at >= xi_zq_at`` over the nonzero image vectors ``w`` of
+    ``reduced``: the number of image vectors checked, and the first
+    violation as report quantities, or None.
+
+    At ``w`` the inequality reads ``(q - 1) * M * H >= W * N``, with
+    ``W``, ``H``, ``M`` and ``N`` the sums of ``wt_b``, ``hw_b``,
+    ``m_b`` and ``norm_b`` of ``_block_tables`` over the nonzero block
+    parts of ``w``.  It need not hold block by block, but a certificate
+    proves it for every ``w``: let ``hi`` be the largest ``norm_b /
+    hw_b`` and ``lo`` the least ``(q - 1) * m_b / wt_b`` over every
+    table entry.  If ``hi <= lo``, pick any ``lam`` in ``[hi, lo]``.
+    Summing ``norm_b <= lam * hw_b`` and ``(q - 1) * m_b >= lam * wt_b``
+    over the parts gives ``N <= lam * H`` and ``(q - 1) * M >= lam *
+    W``, so ``(q - 1) * M * H >= lam * W * H >= W * N``.  Then all
+    ``q^rank - 1`` image vectors pass unwalked.  On incidence-shaped
+    blocks ``lam = q - 1`` always works, by the paper's argument: each
+    entry of ``t_b`` is plus or minus one lifted entry in ``[0, q)``,
+    or the difference of two, so it lies in ``(-q, q)`` and is 0 where
+    ``w_b`` is, and ``norm_b <= (q - 1) * hw_b``; any integer preimage of
+    ``t_b`` reduces to an F_q preimage of ``w_b``, so ``m_b >= wt_b``.
+    When the certificate fails,
+    ``_block_witnesses`` walks the image in order, the only route that
+    names the first violating ``w``."""
     q = reduced.q
+    tables = _block_tables(a, q, z_at)
+    # hi = hi_norm / hi_hw and lo = lo_m / lo_wt; lo starts at 1 / 0,
+    # above every ratio.
+    hi_norm, hi_hw, lo_m, lo_wt = 0, 1, 1, 0
+    for table in tables.values():
+        for wt, hw, m, norm, _ in table.values():
+            if norm * hi_hw > hi_norm * hw:
+                hi_norm, hi_hw = norm, hw
+            if (q - 1) * m * lo_wt < lo_m * wt:
+                lo_m, lo_wt = (q - 1) * m, wt
+    if hi_norm * lo_wt <= lo_m * hi_hw:
+        # The image is the product of the block images.
+        return math.prod(len(tables[b]) + 1 for _, _, b in _blocks(a)) - 1, None
     checked = 0
-    for w, wt, hw, m, norm, parts in _block_witnesses(a, reduced, z_at):
+    for w, wt, hw, m, norm, parts in _block_witnesses(a, reduced, tables):
         checked += 1
         # (q - 1) * (m / norm) < wt / hw, cross-multiplied in integers.
         if (q - 1) * m * hw < wt * norm:
@@ -551,11 +594,14 @@ def campaign_modq(
     skipped, as is the global check when the rational value is only a
     lower bound (``exact`` false).
 
-    The witness loop walks every image vector of the whole matrix but
-    solves block by block (``_block_witnesses``): each nonzero block
+    The witness check (``_witness_check``) solves block by block into
+    one table per distinct block (``_block_tables``): each nonzero block
     image once per prime over F_q, each lifted block target once per
-    matrix over Z, whichever primes reach it.  ``_WITNESS_IMAGE_CAP``
-    still prices the whole ``q^rank`` walk, while the solves number
+    matrix over Z, whichever primes reach it.  A certificate over the
+    tables, which always holds on incidence-shaped blocks, passes every
+    image vector at once; only when it fails is the whole image walked
+    (``_block_witnesses``).  ``_WITNESS_IMAGE_CAP`` still prices
+    ``q^rank``, the rank a sum of block ranks, while the solves number
     ``sum_b q^rank_b``.
     """
     rng = random.Random(seed)
@@ -635,7 +681,8 @@ def campaign_modq(
 
             witness_instance = dict(instance)
             witness_instance["check"] = "per-witness"
-            images = q ** modq_rank(reduced)
+            # The rank of ``reduced`` is the sum of its block ranks.
+            images = q ** sum(modq_rank(reduce_mod_q(b, q)) for _, _, b in _blocks(a))
             if images > _WITNESS_IMAGE_CAP:
                 report.add(
                     witness_instance,

@@ -543,21 +543,27 @@ def test_modq_witness_entries_count_images():
 
 
 def test_modq_solves_each_lifted_target_once_per_matrix(monkeypatch):
-    # The witness loop lifts each nonzero block image once per (matrix,
-    # q), through harness.mat_vec, and solves each lifted block target
-    # once per matrix, through harness.xi_z_at; targets recur across the
-    # primes.  The cached _blocks searches each distinct matrix once.
+    # The witness check solves each nonzero image of each distinct block
+    # once per (matrix, q), through harness.xi_zq_at, lifts its witness
+    # through harness.mat_vec, and solves each lifted block target once
+    # per matrix, through harness.xi_z_at; targets recur across the
+    # primes.  Seed 6 draws a matrix with repeated blocks.  The cached
+    # _blocks searches each distinct matrix once.
     primes = (2, 3, 5)
-    plain = campaign_modq(5, 3, primes=primes).to_json()
-    matrices, lifted, solved = [], [], []
-    real_walk = harness._block_witnesses
+    plain = campaign_modq(6, 3, primes=primes).to_json()
+    matrices, asked, lifted, solved = [], [], [], []
+    real_check = harness._witness_check
 
-    def walk(a, reduced, z_at):
+    def check(a, reduced, z_at):
         if not matrices or matrices[-1] is not a:
             matrices.append(a)
-            lifted.append([])
-            solved.append([])
-        return real_walk(a, reduced, z_at)
+            for calls in (asked, lifted, solved):
+                calls.append([])
+        return real_check(a, reduced, z_at)
+
+    def solve_q(block_q, w_b):
+        asked[-1].append((block_q, tuple(w_b)))
+        return xi_zq_at(block_q, w_b)
 
     def lift_target(a, u):
         t = mat_vec(a, u)
@@ -568,23 +574,27 @@ def test_modq_solves_each_lifted_target_once_per_matrix(monkeypatch):
         solved[-1].append((a, tuple(v)))
         return xi_z_at(a, v)
 
-    asked = record_block_searches(monkeypatch)
-    monkeypatch.setattr(harness, "_block_witnesses", walk)
+    searched = record_block_searches(monkeypatch)
+    monkeypatch.setattr(harness, "_witness_check", check)
+    monkeypatch.setattr(harness, "xi_zq_at", solve_q)
     monkeypatch.setattr(harness, "mat_vec", lift_target)
     monkeypatch.setattr(harness, "xi_z_at", solve)
-    report = campaign_modq(5, 3, primes=primes)
+    report = campaign_modq(6, 3, primes=primes)
     assert report.to_json() == plain
-    assert _blocks.cache_info().misses == len(set(asked))
-    assert set(matrices) <= set(asked)
-    assert matrices
-    for a, lifts, solves in zip(matrices, lifted, solved):
-        block_images = 0
+    assert _blocks.cache_info().misses == len(set(searched))
+    assert set(matrices) <= set(searched)
+    assert any(len(_blocks(a)) > len({b for _, _, b in _blocks(a)}) for a in matrices)
+    for a, images, lifts, solves in zip(matrices, asked, lifted, solved):
+        expected = set()
         for q in primes:
             if q ** modq_rank(reduce_mod_q(a, q)) > harness._WITNESS_IMAGE_CAP:
                 continue
-            for _, _, block in _blocks(a):
-                block_images += q ** modq_rank(reduce_mod_q(block, q)) - 1
-        assert len(lifts) == block_images
+            for block in {block for _, _, block in _blocks(a)}:
+                block_q = reduce_mod_q(block, q)
+                expected |= {(block_q, w) for w, _ in iter_image_with_preimage(block_q)}
+        assert len(images) == len(expected)
+        assert set(images) == expected
+        assert len(lifts) == len(images)
         assert len(solves) == len(set(solves))
         assert set(solves) == set(lifts)
     checked = sum(
@@ -622,19 +632,81 @@ def block_diagonal(parts):
     return IntMatrix.from_rows(rows, cols=cols)
 
 
+@st.composite
+def general_witness_cases(draw):
+    """``(a, q)``: a 1-3 x 1-4 matrix with entries in [-2, 2], where the
+    certificate of ``harness._witness_check`` often fails and the
+    per-witness inequality often does too."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 4))
+    size = rows * cols
+    entries = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    return IntMatrix(rows, cols, tuple(entries)), q
+
+
 @settings(max_examples=300, deadline=None)
-@given(modq_witness_cases())
+@given(st.one_of(modq_witness_cases(), general_witness_cases()))
 def test_block_witness_loop_matches_the_whole_matrix_loop(case):
     a, q = case
     reduced = reduce_mod_q(a, q)
     checked, bad, seen = witness_loop_by_whole_matrix(a, q)
     assert harness._witness_check(a, reduced, {}) == (checked, bad)
+    tables = harness._block_tables(a, q, {})
     walked = [
         (w, Fraction(wt, hw), harness._lifted_target(a, parts), Fraction(m, norm))
-        for w, wt, hw, m, norm, parts in harness._block_witnesses(a, reduced, {})
+        for w, wt, hw, m, norm, parts in harness._block_witnesses(a, reduced, tables)
     ]
     assert walked[:checked] == seen
     assert bad is not None or len(walked) == checked
+
+
+def record_walks(monkeypatch):
+    """Record, in a list it returns, every matrix whose whole image
+    ``harness._block_witnesses`` walks: the fallback of the witness
+    check, run only when its certificate fails."""
+    walked = []
+    real_walk = harness._block_witnesses
+
+    def walk(a, reduced, tables):
+        walked.append(a)
+        return real_walk(a, reduced, tables)
+
+    monkeypatch.setattr(harness, "_block_witnesses", walk)
+    return walked
+
+
+@pytest.mark.parametrize(
+    "rows, q, walks, passes",
+    [
+        # Incidence rows: the certificate holds at lam = q - 1.
+        ([[1, -1, 0], [0, 1, -1]], 3, False, True),
+        # norm_b / hw_b reaches 8 at w = 2 (u = 4, t = -8), above the
+        # least (q - 1) * m_b / wt_b, 4 at w = 3 (u = 1, t = -2), but
+        # each w passes on its own.
+        ([[-2]], 5, True, True),
+        # The column (0, 1) mod 2: w = (0, 1) lifts to t = (-2, -1),
+        # whose integer minimum 1 is below wt / hw * norm = 3.
+        ([[-2], [-1]], 2, True, False),
+    ],
+)
+def test_witness_check_walks_only_when_the_certificate_fails(
+    monkeypatch, rows, q, walks, passes
+):
+    a = IntMatrix.from_rows(rows)
+    walked = record_walks(monkeypatch)
+    checked, bad, _ = witness_loop_by_whole_matrix(a, q)
+    assert harness._witness_check(a, reduce_mod_q(a, q), {}) == (checked, bad)
+    assert bool(walked) == walks
+    assert (bad is None) == passes
+
+
+def test_modq_campaign_never_walks_the_whole_image(monkeypatch):
+    walked = record_walks(monkeypatch)
+    report = campaign_modq(20260819, 20)
+    assert report.ok
+    assert report.totals["pass"] > 100
+    assert not walked
 
 
 @settings(max_examples=100, deadline=None)
@@ -704,7 +776,9 @@ def test_modq_witness_violation_is_reported_as_the_oracle_finds_it(
     assert (checked == 1) == first
     monkeypatch.setattr(harness, "random_incidence_matrix", lambda rng: a)
     monkeypatch.setattr(harness, "xi_z_at", solver)
+    walked = record_walks(monkeypatch)
     report = campaign_modq(0, 1, primes=(q,))
+    assert walked[-1] == a
     entry = report.entries[-1]
     assert entry["instance"]["matrix"] == format_matrix(a)
     assert entry["instance"]["check"] == "per-witness"
