@@ -8,8 +8,8 @@ certified on its k-coordinate projections alone.  Otherwise the
 certificate names k coordinates whose projection is unsaturated; they
 are shrunk while the projection stays unsaturated, and the result
 carries a concrete witness vector.  The count printed is the number of
-subsets covered when spanned, and otherwise the Smith forms the
-witness step took.
+subsets covered when spanned, and otherwise the subsets the witness
+step decided, all from the Smith form of the named coordinates.
 """
 
 from expansion_lab import IntMatrix, is_integrally_spanned
@@ -19,7 +19,7 @@ def show(rows):
     a = IntMatrix.from_rows(rows)
     verdict = is_integrally_spanned(a)
     print(f"generators {rows}")
-    label = "subsets covered" if verdict.spanned else "Smith forms for the witness"
+    label = "subsets covered" if verdict.spanned else "subsets decided for the witness"
     print(f"  spanned: {verdict.spanned}  ({label}: {verdict.subsets_checked})")
     if verdict.witness is not None:
         subset, vector = verdict.witness

@@ -186,14 +186,16 @@ def random_incidence_matrix(rng: random.Random, max_edges: int = 10) -> IntMatri
     [1, max_edges].  Each edge is a zero row with probability 1/10,
     otherwise a loop/half-edge with probability 1/5, otherwise a
     uniform pair of distinct vertices.  Exercises all three row types.
+    The floats 0.1 and 0.2 split the multiples of 2^-53 that ``random``
+    returns exactly where 1/10 and 1/5 do.
     """
     v = rng.randint(2, 8)
     edges = []
     for _ in range(rng.randint(1, max_edges)):
-        if rng.random() < Fraction(1, 10):
+        if rng.random() < 0.1:
             edges.append((0, 0))
             continue
-        if rng.random() < Fraction(1, 5):
+        if rng.random() < 0.2:
             w = rng.randint(1, v)
             edges.append((w, w))
             continue

@@ -18,9 +18,10 @@ expansion over the table one size down. Its C(n, k) minors are priced
 against ``_MAX_SUBSETS`` before the minor table. A failing
 certificate names k columns T with |det B_T| >= 2, whose projection is
 unsaturated. The witness is read off T: coordinates are dropped from it
-while the projection stays unsaturated, one Smith form per drop tried,
-so the reported subset has at most k coordinates and no unsaturated
-proper subset.
+while the projection stays unsaturated, each drop decided from the
+Smith form of T, so the reported subset has at most k coordinates and
+no unsaturated proper subset. The witness step takes at most two Smith
+forms: T's, and the final subset's when some drop was kept.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .exactla import (
     IntVector,
     LatticeBasis,
     SnfDecomposition,
+    hnf,
     hnf_pivots,
     lattice_member,
     snf,
@@ -77,9 +79,9 @@ class SpanningVerdict:
 
     ``subsets_checked`` is 2^n - 1 when spanned (the certificate covers
     every nonempty subset), 0 for a family with no nonzero generator,
-    and otherwise the number of coordinate subsets whose Smith form the
-    witness step took: the certificate's failing columns T and each
-    one-coordinate drop tried.
+    and otherwise the number of coordinate subsets the witness step
+    decided: the certificate's failing columns T and each
+    one-coordinate drop tried, all from the Smith form of T.
     """
 
     spanned: bool
@@ -260,6 +262,26 @@ def _rank_sized_certificate(generators: IntMatrix) -> tuple[int, ...] | None:
     return None
 
 
+def _generates(images: list[list[int]], moduli: list[int]) -> bool:
+    """Whether ``images`` generate the finite group G, the sum of Z/d_r
+    over the d_r of ``moduli``, entry r of each image read mod d_r.
+
+    A cyclic G = Z/d is generated exactly when the gcd of d and the
+    images is 1.  Otherwise the images with the rows d_r e_r generate a
+    lattice of full rank f = |moduli| in Z^f, which is all of Z^f exactly
+    when each pivot of its Hermite form is 1.
+    """
+    if len(moduli) == 1:
+        return math.gcd(moduli[0], *(image[0] for image in images)) == 1
+    f = len(moduli)
+    lattice = IntMatrix.from_rows(
+        images + [[d if c == r else 0 for c in range(f)] for r, d in enumerate(moduli)],
+        cols=f,
+    )
+    h = hnf(lattice)[0]
+    return all(h.at(i, j) == 1 for i, j in hnf_pivots(h))
+
+
 def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     """Decide the spanning condition, certifying it on rank-sized subsets.
 
@@ -301,9 +323,9 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
          the minor table's order): T is
          (pivots - pivots(R)) | S, and det B_T = +-det M_RS.
 
-    The projection onto T is the row lattice of B_T, of full rank k and
-    index |det B_T| >= 2 in Z^T, so it is unsaturated. Each subset of T
-    also has full rank, so its projection is saturated exactly when it
+    The projection L_T onto T is the row lattice of B_T, of full rank k
+    and index |det B_T| >= 2 in Z^T, so it is unsaturated. Each subset of
+    T also has full rank, so its projection is saturated exactly when it
     is all of Z^subset, and every subset of a saturated one is
     saturated. Coordinates of T are therefore dropped in one pass,
     keeping each drop that leaves the projection unsaturated: what
@@ -311,13 +333,23 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     its Smith form (``_saturation_witness``). A certificate naming a
     saturated T raises ``WitnessError``.
 
+    Every drop is decided from the one Smith form d = u @ m @ v of T's
+    projection m (Newman, Integral Matrices, Ch. II). Dropping the
+    coordinates D = T - S leaves the projection onto S all of Z^S
+    exactly when L_T + Z^D = Z^T, i.e. when the unit vectors e_i, i in
+    D, generate G = Z^T / L_T. The map x -> x @ v carries L_T onto the
+    rows of d, so G is the sum of Z/d_r over the factors d_r > 1, and
+    e_i maps to row i of v, read mod each d_r (``_generates``). One more
+    Smith form, of the final subset, feeds the witness when some drop
+    was kept: at most two in all.
+
     A family with no nonzero generators is spanned outright (every
     projection is the zero lattice), with no subsets enumerated. When
     the certificate holds, the verdict is spanned with
     ``subsets_checked`` = 2^n - 1; when it fails, ``subsets_checked``
-    counts the Smith forms of the witness step, on T and on each drop
-    tried, at most k + 1. The projections are of the generators as
-    given, so the witness is a vector against their rows.
+    counts the subsets the witness step decided, T and each drop tried,
+    at most k + 1. The projections are of the generators as given, so
+    the witness is a vector against their rows.
 
     ``AmbientDimensionCapError`` is raised when the certificate prices
     more than ``_MAX_SUBSETS`` rank-sized minors. At ambient n <= 22
@@ -330,22 +362,35 @@ def is_integrally_spanned(generators: IntMatrix) -> SpanningVerdict:
     if failing is None:
         return SpanningVerdict(True, None, 2**n - 1)
     rows = list(map(generators.row, range(generators.rows)))
-    cols, projected = failing, _project(rows, failing)
+    projected = _project(rows, failing)
     dec = snf(projected)
-    if all(f == 1 for f in dec.invariant_factors()):
+    factors = dec.invariant_factors()
+    if all(f == 1 for f in factors):
         raise WitnessError(
             f"the certificate names the columns {failing}, yet their "
             "projection is saturated"
         )
+    # G = Z^T / L_T is the sum of Z/d_r over the factors d_r > 1, the
+    # last ones since each divides the next, and the unit vector of the
+    # i-th column of T maps to row i of v, read mod each d_r.
+    moduli = [f for f in factors if f != 1]
+    first = len(factors) - len(moduli)
+    images = [
+        [x % d for x, d in zip(dec.v.row(i)[first:], moduli)]
+        for i in range(len(failing))
+    ]
+    kept, dropped = list(range(len(failing))), []
     checked = 1
-    for j in failing:
-        if len(cols) == 1:
+    for i in range(len(failing)):
+        if len(kept) == 1:
             break
-        smaller = tuple(c for c in cols if c != j)
-        smaller_projected = _project(rows, smaller)
-        smaller_dec = snf(smaller_projected)
         checked += 1
-        if any(f != 1 for f in smaller_dec.invariant_factors()):
-            cols, projected, dec = smaller, smaller_projected, smaller_dec
+        if not _generates(dropped + [images[i]], moduli):
+            kept.remove(i)
+            dropped.append(images[i])
+    cols = tuple(failing[i] for i in kept)
+    if dropped:
+        projected = _project(rows, cols)
+        dec = snf(projected)
     subset = CoordSubset(n, tuple(j + 1 for j in cols))
     return SpanningVerdict(False, (subset, _saturation_witness(projected, dec)), checked)

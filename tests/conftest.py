@@ -7,7 +7,8 @@ the image targets sampled by the dense product on every row,
 textbook Gauss-Jordan over Fraction and over F_q, the full 2^n - 1
 subset scan of the spanning condition, its certificate on every
 rank-sized projection of the HNF basis and on one Smith form per
-square of the tableau, the minimization faces as the
+square of the tableau, its witness step with one Smith form per
+coordinate dropped, the minimization faces as the
 maximal closures of every hyperplane subset solved over Fraction, the
 finite-field image rebuilt vector by vector and each coset searched
 by recursion, the F_q solve through the dense row transform, the
@@ -82,6 +83,7 @@ from expansion_lab.simplex import min_l1_combination
 from expansion_lab.spanning import (
     CoordSubset,
     SpanningVerdict,
+    _rank_sized_certificate,
     _saturation_witness,
     is_integrally_spanned,
     project_columns,
@@ -239,6 +241,41 @@ def rank_sized_certificate_by_projections(generators: IntMatrix) -> bool:
         for subset in subsets_in_order(basis.ambient)
         if len(subset) == basis.rank
     )
+
+
+def witness_step_by_smith_forms(generators: IntMatrix) -> SpanningVerdict:
+    """``is_integrally_spanned`` with one Smith form per drop of the
+    witness step: from the certificate's columns T, each coordinate in
+    T's order is dropped when the Smith form of the smaller projection
+    still has a factor other than 1, and ``subsets_checked`` counts T
+    and each drop tried.  No quotient group of T."""
+    n = generators.cols
+    if generators.is_zero():
+        return SpanningVerdict(True, None, 0)
+    failing = _rank_sized_certificate(generators)
+    if failing is None:
+        return SpanningVerdict(True, None, 2**n - 1)
+
+    def projection(cols):
+        return IntMatrix.from_rows(
+            [[generators.at(i, j) for j in cols] for i in range(generators.rows)],
+            cols=len(cols),
+        )
+
+    cols, projected = failing, projection(failing)
+    dec = snf(projected)
+    checked = 1
+    for j in failing:
+        if len(cols) == 1:
+            break
+        smaller = tuple(c for c in cols if c != j)
+        smaller_projected = projection(smaller)
+        smaller_dec = snf(smaller_projected)
+        checked += 1
+        if any(f != 1 for f in smaller_dec.invariant_factors()):
+            cols, projected, dec = smaller, smaller_projected, smaller_dec
+    subset = CoordSubset(n, tuple(j + 1 for j in cols))
+    return SpanningVerdict(False, (subset, _saturation_witness(projected, dec)), checked)
 
 
 def tableau_certificate_by_smith_forms(generators: IntMatrix) -> tuple[int, ...] | None:

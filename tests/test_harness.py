@@ -128,6 +128,18 @@ def test_random_incidence_matrix_rows_are_incidence_shaped():
         assert 1 <= a.rows <= 10
 
 
+def test_incidence_thresholds_split_random_floats_as_fractions():
+    # random() returns k * 2^-53; no such value lies between 1/10 and
+    # the float 0.1, or between 1/5 and the float 0.2, so comparing with
+    # the floats draws the same edges as comparing with the fractions.
+    for threshold in (Fraction(1, 10), Fraction(1, 5)):
+        centre = int(threshold * 2**53)
+        for k in range(centre - 1000, centre + 1001):
+            x = k / 2**53
+            assert Fraction(x) == Fraction(k, 2**53)
+            assert (x < float(threshold)) == (x < threshold), k
+
+
 def test_sample_image_targets_are_nonzero_distinct_rays_in_image():
     rng = random.Random(4)
     a = random_incidence_matrix(rng)

@@ -17,6 +17,7 @@ from conftest import (
     spanning_by_full_scan,
     subsets_in_order,
     tableau_certificate_by_smith_forms,
+    witness_step_by_smith_forms,
 )
 from expansion_lab import spanning
 from expansion_lab.errors import (
@@ -321,7 +322,7 @@ class TestIsIntegrallySpanned:
         # The pivot 2 names the pivot columns (1, 2, 3).  Dropping 1
         # leaves (2, 3) unsaturated, dropping 2 from it saturates it, and
         # dropping 3 leaves (2,), the only unsaturated subset: four
-        # Smith forms, on T and on the three drops tried.
+        # subsets decided, T and the three drops tried.
         verdict = is_integrally_spanned(M([[1, 0, 0], [0, 2, 0], [0, 0, 1]]))
         assert not verdict.spanned
         subset, witness = verdict.witness
@@ -466,20 +467,24 @@ class TestIsIntegrallySpanned:
             # of ones takes 29 1 x 1 forms
             ([[1] * 30], 29, True, 2**30 - 1),
             # HNF [[1, 1], [0, 2]]: the pivot 2 names (1, 2) before any
-            # Smith form; the witness step takes (1, 2) and its two drops
-            ([[1, 1], [1, 3]], 3, False, 3),
+            # Smith form; the witness step takes the Smith form of (1, 2)
+            # and decides its two drops from it, keeping neither
+            ([[1, 1], [1, 3]], 1, False, 3),
             # the planted triple: its pivot 2 names (1, 2, 3), and the
-            # witness step takes it and its three drops
-            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 4, False, 4),
+            # witness step takes its Smith form and decides its three
+            # drops from it, keeping none
+            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1, False, 4),
             # tableau [[1, 1], [1, -1]]: four 1 x 1 forms pass, and the
             # minor table finds the 2 x 2 determinant -2, which names
-            # (3, 4) with no Smith form; the witness step takes (3, 4)
-            # and its two drops, with witness (1, -2)
-            ([[1, 0, 1, 1], [0, 1, 1, -1]], 7, False, 3),
+            # (3, 4) with no Smith form; the witness step takes the Smith
+            # form of (3, 4) and decides its two drops from it, keeping
+            # neither, with witness (1, -2)
+            ([[1, 0, 1, 1], [0, 1, 1, -1]], 5, False, 3),
             # the 23-cycle e_i + e_(i+1): its pivot 2 names all 23 columns
             # before any Smith form or price, where a scan would pass
-            # _MAX_SUBSETS; the witness step takes them and 23 drops
-            (cycle_lattice(23).to_rows(), 24, False, 24),
+            # _MAX_SUBSETS; the witness step takes their Smith form and
+            # decides 23 drops from it, keeping none
+            (cycle_lattice(23).to_rows(), 1, False, 24),
             # K8 image lattice: rank 7 at ambient 28, a 7 x 21 tableau (the
             # incidence matrix of K7).  Its Smith forms are its 42 nonzero
             # tableau entries, so no square of size >= 2 takes one.
@@ -499,6 +504,22 @@ class TestIsIntegrallySpanned:
         assert verdict.spanned == spanned
         assert len(counted) == calls
         assert verdict.subsets_checked == checked
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_lattices() | tableau_lattices())
+    # G = Z^T / L_T is not cyclic: Z/2 + Z/2 and Z/2 + Z/4
+    @example(M([[2, 0], [0, 2]]))
+    @example(M([[2, 0], [0, 4]]))
+    # the planted triple: G = Z/2, and no drop is kept
+    @example(M([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    # dropping 1 saturates the projection and is refused; dropping 2
+    # then leaves (1,), unsaturated, and is kept
+    @example(M([[2, 0], [0, 1]]))
+    def test_witness_step_matches_smith_form_per_drop(self, gens):
+        # The drops decided from the Smith form of T keep the same
+        # subset, give the same witness and count the same subsets as a
+        # Smith form of each projection tried.
+        assert is_integrally_spanned(gens) == witness_step_by_smith_forms(gens)
 
     def test_certificate_contradicted_by_scan_is_an_error(self, monkeypatch):
         # a certificate naming columns (1, 2), whose projection is the
