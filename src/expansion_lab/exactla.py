@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -227,10 +226,10 @@ def _sparse_rows(m: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
 def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
     """Matrix times column vector; works for int and Fraction entries.
 
-    Runs over the nonzeros of each row only, and returns what the dense
-    product would: a dense row adds ``0 * x_j`` for every zero entry, so
-    any ``Fraction`` in ``x`` makes every entry a ``Fraction``, a zero
-    row's included."""
+    Runs over the nonzeros of each row only, one plain accumulate loop
+    per row, and returns what the dense product would: a dense row adds
+    ``0 * x_j`` for every zero entry, so any ``Fraction`` in ``x`` makes
+    every entry a ``Fraction``, a zero row's included."""
     if len(x) != m.cols:
         raise DimensionMismatchError(f"vector length {len(x)} != cols {m.cols}")
     # One term 0 * x_j per type in x gives the dense sum's type; for the
@@ -238,11 +237,13 @@ def mat_vec(m: IntMatrix, x: Sequence) -> tuple:
     zero = 0
     if not _INT.issuperset(map(type, x)):
         zero = sum(0 * b for b in {type(b): b for b in x}.values())
-    get = x.__getitem__
-    return tuple(
-        zero + sum(map(operator.mul, entries, map(get, cols)))
-        for cols, entries in _sparse_rows(m)
-    )
+    out = []
+    for cols, entries in _sparse_rows(m):
+        s = zero
+        for j, e in zip(cols, entries):
+            s += e * x[j]
+        out.append(s)
+    return tuple(out)
 
 
 @lru_cache(maxsize=512)
@@ -739,9 +740,11 @@ def _solve_scaled(a: IntMatrix, v: Sequence) -> tuple[list[int], int] | None:
                 x[j] += t * e
     # The pivot columns fix x and its rows there; the others must agree.
     d = smap.denominator
-    get = x.__getitem__
     for i, cols, entries in smap.checks:
-        if sum(map(operator.mul, entries, map(get, cols))) != d * v[i]:
+        s = 0
+        for j, e in zip(cols, entries):
+            s += e * x[j]
+        if s != d * v[i]:
             return None
     return x, d * scale
 

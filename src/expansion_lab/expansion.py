@@ -846,13 +846,18 @@ def _modq_solve(a: ModQMatrix, w: Sequence[int], pivots, plan):
     target outside the image costs only them; then each pivot
     coordinate is its transform row's nonzeros times ``w``."""
     q = a.q
-    get = w.__getitem__
     for cols, entries in plan.consistency:
-        if sum(map(operator.mul, entries, map(get, cols))) % q:
+        s = 0
+        for j, e in zip(cols, entries):
+            s += e * w[j]
+        if s % q:
             return None
     u = [0] * a.cols
     for c, (cols, entries) in zip(pivots, plan.solve):
-        u[c] = sum(map(operator.mul, entries, map(get, cols))) % q
+        s = 0
+        for j, e in zip(cols, entries):
+            s += e * w[j]
+        u[c] = s % q
     return tuple(u)
 
 

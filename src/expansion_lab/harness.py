@@ -51,7 +51,7 @@ from .complexes import (
     presentation_d1,
     steinberg_presentation,
 )
-from .errors import EnumerationCapError, RowShapeError
+from .errors import EnumerationCapError, RowShapeError, UndefinedExpansionError
 from .exactla import (
     IntMatrix,
     LatticeBasis,
@@ -476,7 +476,9 @@ def _block_tables(a: IntMatrix, q: int, z_at: dict) -> dict:
 
     Each block image is solved once per (matrix, q), each lifted block
     target once per matrix: ``z_at`` maps ``(block, t_b)`` to ``(m_b,
-    norm_b)``, shared by every prime of the matrix."""
+    norm_b)``, shared by every prime of the matrix.  The tables serve
+    both checks of the pair: the global value (``_zq_global_value``)
+    and the per-witness inequality (``_witness_check``)."""
     tables = {}
     for _, _, block in _blocks(a):
         if block in tables:
@@ -530,9 +532,33 @@ def _lifted_target(a: IntMatrix, parts) -> tuple:
     return tuple(t)
 
 
-def _witness_check(a: IntMatrix, reduced, z_at: dict):
+def _zq_global_value(reduced, tables) -> Fraction:
+    """``xi_zq_global(reduced).value``: read off ``tables``
+    (``_block_tables``) when the witness loop built them, else walked
+    by ``xi_zq_global``.  The image of ``reduced`` is the product of the
+    block images, so by the mediant inequality its value is the largest
+    block value, as in ``expansion._block_maximum``; a block's value is
+    the largest ``wt_b / hw_b`` of its table, ``wt_b`` being the least
+    weight of a preimage of ``w_b``.  A zero image has no value
+    (``UndefinedExpansionError``) on either route."""
+    if tables is None:
+        return xi_zq_global(reduced).value
+    # The value wt / hw is compared by cross-multiplying; the start
+    # -1 / 1 loses to any table entry.
+    best_wt, best_hw = -1, 1
+    for table in tables.values():
+        for wt, hw, _, _, _ in table.values():
+            if wt * best_hw > best_wt * hw:
+                best_wt, best_hw = wt, hw
+    if best_wt < 0:
+        raise UndefinedExpansionError("global expansion is undefined for a zero image")
+    return Fraction(best_wt, best_hw)
+
+
+def _witness_check(a: IntMatrix, reduced, tables: dict):
     """``(checked, bad)`` for the per-witness inequality ``(q - 1) *
     xi_z_at >= xi_zq_at`` over the nonzero image vectors ``w`` of
+    ``reduced``, from the ``_block_tables`` of ``a`` at the q of
     ``reduced``: the number of image vectors checked, and the first
     violation as report quantities, or None.
 
@@ -556,7 +582,6 @@ def _witness_check(a: IntMatrix, reduced, z_at: dict):
     ``_block_witnesses`` walks the image in order, the only route that
     names the first violating ``w``."""
     q = reduced.q
-    tables = _block_tables(a, q, z_at)
     # hi = hi_norm / hi_hw and lo = lo_m / lo_wt; lo starts at 1 / 0,
     # above every ratio.
     hi_norm, hi_hw, lo_m, lo_wt = 0, 1, 1, 0
@@ -596,15 +621,18 @@ def campaign_modq(
     skipped, as is the global check when the rational value is only a
     lower bound (``exact`` false).
 
-    The witness check (``_witness_check``) solves block by block into
-    one table per distinct block (``_block_tables``): each nonzero block
-    image once per prime over F_q, each lifted block target once per
-    matrix over Z, whichever primes reach it.  A certificate over the
-    tables, which always holds on incidence-shaped blocks, passes every
-    image vector at once; only when it fails is the whole image walked
-    (``_block_witnesses``).  ``_WITNESS_IMAGE_CAP`` still prices
-    ``q^rank``, the rank a sum of block ranks, while the solves number
-    ``sum_b q^rank_b``.
+    Within ``_WITNESS_IMAGE_CAP`` each (matrix, q) is solved block by
+    block into one table per distinct block (``_block_tables``): each
+    nonzero block image once per prime over F_q, each lifted block
+    target once per matrix over Z, whichever primes reach it.  The
+    global value ``Xi_Zq`` is read off the tables
+    (``_zq_global_value``), and ``xi_zq_global`` walks the image only
+    past the cap.  For the witness check (``_witness_check``) a
+    certificate over the tables, which always holds on incidence-shaped
+    blocks, passes every image vector at once; only when it fails is
+    the whole image walked (``_block_witnesses``).
+    ``_WITNESS_IMAGE_CAP`` still prices ``q^rank``, the rank a sum of
+    block ranks, while the solves number ``sum_b q^rank_b``.
     """
     rng = random.Random(seed)
     report = CampaignReport(
@@ -652,6 +680,11 @@ def campaign_modq(
         for q in primes:
             instance = {"kind": kind, "matrix": matrix, "q": q}
             reduced = reduce_mod_q(a, q)
+            # The rank of ``reduced`` is the sum of its block ranks.
+            images = q ** sum(modq_rank(reduce_mod_q(b, q)) for _, _, b in _blocks(a))
+            tables = None
+            if images <= _WITNESS_IMAGE_CAP:
+                tables = _block_tables(a, q, z_at)
             work = q**a.cols
             if work > _GLOBAL_WORK_CAP:
                 report.add(
@@ -665,14 +698,14 @@ def campaign_modq(
                     instance, "skipped", f"global check: {_lower_bound_note()}", {}
                 )
             else:
-                zq_global = xi_zq_global(reduced)
+                zq_global = _zq_global_value(reduced, tables)
                 left = (q - 1) * z_global.value
                 quantities = {
                     "xi_z_global": format_rational(z_global.value),
                     "(q-1)*xi_z_global": format_rational(left),
-                    "xi_zq_global": format_rational(zq_global.value),
+                    "xi_zq_global": format_rational(zq_global),
                 }
-                if left >= zq_global.value:
+                if left >= zq_global:
                     report.add(
                         instance, "pass", "global inequality holds", quantities
                     )
@@ -683,9 +716,7 @@ def campaign_modq(
 
             witness_instance = dict(instance)
             witness_instance["check"] = "per-witness"
-            # The rank of ``reduced`` is the sum of its block ranks.
-            images = q ** sum(modq_rank(reduce_mod_q(b, q)) for _, _, b in _blocks(a))
-            if images > _WITNESS_IMAGE_CAP:
+            if tables is None:
                 report.add(
                     witness_instance,
                     "skipped",
@@ -693,7 +724,7 @@ def campaign_modq(
                     {},
                 )
                 continue
-            checked, bad = _witness_check(a, reduced, z_at)
+            checked, bad = _witness_check(a, reduced, tables)
             if bad is None:
                 report.add(
                     witness_instance,

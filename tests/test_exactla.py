@@ -184,7 +184,10 @@ class TestIntMatrix:
     @settings(max_examples=300, deadline=None)
     @given(matrix_vector_pairs())
     @example((M([[0, 0], [1, 0]]), (1, Fraction(1, 2))))
+    # The row's one nonzero meets an int, but its zero meets a Fraction.
+    @example((M([[1, 0]]), (2, Fraction(1, 3))))
     @example((IntMatrix.zeros(2, 0), ()))
+    @example((IntMatrix.zeros(0, 2), (Fraction(1, 2), 1)))
     def test_mat_vec_matches_dense_product(self, case):
         # values and types: a Fraction anywhere in x makes every entry a
         # Fraction, as 0 * x_j does in the dense sum
@@ -544,11 +547,17 @@ class TestSolveMap:
 
     @settings(max_examples=400, deadline=None)
     @given(solve_cases())
+    # The check row 2 refuses (1, 2, 4) once rows 0 and 1 fix x.
+    @example((M([[1, 0], [0, 1], [1, 1]]), (1, 2, 4)))
+    @example((M([[1, 0], [0, 1], [1, 1]]), (Fraction(1, 2), 1, Fraction(3, 2))))
+    @example((M([], cols=3), ()))
+    @example((IntMatrix(2, 0, ()), (0, 1)))
     def test_matches_substitution(self, case):
         a, v = case
         got_q = solve_rational(a, v)
         assert got_q == solve_by_substitution(a, v, integral=False)
         if got_q is not None:
+            assert all(type(e) is Fraction for e in got_q)
             assert mat_vec(a, got_q) == tuple(v)
         if all(Fraction(e).denominator == 1 for e in v):
             v = tuple(int(e) for e in v)

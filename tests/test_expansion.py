@@ -59,6 +59,7 @@ from expansion_lab.expansion import (
     _is_prime,
     _kernel_info,
     _min_weight_in_coset,
+    _modq_solve,
     _modq_system,
     _nullspace_line,
     _rational_global,
@@ -2009,6 +2010,51 @@ class TestSparseModqSolve:
         res = xi_zq_at(a, w)
         assert res.witness == witness
         assert res.value == Fraction(weight, hamming_weight(w))
+
+
+@st.composite
+def modq_solve_cases(draw):
+    """(a, w): a matrix over F_q, q in {2, 3, 5, 7}, with 0-4 rows and
+    0-4 columns, and a target, zero ones included, that is the image of
+    a drawn vector or is drawn outright."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.integers(0, q - 1) | st.just(0)
+    a = ModQMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)),
+        q,
+        cols=cols,
+    )
+    if draw(st.booleans()):
+        u = draw(st.lists(entry, min_size=cols, max_size=cols))
+        w = tuple(x % q for x in mat_vec(a, u))
+    else:
+        w = tuple(draw(st.lists(entry, min_size=rows, max_size=rows)))
+    return a, w
+
+
+class TestModqSolveKernel:
+    """``expansion._modq_solve`` on the sparse plan against the dense
+    row transform, ``conftest.modq_solve_dense``: the same solution,
+    entry by entry and of type int, or the same refusal."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(modq_solve_cases())
+    # A consistency row refuses (1, 0) before any pivot is filled.
+    @example((ModQMatrix.from_rows([[1], [1]], 2), (1, 0)))
+    @example((ModQMatrix.from_rows([], 3, cols=2), ()))
+    @example((ModQMatrix.from_rows([[], []], 5, cols=0), (0, 0)))
+    @example((ModQMatrix.from_rows([[], []], 5, cols=0), (0, 4)))
+    def test_matches_dense_solve(self, case):
+        a, w = case
+        pivots, _, trans = modq_system_by_elimination(a)
+        want = modq_solve_dense(a, w, pivots, trans)
+        _, pivots, _, plan = _modq_system(a)
+        got = _modq_solve(a, w, pivots, plan)
+        assert got == want
+        if got is not None:
+            assert all(type(x) is int for x in got)
 
 
 class TestEliminationReadOffs:

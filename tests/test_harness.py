@@ -13,7 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expansion_lab import complexes, expansion, harness
@@ -23,6 +23,7 @@ from expansion_lab.complexes import (
     presentation_d1,
     steinberg_presentation,
 )
+from expansion_lab.errors import UndefinedExpansionError
 from expansion_lab.exactla import (
     IntMatrix,
     _blocks,
@@ -39,6 +40,7 @@ from expansion_lab.expansion import (
     xi_q_at,
     xi_z_at,
     xi_zq_at,
+    xi_zq_global,
 )
 from expansion_lab.harness import (
     CampaignReport,
@@ -555,23 +557,23 @@ def test_modq_witness_entries_count_images():
 
 
 def test_modq_solves_each_lifted_target_once_per_matrix(monkeypatch):
-    # The witness check solves each nonzero image of each distinct block
-    # once per (matrix, q), through harness.xi_zq_at, lifts its witness
-    # through harness.mat_vec, and solves each lifted block target once
+    # The block tables solve each nonzero image of each distinct block
+    # once per (matrix, q), through harness.xi_zq_at, lift its witness
+    # through harness.mat_vec, and solve each lifted block target once
     # per matrix, through harness.xi_z_at; targets recur across the
     # primes.  Seed 6 draws a matrix with repeated blocks.  The cached
     # _blocks searches each distinct matrix once.
     primes = (2, 3, 5)
     plain = campaign_modq(6, 3, primes=primes).to_json()
     matrices, asked, lifted, solved = [], [], [], []
-    real_check = harness._witness_check
+    real_tables = harness._block_tables
 
-    def check(a, reduced, z_at):
+    def tables(a, q, z_at):
         if not matrices or matrices[-1] is not a:
             matrices.append(a)
             for calls in (asked, lifted, solved):
                 calls.append([])
-        return real_check(a, reduced, z_at)
+        return real_tables(a, q, z_at)
 
     def solve_q(block_q, w_b):
         asked[-1].append((block_q, tuple(w_b)))
@@ -587,7 +589,7 @@ def test_modq_solves_each_lifted_target_once_per_matrix(monkeypatch):
         return xi_z_at(a, v)
 
     searched = record_block_searches(monkeypatch)
-    monkeypatch.setattr(harness, "_witness_check", check)
+    monkeypatch.setattr(harness, "_block_tables", tables)
     monkeypatch.setattr(harness, "xi_zq_at", solve_q)
     monkeypatch.setattr(harness, "mat_vec", lift_target)
     monkeypatch.setattr(harness, "xi_z_at", solve)
@@ -645,15 +647,18 @@ def block_diagonal(parts):
 
 
 @st.composite
-def general_witness_cases(draw):
+def general_witness_cases(draw, up_to_q=False):
     """``(a, q)``: a 1-3 x 1-4 matrix with entries in [-2, 2], where the
     certificate of ``harness._witness_check`` often fails and the
-    per-witness inequality often does too."""
+    per-witness inequality often does too.  With ``up_to_q`` the entries
+    lie in [-q, q], so that some blocks of ``a`` split mod q and some
+    matrices vanish mod q."""
     q = draw(st.sampled_from((2, 3, 5)))
+    bound = q if up_to_q else 2
     rows = draw(st.integers(1, 3))
     cols = draw(st.integers(1, 4))
     size = rows * cols
-    entries = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
     return IntMatrix(rows, cols, tuple(entries)), q
 
 
@@ -663,8 +668,8 @@ def test_block_witness_loop_matches_the_whole_matrix_loop(case):
     a, q = case
     reduced = reduce_mod_q(a, q)
     checked, bad, seen = witness_loop_by_whole_matrix(a, q)
-    assert harness._witness_check(a, reduced, {}) == (checked, bad)
     tables = harness._block_tables(a, q, {})
+    assert harness._witness_check(a, reduced, tables) == (checked, bad)
     walked = [
         (w, Fraction(wt, hw), harness._lifted_target(a, parts), Fraction(m, norm))
         for w, wt, hw, m, norm, parts in harness._block_witnesses(a, reduced, tables)
@@ -708,7 +713,8 @@ def test_witness_check_walks_only_when_the_certificate_fails(
     a = IntMatrix.from_rows(rows)
     walked = record_walks(monkeypatch)
     checked, bad, _ = witness_loop_by_whole_matrix(a, q)
-    assert harness._witness_check(a, reduce_mod_q(a, q), {}) == (checked, bad)
+    tables = harness._block_tables(a, q, {})
+    assert harness._witness_check(a, reduce_mod_q(a, q), tables) == (checked, bad)
     assert bool(walked) == walks
     assert (bad is None) == passes
 
@@ -747,11 +753,73 @@ def test_block_coset_witness_is_the_whole_witness_restricted(case):
 def test_modq_reports_match_the_whole_matrix_loop(monkeypatch):
     plain = [campaign_modq(seed, 20, (2, 3, 5)).to_json() for seed in range(3)]
 
-    def whole_matrix_check(a, reduced, z_at):
+    def whole_matrix_check(a, reduced, tables):
         return witness_loop_by_whole_matrix(a, reduced.q)[:2]
 
     monkeypatch.setattr(harness, "_witness_check", whole_matrix_check)
     assert [campaign_modq(seed, 20, (2, 3, 5)).to_json() for seed in range(3)] == plain
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(modq_witness_cases(), general_witness_cases(up_to_q=True)))
+# One block of ``a`` that splits mod 2 into two, and a matrix that
+# vanishes mod 3.
+@example((IntMatrix.from_rows([[1, 2], [0, 1]]), 2))
+@example((IntMatrix.from_rows([[3, -3]]), 3))
+def test_table_maximum_is_the_global_value(case):
+    a, q = case
+    reduced = reduce_mod_q(a, q)
+    tables = harness._block_tables(a, q, {})
+    try:
+        want = xi_zq_global(reduced).value
+    except UndefinedExpansionError:
+        assert not any(tables.values())
+        with pytest.raises(UndefinedExpansionError, match="zero image"):
+            harness._zq_global_value(reduced, tables)
+        return
+    assert harness._zq_global_value(reduced, tables) == want
+
+
+def test_modq_reports_match_the_global_walk(monkeypatch):
+    # The global value read off the witness tables gives the report of
+    # xi_zq_global walking every image, on every pair.
+    seeds, primes = (0, 1, 2, 20260819), (2, 3, 5, 7)
+    plain = [campaign_modq(seed, 20, primes).to_json() for seed in seeds]
+    real_value = harness._zq_global_value
+
+    def walked_value(reduced, tables):
+        return real_value(reduced, None)
+
+    monkeypatch.setattr(harness, "_zq_global_value", walked_value)
+    assert [campaign_modq(seed, 20, primes).to_json() for seed in seeds] == plain
+
+
+def test_modq_walks_the_global_image_only_past_the_witness_cap(monkeypatch):
+    walked = []
+
+    def walk(reduced):
+        walked.append(reduced)
+        return xi_zq_global(reduced)
+
+    monkeypatch.setattr(harness, "xi_zq_global", walk)
+    report = campaign_modq(20260819, 20, (2, 3, 5, 7))
+    assert report.ok
+    # Each (matrix, q) reports its global entry, then its witness entry.
+    entries = report.entries
+    pairs = list(zip(entries[0::2], entries[1::2]))
+    assert len(pairs) * 2 == len(entries)
+    assert all(w["instance"] == {**g["instance"], "check": "per-witness"} for g, w in pairs)
+    ran = [(g["instance"], w) for g, w in pairs if g["verdict"] != "skipped"]
+    capped = [
+        reduce_mod_q(parse_matrix(instance["matrix"]), instance["q"])
+        for instance, w in ran
+        if "witness loop needs" in w["detail"]
+    ]
+    # 10 capped pairs at q = 5 and 7 walk the image; the other 67 global
+    # checks read the witness tables.
+    assert walked == capped
+    assert (len(walked), len(ran)) == (10, 77)
+    assert {a.q for a in walked} == {5, 7}
 
 
 def _zero_minimum(a, v):
