@@ -214,11 +214,16 @@ class IntMatrix:
 @lru_cache(maxsize=512)
 def _sparse_rows(m: IntMatrix) -> tuple[tuple[IntVector, IntVector], ...]:
     """The (columns, entries) of each row's nonzeros, cached per matrix
-    for ``mat_vec``, ``_blocks`` and the solvers' check ``A @ x == v``."""
+    for ``format_matrix``, ``mat_vec``, ``_blocks``, the row-shape
+    check, the target sampler and the solvers' check ``A @ x == v``.
+    A zero row costs one ``any`` scan and gets one shared ``((), ())``;
+    only nonzero rows are compressed, since most rows of a presentation
+    ``d1`` are zero."""
     columns = range(m.cols)
     compress = itertools.compress
+    zero = ((), ())
     return tuple(
-        (tuple(compress(columns, row)), tuple(compress(row, row)))
+        (tuple(compress(columns, row)), tuple(compress(row, row))) if any(row) else zero
         for row in map(m.row, range(m.rows))
     )
 
@@ -255,11 +260,14 @@ def _blocks(a: IntMatrix) -> tuple[tuple[IntVector, IntVector, IntMatrix], ...]:
     and ``block`` is the submatrix on them, built by
     ``dataclasses.replace``, so a ``ModQMatrix`` block keeps its q.  A
     matrix that is one block is its own block, and equal submatrices
-    are one object.  Zero rows and zero columns belong to no block.  A
-    ``ModQMatrix`` stores reduced entries, so there an entry divisible
-    by q joins nothing.  The one place that splits a matrix, cached per
-    matrix beside ``_sparse_rows``: every caller shares one search and
-    one build of each block; the result is immutable.
+    are one object: each block's entries are looked up by
+    ``(rows, cols, entries)`` before it is built, so ``replace`` (and a
+    ``ModQMatrix``'s checks) runs once per distinct block.  Zero rows
+    and zero columns belong to no block.  A ``ModQMatrix`` stores
+    reduced entries, so there an entry divisible by q joins nothing.
+    The one place that splits a matrix, cached per matrix beside
+    ``_sparse_rows``: every caller shares one search and one build of
+    each distinct block; the result is immutable.
     """
     parent = list(range(a.cols))
 
@@ -287,8 +295,12 @@ def _blocks(a: IntMatrix) -> tuple[tuple[IntVector, IntVector, IntMatrix], ...]:
         block = a
         if len(rows) < a.rows or len(cols) < n:
             flat = tuple(a.entries[i * n + j] for i in rows for j in cols)
-            block = replace(a, rows=len(rows), cols=len(cols), entries=flat)
-            block = built.setdefault(block, block)
+            key = (len(rows), len(cols), flat)
+            block = built.get(key)
+            if block is None:
+                block = built[key] = replace(
+                    a, rows=len(rows), cols=len(cols), entries=flat
+                )
         out.append((tuple(rows), tuple(cols), block))
     return tuple(out)
 
@@ -855,16 +867,16 @@ def parse_matrix(text: str) -> IntMatrix:
 
 
 def format_matrix(m: IntMatrix) -> str:
-    """The ``rows cols`` header, then one line per row; the text of each
-    distinct row is built once, since presentation matrices repeat most
-    of their rows."""
+    """The ``rows cols`` header, then one line per row.  Rows are keyed
+    by their ``_sparse_rows`` entry, so the text of each distinct row is
+    built once, from its dense row, and a repeated or zero row is one
+    lookup: presentation matrices repeat most of their rows."""
     text = {}
     lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        row = m.row(i)
-        line = text.get(row)
+    for i, key in enumerate(_sparse_rows(m)):
+        line = text.get(key)
         if line is None:
-            line = text[row] = " ".join(map(str, row))
+            line = text[key] = " ".join(map(str, m.row(i)))
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -56,6 +56,7 @@ from .exactla import (
     IntMatrix,
     LatticeBasis,
     _blocks,
+    _sparse_rows,
     format_matrix,
     format_rational,
     format_vector,
@@ -214,10 +215,15 @@ def sample_image_targets(rng: random.Random, a: IntMatrix) -> list:
 
     Each distinct row of ``a`` is multiplied once per draw and its
     value copied to the rows that repeat it: most rows of a
-    presentation ``d1`` repeat an earlier one."""
-    slot = {}
-    spread = [slot.setdefault(a.row(i), len(slot)) for i in range(a.rows)]
-    distinct = IntMatrix.from_rows(slot, cols=a.cols)
+    presentation ``d1`` repeat an earlier one.  Rows are told apart by
+    their ``_sparse_rows`` entries, and the distinct rows are the dense
+    rows of their first occurrences, so the draws are those of the
+    dense product."""
+    first = {}
+    at = [first.setdefault(key, i) for i, key in enumerate(_sparse_rows(a))]
+    slot = {i: s for s, i in enumerate(first.values())}
+    spread = [slot[i] for i in at]
+    distinct = IntMatrix.from_rows(map(a.row, slot), cols=a.cols)
     seen = set()
     out = []
     for _ in range(60):
@@ -373,7 +379,10 @@ def _matrix_targets_equal(rng, a: IntMatrix):
     the 1-norm minimum at ``v``, over Q and over Z, is the sum of the
     block minima, ``xi_*_at(block, v_b) * |v_b|_1``, and the value is
     that sum divided once by ``|v|_1``.  Each nonzero ``(block, v_b)``
-    is solved once per matrix, whichever targets and blocks share it."""
+    is solved once per matrix, whichever targets and blocks share it.
+    A block minimum is kept as an ``int`` when it is integral, as it
+    always is on a spanned kernel, so each target's sum is int
+    additions; only a non-integral minimum stays a ``Fraction``."""
     targets = sample_image_targets(rng, a)
     blocks = _blocks(a)
     minima = {}
@@ -381,15 +390,18 @@ def _matrix_targets_equal(rng, a: IntMatrix):
     for v in targets:
         q_min = z_min = 0
         for rows, _, block in blocks:
-            v_b = tuple(v[i] for i in rows)
+            v_b = tuple(map(v.__getitem__, rows))
             if not any(v_b):
                 continue
             part = minima.get((block, v_b))
             if part is None:
                 norm = l1_norm(v_b)
-                part = minima[block, v_b] = (
-                    xi_q_at(block, v_b).value * norm,
-                    xi_z_at(block, v_b).value * norm,
+                part = minima[block, v_b] = tuple(
+                    m.numerator if m.denominator == 1 else m
+                    for m in (
+                        xi_q_at(block, v_b).value * norm,
+                        xi_z_at(block, v_b).value * norm,
+                    )
                 )
             q_min += part[0]
             z_min += part[1]

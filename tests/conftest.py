@@ -1053,6 +1053,16 @@ def tokenize_by_scan(text: str):
     return out
 
 
+def sparse_rows_by_entries(m: IntMatrix) -> tuple:
+    """``exactla._sparse_rows`` entry by entry: for each row, zero rows
+    included, the columns of its nonzero entries and those entries."""
+    out = []
+    for i in range(m.rows):
+        cols = tuple(j for j in range(m.cols) if m.at(i, j) != 0)
+        out.append((cols, tuple(m.at(i, j) for j in cols)))
+    return tuple(out)
+
+
 def format_matrix_by_entries(m: IntMatrix) -> str:
     """``exactla.format_matrix`` written entry by entry: the header,
     then every row's entries joined by spaces, one line per row."""

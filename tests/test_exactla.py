@@ -19,6 +19,7 @@ from conftest import (
     rref_mod_q,
     snf_by_row_and_column_operations,
     solve_upper,
+    sparse_rows_by_entries,
     vec_mat,
 )
 from expansion_lab.errors import (
@@ -31,6 +32,7 @@ from expansion_lab.exactla import (
     LatticeBasis,
     _reduced_echelon,
     _solve_map,
+    _sparse_rows,
     det,
     format_matrix,
     format_rational,
@@ -51,6 +53,7 @@ from expansion_lab.exactla import (
     solve_rational,
     unimodular_inverse,
 )
+from expansion_lab.expansion import ModQMatrix
 
 M = IntMatrix.from_rows
 
@@ -106,6 +109,22 @@ def unit_entry_matrices(draw):
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     entries = st.lists(st.integers(-1, 1), min_size=cols, max_size=cols)
     return M(draw(st.lists(entries, min_size=rows, max_size=rows)), cols=cols)
+
+
+@st.composite
+def sparse_row_inputs(draw):
+    """Matrices whose rows repeat with zero rows between them
+    (``repeated_row_matrices``), or a ``ModQMatrix`` of such rows, some
+    lifted by q so that they reduce to zero rows mod q."""
+    m = draw(repeated_row_matrices())
+    q = draw(st.sampled_from((None, 2, 3)))
+    if q is None:
+        return m
+    rows = [
+        [q * e for e in m.row(i)] if draw(st.booleans()) else list(m.row(i))
+        for i in range(m.rows)
+    ]
+    return ModQMatrix.from_rows(rows, q, cols=m.cols)
 
 
 def assert_hnf_shape(h: IntMatrix):
@@ -195,6 +214,21 @@ class TestIntMatrix:
         got, want = mat_vec(m, x), mat_vec_dense(m, x)
         assert got == want
         assert list(map(type, got)) == list(map(type, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_row_inputs())
+    @example(IntMatrix.zeros(0, 3))
+    @example(IntMatrix.zeros(2, 0))
+    @example(IntMatrix.zeros(0, 0))
+    @example(M([[0, 0, 0], [1, 0, -1], [0, 0, 0], [1, 0, -1], [0, 2, 0]]))
+    # Its first and last rows reduce to zero rows mod 2.
+    @example(ModQMatrix.from_rows([[2, 4], [1, 3], [2, -2]], 2))
+    def test_sparse_rows_match_entry_by_entry_oracle(self, m):
+        # A zero row is one scan and the one shared entry ((), ()); the
+        # nonzero rows are compressed, mod q on the reduced entries.
+        rows = _sparse_rows.__wrapped__(m)
+        assert rows == sparse_rows_by_entries(m)
+        assert len({id(row) for row in rows if not row[0]}) <= 1
 
     def test_hash_is_cached_and_matches_equality(self):
         a = M([[1, 2, 0], [3, 4, 5]])
@@ -673,13 +707,20 @@ class TestTextFormats:
         assert parse_matrix(format_matrix(m)) == m
 
     @settings(max_examples=200, deadline=None)
-    @given(repeated_row_matrices())
+    @given(sparse_row_inputs())
+    @example(IntMatrix.zeros(0, 3))
+    @example(IntMatrix.zeros(2, 0))
+    @example(IntMatrix.zeros(0, 0))
+    @example(M([[0, 0, 0], [1, 0, -1], [0, 0, 0], [1, 0, -1], [0, 2, 0]]))
+    # Its first and last rows reduce to zero rows mod 2.
+    @example(ModQMatrix.from_rows([[2, 4], [1, 3], [2, -2]], 2))
     def test_matrix_text_matches_entry_by_entry_oracle(self, m):
-        # Each distinct row's text is built once; repeated rows, zero
-        # rows and rows with no columns must read as the oracle writes.
+        # Each distinct row's text is built once, keyed by its sparse
+        # row; repeated rows, zero rows (mod q too) and rows with no
+        # columns must read as the oracle writes.
         text = format_matrix(m)
         assert text == format_matrix_by_entries(m)
-        assert parse_matrix(text) == m
+        assert parse_matrix(text) == IntMatrix(m.rows, m.cols, m.entries)
 
     @settings(max_examples=200, deadline=None)
     @given(repeated_row_matrices())

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from expansion_lab import expansion, simplex, spanning
+from expansion_lab import exactla, expansion, simplex, spanning
 from expansion_lab.complexes import (
     Graph,
     check_incidence_rows,
@@ -1822,16 +1822,28 @@ class TestBlockSubmatrices:
             assert blocks[0][2] is a
 
     @pytest.mark.parametrize("q", [None, 2])
-    def test_steinberg_d1_blocks_are_one_object(self, q):
+    def test_steinberg_d1_blocks_are_one_object(self, q, monkeypatch):
         # Steinberg d1 at n = 7 is 840 x 42 and splits into 42 identical
-        # 5 x 1 blocks.
+        # 5 x 1 blocks, looked up by their entries and built once.
         a = presentation_d1(steinberg_presentation(7))
         if q is not None:
             a = reduce_mod_q(a, q)
+        built = []
+
+        def build(*args, **changes):
+            built.append(changes)
+            return replace(*args, **changes)
+
+        monkeypatch.setattr(exactla, "replace", build)
+        _blocks.cache_clear()
         blocks = _blocks(a)
         assert len(blocks) == 42
+        assert len(built) == 1
         assert len({id(block) for _, _, block in blocks}) == 1
-        assert blocks[0][2] == dense_slice(a, *blocks[0][:2])
+        block = blocks[0][2]
+        assert type(block) is type(a)
+        assert getattr(block, "q", None) == q
+        assert block == dense_slice(a, *blocks[0][:2])
 
 
 class TestOneSolvePerDistinctBlock:

@@ -153,22 +153,29 @@ def test_sample_image_targets_are_nonzero_distinct_rays_in_image():
         xi_q_at(a, v)  # raises if v were outside the image
 
 
-@settings(max_examples=200, deadline=None)
-@given(repeated_row_matrices(), st.integers(0, 2**32))
-def test_sample_image_targets_match_dense_oracle(a, seed):
-    # Distinct rows are multiplied once per draw and rays keyed on them;
-    # the targets and the rng stream are those of the dense product.
+def assert_targets_match_dense_oracle(a, seed):
+    # Distinct rows, told apart by their sparse rows, are multiplied
+    # once per draw and rays keyed on them; the targets and the rng
+    # stream are those of the dense product.
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     assert sample_image_targets(rng, a) == sample_image_targets_by_rows(oracle_rng, a)
     assert rng.getstate() == oracle_rng.getstate()
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@settings(max_examples=200, deadline=None)
+@given(repeated_row_matrices(), st.integers(0, 2**32))
+def test_sample_image_targets_match_dense_oracle(a, seed):
+    assert_targets_match_dense_oracle(a, seed)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
 def test_sample_image_targets_on_steinberg_d1_match_dense_oracle(n):
-    a = presentation_d1(steinberg_presentation(n))
-    rng, oracle_rng = random.Random(n), random.Random(n)
-    assert sample_image_targets(rng, a) == sample_image_targets_by_rows(oracle_rng, a)
-    assert rng.getstate() == oracle_rng.getstate()
+    assert_targets_match_dense_oracle(presentation_d1(steinberg_presentation(n)), n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sample_image_targets_on_braid_d1_match_dense_oracle(n):
+    assert_targets_match_dense_oracle(presentation_d1(braid_presentation(n)), n)
 
 
 def test_sample_image_targets_zero_matrix_gives_nothing():
@@ -313,6 +320,35 @@ def test_block_targets_check_matches_the_whole_matrix(a, seed):
     # The same draws leave the stream in the same state.
     assert rng.random() == oracle_rng.random()
     assert harness._kernel_spanned(a) == kernel_spanned_by_whole_matrix(a)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [[[1, 2]], [[1, -1], [0, 1]]],
+        [[[1, -1, 0], [0, 1, -1]], [[1, 2]], [[1, 1]]],
+        [[[1, 2]], [[1, 2]], [[1, 0], [0, -1]]],
+    ],
+)
+def test_block_targets_check_sums_int_and_fraction_minima(parts):
+    # [[1, 2]] has the rational minimum 1/2 at the target (1,), and k/2
+    # at any odd k, so a Fraction block minimum meets the int minima of
+    # the other blocks in one target's sum; the whole-matrix solves give
+    # the same comparisons, counterexample and rng stream.
+    a = block_diagonal([IntMatrix.from_rows(p) for p in parts])
+    mixed = 0
+    for seed in range(20):
+        case = with_zero_lines(a, random.Random(seed))
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        got = harness._matrix_targets_equal(rng, case)
+        assert got == targets_equal_by_whole_matrix(oracle_rng, case)
+        assert rng.getstate() == oracle_rng.getstate()
+        _, compared, bad = got
+        if bad is not None:
+            q_min = Fraction(compared[-1]["xi_q"]) * sum(map(abs, bad))
+            parts_hit = sum(any(bad[i] for i in rows) for rows, _, _ in _blocks(case))
+            mixed += q_min.denominator != 1 and parts_hit > 1
+    assert mixed
 
 
 @pytest.mark.parametrize(
