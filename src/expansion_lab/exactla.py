@@ -768,12 +768,15 @@ def solve_integer(a: IntMatrix, v: Sequence[int]) -> IntVector | None:
     the HNF of the transpose, with free variables pinned to zero, which
     is the cached solve map of ``a`` applied to ``v``.  ``u`` is
     unimodular, so ``x`` is integral exactly when every substitution
-    step divides.
+    step divides.  A denominator 1, as on every block whose pivot block
+    is unimodular (every incidence block), returns ``x`` as it stands.
     """
     solved = _solve_scaled(a, v)
     if solved is None:
         return None
     x, den = solved
+    if den == 1:
+        return tuple(x)
     if any(e % den for e in x):
         return None
     return tuple(e // den for e in x)

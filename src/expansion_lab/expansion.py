@@ -66,7 +66,10 @@ dim(ker))``, before ``xi_zq_global`` walks an enumerated kernel),
 them, and ``spanning._MAX_SUBSETS``, per block.  A cap hit raises
 ``EnumerationCapError``, except past the candidate or subset cap of the
 global constants, where the value is a lower bound over
-``_SAMPLE_TARGETS`` sampled targets with ``exact=False``; those targets
+``_SAMPLE_TARGETS`` sampled targets with ``exact=False``.  On a
+connected incidence-shaped block ``_MAX_CANDIDATES`` prices the cuts of
+the coarea walk (``_cut_maximum``), and past it the candidate subsets;
+the sampled targets
 are the images of the first ``_SAMPLE_BOX_POINTS`` points of the box
 [-2, 2]^n.  The campaign caps in ``harness`` still price the
 whole matrix (``q^cols`` and ``2^cols``), so they skip checks that the
@@ -87,6 +90,7 @@ from .errors import (
     AmbientDimensionCapError,
     DimensionMismatchError,
     EnumerationCapError,
+    ExpansionLabError,
     NotPrimeError,
     TargetNotInImageError,
     TargetNotInIntegerImageError,
@@ -102,6 +106,7 @@ from .exactla import (
     _blocks,
     _divide,
     _reduced_echelon,
+    _sparse_rows,
     disjoint_supports,
     integer_kernel_basis,
     integerize,
@@ -122,8 +127,8 @@ _MAX_COSET = 10**7
 #: Cap on q ** rank for finite-field image enumeration.
 _MAX_IMAGES = 10**6
 
-#: Cap on the number of candidate targets examined by the exact global
-#: rational search.
+#: Cap on the exact global rational search per block: the cuts walked
+#: on a connected incidence-shaped block, else the candidate subsets.
 _MAX_CANDIDATES = 200_000
 
 #: Number of sampled targets for the inexact global fallbacks.
@@ -600,10 +605,16 @@ def xi_q_global(a: IntMatrix) -> GlobalExpansion:
 
     Exact by default: the supremum over the image is attained at an
     extreme point of the image's unit 1-norm ball, and those are covered
-    by a finite candidate enumeration.  If the candidate count would
-    exceed ``_MAX_CANDIDATES`` the result degrades to a lower bound over
-    ``_SAMPLE_TARGETS`` sampled targets with ``exact=False``.  Raises
-    ``UndefinedExpansionError`` when the image is zero.
+    by a finite candidate enumeration.  On a connected incidence-shaped
+    block, a graph ``d0`` or a presentation ``d1`` block, the extreme
+    points are cut vectors, and one Gray-code walk over the cuts decides
+    the value by the coarea formula (``_cut_maximum``), certified by one
+    ``xi_q_at`` at the best cut: K8's ``d0`` gives 1/4, exact.  If the
+    cut or candidate count would exceed ``_MAX_CANDIDATES`` (a block
+    past the cut cap first tries the candidates) the result degrades to
+    a lower bound over ``_SAMPLE_TARGETS`` sampled targets with
+    ``exact=False``.  Raises ``UndefinedExpansionError`` when the image
+    is zero.
 
     The attaining target lies in the integer image, so ``xi_z_at`` is
     defined there: ``(2,)`` on ``[[2]]``.
@@ -615,13 +626,113 @@ def xi_q_global(a: IntMatrix) -> GlobalExpansion:
 
 
 def _rational_global(a: IntMatrix) -> GlobalExpansion:
-    """``xi_q_global`` on the whole of the nonzero ``a``: the candidate
-    enumeration, or the sample past ``_MAX_CANDIDATES``."""
+    """``xi_q_global`` on the whole of the nonzero ``a``: the cut walk
+    (``_cut_maximum``) on a connected incidence-shaped ``a`` whose cuts
+    number at most ``_MAX_CANDIDATES``; else the candidate enumeration,
+    or the sample past ``_MAX_CANDIDATES`` subsets."""
+    cut = _cut_maximum(a)
+    if cut is not None:
+        return cut
     candidates = _global_candidates(a)
     exact = candidates is not None
     if not exact:
         candidates = _sampled_targets(a, dedupe_rays=True)
     return _largest_at(a, candidates, xi_q_at, exact)
+
+
+def _incidence_graph(a: IntMatrix):
+    """``a`` as a graph on its columns when it is incidence-shaped and
+    one block of ``_blocks`` on all its columns, else None: per column,
+    its half-edges and the bit masks of its neighbours by multiplicity
+    (mask k holds the columns joined to it by more than k edges).  Every
+    nonzero row must be ``+1`` and ``-1`` on two columns, an edge, or a
+    single ``+-1``, a half-edge or loop as ``complexes.graph_d0`` writes
+    them; a half-edge joins nothing, so the edges connect the columns."""
+    blocks = _blocks(a)
+    if len(blocks) != 1 or len(blocks[0][1]) < a.cols:
+        return None
+    half = [0] * a.cols
+    joins = [{} for _ in range(a.cols)]
+    for cols, entries in _sparse_rows(a):
+        if entries in ((1,), (-1,)):
+            half[cols[0]] += 1
+        elif entries in ((1, -1), (-1, 1)):
+            i, j = cols
+            joins[i][j] = joins[i].get(j, 0) + 1
+            joins[j][i] = joins[j].get(i, 0) + 1
+        elif cols:
+            return None
+    layers = []
+    for near in joins:
+        masks = [0] * max(near.values(), default=0)
+        for j, count in near.items():
+            for k in range(count):
+                masks[k] |= 1 << j
+        layers.append(masks)
+    return half, layers
+
+
+def _cut_maximum(a: IntMatrix) -> Optional[GlobalExpansion]:
+    """``xi_q_global`` on a connected incidence-shaped ``a`` by the L1
+    coarea formula, or None when ``a`` is not one
+    (``_incidence_graph``) or its cuts number more than
+    ``_MAX_CANDIDATES``.
+
+    With V columns (vertices) and ``dS`` the rows cut by a vertex set
+    S (the edges with one end in S and the half-edges at S), the value
+    is the largest ``min(|S|, V - |S|) / |dS|``, the reciprocal of the
+    graph's Cheeger constant: the kernel is the constants, so the
+    cheapest preimage of ``a @ 1_S`` is ``1_S`` or ``-1_{S^c}``.  With a
+    half-edge the kernel is trivial and the value is the largest
+    ``|S| / |dS|``.  The cuts are walked in Gray-code order, each step
+    flipping the vertex of the step counter's lowest set bit and
+    updating ``|S|`` and ``|dS|`` from its neighbour masks; without a
+    half-edge the last vertex stays outside S, since S and its
+    complement give one ratio, so the walk visits ``2^(V-1) - 1`` cuts,
+    else ``2^V - 1``.  Ratios are compared by cross-multiplying, and a
+    later cut replaces the best only with a strictly larger one.
+
+    The target is the best cut's vector ``a @ 1_S``, negated when its
+    first nonzero entry is negative; it lies in the integer image.  Its
+    value is certified by ``xi_q_at`` there, and a mismatch raises
+    ``ExpansionLabError`` rather than return either value."""
+    graph = _incidence_graph(a)
+    if graph is None:
+        return None
+    half, layers = graph
+    n = a.cols
+    flipped = n if any(half) else n - 1
+    if 2**flipped - 1 > _MAX_CANDIDATES:
+        return None
+    degree = [h + sum(m.bit_count() for m in masks) for h, masks in zip(half, layers)]
+    s = size = cut = 0
+    best_num, best_den, best_s = -1, 1, 0
+    for step in range(1, 1 << flipped):
+        j = (step & -step).bit_length() - 1
+        s ^= 1 << j
+        inside = 0
+        for mask in layers[j]:
+            inside += (mask & s).bit_count()
+        if s >> j & 1:
+            size += 1
+            cut += degree[j] - 2 * inside
+        else:
+            size -= 1
+            cut -= degree[j] - 2 * inside
+        num = size if flipped == n else min(size, n - size)
+        if num * best_den > best_num * cut:
+            best_num, best_den, best_s = num, cut, s
+    target = mat_vec(a, [best_s >> j & 1 for j in range(n)])
+    if next(x for x in target if x) < 0:
+        target = tuple(-x for x in target)
+    value = Fraction(best_num, best_den)
+    certified = xi_q_at(a, target).value
+    if certified != value:
+        raise ExpansionLabError(
+            f"cut walk value {value} disagrees with xi_q_at value {certified} "
+            f"at its target"
+        )
+    return GlobalExpansion(value=value, attaining_target=target, exact=True)
 
 
 def _largest_at(a, targets, solve, exact: bool) -> GlobalExpansion:
@@ -642,7 +753,10 @@ def xi_z_global(a: IntMatrix) -> GlobalExpansion:
     Split over the blocks of ``a`` by ``_block_maximum``, as
     ``xi_q_global`` is: the kernel of ``a`` is the direct sum of its
     blocks' kernels and a unit vector per zero column, so it is
-    integrally spanned exactly when every block's kernel is.
+    integrally spanned exactly when every block's kernel is.  An
+    incidence-shaped block's kernel is spanned, so its value is the
+    rational one from the cut walk, exact within the cut cap: 1/4 on
+    K8's ``d0``.
     """
     return _block_maximum(a, _integer_global)
 

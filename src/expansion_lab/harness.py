@@ -68,7 +68,6 @@ from .exactla import (
 from .expansion import (
     _image_walk,
     hamming_weight,
-    lift_section,
     minimization_faces,
     modq_rank,
     reduce_mod_q,
@@ -482,9 +481,11 @@ def _block_tables(a: IntMatrix, q: int, z_at: dict) -> dict:
     nonzero image vector ``w_b`` of the block mod q, in ``_image_walk``
     order, to ``(wt_b, hw_b, m_b, norm_b, t_b)``.  ``wt_b`` is the
     weight of ``xi_zq_at``'s witness ``u`` on the block mod q, ``hw_b``
-    the weight of ``w_b``, ``t_b`` the lifted block target ``block @
-    lift_section(u)``, and ``m_b`` and ``norm_b`` the 1-norms of
-    ``xi_z_at``'s minimizer at ``t_b`` and of ``t_b``.
+    the weight of ``w_b``, ``t_b`` the lifted block target, the block
+    times the standard lift of ``u`` (``lift_section``), which is ``u``
+    itself, its entries already ints in ``[0, q)``, and ``m_b`` and
+    ``norm_b`` the 1-norms of ``xi_z_at``'s minimizer at ``t_b`` and of
+    ``t_b``.
 
     Each block image is solved once per (matrix, q), each lifted block
     target once per matrix: ``z_at`` maps ``(block, t_b)`` to ``(m_b,
@@ -500,7 +501,7 @@ def _block_tables(a: IntMatrix, q: int, z_at: dict) -> dict:
         for w_b, hw_b, _ in _image_walk(block_q):
             w_b = tuple(w_b)
             u = xi_zq_at(block_q, w_b).witness
-            t_b = mat_vec(block, lift_section(u, q))
+            t_b = mat_vec(block, u)
             z = z_at.get((block, t_b))
             if z is None:
                 best = xi_z_at(block, t_b).witness
@@ -628,10 +629,14 @@ def campaign_modq(
 
     The integer side is computed through the rational global value,
     which is exact because incidence kernels are integrally spanned.
-    Checks whose finite-field enumeration exceeds ``_GLOBAL_WORK_CAP``
-    (global) or ``_WITNESS_IMAGE_CAP`` (per witness) are reported
-    skipped, as is the global check when the rational value is only a
-    lower bound (``exact`` false).
+    Each block of an instance is connected and incidence-shaped, so that
+    value comes from one cut walk per block (the coarea formula,
+    ``expansion._cut_maximum``), certified by one ``xi_q_at``, and is
+    exact within the cut cap: 18 vertices per block, 17 with a
+    half-edge.  Checks whose finite-field enumeration exceeds
+    ``_GLOBAL_WORK_CAP`` (global) or ``_WITNESS_IMAGE_CAP`` (per
+    witness) are reported skipped, as is the global check when the
+    rational value is only a lower bound (``exact`` false).
 
     Within ``_WITNESS_IMAGE_CAP`` each (matrix, q) is solved block by
     block into one table per distinct block (``_block_tables``): each

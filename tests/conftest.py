@@ -12,7 +12,8 @@ coordinate dropped, the minimization faces as the
 maximal closures of every hyperplane subset solved over Fraction, the
 finite-field image rebuilt vector by vector and each coset searched
 by recursion, the F_q solve through the dense row transform, the
-integer global value
+rational global value by the candidate enumeration with no cut walk,
+the integer global value
 on the whole matrix with no block split, the per-witness loop of the
 mod-q campaign, its per-target equality check and its kernel check,
 each on the whole matrix, weighted medians sorted
@@ -66,6 +67,7 @@ from expansion_lab.expansion import (
     FaceDecomposition,
     GlobalExpansion,
     MinimizationFace,
+    _global_candidates,
     _largest_at,
     _modq_system,
     _sampled_targets,
@@ -417,6 +419,13 @@ def by_blocks(oracle):
         return GlobalExpansion(value=value, attaining_target=tuple(target), exact=exact)
 
     return run
+
+
+def rational_global_by_candidates(a: IntMatrix) -> GlobalExpansion:
+    """``expansion._rational_global`` with no cut walk: the largest
+    ``xi_q_at`` over the candidate targets of ``_global_candidates``,
+    the first that reaches it, on any ``a`` under the candidate cap."""
+    return _largest_at(a, _global_candidates(a), xi_q_at, True)
 
 
 def z_global_by_whole_matrix(a: IntMatrix) -> GlobalExpansion:

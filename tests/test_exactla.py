@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,6 +32,7 @@ from expansion_lab.exactla import (
     LatticeBasis,
     _reduced_echelon,
     _solve_map,
+    _solve_scaled,
     _sparse_rows,
     det,
     format_matrix,
@@ -546,6 +547,19 @@ def solve_by_substitution(a: IntMatrix, v, integral: bool):
     return tuple(x) if integral else tuple(Fraction(e) for e in x)
 
 
+def solve_integer_by_two_passes(a: IntMatrix, v):
+    """``solve_integer`` with no shortcut for denominator 1: every solve
+    scans ``_solve_scaled``'s numerators for divisibility, then divides
+    each one."""
+    solved = _solve_scaled(a, v)
+    if solved is None:
+        return None
+    x, den = solved
+    if any(e % den for e in x):
+        return None
+    return tuple(e // den for e in x)
+
+
 @st.composite
 def solve_cases(draw):
     """(A, v): A = L @ R for thin random factors, so it is often rank
@@ -600,6 +614,34 @@ class TestSolveMap:
             if got_z is not None:
                 assert all(type(e) is int for e in got_z)
                 assert mat_vec(a, got_z) == v
+
+    @settings(max_examples=300, deadline=None)
+    @given(solve_cases())
+    # Denominator 6: (2, 0) has the integral solution (1, 0), and (1, 3)
+    # only (-1/2, 1/2), which is refused.
+    @example((M([[2, 4], [0, 6]]), (2, 0)))
+    @example((M([[2, 4], [0, 6]]), (1, 3)))
+    # Denominator 1, as on every incidence block.
+    @example((M([[1, -1, 0], [0, 1, -1]]), (1, 2)))
+    def test_integer_solve_matches_two_passes(self, case):
+        a, v = case
+        assume(all(Fraction(e).denominator == 1 for e in v))
+        v = tuple(int(e) for e in v)
+        got = solve_integer(a, v)
+        assert got == solve_integer_by_two_passes(a, v)
+        if got is not None:
+            assert all(type(e) is int for e in got)
+
+    def test_integer_solve_denominators(self):
+        # The examples above reach both sides of the shortcut.
+        a = M([[2, 4], [0, 6]])
+        assert _solve_scaled(a, (2, 0)) == ([6, 0], 6)
+        assert solve_integer(a, (2, 0)) == (1, 0)
+        assert _solve_scaled(a, (1, 3)) == ([-3, 3], 6)
+        assert solve_integer(a, (1, 3)) is None
+        path = M([[1, -1, 0], [0, 1, -1]])
+        assert _solve_scaled(path, (1, 2)) == ([3, 2, 0], 1)
+        assert solve_integer(path, (1, 2)) == (3, 2, 0)
 
     def test_rational_but_not_integer_preimage(self):
         # the image of [[2, 4], [0, 6]] has index 12: (2, 0) is reached only by

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from expansion_lab import exactla, expansion, simplex, spanning
 from expansion_lab.complexes import (
     Graph,
+    braid_presentation,
     check_incidence_rows,
     graph_d0,
     presentation_d1,
@@ -32,6 +33,7 @@ from expansion_lab.complexes import (
 from expansion_lab.errors import (
     DimensionMismatchError,
     EnumerationCapError,
+    ExpansionLabError,
     NotPrimeError,
     TargetNotInImageError,
     TargetNotInIntegerImageError,
@@ -56,6 +58,7 @@ from expansion_lab.expansion import (
     _disjoint_terms,
     _enumerate_coset,
     _image_maximum,
+    _cut_maximum,
     _is_prime,
     _kernel_info,
     _min_weight_in_coset,
@@ -90,6 +93,7 @@ from conftest import (
     modq_solve_dense,
     outcome,
     rand_matrix,
+    rational_global_by_candidates,
     rref_by_fractions,
     rref_mod_q,
     z_global_by_whole_matrix,
@@ -809,6 +813,136 @@ class TestGlobalInteger:
         assert res == xi_q_global(a)
         assert res.exact
         assert res.value == 12
+
+
+def complete_d0(n):
+    """``d0`` of the complete graph on ``n`` vertices."""
+    return graph_d0(Graph(n, tuple(itertools.combinations(range(1, n + 1), 2))))
+
+
+@st.composite
+def connected_incidence_blocks(draw):
+    """Connected incidence-shaped blocks on 1-9 vertices: a random
+    spanning tree, up to three more edges (parallel ones included), up
+    to two half-edges or loops (a single +1 or -1; at least one on a
+    single vertex), each edge in a random orientation, at most one zero
+    row, and the rows shuffled.  The extra rows are few enough that the
+    candidate enumeration stays under its cap."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    order = draw(st.permutations(range(n)))
+    edges = [(order[draw(st.integers(0, k - 1))], order[k]) for k in range(1, n)]
+    if n > 1:
+        extra = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(extra, max_size=3))
+    rows = []
+    for i, j in edges:
+        row = [0] * n
+        sign = draw(st.sampled_from((1, -1)))
+        row[i], row[j] = sign, -sign
+        rows.append(row)
+    for i in draw(st.lists(vertex, min_size=int(n == 1), max_size=2)):
+        row = [0] * n
+        row[i] = draw(st.sampled_from((1, -1)))
+        rows.append(row)
+    rows += [[0] * n] * draw(st.integers(0, 1))
+    return mat(draw(st.permutations(rows)))
+
+
+def presentation_blocks():
+    """The distinct blocks of the braid and Steinberg ``d1`` for n = 3..8."""
+    blocks = {}
+    for build in (braid_presentation, steinberg_presentation):
+        for n in range(3, 9):
+            for _, _, block in _blocks(presentation_d1(build(n))):
+                blocks.setdefault(block, f"{build.__name__}({n})")
+    return [pytest.param(block, id=name) for block, name in blocks.items()]
+
+
+class TestCutWalk:
+    """The global rational value of a connected incidence-shaped block by
+    one walk over its vertex cuts (the L1 coarea formula), against the
+    candidate enumeration it replaces there."""
+
+    def check_walk(self, a):
+        res = _rational_global(a)
+        assert _cut_maximum(a) == res
+        oracle = rational_global_by_candidates(a)
+        assert res.exact
+        assert res.value == oracle.value
+        assert xi_q_at(a, res.attaining_target).value == res.value
+        assert next(x for x in res.attaining_target if x) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_incidence_blocks())
+    @example(mat([[1, -1, 0], [0, 1, -1]]))
+    @example(mat([[1, -1], [-1, 1], [0, 1]]))
+    @example(mat([[-1]]))
+    def test_matches_candidates(self, a):
+        self.check_walk(a)
+
+    @pytest.mark.parametrize("block", presentation_blocks())
+    def test_presentation_blocks_match_candidates(self, block):
+        self.check_walk(block)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_complete_graph_is_exact(self, n):
+        # A cut of k <= n/2 vertices gives k / (k (n - k)) = 1 / (n - k),
+        # largest at k = floor(n/2).  Past n = 7 the subset route passes
+        # its cap and samples a lower bound (1/5 on K8).
+        a = complete_d0(n)
+        value = Fraction(1, -(-n // 2))
+        for solve in (xi_q_global, xi_z_global):
+            res = solve(a)
+            assert (res.value, res.exact) == (value, True)
+
+    def test_first_maximizer_in_gray_code_order(self):
+        # Path 1-2-3: the cuts {1}, {1, 2}, {2} in walk order give 1, 1
+        # and 1/2; the first keeps the target.
+        a = mat([[1, -1, 0], [0, 1, -1]])
+        assert _rational_global(a) == GlobalExpansion(Fraction(1), (1, 0), True)
+
+    def test_price_is_the_cut_count(self, monkeypatch):
+        # K4 has 2^3 - 1 = 7 cuts, and 2^4 - 1 = 15 with a half-edge.
+        a = complete_d0(4)
+        b = mat([list(a.row(i)) for i in range(a.rows)] + [[0, 0, 0, 1]])
+        for m, cuts in ((a, 7), (b, 15)):
+            monkeypatch.setattr(expansion, "_MAX_CANDIDATES", cuts)
+            assert _cut_maximum(m) is not None
+            monkeypatch.setattr(expansion, "_MAX_CANDIDATES", cuts - 1)
+            assert _cut_maximum(m) is None
+
+    def test_path_past_the_cut_cap_keeps_the_subset_route(self):
+        # 2^29 - 1 cuts, but only 29 subsets of the 29 distinct edges.
+        a = graph_d0(Graph(30, tuple((i, i + 1) for i in range(1, 30))))
+        assert _cut_maximum(a) is None
+        res = xi_q_global(a)
+        assert (res.value, res.exact) == (15, True)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0], [0, 1]],  # two half-edges, not connected
+            [[1, -1, 0], [0, 0, 0]],  # a zero column
+            [[1, -1, 0, 0], [0, 0, 1, -1]],  # two components
+            [[1, 1], [0, 1]],  # a row (1, 1)
+            [[2, -1], [1, 0]],  # an entry 2
+            [[1, -1, 1], [0, 1, -1]],  # three entries in a row
+        ],
+    )
+    def test_other_blocks_keep_the_candidate_route(self, rows):
+        a = mat(rows)
+        assert _cut_maximum(a) is None
+        assert _rational_global(a) == rational_global_by_candidates(a)
+
+    def test_certificate_mismatch_raises(self, monkeypatch):
+        def off_by_one(a, v):
+            res = xi_q_at(a, v)
+            return replace(res, value=res.value + 1)
+
+        monkeypatch.setattr(expansion, "xi_q_at", off_by_one)
+        with pytest.raises(ExpansionLabError, match="disagrees with xi_q_at"):
+            _rational_global(complete_d0(4))
 
 
 @st.composite
